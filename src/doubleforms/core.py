@@ -282,8 +282,9 @@ class DoubleForm:
         row_rank = _mask_rank_table(n, p_out)
         col_rank = _mask_rank_table(n, q_out)
         rows = out.coeffs
+        right = list(other.entries())
         for mi, mj, a in self.entries():
-            for mk, ml, b in other.entries():
+            for mk, ml, b in right:
                 s1 = wedge_sign_masks(mi, mk)
                 if not s1:
                     continue
@@ -296,14 +297,37 @@ class DoubleForm:
         return out
 
     def mul_g_power(self, power: int) -> "DoubleForm":
-        """Left multiplication by g^power; power 0 is the identity."""
+        """Left multiplication by g^power; power 0 is the identity.
+
+        Uses g^k = k! sum_{|S|=k} e_S (x) e_S, so that one pass over the
+        entries and the k-subsets S gives
+
+            g^k . (e_I (x) e_J) = k! sum_S sign(S,I) sign(S,J) e_{S u I} (x) e_{S u J}
+
+        over the S disjoint from I and J (see g_power_terms).  Degree
+        overflow past n returns the zero form of the clamped degree
+        (min(p+k, n), min(q+k, n)), as k successive products by g would.
+        """
         if not isinstance(power, int) or power < 0:
             raise DegreeError(f"g-power must be a nonnegative integer, got {power!r}")
-        result = self
-        g = make_g(self.n)
-        for _ in range(power):
-            result = g.mul(result)
-        return result
+        if power == 0:
+            return self
+        n = self.n
+        p_out = self.p + power
+        q_out = self.q + power
+        out = DoubleForm(n, min(p_out, n), min(q_out, n))
+        if p_out > n or q_out > n:
+            return out
+        row_rank = _mask_rank_table(n, p_out)
+        col_rank = _mask_rank_table(n, q_out)
+        rows = out.coeffs
+        weight = factorial(power)
+        for mi, mj, value in self.entries():
+            plus = weight * value
+            minus = -plus
+            for sign, ti, tj in g_power_terms(n, power, mi, mj):
+                rows[row_rank[ti]][col_rank[tj]] += plus if sign > 0 else minus
+        return out
 
     # -- contraction, inner product, star ----------------------------------
 
@@ -478,6 +502,29 @@ def _permutation_sign(perm) -> int:
             if perm[i] > perm[j]:
                 inversions += 1
     return -1 if inversions & 1 else 1
+
+
+def g_power_terms(n: int, power: int, mask_i: int, mask_j: int):
+    """Expand g^power . (e_I (x) e_J) / power! over the basis.
+
+    Yields (sign(S,I) sign(S,J), S u I, S u J) for every power-subset S of
+    range(n) disjoint from I and J; the single kernel behind mul_g_power and
+    decomposition.g_power_matrix.  The caller checks that the target degrees
+    stay within n.
+    """
+    used = mask_i | mask_j
+    for mask_s in subset_masks(n, power):
+        if not mask_s & used:
+            sign = wedge_sign_masks(mask_s, mask_i) * wedge_sign_masks(mask_s, mask_j)
+            yield sign, mask_s | mask_i, mask_s | mask_j
+
+
+def contractions(form: DoubleForm, times: int) -> list[DoubleForm]:
+    """The contraction chain [w, c w, c^2 w, ..., c^times w]."""
+    chain = [form]
+    for _ in range(times):
+        chain.append(chain[-1].contract())
+    return chain
 
 
 # -- constructors -----------------------------------------------------------

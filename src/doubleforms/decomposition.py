@@ -10,10 +10,12 @@ involved.  For the Riemann curvature tensor this is the classical
 Weyl / traceless-Ricci / scalar split, and w_p is the conformal (Weyl)
 component.
 
-When 2p > n the closed-form coefficients are not defined, but multiplication
-by g^{2p-n} is an isomorphism from D^{n-p,n-p} onto D^{p,p}; decompose then
-divides out the forced g-power by exact linear solving and decomposes the
-quotient, so the same entry point covers every p.
+The same closed form covers every p.  When 2p > n, g^{p-k} annihilates
+E^{k,k} for k > n-p, so only the components w_k with k <= n-p are nonzero,
+and their coefficients stay defined because n-2k >= 2p-n > 0.
+divide_g_power, the exact linear-solving route through the isomorphism
+g^{2p-n}: D^{n-p,n-p} -> D^{p,p}, is kept as the independent cross-check of
+that claim and is not called by decompose.
 
 The module also carries the closed-form Hodge star on first-Bianchi tensors
 (contractions only, no complement signs), its expression through effective
@@ -32,8 +34,11 @@ from .core import (
     DegreeError,
     DoubleForm,
     DoubleFormError,
+    contractions,
+    g_power_terms,
     make_zero,
 )
+from .exterior import _mask_rank_table, subset_masks
 
 
 @dataclass(frozen=True)
@@ -74,44 +79,33 @@ def is_effective(form: DoubleForm) -> bool:
     return form.contract().is_zero()
 
 
-def _iter_contract(form: DoubleForm, times: int) -> DoubleForm:
-    for _ in range(times):
-        form = form.contract()
-    return form
-
-
 def decompose(form: DoubleForm) -> EffectiveDecomposition:
     """Split w in D^{p,p} into effective components.
 
-    Closed form for 2p <= n:
+    Closed form for every p, for k <= min(p, n-p):
 
         w_k = (n-p-k)!/((p-k)!(n-2k)!) [ c^{p-k} w
               + sum_{r=1}^{k} (-1)^r / prod_{i=0}^{r-1}(n-2k+2+i)
-                              (g^r / r!) c^{p-k+r} w ].
+                              (g^r / r!) c^{p-k+r} w ],
+
+    and w_k = 0 for n-p < k <= p (only when 2p > n).
     """
     if form.p != form.q:
         raise DegreeError(f"decompose needs p == q, got ({form.p},{form.q})")
     n, p = form.n, form.p
-    if 2 * p > n:
-        quotient = divide_g_power(form, 2 * p - n)
-        inner = decompose(quotient)
-        padded = list(inner.components)
-        padded += [make_zero(n, k, k) for k in range(n - p + 1, p + 1)]
-        return EffectiveDecomposition(n, p, tuple(padded))
-    contractions = [form]
-    for _ in range(p):
-        contractions.append(contractions[-1].contract())
+    chain = contractions(form, p)
     components = []
-    for k in range(p + 1):
+    for k in range(min(p, n - p) + 1):
         lead = Fraction(factorial(n - p - k), factorial(p - k) * factorial(n - 2 * k))
-        acc = contractions[p - k]
+        acc = chain[p - k]
         for r in range(1, k + 1):
             denominator = factorial(r)
             for i in range(r):
                 denominator *= n - 2 * k + 2 + i
-            term = contractions[p - k + r].mul_g_power(r)
+            term = chain[p - k + r].mul_g_power(r)
             acc = acc + term.scale(Fraction((-1) ** r, denominator))
         components.append(acc.scale(lead))
+    components += [make_zero(n, k, k) for k in range(n - p + 1, p + 1)]
     return EffectiveDecomposition(n, p, tuple(components))
 
 
@@ -142,30 +136,17 @@ def g_power_matrix(n: int, p: int, q: int, power: int) -> list[list[int]]:
         return [[0] * source_dim]
     target_dim = comb(n, p + power) * comb(n, q + power)
     matrix = [[0] * source_dim for _ in range(target_dim)]
-    from .core import make_basis
-    from .exterior import subset_masks, _mask_rank_table
-
     row_rank = _mask_rank_table(n, p + power)
     col_rank = _mask_rank_table(n, q + power)
+    weight = factorial(power)
     col = 0
     for mask_i in subset_masks(n, p):
         for mask_j in subset_masks(n, q):
-            image = make_basis(
-                n,
-                _indices(mask_i),
-                _indices(mask_j),
-            ).mul_g_power(power)
-            for mi, mj, value in image.entries():
-                cell = _cell_index(n, p + power, q + power, row_rank[mi], col_rank[mj])
-                matrix[cell][col] = int(value)
+            for sign, ti, tj in g_power_terms(n, power, mask_i, mask_j):
+                cell = _cell_index(n, p + power, q + power, row_rank[ti], col_rank[tj])
+                matrix[cell][col] = sign * weight
             col += 1
     return matrix
-
-
-def _indices(mask: int) -> tuple[int, ...]:
-    from .exterior import mask_to_indices
-
-    return mask_to_indices(mask)
 
 
 def map_rank(n: int, p: int, q: int, power: int) -> int:
@@ -178,10 +159,13 @@ def map_rank(n: int, p: int, q: int, power: int) -> int:
 
 
 def divide_g_power(form: DoubleForm, power: int) -> DoubleForm:
-    """The unique x with g^power . x = form, when the division is forced.
+    """The unique x with g^power . x = form, by exact linear solving.
 
-    Used for 2p > n where multiplication by g^{2p-n} from D^{n-p,n-p} is an
-    isomorphism; raises if no exact preimage exists.
+    The solve-based cross-check for the closed-form decompose at 2p > n,
+    where multiplication by g^{2p-n} from D^{n-p,n-p} is an isomorphism:
+    decompose(divide_g_power(w, 2p-n)) must give the nonzero components of
+    decompose(w).  It is an oracle for the tests, not a production path;
+    raises if no exact preimage exists.
     """
     n = form.n
     source_p, source_q = form.p - power, form.q - power
@@ -223,15 +207,13 @@ def star_bianchi(form: DoubleForm, k: int) -> DoubleForm:
     n, p = form.n, form.p
     if not 1 <= p <= k <= n:
         raise DegreeError(f"need 1 <= p <= k <= n, got p={p}, k={k}, n={n}")
-    contractions = [form]
-    for _ in range(p):
-        contractions.append(contractions[-1].contract())
+    chain = contractions(form, p)
     result = make_zero(n, n - k, n - k)
     for r in range(max(0, p - n + k), p + 1):
         coefficient = Fraction(
             (-1) ** (r + p), factorial(r) * factorial(n - k - p + r)
         )
-        result = result + contractions[r].mul_g_power(n - k - p + r).scale(coefficient)
+        result = result + chain[r].mul_g_power(n - k - p + r).scale(coefficient)
     return result
 
 

@@ -19,6 +19,7 @@ from . import serialize
 from .core import (
     DoubleForm,
     DoubleFormError,
+    contractions,
     make_g,
     make_scalar,
     make_zero,
@@ -292,12 +293,6 @@ def _equal_or_both_zero(left: DoubleForm, right: DoubleForm) -> bool:
     return left.is_zero() and right.is_zero()
 
 
-def _iter_contract(form: DoubleForm, times: int) -> DoubleForm:
-    for _ in range(times):
-        form = form.contract()
-    return form
-
-
 # -- core-identities suite ---------------------------------------------------
 
 
@@ -442,10 +437,10 @@ def check_iterated_contraction_lemma(rec, rng, n, trials):
     for p, q, k, l in configs:
         for i in range(per):
             w = random_form(rng, n, p, q)
-            lhs = _iter_contract(w.mul_g_power(l).scale(Fraction(1, factorial(l))), k)
+            lhs = contractions(w.mul_g_power(l).scale(Fraction(1, factorial(l))), k)[-1]
             rhs = make_zero(n, max(p + l - k, 0), max(q + l - k, 0))
             for r in range(0, min(k, l) + 1):
-                cm = _iter_contract(w, k - r)
+                cm = contractions(w, k - r)[-1]
                 if r == 0:
                     term = cm.mul_g_power(l).scale(Fraction(1, factorial(l)))
                 else:
@@ -673,7 +668,7 @@ def check_effective_contraction_law(rec, rng, n, trials):
     for p, k, l in configs:
         for i in range(per):
             w = decompose(random_form(rng, n, p, p)).components[p]
-            lhs = _iter_contract(w.mul_g_power(l), k)
+            lhs = contractions(w.mul_g_power(l), k)[-1]
             if l < k:
                 rec.case(
                     f"(p,k,l)=({p},{k},{l})#{i}",
@@ -709,7 +704,7 @@ def check_contraction_of_components(rec, rng, n, trials):
                     rhs = rhs + comps[p - idx].mul_g_power(idx - k).scale(scale)
                 rec.case(
                     f"(p,k)=({p},{k})#{i}",
-                    _iter_contract(w, k) == rhs,
+                    contractions(w, k)[-1] == rhs,
                     "c^k through components failed",
                     form=w,
                 )
@@ -747,7 +742,7 @@ def check_metric_kernel_contractions(rec, rng, n, trials):
             w = make_zero(n, p, q)
             for pos, value in enumerate(vec):
                 w.coeffs[pos // cols][pos % cols] = value
-            ok = w.mul_g_power(l).is_zero() and _iter_contract(w, k_min).is_zero()
+            ok = w.mul_g_power(l).is_zero() and contractions(w, k_min)[-1].is_zero()
             rec.case(
                 f"(p,q,l)=({p},{q},{l})#{idx}",
                 ok,
@@ -1238,8 +1233,8 @@ def check_gauss_bonnet_alternating(rec, rng, n, trials):
 
 
 def check_component_pairing(rec, rng, n, trials):
-    # gate on the size of the large-degree stratum: decomposing one of its
-    # elements solves a square system of that dimension
+    # gate on the size of the large-degree stratum, which bounds the cost of
+    # decomposing its elements
     configs = [p for p in (1, 2) if 1 <= n - p <= n and comb(n, n - p) ** 2 <= 256]
     per = max(1, min(trials // (2 * max(len(configs), 1)), 8))
     for p in configs:
