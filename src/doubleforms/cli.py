@@ -18,7 +18,7 @@ import sys
 import time
 
 from . import serialize, verify
-from .core import DoubleFormError, IdentityError
+from .core import DoubleFormError, IdentityError, cell_budget
 from .curvature import (
     Frame,
     InvariantReport,
@@ -69,6 +69,8 @@ def _parse_plane(text: str) -> tuple[int, ...]:
 def _cmd_pq(args) -> int:
     spec = serialize.model_spec_from_dict(_load_json(args.spec))
     tensor = serialize.build_curvature_tensor(spec)
+    if args.p == 0 and args.plane:
+        raise SchemaError("--plane", "s_(0,q) is a scalar and takes no plane")
     plane = _parse_plane(args.plane) if args.p > 0 else ()
     if args.p > 0 and len(plane) != args.p:
         raise SchemaError("--plane", f"expected {args.p} indices, got {len(plane)}")
@@ -143,6 +145,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        cell_budget()  # a bad DOUBLEFORMS_CELL_BUDGET is a usage error
         return args.func(args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

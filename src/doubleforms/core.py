@@ -96,10 +96,13 @@ def _budget_from_environment() -> int:
     return _checked_budget(budget, CELL_BUDGET_VARIABLE)
 
 
-_cell_budget = _budget_from_environment()
+_cell_budget: int | None = None  # read from the environment on first use
 
 
 def cell_budget() -> int:
+    global _cell_budget
+    if _cell_budget is None:
+        _cell_budget = _budget_from_environment()
     return _cell_budget
 
 
@@ -107,7 +110,8 @@ def set_cell_budget(budget: int) -> None:
     """Override the allocation cap (cells = C(n,p)*C(n,q)) at runtime.
 
     The initial value comes from DOUBLEFORMS_CELL_BUDGET, default 10**7,
-    and is checked the same way.
+    read and checked the same way on the first allocation or cell_budget()
+    call.
     """
     global _cell_budget
     _cell_budget = _checked_budget(budget)
@@ -136,10 +140,11 @@ class DoubleForm:
         if not (isinstance(p, int) and isinstance(q, int) and 0 <= p <= n and 0 <= q <= n):
             raise DegreeError(f"bidegree ({p!r}, {q!r}) out of range for n={n}")
         rows, cols = comb(n, p), comb(n, q)
-        if rows * cols > _cell_budget:
+        budget = _cell_budget or cell_budget()
+        if rows * cols > budget:
             raise CellBudgetError(
                 f"refusing a {rows}x{cols} coefficient array for D^({p},{q}) at n={n}: "
-                f"{rows * cols} cells exceed the budget of {_cell_budget} "
+                f"{rows * cols} cells exceed the budget of {budget} "
                 "(see set_cell_budget / DOUBLEFORMS_CELL_BUDGET)"
             )
         self.n = n

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from itertools import islice
+from math import factorial
 
 from .core import (
     BianchiRequiredError,
@@ -31,6 +32,7 @@ from .core import (
     DoubleFormError,
     IdentityError,
     as_scalar,
+    contractions,
     make_g,
     make_scalar,
     make_zero,
@@ -79,8 +81,7 @@ def make_constant_curvature(n: int, curvature) -> CurvatureTensor:
     if n < 2:
         raise DegreeError(f"constant curvature models need n >= 2, got {n}")
     lam = as_scalar(curvature)
-    form = make_g(n).mul(make_g(n)).scale(lam / 2)
-    return CurvatureTensor(form)
+    return CurvatureTensor(make_scalar(n, lam / 2).mul_g_power(2))
 
 
 def make_hypersurface(second_fundamental: DoubleForm) -> CurvatureTensor:
@@ -127,13 +128,23 @@ def _embed(form: DoubleForm, n_total: int, offset: int) -> DoubleForm:
     return out
 
 
+def _power_forms(tensor: CurvatureTensor):
+    """R, R^2, R^3, ...: each power one product from the previous one."""
+    form = tensor.form
+    while True:
+        yield form
+        form = form.mul(tensor.form)
+
+
 def power(tensor: CurvatureTensor, exponent: int) -> CurvatureTensor:
-    """The Gauss-Kronecker power R^q in the curvature algebra."""
+    """The Gauss-Kronecker power R^q in the curvature algebra.
+
+    R^q is the q-th term of the sequence R, R^2, ... (q - 1 products); only
+    the result is certified.  build_invariant_report walks the same sequence.
+    """
     if not isinstance(exponent, int) or exponent < 1:
         raise DegreeError(f"power needs a positive integer exponent, got {exponent!r}")
-    form = tensor.form
-    for _ in range(exponent - 1):
-        form = form.mul(tensor.form)
+    form = next(islice(_power_forms(tensor), exponent - 1, None))
     return CurvatureTensor(form, tensor.certified_bianchi)
 
 
@@ -262,10 +273,14 @@ def sectional_curvature(form: DoubleForm, plane: Frame) -> Fraction:
 # -- the (p,q)-curvatures ------------------------------------------------------
 
 
+def _require_q(n: int, q, name: str = "q") -> None:
+    if not (isinstance(q, int) and 1 <= q and 2 * q <= n):
+        raise DegreeError(f"need 1 <= {name} <= n/2, got {name}={q!r} at n={n}")
+
+
 def _require_pq_range(tensor: CurvatureTensor, p: int, q: int) -> None:
     n = tensor.n
-    if not (isinstance(q, int) and 1 <= q and 2 * q <= n):
-        raise DegreeError(f"need 1 <= q <= n/2, got q={q!r} at n={n}")
+    _require_q(n, q)
     if not (isinstance(p, int) and 0 <= p <= n - 2 * q):
         raise DegreeError(f"need 0 <= p <= n - 2q, got p={p!r} at n={n}, q={q}")
 
@@ -296,13 +311,8 @@ def weyl_invariant(tensor: CurvatureTensor, q: int) -> Fraction:
     h_2 is half the scalar curvature; for even n, h_n is the Gauss-Bonnet
     integrand up to the tube-formula normalization.
     """
-    n = tensor.n
-    if not (isinstance(q, int) and 1 <= q and 2 * q <= n):
-        raise DegreeError(f"need 1 <= q <= n/2, got q={q!r} at n={n}")
-    form = power(tensor, q).form
-    for _ in range(2 * q):
-        form = form.contract()
-    return form.scalar_value() / factorial(2 * q)
+    _require_q(tensor.n, q)
+    return contractions(power(tensor, q).form, 2 * q)[-1].scalar_value() / factorial(2 * q)
 
 
 def einstein_tensor(tensor: CurvatureTensor, q: int) -> DoubleForm:
@@ -313,14 +323,15 @@ def einstein_tensor(tensor: CurvatureTensor, q: int) -> DoubleForm:
     because it stays defined at 2q = n (where the trace is zero) and the two
     agree whenever 2q < n.
     """
-    n = tensor.n
-    if not (isinstance(q, int) and 1 <= q and 2 * q <= n):
-        raise DegreeError(f"need 1 <= q <= n/2, got q={q!r} at n={n}")
-    h = weyl_invariant(tensor, q)
-    form = power(tensor, q).form
-    for _ in range(2 * q - 1):
-        form = form.contract()
-    return h * make_g(n) - form.scale(Fraction(1, factorial(2 * q - 1)))
+    _require_q(tensor.n, q)
+    return _weyl_and_einstein(power(tensor, q).form, q)[1]
+
+
+def _weyl_and_einstein(rq: DoubleForm, q: int) -> tuple[Fraction, DoubleForm]:
+    """(h_{2q}, T_{2q}) read off the one contraction chain of R^q."""
+    chain = contractions(rq, 2 * q)
+    h = chain[2 * q].scalar_value() / factorial(2 * q)
+    return h, h * make_g(rq.n) - chain[2 * q - 1].scale(Fraction(1, factorial(2 * q - 1)))
 
 
 def p_curvature(tensor: CurvatureTensor, p: int, plane: Frame) -> Fraction:
@@ -349,15 +360,10 @@ def avez_pairing(left: DoubleForm, right: DoubleForm) -> Fraction:
         raise DegreeError(f"the pairing needs n == 2p, got n={left.n}, p={p}")
     if not left.bianchi_sum().is_zero() or not right.bianchi_sum().is_zero():
         raise BianchiRequiredError("the pairing needs both forms to be Bianchi")
-    total = Fraction(0)
-    cl, cr = left, right
-    for r in range(p + 1):
-        if r:
-            cl = cl.contract()
-            cr = cr.contract()
-        sign = (-1) ** (r + p)
-        total += Fraction(sign, factorial(r) ** 2) * cl.inner(cr)
-    return total
+    return sum(
+        Fraction((-1) ** (r + p), factorial(r) ** 2) * cl.inner(cr)
+        for r, (cl, cr) in enumerate(zip(contractions(left, p), contractions(right, p)))
+    )
 
 
 # -- predicates ----------------------------------------------------------------
@@ -414,10 +420,16 @@ def sign_report_h4(tensor: CurvatureTensor) -> H4SignReport:
     flat tensors with zero scalar curvature have h_4 <= 0 with equality only
     when flat.  When neither hypothesis applies no sign claim is made.
     """
+    return _sign_report_h4(tensor, None)
+
+
+def _sign_report_h4(tensor: CurvatureTensor, h4: Fraction | None) -> H4SignReport:
+    """sign_report_h4, reusing h_4 when the caller already has it."""
     _require_riemann_like(tensor, "sign_report_h4")
     if tensor.n < 4:
         raise DegreeError(f"h_4 needs n >= 4, got n={tensor.n}")
-    h4 = weyl_invariant(tensor, 2)
+    if h4 is None:
+        h4 = weyl_invariant(tensor, 2)
     if tensor.form.is_zero():
         return H4SignReport(h4, "flat", h4 == 0)
     scalar = tensor.form.contract().contract().scalar_value()
@@ -468,15 +480,21 @@ def build_invariant_report(
     max_q: int,
     samples: tuple[SectionalSample, ...] = (),
 ) -> InvariantReport:
-    """Invariants for q = 1..max_q; requires 2 max_q <= n."""
+    """Invariants for q = 1..max_q; requires 2 max_q <= n.
+
+    R, R^2, ..., R^max_q are built once, each from the previous one by a
+    single product (max_q - 1 in all), and each is certified once, as power
+    certifies its result.  Row q reads h_{2q} and T_{2q} off the one
+    contraction chain of R^q; the h_4 sign report reuses row 2's h_4.
+    """
     n = tensor.n
-    if not (isinstance(max_q, int) and 1 <= max_q and 2 * max_q <= n):
-        raise DegreeError(f"need 1 <= max_q <= n/2, got max_q={max_q!r} at n={n}")
+    _require_q(n, max_q, "max_q")
     rows = tuple(
-        InvariantRow(q, weyl_invariant(tensor, q), einstein_tensor(tensor, q))
-        for q in range(1, max_q + 1)
+        InvariantRow(q, *_weyl_and_einstein(CurvatureTensor(form, tensor.certified_bianchi).form, q))
+        for q, form in zip(range(1, max_q + 1), _power_forms(tensor))
     )
-    h4_sign = sign_report_h4(tensor) if n >= 4 else None
+    h4 = rows[1].weyl if max_q >= 2 else None
+    h4_sign = _sign_report_h4(tensor, h4) if n >= 4 else None
     report = InvariantReport(n, rows, samples, h4_sign)
     report.validate_trace()
     return report

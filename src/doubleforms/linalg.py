@@ -1,9 +1,10 @@
 """Exact rational linear algebra: rank, solving, nullspaces, projections.
 
 Everything here works over Fractions (or ints) and never approximates.
-Rank uses fraction-free Bareiss elimination on denominator-cleared rows to
-keep intermediate integers small; projections keep an integer orthogonal
-basis with gcd reduction after every step.
+One fraction-free Bareiss forward pass on denominator-cleared rows, which
+keeps intermediate integers small, serves rank (its pivot count), solve and
+nullspace (rational back substitution from its rows); projections keep an
+integer orthogonal basis with gcd reduction after every step.
 """
 
 from __future__ import annotations
@@ -25,130 +26,96 @@ def _integer_row(row) -> list[int]:
     return ints
 
 
-def rank(matrix) -> int:
-    """Exact rank by fraction-free (Bareiss) elimination."""
-    rows = [_integer_row(r) for r in matrix if any(r)]
-    if not rows:
-        return 0
-    cols = len(rows[0])
-    rnk = 0
+def _echelon(matrix, rhs) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free (Bareiss) forward elimination of [matrix | rhs].
+
+    The rows are denominator-cleared first; each step then divides exactly
+    by the previous pivot, so every entry stays an integer minor of the
+    input.  Pivots are sought in the matrix columns only.  Returns the
+    integer rows and the pivot columns; the rows below the pivots are zero
+    in every matrix column.
+    """
+    rows = [_integer_row(list(row) + [b]) for row, b in zip(matrix, rhs)]
+    pivots: list[int] = []
     prev = 1
-    for c in range(cols):
-        pivot = next((i for i in range(rnk, len(rows)) if rows[i][c]), None)
+    for c in range(len(rows[0]) - 1 if rows else 0):
+        top = len(pivots)
+        if top == len(rows):
+            break
+        pivot = next((i for i in range(top, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
-        rows[rnk], rows[pivot] = rows[pivot], rows[rnk]
-        piv_row = rows[rnk]
+        rows[top], rows[pivot] = rows[pivot], rows[top]
+        piv_row = rows[top]
         piv = piv_row[c]
-        for i in range(rnk + 1, len(rows)):
-            row = rows[i]
-            if row[c]:
-                f = row[c]
-                for k in range(c, cols):
+        for row in rows[top + 1:]:
+            f = row[c]
+            if f:
+                for k in range(c, len(row)):
                     row[k] = (piv * row[k] - f * piv_row[k]) // prev
-            else:
-                for k in range(c, cols):
+            elif prev != piv:
+                for k in range(c, len(row)):
                     row[k] = (piv * row[k]) // prev
         prev = piv
-        rnk += 1
-        if rnk == len(rows):
-            break
-    return rnk
-
-
-def _rref(matrix):
-    """Reduced row echelon form over Fractions; returns (rows, pivot_cols)."""
-    rows = [[Fraction(v) for v in r] for r in matrix]
-    if not rows:
-        return rows, []
-    cols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
     return rows, pivots
+
+
+def _back_substitute(rows, pivots, cols: int, free: int | None = None) -> list[Fraction]:
+    """The x with rows @ x == rhs whose free entries are 0, but x[free] = 1.
+
+    Pivot entries are found last pivot first.  Row r is zero left of its
+    pivot, so only the nonzero entries of x found so far enter its sum.
+    """
+    x = [Fraction(0)] * cols
+    support = []
+    if free is not None:
+        x[free] = Fraction(1)
+        support.append(free)
+    for r in range(len(pivots) - 1, -1, -1):
+        c = pivots[r]
+        row = rows[r]
+        acc = Fraction(row[cols])
+        for k in support:
+            if row[k]:
+                acc -= row[k] * x[k]
+        x[c] = acc / row[c]
+        if x[c]:
+            support.append(c)
+    return x
+
+
+def rank(matrix) -> int:
+    """Exact rank: the number of pivots of the forward elimination."""
+    rows = [r for r in matrix if any(r)]
+    return len(_echelon(rows, [0] * len(rows))[1])
 
 
 def solve(matrix, rhs) -> list[Fraction] | None:
     """One exact solution of matrix @ x = rhs, or None if inconsistent.
 
-    Fraction-free Bareiss forward elimination on the augmented system (row
-    scaling leaves the solution set unchanged), then rational back
-    substitution.  Free variables are set to zero.
+    Free variables are set to zero.
     """
     if not matrix:
         return [] if not any(rhs) else None
-    cols = len(matrix[0])
-    rows = [_integer_row(list(row) + [b]) for row, b in zip(matrix, rhs)]
-    pivots: list[int] = []
-    rank_so_far = 0
-    prev = 1
-    for c in range(cols):
-        pivot = next((i for i in range(rank_so_far, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[rank_so_far], rows[pivot] = rows[pivot], rows[rank_so_far]
-        piv_row = rows[rank_so_far]
-        piv = piv_row[c]
-        for i in range(rank_so_far + 1, len(rows)):
-            row = rows[i]
-            f = row[c]
-            if f:
-                for k in range(c, cols + 1):
-                    row[k] = (piv * row[k] - f * piv_row[k]) // prev
-            elif prev != piv:
-                for k in range(c, cols + 1):
-                    row[k] = (piv * row[k]) // prev
-        prev = piv
-        pivots.append(c)
-        rank_so_far += 1
-        if rank_so_far == len(rows):
-            break
-    for i in range(rank_so_far, len(rows)):
-        if rows[i][cols]:
-            return None  # zero row with nonzero rhs: inconsistent
-    solution = [Fraction(0)] * cols
-    for r in range(len(pivots) - 1, -1, -1):
-        c = pivots[r]
-        row = rows[r]
-        acc = Fraction(row[cols])
-        for k in range(c + 1, cols):
-            if row[k] and solution[k]:
-                acc -= row[k] * solution[k]
-        solution[c] = acc / row[c]
-    return solution
+    rows, pivots = _echelon(matrix, rhs)
+    if any(row[-1] for row in rows[len(pivots):]):
+        return None  # zero row with nonzero rhs: inconsistent
+    return _back_substitute(rows, pivots, len(matrix[0]))
 
 
 def nullspace(matrix) -> list[list[Fraction]]:
-    """A basis of the kernel, one vector per free column of the RREF."""
+    """A basis of the kernel, one vector per free column.
+
+    The vector of free column f has x_f = 1 and every other free entry 0,
+    the same vector the reduced row echelon form gives.
+    """
     if not matrix:
         return []
     cols = len(matrix[0])
-    rows, pivots = _rref(matrix)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(cols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * cols
-        vec[free] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -rows[r][free]
-        basis.append(vec)
-    return basis
+    rows, pivots = _echelon(matrix, [0] * len(matrix))
+    free = sorted(set(range(cols)) - set(pivots))
+    return [_back_substitute(rows, pivots, cols, f) for f in free]
 
 
 def _dot_int(a, b) -> int:

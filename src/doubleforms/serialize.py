@@ -43,7 +43,7 @@ class SchemaError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def rational_to_str(value: Fraction) -> str:
@@ -58,7 +58,7 @@ def rational_from_str(text, path: str = "value") -> Fraction:
         return Fraction(text)
     if not isinstance(text, str):
         raise SchemaError(path, f"expected a rational string, got {text!r}")
-    if not _RATIONAL_RE.match(text):
+    if not _RATIONAL_RE.fullmatch(text):
         raise SchemaError(
             path,
             f"expected 'num' or 'num/den' with positive denominator, got {text!r}",

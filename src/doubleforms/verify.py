@@ -1217,13 +1217,10 @@ def check_gauss_bonnet_alternating(rec, rng, n, trials):
         return
     q = n // 4
     for name, model in model_zoo(n, rng):
-        rq = power(model, q).form
-        total = Fraction(0)
-        c = rq
-        for r in range(2 * q + 1):
-            if r:
-                c = c.contract()
-            total += Fraction((-1) ** r, factorial(r) ** 2) * c.norm_sq()
+        total = sum(
+            Fraction((-1) ** r, factorial(r) ** 2) * c.norm_sq()
+            for r, c in enumerate(contractions(power(model, q).form, 2 * q))
+        )
         rec.case(
             name,
             weyl_invariant(model, 2 * q) == total,

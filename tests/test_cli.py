@@ -117,15 +117,22 @@ def test_plane_arity_error(product_spec):
     assert main(["pq", "--spec", product_spec, "--p", "2", "--q", "1", "--plane", "0"]) == 2
 
 
-def run_with_cell_budget(value, code):
-    """Run `code` in a fresh interpreter whose only DOUBLEFORMS_* setting is the budget.
+def test_scalar_pq_rejects_a_plane(sphere_spec, capsys):
+    assert main(["pq", "--spec", sphere_spec, "--p", "0", "--q", "1", "--plane", "5"]) == 2
+    assert "--plane" in capsys.readouterr().err
+    assert main(["pq", "--spec", sphere_spec, "--p", "0", "--q", "1"]) == 0
+
+
+def run_with_cell_budget(value, code=None, args=()):
+    """Run `code` (or `python -m doubleforms.cli args`) in a fresh interpreter
+    whose only DOUBLEFORMS_* setting is the budget.
 
     The child imports the same `doubleforms` as this test, from `src/` or from
     an installed tree, and nothing else of the outer environment leaks in.
     """
     package_root = Path(doubleforms.__file__).resolve().parent.parent
     return subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code] if code else [sys.executable, "-m", "doubleforms.cli", *args],
         capture_output=True,
         text=True,
         env={
@@ -154,12 +161,25 @@ def test_cell_budget_environment_override():
 
 @pytest.mark.parametrize("value", ["abc", "1e3", "-5", "0"])
 def test_cell_budget_environment_rejects_bad_values(value):
-    result = run_with_cell_budget(value, "import doubleforms\n")
+    result = run_with_cell_budget(value, "import doubleforms\ndoubleforms.cell_budget()\n")
     assert result.returncode != 0
     last_line = result.stderr.strip().splitlines()[-1]
     assert last_line.startswith("doubleforms.core.DoubleFormError: DOUBLEFORMS_CELL_BUDGET "), last_line
     assert value in last_line
     assert "invalid literal" not in result.stderr
+
+
+@pytest.mark.parametrize("value", ["abc", "1e3", "-5", "0"])
+def test_cli_reports_bad_cell_budget_as_usage_error(value):
+    result = run_with_cell_budget(
+        value, args=["verify", "--suite", "hodge", "--n", "4", "--trials", "1"]
+    )
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+    assert result.stderr.startswith("error: DOUBLEFORMS_CELL_BUDGET must be "), result.stderr
+    assert value in result.stderr
+    assert result.stdout == ""
 
 
 def test_cell_budget_environment_keeps_int_syntax():

@@ -2,18 +2,35 @@
 
 The closed-form decompose at 2p > n is checked against the solve-based
 route (divide_g_power, then decompose of the quotient), and the
-single-pass mul_g_power against repeated products by g.
+single-pass mul_g_power against repeated products by g.  The one Bareiss
+elimination behind linalg's rank, solve and nullspace is checked against
+determinants of minors; the invariant report's power sequence and shared
+contraction chain against repeated products and contractions.
 """
 
 import random
 from fractions import Fraction
-from math import comb
+from itertools import combinations, permutations
+from math import comb, factorial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doubleforms import DoubleForm, decompose, make_g, make_zero
+from doubleforms import (
+    DoubleForm,
+    build_invariant_report,
+    decompose,
+    einstein_tensor,
+    make_constant_curvature,
+    make_g,
+    make_zero,
+    power,
+    sign_report_h4,
+    weyl_invariant,
+)
+from doubleforms import linalg
 from doubleforms.decomposition import divide_g_power
+from doubleforms.verify import model_zoo
 
 
 def dense_rational_form(rng, n, p, q):
@@ -101,3 +118,120 @@ def test_mul_g_power_property(w, k):
 @given(small_forms(forced_division=True))
 def test_closed_form_decompose_property(w):
     assert_closed_form_matches_solve_route(w)
+
+
+# -- linalg: one Bareiss elimination against minors ---------------------------
+
+
+def leibniz_det(m):
+    """Determinant as the signed sum over permutations; no elimination."""
+    total = Fraction(0)
+    for perm in permutations(range(len(m))):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(len(perm)), 2))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for row, col in enumerate(perm):
+            term *= m[row][col]
+        total += term
+    return total
+
+
+def minor_rank(m):
+    """The size of the largest square submatrix with a nonzero determinant."""
+    cols = len(m[0]) if m else 0
+    for k in range(min(len(m), cols), 0, -1):
+        for rows in combinations(range(len(m)), k):
+            for picked in combinations(range(cols), k):
+                if leibniz_det([[m[r][c] for c in picked] for r in rows]):
+                    return k
+    return 0
+
+
+def mat_vec(m, x):
+    return [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in m]
+
+
+_entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def small_matrices(draw):
+    """Rational matrices up to 4 x 5; half are products A.B of low inner size."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        return draw(st.lists(st.lists(_entries, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+    inner = draw(st.integers(0, min(rows, cols)))
+    a = draw(st.lists(st.lists(_entries, min_size=inner, max_size=inner),
+                      min_size=rows, max_size=rows))
+    b = draw(st.lists(st.lists(_entries, min_size=cols, max_size=cols),
+                      min_size=inner, max_size=inner))
+    return [[sum((a[i][k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(cols)]
+            for i in range(rows)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices())
+def test_rank_is_largest_nonzero_minor(m):
+    assert linalg.rank(m) == minor_rank(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices())
+def test_nullspace_vectors_follow_free_columns(m):
+    cols = len(m[0])
+    # column j is a pivot column exactly when it raises the rank of the columns before it
+    free = [
+        j for j in range(cols)
+        if minor_rank([row[: j + 1] for row in m]) == minor_rank([row[:j] for row in m])
+    ]
+    basis = linalg.nullspace(m)
+    assert len(basis) == cols - minor_rank(m) == len(free)
+    for f, v in zip(free, basis):
+        assert mat_vec(m, v) == [0] * len(m)
+        assert [v[j] for j in free] == [1 if j == f else 0 for j in free]
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_matrices(), st.data())
+def test_solve_consistent_and_inconsistent_systems(m, data):
+    cols = len(m[0])
+    y = data.draw(st.lists(_entries, min_size=cols, max_size=cols))
+    b = mat_vec(m, y)
+    x = linalg.solve(m, b)
+    assert x is not None and mat_vec(m, x) == b
+    rhs = data.draw(st.lists(_entries, min_size=len(m), max_size=len(m)))
+    x = linalg.solve(m, rhs)
+    augmented = [row + [v] for row, v in zip(m, rhs)]
+    assert (x is None) == (minor_rank(augmented) > minor_rank(m))
+    if x is not None:
+        assert mat_vec(m, x) == rhs
+
+
+# -- curvature: one power sequence and one contraction chain ------------------
+
+
+def test_constant_curvature_matches_g_squared():
+    for n in range(2, 9):
+        g = make_g(n)
+        for lam in (Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(2, 3)):
+            assert make_constant_curvature(n, lam).form == g.mul(g).scale(lam / 2), (n, lam)
+
+
+def test_invariant_report_matches_per_q_invariants():
+    for n in range(4, 8):
+        g = make_g(n)
+        for name, t in model_zoo(n, random.Random(0)):
+            report = build_invariant_report(t, n // 2)
+            assert report.h4_sign == sign_report_h4(t), (n, name)
+            rq = t.form
+            for q, row in enumerate(report.rows, start=1):
+                if q > 1:
+                    rq = rq.mul(t.form)
+                assert power(t, q).form == rq, (n, name, q)
+                assert (row.weyl, row.einstein) == (weyl_invariant(t, q), einstein_tensor(t, q))
+                c = rq
+                for _ in range(2 * q - 1):
+                    c = c.contract()
+                h = c.contract().scalar_value() / factorial(2 * q)
+                assert row.weyl == h, (n, name, q)
+                assert row.einstein == h * g - c.scale(Fraction(1, factorial(2 * q - 1)))

@@ -43,6 +43,13 @@ def test_rational_strings():
             rational_from_str(bad)
 
 
+@pytest.mark.parametrize("text", ["1\n", "\u0661/\u0662"])
+def test_rational_strings_are_ascii_digits_only(text):
+    # `$` also matches before a final newline, and `\d` matches any Unicode digit
+    with pytest.raises(SchemaError, match="spec.lambda"):
+        model_spec_from_dict({"model": "constant", "n": 4, "lambda": text})
+
+
 def test_decimal_rendering():
     assert decimal6(F(6)) == "6"
     assert decimal6(F(1, 6)) == "0.166667"
