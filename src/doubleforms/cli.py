@@ -13,6 +13,7 @@ on stdout is byte-identical for identical inputs; timing goes to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -111,7 +112,9 @@ def _cmd_verify(args) -> int:
     return 0 if all(o.ok for o in outcomes) else 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by every main call."""
     parser = argparse.ArgumentParser(
         prog="doubleforms",
         description="Exact double-form algebra: curvature invariants and identity suites.",
@@ -142,8 +145,11 @@ def main(argv=None) -> int:
     p_ver.add_argument("--trials", type=int, default=50)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.set_defaults(func=_cmd_verify)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cell_budget()  # a bad DOUBLEFORMS_CELL_BUDGET is a usage error
         return args.func(args)

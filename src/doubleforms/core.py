@@ -1,15 +1,22 @@
 """Exact bigraded algebra of double forms on Euclidean n-space.
 
 A double form of bidegree (p, q) is a bilinear form on Lambda^p x Lambda^q,
-skew-symmetric within each argument block, stored as its C(n,p) x C(n,q)
-coefficient array over the basis e_I (x) e_J with index sets in lexicographic
-order.  The basis is orthonormal and self-dual:
+skew-symmetric within each argument block, with one coefficient per basis
+element e_I (x) e_J.  The basis is orthonormal and self-dual.  Only the
+nonzero coefficients are stored, in one sparse map over index-set bitmasks:
 
-    coeffs[rank I][rank J] == value of the form on (e_I, e_J).
+    cells[mask_I][mask_J] == value of the form on (e_I, e_J).
+
+No zero value and no empty row is ever stored, so two forms are equal
+exactly when their maps are.  Every operation walks the stored cells and
+accumulates into dicts, then drops the cells that cancelled.  `coeffs` is a
+dense C(n,p) x C(n,q) view with index sets in lexicographic order, whose
+rows write through to the map; the cell budget still bounds that dense size.
 
 All coefficients are exact rationals, so every algebraic identity exercised
 by the test suite is checked with equality, never with tolerances.  Forms are
-immutable after construction and all operations are pure.
+filled in while they are built (set_cell, writes through `coeffs`) and
+treated as immutable afterwards; all operations are pure.
 
 Conventions pinned here (and enforced by the oracle tests):
 
@@ -127,12 +134,34 @@ def as_scalar(value) -> Fraction:
 
 
 _ZERO = Fraction(0)
+_NO_ROW: dict = {}  # read-only stand-in for a row with no stored cell
+
+
+def _pruned(cells: dict) -> dict:
+    """Drop the accumulated cells that cancelled to zero, and empty rows."""
+    out = {}
+    for mask_i, row in cells.items():
+        kept = {mask_j: value for mask_j, value in row.items() if value}
+        if kept:
+            out[mask_i] = kept
+    return out
+
+
+def _add_into(cells: dict, mask_i: int, mask_j: int, value: Fraction) -> None:
+    """Accumulate value into cells[mask_i][mask_j]."""
+    row = cells.get(mask_i)
+    if row is None:
+        cells[mask_i] = {mask_j: value}
+    elif mask_j in row:
+        row[mask_j] += value
+    else:
+        row[mask_j] = value
 
 
 class DoubleForm:
     """An element of D^{p,q} over R^n with exact rational coefficients."""
 
-    __slots__ = ("n", "p", "q", "coeffs")
+    __slots__ = ("n", "p", "q", "cells")
 
     def __init__(self, n: int, p: int, q: int, coeffs=None):
         if not isinstance(n, int) or not 1 <= n <= MAX_DIMENSION:
@@ -150,14 +179,17 @@ class DoubleForm:
         self.n = n
         self.p = p
         self.q = q
-        if coeffs is None:
-            self.coeffs = [[_ZERO] * cols for _ in range(rows)]
-        else:
+        self.cells = {}
+        if coeffs is not None:
             if len(coeffs) != rows or any(len(row) != cols for row in coeffs):
                 raise DimensionMismatchError(
                     f"coefficient array must be {rows}x{cols} for D^({p},{q}) at n={n}"
                 )
-            self.coeffs = [[as_scalar(v) for v in row] for row in coeffs]
+            col_masks = subset_masks(n, q)
+            for mask_i, row in zip(subset_masks(n, p), coeffs):
+                kept = {mj: v for mj, v in zip(col_masks, map(as_scalar, row)) if v}
+                if kept:
+                    self.cells[mask_i] = kept
 
     # -- basic structure ---------------------------------------------------
 
@@ -169,22 +201,44 @@ class DoubleForm:
     def col_masks(self) -> tuple[int, ...]:
         return subset_masks(self.n, self.q)
 
+    @property
+    def coeffs(self) -> list["_CoeffRow"]:
+        """Dense C(n,p) x C(n,q) rows in lex order; item writes go to the form."""
+        return [_CoeffRow(self, mask_i) for mask_i in self.row_masks]
+
+    def cell(self, mask_i: int, mask_j: int) -> Fraction:
+        """Coefficient at (e_I, e_J), given as index-set masks."""
+        return self.cells.get(mask_i, _NO_ROW).get(mask_j, _ZERO)
+
+    def set_cell(self, mask_i: int, mask_j: int, value) -> None:
+        """Set one coefficient while building a form; 0 removes the cell."""
+        value = as_scalar(value)
+        row = self.cells.setdefault(mask_i, {})
+        if value:
+            row[mask_j] = value
+        else:
+            row.pop(mask_j, None)
+            if not row:
+                del self.cells[mask_i]
+
     def entries(self):
-        """Yield (mask_I, mask_J, coefficient) over nonzero coefficients."""
-        cols = self.col_masks
-        for mask_i, row in zip(self.row_masks, self.coeffs):
-            for mask_j, value in zip(cols, row):
-                if value:
-                    yield mask_i, mask_j, value
+        """Yield (mask_I, mask_J, coefficient) over nonzero coefficients,
+        in lexicographic (rank I, rank J) order."""
+        row_rank = _mask_rank_table(self.n, self.p)
+        col_rank = _mask_rank_table(self.n, self.q)
+        for mask_i in sorted(self.cells, key=row_rank.__getitem__):
+            row = self.cells[mask_i]
+            for mask_j in sorted(row, key=col_rank.__getitem__):
+                yield mask_i, mask_j, row[mask_j]
 
     def is_zero(self) -> bool:
-        return not any(any(row) for row in self.coeffs)
+        return not self.cells
 
     def scalar_value(self) -> Fraction:
         """The single coefficient of a (0,0)-form."""
         if self.p or self.q:
             raise DegreeError(f"scalar_value needs bidegree (0,0), got ({self.p},{self.q})")
-        return self.coeffs[0][0]
+        return self.cell(0, 0)
 
     def __getitem__(self, key) -> Fraction:
         """Coefficient at (I, J), with I, J strictly increasing index tuples."""
@@ -195,9 +249,7 @@ class DoubleForm:
             raise DimensionMismatchError("index sets live over a different n")
         if i.k != self.p or j.k != self.q:
             raise DegreeError(f"index sets must have sizes ({self.p},{self.q})")
-        return self.coeffs[_mask_rank_table(self.n, self.p)[i.mask]][
-            _mask_rank_table(self.n, self.q)[j.mask]
-        ]
+        return self.cell(i.mask, j.mask)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DoubleForm):
@@ -206,13 +258,13 @@ class DoubleForm:
             self.n == other.n
             and self.p == other.p
             and self.q == other.q
-            and self.coeffs == other.coeffs
+            and self.cells == other.cells
         )
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        nnz = sum(1 for _ in self.entries())
+        nnz = sum(map(len, self.cells.values()))
         return f"DoubleForm(n={self.n}, p={self.p}, q={self.q}, nonzero={nnz})"
 
     def _require_same_space(self, other: "DoubleForm") -> None:
@@ -234,18 +286,19 @@ class DoubleForm:
 
     def __add__(self, other: "DoubleForm") -> "DoubleForm":
         self._require_same_bidegree(other)
-        out = DoubleForm(self.n, self.p, self.q)
-        out.coeffs = [
-            [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.coeffs, other.coeffs)
-        ]
-        return out
+        return self._combined(other, subtract=False)
 
     def __sub__(self, other: "DoubleForm") -> "DoubleForm":
         self._require_same_bidegree(other)
+        return self._combined(other, subtract=True)
+
+    def _combined(self, other: "DoubleForm", subtract: bool) -> "DoubleForm":
         out = DoubleForm(self.n, self.p, self.q)
-        out.coeffs = [
-            [a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.coeffs, other.coeffs)
-        ]
+        cells = {mask_i: dict(row) for mask_i, row in self.cells.items()}
+        for mask_i, row in other.cells.items():
+            for mask_j, value in row.items():
+                _add_into(cells, mask_i, mask_j, -value if subtract else value)
+        out.cells = _pruned(cells)
         return out
 
     def __neg__(self) -> "DoubleForm":
@@ -254,7 +307,11 @@ class DoubleForm:
     def scale(self, value) -> "DoubleForm":
         s = as_scalar(value)
         out = DoubleForm(self.n, self.p, self.q)
-        out.coeffs = [[s * a for a in row] for row in self.coeffs]
+        if s:
+            out.cells = {
+                mask_i: {mask_j: s * v for mask_j, v in row.items()}
+                for mask_i, row in self.cells.items()
+            }
         return out
 
     def __rmul__(self, value) -> "DoubleForm":
@@ -275,7 +332,8 @@ class DoubleForm:
 
         On basis elements this is sign(I,K) sign(J,L) e_{I u K} (x) e_{J u L};
         degree overflow past n returns the zero form of the clamped degree,
-        matching Lambda^{>n} = 0.
+        matching Lambda^{>n} = 0.  Rows are paired first, so a pair of rows
+        with overlapping I and K is skipped before any cell is looked at.
         """
         self._require_same_space(other)
         n = self.n
@@ -284,21 +342,27 @@ class DoubleForm:
         out = DoubleForm(n, min(p_out, n), min(q_out, n))
         if p_out > n or q_out > n:
             return out
-        row_rank = _mask_rank_table(n, p_out)
-        col_rank = _mask_rank_table(n, q_out)
-        rows = out.coeffs
-        right = list(other.entries())
-        for mi, mj, a in self.entries():
-            for mk, ml, b in right:
-                s1 = wedge_sign_masks(mi, mk)
-                if not s1:
+        acc = {}
+        right = list(other.cells.items())
+        for mask_i, row_a in self.cells.items():
+            for mask_k, row_b in right:
+                if mask_i & mask_k:
                     continue
-                s2 = wedge_sign_masks(mj, ml)
-                if not s2:
-                    continue
-                row = rows[row_rank[mi | mk]]
-                col = col_rank[mj | ml]
-                row[col] += (s1 * s2) * a * b
+                row_sign = wedge_sign_masks(mask_i, mask_k)
+                target = acc.setdefault(mask_i | mask_k, {})
+                for mask_j, a in row_a.items():
+                    for mask_l, b in row_b.items():
+                        if mask_j & mask_l:
+                            continue
+                        value = a * b
+                        if wedge_sign_masks(mask_j, mask_l) != row_sign:
+                            value = -value
+                        col = mask_j | mask_l
+                        if col in target:
+                            target[col] += value
+                        else:
+                            target[col] = value
+        out.cells = _pruned(acc)
         return out
 
     def mul_g_power(self, power: int) -> "DoubleForm":
@@ -323,15 +387,15 @@ class DoubleForm:
         out = DoubleForm(n, min(p_out, n), min(q_out, n))
         if p_out > n or q_out > n:
             return out
-        row_rank = _mask_rank_table(n, p_out)
-        col_rank = _mask_rank_table(n, q_out)
-        rows = out.coeffs
+        acc = {}
         weight = factorial(power)
-        for mi, mj, value in self.entries():
-            plus = weight * value
-            minus = -plus
-            for sign, ti, tj in g_power_terms(n, power, mi, mj):
-                rows[row_rank[ti]][col_rank[tj]] += plus if sign > 0 else minus
+        for mask_i, row in self.cells.items():
+            for mask_j, value in row.items():
+                plus = weight * value
+                minus = -plus
+                for sign, ti, tj in g_power_terms(n, power, mask_i, mask_j):
+                    _add_into(acc, ti, tj, plus if sign > 0 else minus)
+        out.cells = _pruned(acc)
         return out
 
     # -- contraction, inner product, star ----------------------------------
@@ -346,18 +410,19 @@ class DoubleForm:
         if p == 0 or q == 0:
             return DoubleForm(n, max(p - 1, 0), max(q - 1, 0))
         out = DoubleForm(n, p - 1, q - 1)
-        row_rank = _mask_rank_table(n, p - 1)
-        col_rank = _mask_rank_table(n, q - 1)
-        rows = out.coeffs
-        for mi, mj, value in self.entries():
-            common = mi & mj
-            while common:
-                bit = common & -common
-                common ^= bit
-                ri = mi ^ bit
-                rj = mj ^ bit
-                sign = wedge_sign_masks(bit, ri) * wedge_sign_masks(bit, rj)
-                rows[row_rank[ri]][col_rank[rj]] += sign * value
+        acc = {}
+        for mask_i, row in self.cells.items():
+            for mask_j, value in row.items():
+                common = mask_i & mask_j
+                while common:
+                    bit = common & -common
+                    common ^= bit
+                    # moving e_j to the front of each block passes the
+                    # smaller indices of that block
+                    below = bit - 1
+                    flips = (mask_i & below).bit_count() + (mask_j & below).bit_count()
+                    _add_into(acc, mask_i ^ bit, mask_j ^ bit, -value if flips & 1 else value)
+        out.cells = _pruned(acc)
         return out
 
     def inner(self, other: "DoubleForm") -> Fraction:
@@ -366,10 +431,13 @@ class DoubleForm:
         if (self.p, self.q) != (other.p, other.q):
             return _ZERO
         total = _ZERO
-        for ra, rb in zip(self.coeffs, other.coeffs):
-            for a, b in zip(ra, rb):
-                if a and b:
-                    total += a * b
+        for mask_i, row in self.cells.items():
+            other_row = other.cells.get(mask_i)
+            if other_row:
+                for mask_j, a in row.items():
+                    b = other_row.get(mask_j)
+                    if b is not None:
+                        total += a * b
         return total
 
     def norm_sq(self) -> Fraction:
@@ -384,13 +452,13 @@ class DoubleForm:
         """
         n = self.n
         out = DoubleForm(n, n - self.p, n - self.q)
-        row_rank = _mask_rank_table(n, n - self.p)
-        col_rank = _mask_rank_table(n, n - self.q)
         full = (1 << n) - 1
-        rows = out.coeffs
-        for mi, mj, value in self.entries():
-            sign = complement_sign_mask(n, mi) * complement_sign_mask(n, mj)
-            rows[row_rank[full ^ mi]][col_rank[full ^ mj]] = sign * value
+        for mask_i, row in self.cells.items():
+            sign_i = complement_sign_mask(n, mask_i)
+            out.cells[full ^ mask_i] = {
+                full ^ mask_j: value if sign_i == complement_sign_mask(n, mask_j) else -value
+                for mask_j, value in row.items()
+            }
         return out
 
     # -- symmetry and the Bianchi sum ---------------------------------------
@@ -398,15 +466,20 @@ class DoubleForm:
     def transpose(self) -> "DoubleForm":
         """Swap the tensor factors: D^{p,q} -> D^{q,p}."""
         out = DoubleForm(self.n, self.q, self.p)
-        out.coeffs = [list(col) for col in zip(*self.coeffs)]
+        for mask_i, row in self.cells.items():
+            for mask_j, value in row.items():
+                out.cells.setdefault(mask_j, {})[mask_i] = value
         return out
 
     def is_symmetric(self) -> bool:
         if self.p != self.q:
             raise DegreeError(f"is_symmetric needs p == q, got ({self.p},{self.q})")
-        c = self.coeffs
-        size = len(c)
-        return all(c[i][j] == c[j][i] for i in range(size) for j in range(i + 1, size))
+        cells = self.cells
+        return all(
+            cells.get(mask_j, _NO_ROW).get(mask_i) == value
+            for mask_i, row in cells.items()
+            for mask_j, value in row.items()
+        )
 
     def bianchi_sum(self) -> "DoubleForm":
         """First Bianchi sum into D^{p+1, q-1}.
@@ -420,22 +493,20 @@ class DoubleForm:
         if p == n:
             return DoubleForm(n, n, q - 1)
         out = DoubleForm(n, p + 1, q - 1)
-        row_rank = _mask_rank_table(n, p + 1)
-        col_rank = _mask_rank_table(n, q - 1)
-        rows = out.coeffs
-        for mi, mj, value in self.entries():
-            movable = mj & ~mi
-            while movable:
-                bit = movable & -movable
-                movable ^= bit
-                new_i = mi | bit
-                new_j = mj ^ bit
-                # slot of the moved index inside the enlarged first block is
-                # 1-based; pulling it out of the second block costs one swap
-                # per smaller remaining index.
-                flips = (mi & (bit - 1)).bit_count() + 1 + (new_j & (bit - 1)).bit_count()
-                signed = -value if flips & 1 else value
-                rows[row_rank[new_i]][col_rank[new_j]] += signed
+        acc = {}
+        for mask_i, row in self.cells.items():
+            for mask_j, value in row.items():
+                movable = mask_j & ~mask_i
+                while movable:
+                    bit = movable & -movable
+                    movable ^= bit
+                    new_j = mask_j ^ bit
+                    # slot of the moved index inside the enlarged first block is
+                    # 1-based; pulling it out of the second block costs one swap
+                    # per smaller remaining index.
+                    flips = (mask_i & (bit - 1)).bit_count() + 1 + (new_j & (bit - 1)).bit_count()
+                    _add_into(acc, mask_i | bit, new_j, -value if flips & 1 else value)
+        out.cells = _pruned(acc)
         return out
 
     # -- evaluation as a multilinear form -----------------------------------
@@ -449,16 +520,35 @@ class DoubleForm:
                 f"need {self.p} x-vectors and {self.q} y-vectors, "
                 f"got {len(xs)} and {len(ys)}"
             )
-        row_dets = _wedge_coordinates(self.n, xs, self.p)
-        col_dets = _wedge_coordinates(self.n, ys, self.q)
         total = _ZERO
-        for row, rd in zip(self.coeffs, row_dets):
-            if not rd:
+        col_minors: dict[int, Fraction] = {}
+        for mask_i, row in self.cells.items():
+            row_minor = _minor(xs, mask_i)
+            if not row_minor:
                 continue
-            for value, cd in zip(row, col_dets):
-                if value and cd:
-                    total += value * rd * cd
+            for mask_j, value in row.items():
+                col_minor = col_minors.get(mask_j)
+                if col_minor is None:
+                    col_minor = col_minors[mask_j] = _minor(ys, mask_j)
+                if col_minor:
+                    total += value * row_minor * col_minor
         return total
+
+
+class _CoeffRow(list):
+    """One dense row of a form's coefficients; item writes go to the form."""
+
+    __slots__ = ("form", "mask_i")
+
+    def __init__(self, form: DoubleForm, mask_i: int):
+        cells = form.cells.get(mask_i, _NO_ROW)
+        super().__init__(cells.get(mask_j, _ZERO) for mask_j in form.col_masks)
+        self.form, self.mask_i = form, mask_i
+
+    def __setitem__(self, j, value) -> None:
+        value = as_scalar(value)
+        self.form.set_cell(self.mask_i, self.form.col_masks[j], value)
+        list.__setitem__(self, j, value)
 
 
 def _coerce_vector(n: int, vector) -> list[Fraction]:
@@ -468,13 +558,15 @@ def _coerce_vector(n: int, vector) -> list[Fraction]:
     return vec
 
 
+def _minor(vectors, mask: int) -> Fraction:
+    """Coordinate of v_1 ^ ... ^ v_k on e_I, for I the index set of mask."""
+    idx = mask_to_indices(mask)
+    return _det([[vec[i] for i in idx] for vec in vectors])
+
+
 def _wedge_coordinates(n: int, vectors, k: int) -> list[Fraction]:
     """Coordinates of v_1 ^ ... ^ v_k over the lex-ordered basis of Lambda^k."""
-    out = []
-    for mask in subset_masks(n, k):
-        idx = mask_to_indices(mask)
-        out.append(_det([[vec[i] for i in idx] for vec in vectors]))
-    return out
+    return [_minor(vectors, mask) for mask in subset_masks(n, k)]
 
 
 def _det(rows) -> Fraction:
@@ -547,7 +639,7 @@ def make_basis(n: int, left, right) -> DoubleForm:
     if i.n != n or j.n != n:
         raise DimensionMismatchError("index sets must live over the given n")
     out = DoubleForm(n, i.k, j.k)
-    out.coeffs[_mask_rank_table(n, i.k)[i.mask]][_mask_rank_table(n, j.k)[j.mask]] = Fraction(1)
+    out.cells[i.mask] = {j.mask: Fraction(1)}
     return out
 
 
@@ -555,15 +647,14 @@ def make_g(n: int) -> DoubleForm:
     """The metric tensor g = sum_i e_i (x) e_i in D^{1,1}."""
     out = DoubleForm(n, 1, 1)
     one = Fraction(1)
-    for i in range(n):
-        out.coeffs[i][i] = one
+    out.cells = {1 << i: {1 << i: one} for i in range(n)}
     return out
 
 
 def make_scalar(n: int, value) -> DoubleForm:
     """A scalar as the corresponding (0,0)-form."""
     out = DoubleForm(n, 0, 0)
-    out.coeffs[0][0] = as_scalar(value)
+    out.set_cell(0, 0, value)
     return out
 
 

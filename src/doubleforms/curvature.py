@@ -121,10 +121,10 @@ def make_product(first: CurvatureTensor, second: CurvatureTensor) -> CurvatureTe
 
 def _embed(form: DoubleForm, n_total: int, offset: int) -> DoubleForm:
     out = make_zero(n_total, form.p, form.q)
-    row_rank = _mask_rank_table(n_total, form.p)
-    col_rank = _mask_rank_table(n_total, form.q)
-    for mask_i, mask_j, value in form.entries():
-        out.coeffs[row_rank[mask_i << offset]][col_rank[mask_j << offset]] = value
+    out.cells = {
+        mask_i << offset: {mask_j << offset: value for mask_j, value in row.items()}
+        for mask_i, row in form.cells.items()
+    }
     return out
 
 
@@ -260,12 +260,15 @@ def sectional_curvature(form: DoubleForm, plane: Frame) -> Fraction:
     gram = sum(c * c for c in coords)
     if not gram:
         raise FrameError("frame vectors are linearly dependent")
+    rank = _mask_rank_table(form.n, form.p)
     value = Fraction(0)
-    for row, ci in zip(form.coeffs, coords):
+    for mask_i, row in form.cells.items():
+        ci = coords[rank[mask_i]]
         if not ci:
             continue
-        for entry, cj in zip(row, coords):
-            if entry and cj:
+        for mask_j, entry in row.items():
+            cj = coords[rank[mask_j]]
+            if cj:
                 value += entry * ci * cj
     return value / gram
 
@@ -296,6 +299,7 @@ def pq_curvature_tensor(tensor: CurvatureTensor, p: int, q: int) -> DoubleForm:
 
 def pq_sectional(tensor: CurvatureTensor, p: int, q: int, plane: Frame | None) -> Fraction:
     """s_{(p,q)}(P), the sectional curvature of the (p,q)-curvature tensor."""
+    _require_pq_range(tensor, p, q)
     if p == 0:
         if plane is not None:
             raise DegreeError("s_{(0,q)} is a scalar; pass plane=None")
@@ -397,7 +401,8 @@ def has_constant_sectional(form: DoubleForm, p: int) -> Fraction | None:
     if (form.p, form.q) != (p, p):
         raise DegreeError(f"expected a ({p},{p})-form, got ({form.p},{form.q})")
     model = make_scalar(form.n, 1).mul_g_power(p).scale(Fraction(1, factorial(p)))
-    candidate = form.coeffs[0][0]  # model has value 1 on every diagonal cell
+    first = (1 << p) - 1  # model has value 1 on every diagonal cell
+    candidate = form.cell(first, first)
     return candidate if form == candidate * model else None
 
 

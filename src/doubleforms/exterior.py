@@ -3,7 +3,8 @@
 Basis k-vectors e_{i1} ^ ... ^ e_{ik} are labeled by strictly increasing
 index tuples, stored as bitmasks of width n, and ordered lexicographically
 within each (n, k) stratum.  Lexicographic order is the single canonical
-order used for array layout and serialization throughout the package.
+order used for the dense coefficient view, flattened arrays and serialization
+throughout the package.
 
 All signs the double-form algebra needs come from two primitives: the sign
 of a shuffle merging two disjoint index sets (wedge products) and the sign
@@ -17,8 +18,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-# Coefficient arrays grow like C(n,p)*C(n,q); by n = 16 a single (8,8) plane
-# already has ~1.6e8 cells, so larger n is refused outright.
+# Forms store only nonzero cells, but a dense (p,q) form still has
+# C(n,p)*C(n,q) of them and the cell budget counts that dense size: by n = 16
+# a single (8,8) plane has ~1.6e8 cells, so larger n is refused outright.
 MAX_DIMENSION = 16
 
 

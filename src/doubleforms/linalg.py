@@ -3,7 +3,7 @@
 Everything here works over Fractions (or ints) and never approximates.
 One fraction-free Bareiss forward pass on denominator-cleared rows, which
 keeps intermediate integers small, serves rank (its pivot count), solve and
-nullspace (rational back substitution from its rows); projections keep an
+nullspace (integer back substitution from its rows); projections keep an
 integer orthogonal basis with gcd reduction after every step.
 """
 
@@ -12,15 +12,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+_ZERO = Fraction(0)
+
 
 def _integer_row(row) -> list[int]:
     """Clear denominators and divide out the content of a rational row."""
-    fracs = [Fraction(v) for v in row]
+    fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
     scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    ints = [int(f * scale) for f in fracs]
-    content = 0
-    for v in ints:
-        content = gcd(content, v)
+    ints = [f.numerator * (scale // f.denominator) for f in fracs]
+    content = gcd(*ints)
     if content > 1:
         ints = [v // content for v in ints]
     return ints
@@ -64,25 +64,29 @@ def _echelon(matrix, rhs) -> tuple[list[list[int]], list[int]]:
 def _back_substitute(rows, pivots, cols: int, free: int | None = None) -> list[Fraction]:
     """The x with rows @ x == rhs whose free entries are 0, but x[free] = 1.
 
-    Pivot entries are found last pivot first.  Row r is zero left of its
-    pivot, so only the nonzero entries of x found so far enter its sum.
+    Runs in integers on the numerators d x, for d the last Bareiss pivot:
+    d is the determinant of the pivot block, so d x is integral by Cramer's
+    rule and every division by a pivot is exact.  Pivot entries are found
+    last pivot first; row r is zero left of its pivot, so only the nonzero
+    entries found so far enter its sum.  Fractions are made once, at the end.
     """
-    x = [Fraction(0)] * cols
+    d = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
+    num = [0] * cols
     support = []
     if free is not None:
-        x[free] = Fraction(1)
+        num[free] = d
         support.append(free)
     for r in range(len(pivots) - 1, -1, -1):
         c = pivots[r]
         row = rows[r]
-        acc = Fraction(row[cols])
+        acc = d * row[cols]
         for k in support:
             if row[k]:
-                acc -= row[k] * x[k]
-        x[c] = acc / row[c]
-        if x[c]:
+                acc -= row[k] * num[k]
+        num[c] = acc // row[c]
+        if num[c]:
             support.append(c)
-    return x
+    return [Fraction(v, d) if v else _ZERO for v in num]
 
 
 def rank(matrix) -> int:

@@ -147,7 +147,7 @@ def form_from_dict(obj, path: str = "form") -> DoubleForm:
             raise SchemaError(epath, "entries must be strictly sorted by (rank I, rank J)")
         last = key
         if value:
-            form.coeffs[key[0]][key[1]] = value
+            form.set_cell(left.mask, right.mask, value)
     return form
 
 
@@ -304,13 +304,13 @@ def build_curvature_tensor(spec: ModelSpec) -> CurvatureTensor:
     if spec.model == "hypersurface":
         shape = make_zero(spec.n, 1, 1)
         for i, value in enumerate(spec.eigenvalues):
-            shape.coeffs[i][i] = value
+            shape.set_cell(1 << i, 1 << i, value)
         return make_hypersurface(shape)
     if spec.model == "conformally_flat":
         h = make_zero(spec.n, 1, 1)
         for i, row in enumerate(spec.h_matrix):
             for j, value in enumerate(row):
-                h.coeffs[i][j] = value
+                h.set_cell(1 << i, 1 << j, value)
         return make_conformally_flat(h)
     if spec.model == "product":
         tensors = [build_curvature_tensor(f) for f in spec.factors]

@@ -54,7 +54,7 @@ from .decomposition import (
     star_bianchi,
     star_in_components,
 )
-from .exterior import mask_to_indices, subset_masks
+from .exterior import _mask_rank_table, mask_to_indices, subset_masks
 from .linalg import KernelProjector, nullspace
 
 
@@ -69,10 +69,11 @@ def random_form(rng: random.Random, n: int, p: int, q: int, density: float = 0.2
     """Sparse integer-coefficient form: cells hit with the given density,
     values uniform in [-9, 9]."""
     form = make_zero(n, p, q)
-    for row in form.coeffs:
-        for j in range(len(row)):
+    col_masks = form.col_masks
+    for mask_i in form.row_masks:
+        for mask_j in col_masks:
             if rng.random() < density:
-                row[j] = Fraction(rng.randint(-9, 9))
+                form.set_cell(mask_i, mask_j, Fraction(rng.randint(-9, 9)))
     return form
 
 
@@ -89,17 +90,12 @@ def _operator_rows(n: int, p: int, q: int, operator) -> list[list[int]]:
         for _ in range(comb(n, probe.p) * comb(n, probe.q))
     ]
     col = 0
-    for i in range(comb(n, p)):
-        for j in range(comb(n, q)):
+    for mask_i in subset_masks(n, p):
+        for mask_j in subset_masks(n, q):
             cell = make_zero(n, p, q)
-            cell.coeffs[i][j] = Fraction(1)
-            image = operator(cell)
-            r = 0
-            for row in image.coeffs:
-                for value in row:
-                    if value:
-                        rows[r][col] = int(value)
-                    r += 1
+            cell.set_cell(mask_i, mask_j, 1)
+            for r, value in _flat_cells(operator(cell)):
+                rows[r][col] = int(value)
             col += 1
     return rows
 
@@ -118,11 +114,32 @@ def bianchi_projector(n: int, p: int, effective: bool = False) -> KernelProjecto
     return _projector_cache[key]
 
 
-def _unflatten(n: int, p: int, values) -> DoubleForm:
-    cols = comb(n, p)
-    form = make_zero(n, p, p)
+def _flat_cells(form: DoubleForm):
+    """(position in the lex-ordered flattened array, value) per stored cell."""
+    row_rank = _mask_rank_table(form.n, form.p)
+    col_rank = _mask_rank_table(form.n, form.q)
+    cols = comb(form.n, form.q)
+    for mask_i, row in form.cells.items():
+        base = row_rank[mask_i] * cols
+        for mask_j, value in row.items():
+            yield base + col_rank[mask_j], value
+
+
+def _flatten(form: DoubleForm) -> list[Fraction]:
+    values = [Fraction(0)] * (comb(form.n, form.p) * comb(form.n, form.q))
+    for index, value in _flat_cells(form):
+        values[index] = value
+    return values
+
+
+def _unflatten(n: int, p: int, q: int, values) -> DoubleForm:
+    """The form whose lex-ordered flattened coefficient array is values."""
+    row_masks, col_masks = subset_masks(n, p), subset_masks(n, q)
+    form = make_zero(n, p, q)
     for index, value in enumerate(values):
-        form.coeffs[index // cols][index % cols] = value
+        if value:
+            row, col = divmod(index, len(col_masks))
+            form.set_cell(row_masks[row], col_masks[col], value)
     return form
 
 
@@ -134,7 +151,7 @@ def random_bianchi(rng: random.Random, n: int, p: int, effective: bool = False) 
     """
     form = random_symmetric(rng, n, p)
     projector = bianchi_projector(n, p, effective)
-    projected = _unflatten(n, p, projector.project([v for row in form.coeffs for v in row]))
+    projected = _unflatten(n, p, p, projector.project(_flatten(form)))
     assert projected.is_symmetric()
     return projected
 
@@ -738,10 +755,7 @@ def check_metric_kernel_contractions(rec, rng, n, trials):
         kernel = nullspace(g_power_matrix(n, p, q, l))
         k_min = p + q + l - n
         for idx, vec in enumerate(kernel[: max(1, trials // 8)]):
-            cols = comb(n, q)
-            w = make_zero(n, p, q)
-            for pos, value in enumerate(vec):
-                w.coeffs[pos // cols][pos % cols] = value
+            w = _unflatten(n, p, q, vec)
             ok = w.mul_g_power(l).is_zero() and contractions(w, k_min)[-1].is_zero()
             rec.case(
                 f"(p,q,l)=({p},{q},{l})#{idx}",
@@ -791,7 +805,7 @@ def check_star_components_form(rec, rng, n, trials):
 def _diag_form(n: int, values) -> DoubleForm:
     form = make_zero(n, 1, 1)
     for i, value in enumerate(values):
-        form.coeffs[i][i] = Fraction(value)
+        form.set_cell(1 << i, 1 << i, Fraction(value))
     return form
 
 

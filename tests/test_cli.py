@@ -123,6 +123,13 @@ def test_scalar_pq_rejects_a_plane(sphere_spec, capsys):
     assert main(["pq", "--spec", sphere_spec, "--p", "0", "--q", "1"]) == 0
 
 
+def test_pq_checks_the_degree_range_before_the_plane(sphere_spec, capsys):
+    assert main(["pq", "--spec", sphere_spec, "--p", "-1", "--q", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "need 0 <= p <= n - 2q, got p=-1" in err
+    assert "plane" not in err
+
+
 def run_with_cell_budget(value, code=None, args=()):
     """Run `code` (or `python -m doubleforms.cli args`) in a fresh interpreter
     whose only DOUBLEFORMS_* setting is the budget.
