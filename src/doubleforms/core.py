@@ -9,14 +9,17 @@ nonzero coefficients are stored, in one sparse map over index-set bitmasks:
 
 No zero value and no empty row is ever stored, so two forms are equal
 exactly when their maps are.  Every operation walks the stored cells and
-accumulates into dicts, then drops the cells that cancelled.  `coeffs` is a
-dense C(n,p) x C(n,q) view with index sets in lexicographic order, whose
-rows write through to the map; the cell budget still bounds that dense size.
+accumulates into dicts, then drops the cells that cancelled.  The cell
+budget bounds the number of stored cells: it is checked where a kernel
+publishes its result, where dense rows or a flattened array come in, and
+on the dense integer matrices built for linear solving.  The flattened
+layout (index sets in lexicographic order, row-major) is known only here,
+in _flat_cells, _flatten and _unflatten.
 
 All coefficients are exact rationals, so every algebraic identity exercised
 by the test suite is checked with equality, never with tolerances.  Forms are
-filled in while they are built (set_cell, writes through `coeffs`) and
-treated as immutable afterwards; all operations are pure.
+filled in while they are built (set_cell, or dense rows given to the
+constructor) and treated as immutable afterwards; all operations are pure.
 
 Conventions pinned here (and enforced by the oracle tests):
 
@@ -67,7 +70,7 @@ class DimensionMismatchError(DoubleFormError):
 
 
 class CellBudgetError(DoubleFormError):
-    """Coefficient array would exceed the configured cell budget."""
+    """More cells than the configured cell budget."""
 
 
 class BianchiRequiredError(DoubleFormError):
@@ -114,14 +117,25 @@ def cell_budget() -> int:
 
 
 def set_cell_budget(budget: int) -> None:
-    """Override the allocation cap (cells = C(n,p)*C(n,q)) at runtime.
+    """Override the cap on stored cells per form (and on the cells of a
+    dense integer matrix) at runtime.
 
     The initial value comes from DOUBLEFORMS_CELL_BUDGET, default 10**7,
-    read and checked the same way on the first allocation or cell_budget()
+    read and checked the same way on the first budget check or cell_budget()
     call.
     """
     global _cell_budget
     _cell_budget = _checked_budget(budget)
+
+
+def _require_cell_budget(cells: int, what: str) -> None:
+    """Refuse cells stored or allocated past the budget; what names the owner."""
+    budget = _cell_budget or cell_budget()
+    if cells > budget:
+        raise CellBudgetError(
+            f"refusing {cells} cells for {what}: more than the budget of {budget} "
+            "(see set_cell_budget / DOUBLEFORMS_CELL_BUDGET)"
+        )
 
 
 def as_scalar(value) -> Fraction:
@@ -137,16 +151,6 @@ _ZERO = Fraction(0)
 _NO_ROW: dict = {}  # read-only stand-in for a row with no stored cell
 
 
-def _pruned(cells: dict) -> dict:
-    """Drop the accumulated cells that cancelled to zero, and empty rows."""
-    out = {}
-    for mask_i, row in cells.items():
-        kept = {mask_j: value for mask_j, value in row.items() if value}
-        if kept:
-            out[mask_i] = kept
-    return out
-
-
 def _add_into(cells: dict, mask_i: int, mask_j: int, value: Fraction) -> None:
     """Accumulate value into cells[mask_i][mask_j]."""
     row = cells.get(mask_i)
@@ -159,7 +163,10 @@ def _add_into(cells: dict, mask_i: int, mask_j: int, value: Fraction) -> None:
 
 
 class DoubleForm:
-    """An element of D^{p,q} over R^n with exact rational coefficients."""
+    """An element of D^{p,q} over R^n with exact rational coefficients.
+
+    coeffs, when given, are dense C(n,p) x C(n,q) rows in lexicographic order.
+    """
 
     __slots__ = ("n", "p", "q", "cells")
 
@@ -168,28 +175,34 @@ class DoubleForm:
             raise DegreeError(f"ambient dimension must be in [1, {MAX_DIMENSION}], got {n!r}")
         if not (isinstance(p, int) and isinstance(q, int) and 0 <= p <= n and 0 <= q <= n):
             raise DegreeError(f"bidegree ({p!r}, {q!r}) out of range for n={n}")
-        rows, cols = comb(n, p), comb(n, q)
-        budget = _cell_budget or cell_budget()
-        if rows * cols > budget:
-            raise CellBudgetError(
-                f"refusing a {rows}x{cols} coefficient array for D^({p},{q}) at n={n}: "
-                f"{rows * cols} cells exceed the budget of {budget} "
-                "(see set_cell_budget / DOUBLEFORMS_CELL_BUDGET)"
-            )
         self.n = n
         self.p = p
         self.q = q
         self.cells = {}
         if coeffs is not None:
+            rows, cols = comb(n, p), comb(n, q)
             if len(coeffs) != rows or any(len(row) != cols for row in coeffs):
                 raise DimensionMismatchError(
                     f"coefficient array must be {rows}x{cols} for D^({p},{q}) at n={n}"
                 )
             col_masks = subset_masks(n, q)
-            for mask_i, row in zip(subset_masks(n, p), coeffs):
-                kept = {mj: v for mj, v in zip(col_masks, map(as_scalar, row)) if v}
-                if kept:
-                    self.cells[mask_i] = kept
+            self._publish({
+                mask_i: dict(zip(col_masks, map(as_scalar, row)))
+                for mask_i, row in zip(subset_masks(n, p), coeffs)
+            })
+
+    def _publish(self, acc: dict) -> None:
+        """Store the accumulated cells that did not cancel to zero, without
+        empty rows, refusing more of them than the cell budget."""
+        cells = {}
+        stored = 0
+        for mask_i, row in acc.items():
+            kept = {mask_j: value for mask_j, value in row.items() if value}
+            if kept:
+                cells[mask_i] = kept
+                stored += len(kept)
+        _require_cell_budget(stored, f"D^({self.p},{self.q}) at n={self.n}")
+        self.cells = cells
 
     # -- basic structure ---------------------------------------------------
 
@@ -200,11 +213,6 @@ class DoubleForm:
     @property
     def col_masks(self) -> tuple[int, ...]:
         return subset_masks(self.n, self.q)
-
-    @property
-    def coeffs(self) -> list["_CoeffRow"]:
-        """Dense C(n,p) x C(n,q) rows in lex order; item writes go to the form."""
-        return [_CoeffRow(self, mask_i) for mask_i in self.row_masks]
 
     def cell(self, mask_i: int, mask_j: int) -> Fraction:
         """Coefficient at (e_I, e_J), given as index-set masks."""
@@ -298,7 +306,7 @@ class DoubleForm:
         for mask_i, row in other.cells.items():
             for mask_j, value in row.items():
                 _add_into(cells, mask_i, mask_j, -value if subtract else value)
-        out.cells = _pruned(cells)
+        out._publish(cells)
         return out
 
     def __neg__(self) -> "DoubleForm":
@@ -362,7 +370,7 @@ class DoubleForm:
                             target[col] += value
                         else:
                             target[col] = value
-        out.cells = _pruned(acc)
+        out._publish(acc)
         return out
 
     def mul_g_power(self, power: int) -> "DoubleForm":
@@ -395,7 +403,7 @@ class DoubleForm:
                 minus = -plus
                 for sign, ti, tj in g_power_terms(n, power, mask_i, mask_j):
                     _add_into(acc, ti, tj, plus if sign > 0 else minus)
-        out.cells = _pruned(acc)
+        out._publish(acc)
         return out
 
     # -- contraction, inner product, star ----------------------------------
@@ -422,7 +430,7 @@ class DoubleForm:
                     below = bit - 1
                     flips = (mask_i & below).bit_count() + (mask_j & below).bit_count()
                     _add_into(acc, mask_i ^ bit, mask_j ^ bit, -value if flips & 1 else value)
-        out.cells = _pruned(acc)
+        out._publish(acc)
         return out
 
     def inner(self, other: "DoubleForm") -> Fraction:
@@ -506,7 +514,7 @@ class DoubleForm:
                     # per smaller remaining index.
                     flips = (mask_i & (bit - 1)).bit_count() + 1 + (new_j & (bit - 1)).bit_count()
                     _add_into(acc, mask_i | bit, new_j, -value if flips & 1 else value)
-        out.cells = _pruned(acc)
+        out._publish(acc)
         return out
 
     # -- evaluation as a multilinear form -----------------------------------
@@ -533,22 +541,6 @@ class DoubleForm:
                 if col_minor:
                     total += value * row_minor * col_minor
         return total
-
-
-class _CoeffRow(list):
-    """One dense row of a form's coefficients; item writes go to the form."""
-
-    __slots__ = ("form", "mask_i")
-
-    def __init__(self, form: DoubleForm, mask_i: int):
-        cells = form.cells.get(mask_i, _NO_ROW)
-        super().__init__(cells.get(mask_j, _ZERO) for mask_j in form.col_masks)
-        self.form, self.mask_i = form, mask_i
-
-    def __setitem__(self, j, value) -> None:
-        value = as_scalar(value)
-        self.form.set_cell(self.mask_i, self.form.col_masks[j], value)
-        list.__setitem__(self, j, value)
 
 
 def _coerce_vector(n: int, vector) -> list[Fraction]:
@@ -622,6 +614,35 @@ def contractions(form: DoubleForm, times: int) -> list[DoubleForm]:
     for _ in range(times):
         chain.append(chain[-1].contract())
     return chain
+
+
+# -- the flattened layout ---------------------------------------------------
+
+
+def _flat_cells(form: DoubleForm):
+    """(position in the lex-ordered, row-major flattened array, value) per
+    stored cell."""
+    row_rank = _mask_rank_table(form.n, form.p)
+    col_rank = _mask_rank_table(form.n, form.q)
+    cols = comb(form.n, form.q)
+    for mask_i, row in form.cells.items():
+        base = row_rank[mask_i] * cols
+        for mask_j, value in row.items():
+            yield base + col_rank[mask_j], value
+
+
+def _flatten(form: DoubleForm) -> list[Fraction]:
+    """The dense flattened coefficient array of a form."""
+    values = [_ZERO] * (comb(form.n, form.p) * comb(form.n, form.q))
+    for index, value in _flat_cells(form):
+        values[index] = value
+    return values
+
+
+def _unflatten(n: int, p: int, q: int, values) -> DoubleForm:
+    """The form whose flattened coefficient array is values."""
+    cols = comb(n, q)
+    return DoubleForm(n, p, q, [values[at:at + cols] for at in range(0, len(values), cols)])
 
 
 # -- constructors -----------------------------------------------------------

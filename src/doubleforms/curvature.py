@@ -20,7 +20,7 @@ the double-form algebra this module provides
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from math import factorial
@@ -31,6 +31,7 @@ from .core import (
     DoubleForm,
     DoubleFormError,
     IdentityError,
+    _wedge_coordinates,
     as_scalar,
     contractions,
     make_g,
@@ -162,10 +163,13 @@ class Frame:
     Linear independence is equivalent to a nonzero Gram determinant, which
     equals the squared norm of the wedge of the vectors; sectional values
     divide by it, so any basis of the plane gives the orthonormal value.
+    wedge_coordinates, the coordinates of v_1 ^ ... ^ v_p over the
+    lexicographic basis, are computed once, at construction.
     """
 
     n: int
     vectors: tuple[tuple[Fraction, ...], ...]
+    wedge_coordinates: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.vectors:
@@ -173,8 +177,10 @@ class Frame:
         for vec in self.vectors:
             if len(vec) != self.n:
                 raise FrameError(f"frame vectors must have length {self.n}")
-        if not any(self.wedge_coordinates()):
+        coords = tuple(_wedge_coordinates(self.n, self.vectors, len(self.vectors)))
+        if not any(coords):
             raise FrameError("frame vectors are linearly dependent")
+        object.__setattr__(self, "wedge_coordinates", coords)
 
     @classmethod
     def from_vectors(cls, n: int, vectors) -> "Frame":
@@ -196,21 +202,6 @@ class Frame:
     @property
     def size(self) -> int:
         return len(self.vectors)
-
-    def wedge_coordinates(self) -> list[Fraction]:
-        """Coordinates of v_1 ^ ... ^ v_p over the lexicographic basis."""
-        from .core import _wedge_coordinates
-
-        return _wedge_coordinates(self.n, [list(v) for v in self.vectors], self.size)
-
-    def gram(self) -> Fraction:
-        """Gram determinant = squared norm of the wedge of the vectors."""
-        return sum(c * c for c in self.wedge_coordinates())
-
-    def with_vector(self, vector) -> "Frame":
-        """The frame extended by one more vector."""
-        extra = tuple(as_scalar(v) for v in vector)
-        return Frame(self.n, self.vectors + (extra,))
 
 
 def orthogonal_complement(frame: Frame) -> Frame:
@@ -256,7 +247,7 @@ def sectional_curvature(form: DoubleForm, plane: Frame) -> Fraction:
             f"sectional curvature of a ({form.p},{form.q})-form needs a "
             f"{form.p}-plane, got {plane.size} vectors"
         )
-    coords = plane.wedge_coordinates()
+    coords = plane.wedge_coordinates
     gram = sum(c * c for c in coords)
     if not gram:
         raise FrameError("frame vectors are linearly dependent")

@@ -34,6 +34,9 @@ from .core import (
     DegreeError,
     DoubleForm,
     DoubleFormError,
+    _flatten,
+    _require_cell_budget,
+    _unflatten,
     contractions,
     g_power_terms,
     make_zero,
@@ -117,34 +120,36 @@ def project_conformal(form: DoubleForm) -> DoubleForm:
 # -- multiplication by g-powers as a matrix ----------------------------------
 
 
-def _cell_index(n: int, p: int, q: int, row: int, col: int) -> int:
-    return row * comb(n, q) + col
-
-
 def g_power_matrix(n: int, p: int, q: int, power: int) -> list[list[int]]:
     """Matrix of w -> g^power . w from D^{p,q} to D^{p+power,q+power}.
 
     Rows are target cells, columns source basis elements, both in
-    lexicographic cell order.  Entries are integers.
+    lexicographic cell order.  Entries are integers.  A matrix with more
+    cells than the cell budget is refused before it is allocated.
     """
     if not (0 <= p <= n and 0 <= q <= n):
         raise DegreeError(f"bidegree ({p},{q}) out of range for n={n}")
     if power < 0:
         raise DegreeError(f"g-power must be nonnegative, got {power}")
+    overflow = p + power > n or q + power > n
     source_dim = comb(n, p) * comb(n, q)
-    if p + power > n or q + power > n:
+    target_dim = 1 if overflow else comb(n, p + power) * comb(n, q + power)
+    _require_cell_budget(
+        target_dim * source_dim,
+        f"the {target_dim}x{source_dim} matrix of g^{power} on D^({p},{q}) at n={n}",
+    )
+    if overflow:
         return [[0] * source_dim]
-    target_dim = comb(n, p + power) * comb(n, q + power)
     matrix = [[0] * source_dim for _ in range(target_dim)]
     row_rank = _mask_rank_table(n, p + power)
     col_rank = _mask_rank_table(n, q + power)
+    cols = comb(n, q + power)
     weight = factorial(power)
     col = 0
     for mask_i in subset_masks(n, p):
         for mask_j in subset_masks(n, q):
             for sign, ti, tj in g_power_terms(n, power, mask_i, mask_j):
-                cell = _cell_index(n, p + power, q + power, row_rank[ti], col_rank[tj])
-                matrix[cell][col] = sign * weight
+                matrix[row_rank[ti] * cols + col_rank[tj]][col] = sign * weight
             col += 1
     return matrix
 
@@ -161,26 +166,21 @@ def map_rank(n: int, p: int, q: int, power: int) -> int:
 def divide_g_power(form: DoubleForm, power: int) -> DoubleForm:
     """The unique x with g^power . x = form, by exact linear solving.
 
-    The solve-based cross-check for the closed-form decompose at 2p > n,
-    where multiplication by g^{2p-n} from D^{n-p,n-p} is an isomorphism:
-    decompose(divide_g_power(w, 2p-n)) must give the nonzero components of
-    decompose(w).  It is an oracle for the tests, not a production path;
-    raises if no exact preimage exists.
+    Solves g_power_matrix against the flattened coefficient array of the
+    form.  The solve-based cross-check for the closed-form decompose at
+    2p > n, where multiplication by g^{2p-n} from D^{n-p,n-p} is an
+    isomorphism: decompose(divide_g_power(w, 2p-n)) must give the nonzero
+    components of decompose(w).  It is an oracle for the tests, not a
+    production path; raises if no exact preimage exists.
     """
     n = form.n
     source_p, source_q = form.p - power, form.q - power
     if source_p < 0 or source_q < 0:
         raise DegreeError(f"cannot divide a ({form.p},{form.q})-form by g^{power}")
-    matrix = g_power_matrix(n, source_p, source_q, power)
-    rhs = [value for row in form.coeffs for value in row]
-    solution = linalg.solve(matrix, rhs)
+    solution = linalg.solve(g_power_matrix(n, source_p, source_q, power), _flatten(form))
     if solution is None:
         raise DoubleFormError(f"form is not divisible by g^{power}")
-    cols = comb(n, source_q)
-    out = make_zero(n, source_p, source_q)
-    for index, value in enumerate(solution):
-        out.coeffs[index // cols][index % cols] = value
-    return out
+    return _unflatten(n, source_p, source_q, solution)
 
 
 # -- closed-form Hodge star on Bianchi tensors --------------------------------

@@ -3,8 +3,8 @@
 Basis k-vectors e_{i1} ^ ... ^ e_{ik} are labeled by strictly increasing
 index tuples, stored as bitmasks of width n, and ordered lexicographically
 within each (n, k) stratum.  Lexicographic order is the single canonical
-order used for the dense coefficient view, flattened arrays and serialization
-throughout the package.
+order used for output, flattened arrays and serialization throughout the
+package.
 
 All signs the double-form algebra needs come from two primitives: the sign
 of a shuffle merging two disjoint index sets (wedge products) and the sign
@@ -18,9 +18,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-# Forms store only nonzero cells, but a dense (p,q) form still has
-# C(n,p)*C(n,q) of them and the cell budget counts that dense size: by n = 16
-# a single (8,8) plane has ~1.6e8 cells, so larger n is refused outright.
+# Forms store only nonzero cells and the cell budget counts those, so n is
+# capped by what the package enumerates per (n, k): subset_masks and the rank
+# tables cache every k-subset of [0, n), and at n = 16 an invariant report
+# up to the middle degree already takes 15-20 s.
 MAX_DIMENSION = 16
 
 

@@ -18,6 +18,7 @@ from .core import (
     BianchiRequiredError,
     DoubleForm,
     DoubleFormError,
+    _require_cell_budget,
     make_zero,
 )
 from .curvature import (
@@ -131,6 +132,7 @@ def form_from_dict(obj, path: str = "form") -> DoubleForm:
     except DoubleFormError as exc:
         raise SchemaError(path, str(exc)) from exc
     entries = _expect_list(obj["entries"], f"{path}.entries")
+    _require_cell_budget(len(entries), f"D^({p},{q}) at n={n}")
     row_rank = _mask_rank_table(n, p)
     col_rank = _mask_rank_table(n, q)
     last = None

@@ -19,6 +19,10 @@ from . import serialize
 from .core import (
     DoubleForm,
     DoubleFormError,
+    _flat_cells,
+    _flatten,
+    _require_cell_budget,
+    _unflatten,
     contractions,
     make_g,
     make_scalar,
@@ -54,7 +58,7 @@ from .decomposition import (
     star_bianchi,
     star_in_components,
 )
-from .exterior import _mask_rank_table, mask_to_indices, subset_masks
+from .exterior import mask_to_indices, subset_masks
 from .linalg import KernelProjector, nullspace
 
 
@@ -85,10 +89,12 @@ def random_symmetric(rng: random.Random, n: int, p: int) -> DoubleForm:
 def _operator_rows(n: int, p: int, q: int, operator) -> list[list[int]]:
     """Integer matrix of a linear operator on D^{p,q}, one row per target cell."""
     probe = operator(make_zero(n, p, q))
-    rows = [
-        [0] * (comb(n, p) * comb(n, q))
-        for _ in range(comb(n, probe.p) * comb(n, probe.q))
-    ]
+    sources = comb(n, p) * comb(n, q)
+    targets = comb(n, probe.p) * comb(n, probe.q)
+    _require_cell_budget(
+        targets * sources, f"the {targets}x{sources} matrix of an operator on D^({p},{q}) at n={n}"
+    )
+    rows = [[0] * sources for _ in range(targets)]
     col = 0
     for mask_i in subset_masks(n, p):
         for mask_j in subset_masks(n, q):
@@ -112,35 +118,6 @@ def bianchi_projector(n: int, p: int, effective: bool = False) -> KernelProjecto
             rows += _operator_rows(n, p, p, lambda w: w.contract())
         _projector_cache[key] = KernelProjector(rows)
     return _projector_cache[key]
-
-
-def _flat_cells(form: DoubleForm):
-    """(position in the lex-ordered flattened array, value) per stored cell."""
-    row_rank = _mask_rank_table(form.n, form.p)
-    col_rank = _mask_rank_table(form.n, form.q)
-    cols = comb(form.n, form.q)
-    for mask_i, row in form.cells.items():
-        base = row_rank[mask_i] * cols
-        for mask_j, value in row.items():
-            yield base + col_rank[mask_j], value
-
-
-def _flatten(form: DoubleForm) -> list[Fraction]:
-    values = [Fraction(0)] * (comb(form.n, form.p) * comb(form.n, form.q))
-    for index, value in _flat_cells(form):
-        values[index] = value
-    return values
-
-
-def _unflatten(n: int, p: int, q: int, values) -> DoubleForm:
-    """The form whose lex-ordered flattened coefficient array is values."""
-    row_masks, col_masks = subset_masks(n, p), subset_masks(n, q)
-    form = make_zero(n, p, q)
-    for index, value in enumerate(values):
-        if value:
-            row, col = divmod(index, len(col_masks))
-            form.set_cell(row_masks[row], col_masks[col], value)
-    return form
 
 
 def random_bianchi(rng: random.Random, n: int, p: int, effective: bool = False) -> DoubleForm:

@@ -46,7 +46,7 @@ F = Fraction
 def diag11(n, values):
     form = make_zero(n, 1, 1)
     for i, v in enumerate(values):
-        form.coeffs[i][i] = F(v)
+        form.set_cell(1 << i, 1 << i, F(v))
     return form
 
 
@@ -179,7 +179,7 @@ def test_criterion_04_decomposition_roundtrip_and_weyl_split():
     for i in range(6):
         for j in range(6):
             w = make_zero(4, 2, 2)
-            w.coeffs[i][j] = F(1)
+            w.set_cell(subset_masks(4, 2)[i], subset_masks(4, 2)[j], F(1))
             d = decompose(w)
             assert d.reconstruct() == w
             assert all(is_effective(c) for c in d.components[1:])

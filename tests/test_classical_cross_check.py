@@ -36,13 +36,9 @@ def random_symmetric_matrix(rng, n):
 
 
 def matrix_to_form(n, m):
-    from doubleforms import make_zero
+    from doubleforms import DoubleForm
 
-    form = make_zero(n, 1, 1)
-    for i in range(n):
-        for j in range(n):
-            form.coeffs[i][j] = m[i][j]
-    return form
+    return DoubleForm(n, 1, 1, m)
 
 
 def gauss_equation_tensor(n, b):
@@ -93,7 +89,7 @@ def _check_model_against_index_tensor(model, r4):
     contracted = form.contract()
     for i in range(n):
         for j in range(n):
-            assert contracted.coeffs[i][j] == ricci[i][j]
+            assert contracted[(i,), (j,)] == ricci[i][j]
     scalar = sum(ricci[i][i] for i in range(n))
     assert contracted.contract().scalar_value() == scalar
     assert weyl_invariant(model, 1) == F(scalar, 2)
@@ -102,8 +98,8 @@ def _check_model_against_index_tensor(model, r4):
     g = make_g(n)
     for i in range(n):
         for j in range(n):
-            expected = F(scalar, 2) * g.coeffs[i][j] - ricci[i][j]
-            assert einstein.coeffs[i][j] == expected
+            expected = F(scalar, 2) * g[(i,), (j,)] - ricci[i][j]
+            assert einstein[(i,), (j,)] == expected
     # sectional curvature of coordinate 2-planes is the diagonal entry
     for i, j in itertools.combinations(range(n), 2):
         plane = Frame.coordinate(n, (i, j))

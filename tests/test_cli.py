@@ -1,5 +1,6 @@
 """End-to-end command-line behavior and exit codes."""
 
+import hashlib
 import json
 import random
 import subprocess
@@ -95,6 +96,23 @@ def test_verify_default_runs_both_parities(capsys):
     assert [run["n"] for run in payload["runs"]] == [4, 5]
 
 
+# SHA-256 of the stdout of `verify --suite all --trials 10 --seed 0 --n N`,
+# pinned so that a change to any check's cases or inputs shows up
+VERIFY_DIGESTS = {
+    4: "590805e32d2be7cd7667bb6303c46fc61dfb39e41e98432c0695cf4e8da99e83",
+    5: "81bd9f2584c4a9f418d71f3de0cee3161a4924fa591caceecf6fe97d4d369c73",
+    6: "ba713c1bdb254b2b82228b09060d052dc212477a7d0a3a4ab140ef0a52c0292f",
+}
+
+
+@pytest.mark.parametrize("n", sorted(VERIFY_DIGESTS))
+def test_verify_stdout_digest(n, capsys):
+    args = ["verify", "--suite", "all", "--trials", "10", "--seed", "0", "--n", str(n)]
+    assert main(args) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == VERIFY_DIGESTS[n]
+
+
 def test_usage_errors(tmp_path, capsys):
     assert main(["verify", "--suite", "bogus", "--n", "4"]) == 2
     bad = tmp_path / "bad.json"
@@ -154,10 +172,10 @@ def run_with_cell_budget(value, code=None, args=()):
 def test_cell_budget_environment_override():
     code = (
         "from doubleforms.core import cell_budget\n"
-        "from doubleforms import CellBudgetError, make_zero\n"
+        "from doubleforms import CellBudgetError, DoubleForm\n"
         "assert cell_budget() == 123\n"
         "try:\n"
-        "    make_zero(6, 2, 2)\n"
+        "    DoubleForm(6, 2, 2, [[1] * 15] * 15)\n"
         "except CellBudgetError:\n"
         "    print('refused')\n"
     )
@@ -187,6 +205,40 @@ def test_cli_reports_bad_cell_budget_as_usage_error(value):
     assert result.stderr.startswith("error: DOUBLEFORMS_CELL_BUDGET must be "), result.stderr
     assert value in result.stderr
     assert result.stdout == ""
+
+
+def test_decompose_refuses_more_entries_than_the_cell_budget(tmp_path):
+    form = form_to_dict(random_bianchi(random.Random("cli-budget"), 4, 2))
+    path = tmp_path / "form.json"
+    path.write_text(dumps_canonical(form))
+    budget = len(form["entries"]) - 1
+    result = run_with_cell_budget(str(budget), args=["decompose", "--input", str(path)])
+    assert result.returncode == 2, result.stderr
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+    assert result.stderr.startswith(
+        f"error: refusing {budget + 1} cells for D^(2,2) at n=4: more than the budget of {budget}"
+    ), result.stderr
+    assert result.stdout == ""
+
+
+def test_middle_degree_at_n14_fits_the_default_budget(tmp_path, capsys):
+    # the contraction chain of R^7 passes through D^(7,7), whose dense size
+    # 3432^2 exceeds the default budget; its forms store at most 3432 cells
+    path = tmp_path / "s2s12.json"
+    path.write_text(
+        dumps_canonical(
+            {
+                "model": "product",
+                "factors": [
+                    {"model": "constant", "n": 2, "lambda": "1"},
+                    {"model": "constant", "n": 12, "lambda": "1"},
+                ],
+            }
+        )
+    )
+    assert main(["invariants", "--spec", str(path), "--max-q", "7"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["n"] == 14 and len(payload["invariants"]) == 7
 
 
 def test_cell_budget_environment_keeps_int_syntax():

@@ -17,7 +17,7 @@ from doubleforms import (
     make_zero,
     set_cell_budget,
 )
-from doubleforms.core import cell_budget
+from doubleforms.core import _flatten, cell_budget
 from doubleforms.verify import random_form
 
 
@@ -29,12 +29,13 @@ def iter_contract(form, times):
 
 def test_constructors():
     g = make_g(2)
-    assert g.coeffs == [[1, 0], [0, 1]]
+    assert _flatten(g) == [1, 0, 0, 1]
+    assert g == DoubleForm(2, 1, 1, [[1, 0], [0, 1]])
     basis = make_basis(3, (0,), (1,))
-    assert basis.coeffs[0][1] == 1
+    assert basis[(0,), (1,)] == 1
     assert sum(1 for _ in basis.entries()) == 1
     zero = make_zero(4, 2, 2)
-    assert len(zero.coeffs) == 6 and len(zero.coeffs[0]) == 6 and zero.is_zero()
+    assert _flatten(zero) == [0] * 36 and zero.is_zero()
 
 
 def test_constructor_errors():
@@ -53,8 +54,24 @@ def test_cell_budget():
     try:
         set_cell_budget(10)
         with pytest.raises(CellBudgetError):
-            make_zero(6, 2, 2)
+            make_g(6).mul_g_power(1)  # 15 stored cells
         make_zero(6, 1, 0)  # 6 cells, still allowed
+    finally:
+        set_cell_budget(previous)
+
+
+def test_cell_budget_counts_stored_cells():
+    previous = cell_budget()
+    try:
+        set_cell_budget(10)
+        assert make_zero(6, 2, 2).is_zero()  # 225 dense cells, none stored
+        with pytest.raises(CellBudgetError, match=r"refusing 15 cells for D\^\(2,2\) at n=6"):
+            make_g(6).mul(make_g(6))
+        rows = [[int(i == j < 10) for j in range(15)] for i in range(15)]
+        assert len(DoubleForm(6, 2, 2, rows).cells) == 10
+        rows[10][10] = 1
+        with pytest.raises(CellBudgetError):
+            DoubleForm(6, 2, 2, rows)
     finally:
         set_cell_budget(previous)
 
@@ -318,7 +335,7 @@ def test_bianchi_leibniz_and_kernel_closure():
 def test_operations_do_not_mutate_inputs():
     rng = random.Random("immutability")
     w = random_form(rng, 4, 2, 2)
-    snapshot = [list(row) for row in w.coeffs]
+    snapshot = _flatten(w)
     g = make_g(4)
     (g * w).contract()
     w.hodge()
@@ -326,4 +343,4 @@ def test_operations_do_not_mutate_inputs():
     w + w
     2 * w
     w.transpose()
-    assert w.coeffs == snapshot
+    assert _flatten(w) == snapshot

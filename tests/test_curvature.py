@@ -44,7 +44,7 @@ F = Fraction
 def diag11(n, values):
     form = make_zero(n, 1, 1)
     for i, v in enumerate(values):
-        form.coeffs[i][i] = F(v)
+        form.set_cell(1 << i, 1 << i, F(v))
     return form
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from doubleforms import (
     BianchiRequiredError,
+    CellBudgetError,
     DegreeError,
     DoubleForm,
     DoubleFormError,
@@ -23,9 +24,12 @@ from doubleforms import (
     project_conformal,
     reconstruct,
 )
+from doubleforms.core import _unflatten, cell_budget, set_cell_budget
 from doubleforms.decomposition import divide_g_power
+from doubleforms.exterior import subset_masks
 from doubleforms import linalg
 from doubleforms.verify import (
+    _operator_rows,
     dim_effective,
     predicted_g_power_rank,
     random_bianchi,
@@ -43,7 +47,7 @@ def test_roundtrip_exhaustive_basis_n4():
     for i in range(6):
         for j in range(6):
             w = make_zero(4, 2, 2)
-            w.coeffs[i][j] = Fraction(1)
+            w.set_cell(subset_masks(4, 2)[i], subset_masks(4, 2)[j], Fraction(1))
             d = decompose(w)
             assert d.reconstruct() == w
             assert all(is_effective(c) for c in d.components[1:])
@@ -217,17 +221,27 @@ def test_map_rank_matches_prediction():
                         assert (got == source == target) == (p + q == n - 1)
 
 
+def test_dense_matrices_are_refused_past_the_cell_budget():
+    previous = cell_budget()
+    try:
+        set_cell_budget(1000)
+        with pytest.raises(CellBudgetError, match="the 25x100 matrix of g\\^2 on D\\^\\(2,2\\) at n=5"):
+            g_power_matrix(5, 2, 2, 2)
+        with pytest.raises(CellBudgetError, match="the 50x100 matrix"):
+            _operator_rows(5, 2, 2, lambda w: w.bianchi_sum())
+        assert len(g_power_matrix(4, 2, 2, 1)) == 16  # 16 x 36 = 576 cells
+    finally:
+        set_cell_budget(previous)
+
+
 def test_metric_power_kernel_contractions():
     # g^l w = 0 with l+p+q < n+1+k forces c^k w = 0
     for n, p, q, l in ((4, 2, 2, 1), (4, 1, 1, 3), (5, 2, 2, 2), (4, 2, 1, 2)):
         kernel = linalg.nullspace(g_power_matrix(n, p, q, l))
         assert kernel, (n, p, q, l)
         k_min = l + p + q - n
-        cols = comb(n, q)
         for vec in kernel[:4]:
-            w = make_zero(n, p, q)
-            for pos, value in enumerate(vec):
-                w.coeffs[pos // cols][pos % cols] = value
+            w = _unflatten(n, p, q, vec)
             assert w.mul_g_power(l).is_zero()
             assert iter_contract(w, k_min).is_zero()
 

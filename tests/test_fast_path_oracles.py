@@ -35,11 +35,10 @@ from doubleforms.verify import model_zoo
 
 def dense_rational_form(rng, n, p, q):
     """Every cell a random rational, most of them nonzero; not symmetric."""
-    form = make_zero(n, p, q)
-    for row in form.coeffs:
-        for j in range(len(row)):
-            row[j] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-    return form
+    return DoubleForm(n, p, q, [
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(comb(n, q))]
+        for _ in range(comb(n, p))
+    ])
 
 
 def repeated_g_products(form, power):

@@ -2,8 +2,9 @@
 
 A form stores only its nonzero coefficients, mask_I -> {mask_J -> value},
 with no stored zero and no empty row, so equality of forms is equality of
-maps.  These properties check that invariant through the dense `coeffs`
-view, exact cancellation in the kernels, symmetry and output order.
+maps.  These properties check that invariant through the dense layouts
+(rows given to the constructor, the flattened array), exact cancellation
+in the kernels, symmetry and output order.
 """
 
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doubleforms import DoubleForm, make_basis, make_zero
+from doubleforms.core import _flatten, _unflatten
 from doubleforms.exterior import mask_rank, subset_masks
 from doubleforms.serialize import form_from_dict, form_to_dict
 
@@ -40,13 +42,20 @@ def assert_no_stored_zero(w):
 
 @settings(max_examples=100, deadline=None)
 @given(small_forms())
-def test_view_round_trips(w):
+def test_dense_layouts_round_trip(w):
     assert_no_stored_zero(w)
-    again = DoubleForm(w.n, w.p, w.q, w.coeffs)
+    flat = _flatten(w)
+    assert len(flat) == comb(w.n, w.p) * comb(w.n, w.q)
+    again = _unflatten(w.n, w.p, w.q, flat)
     assert again == w
     assert again.cells == w.cells
-    assert len(w.coeffs) == comb(w.n, w.p)
-    assert all(len(row) == comb(w.n, w.q) for row in w.coeffs)
+    cols = comb(w.n, w.q)
+    rows = [flat[at:at + cols] for at in range(0, len(flat), cols)]
+    assert all(
+        w.cell(mask_i, mask_j) == value
+        for mask_i, row in zip(subset_masks(w.n, w.p), rows)
+        for mask_j, value in zip(subset_masks(w.n, w.q), row)
+    )
 
 
 @settings(max_examples=100, deadline=None)
@@ -117,21 +126,23 @@ def test_a_cell_without_its_mirror_is_not_symmetric(data):
 
 @settings(max_examples=100, deadline=None)
 @given(small_forms(), st.data())
-def test_writing_zero_through_the_view_removes_the_cell(w, data):
+def test_writing_zero_removes_the_cell(w, data):
     if w.is_zero():
         return
     mask_i = data.draw(st.sampled_from(sorted(w.cells)))
     mask_j = data.draw(st.sampled_from(sorted(w.cells[mask_i])))
     i, j = mask_rank(w.n, mask_i), mask_rank(w.n, mask_j)
-    dense = [list(row) for row in w.coeffs]
+    cols = comb(w.n, w.q)
+    dense = _flatten(w)
     row_was_single = len(w.cells[mask_i]) == 1
-    w.coeffs[i][j] = 0
-    dense[i][j] = Fraction(0)
+    w.set_cell(mask_i, mask_j, 0)
+    dense[i * cols + j] = Fraction(0)
     assert mask_j not in w.cells.get(mask_i, {})
     assert (mask_i in w.cells) != row_was_single
     assert_no_stored_zero(w)
-    assert w.coeffs == dense
-    assert w == DoubleForm(w.n, w.p, w.q, dense)
+    assert _flatten(w) == dense
+    rows = [dense[at:at + cols] for at in range(0, len(dense), cols)]
+    assert w == DoubleForm(w.n, w.p, w.q, rows)
 
 
 def test_entries_follow_lexicographic_order_not_insertion_order():
