@@ -39,6 +39,10 @@ def _load_json(path: str):
         raise SchemaError(path, f"cannot read file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(path, f"malformed JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(path, f"malformed JSON: not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError(path, "malformed JSON: nested too deeply") from exc
 
 
 def run_invariants(spec: serialize.ModelSpec, max_q: int) -> InvariantReport:
@@ -53,7 +57,7 @@ def _cmd_invariants(args) -> int:
     if args.format == "table":
         sys.stdout.write(serialize.report_to_table(report))
     else:
-        sys.stdout.write(serialize.dumps_canonical(serialize.report_to_dict(report)))
+        sys.stdout.write(serialize.dumps_canonical(report))
     return 0
 
 
@@ -83,7 +87,7 @@ def _cmd_pq(args) -> int:
     if args.format == "table":
         sys.stdout.write(serialize.report_to_table(report))
     else:
-        sys.stdout.write(serialize.dumps_canonical(serialize.report_to_dict(report)))
+        sys.stdout.write(serialize.dumps_canonical(report))
     return 0
 
 
@@ -92,9 +96,7 @@ def _cmd_decompose(args) -> int:
     result = decompose(form)
     if result.reconstruct() != form:
         raise IdentityError("decomposition failed to reconstruct its input")
-    sys.stdout.write(
-        serialize.dumps_canonical(serialize.decomposition_to_dict(result))
-    )
+    sys.stdout.write(serialize.dumps_canonical(result))
     return 0
 
 

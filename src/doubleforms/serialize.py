@@ -1,17 +1,34 @@
 """JSON schemas and deterministic rendering for forms, models, and reports.
 
 Rationals travel as canonical lowest-term strings ("3", "-7/2"); denominators
-must be positive.  Emission is byte-deterministic: sorted keys, fixed
-indentation, entries in lexicographic cell order.
+must be positive.
+
+Emission has one writer, dumps_canonical.  Its text is json.dumps's with
+sorted keys and a two-space indent, plus a final newline: ASCII string
+escapes, entries in lexicographic cell order.  Besides plain JSON values it
+takes forms, decompositions and invariant reports as leaves; a form's
+entries are written straight from DoubleForm.entries(), with the text of
+each index list cached per (n, k, depth), so no list of lists is built.
+form_to_dict, decomposition_to_dict and report_to_dict build plain dicts
+from the same payloads.  json.dumps itself is left to the tests, as the
+writer's oracle.
+
+Parsing: form_from_dict looks an index list up in a cached
+tuple(indices) -> mask table per (n, k) when the list holds exact ints
+only, and reads each distinct value string once per call.  Anything else
+takes the validating route (_read_index_set, rational_from_str), so which
+inputs are refused, and with which message, does not depend on the fast
+path.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from math import comb
 
 from .core import (
@@ -33,7 +50,7 @@ from .curvature import (
     make_product,
 )
 from .decomposition import EffectiveDecomposition
-from .exterior import IndexSet, mask_to_indices, _mask_rank_table
+from .exterior import IndexSet, mask_to_indices, subset_masks, _mask_rank_table
 
 
 class SchemaError(ValueError):
@@ -79,7 +96,112 @@ def decimal6(value: Fraction) -> str:
 
 
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Canonical JSON text of obj: strings, ints, bools, None, lists and
+    str-keyed dicts, with forms, decompositions and invariant reports
+    allowed as leaves."""
+    out: list[str] = []
+    _write(obj, 0, out)
+    out.append("\n")
+    return "".join(out)
+
+
+@lru_cache(maxsize=None)
+def _newline(depth: int) -> str:
+    return "\n" + "  " * depth
+
+
+def _write(obj, depth: int, out: list) -> None:
+    """Append obj's canonical text at the given nesting depth; bool before int."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = _newline(depth + 1)
+        out.append("[" + inner)
+        for index, value in enumerate(obj):
+            if index:
+                out.append("," + inner)
+            _write(value, depth + 1, out)
+        out.append(_newline(depth) + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = _newline(depth + 1)
+        out.append("{" + inner)
+        for index, key in enumerate(sorted(obj)):
+            if index:
+                out.append("," + inner)
+            out.append(encode_basestring_ascii(key) + ": ")
+            _write(obj[key], depth + 1, out)
+        out.append(_newline(depth) + "}")
+    elif isinstance(obj, DoubleForm):
+        _write_form(obj, depth, out)
+    elif isinstance(obj, EffectiveDecomposition):
+        _write(_decomposition_payload(obj), depth, out)
+    elif isinstance(obj, InvariantReport):
+        _write(_report_payload(obj), depth, out)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+@lru_cache(maxsize=None)
+def _index_texts(n: int, k: int, depth: int) -> dict[int, str]:
+    """mask -> canonical text of its index list, written at the given depth."""
+    if k == 0:
+        return {0: "[]"}
+    inner, outer = _newline(depth + 1), _newline(depth)
+    return {
+        mask: "[" + inner + ("," + inner).join(map(str, mask_to_indices(mask))) + outer + "]"
+        for mask in subset_masks(n, k)
+    }
+
+
+def _write_form(form: DoubleForm, depth: int, out: list) -> None:
+    """form_to_dict(form)'s canonical text, written from the stored cells."""
+    inner = _newline(depth + 1)
+    out.append("{" + inner + '"entries": ')
+    entry_depth = depth + 2
+    left = _index_texts(form.n, form.p, entry_depth + 1)
+    right = _index_texts(form.n, form.q, entry_depth + 1)
+    between = "," + _newline(entry_depth + 1)
+    head = "[" + _newline(entry_depth + 1)
+    tail = '"' + _newline(entry_depth) + "]"
+    # str of a Fraction is rational_to_str's text: "num", or "num/den"
+    items = [
+        head + left[mask_i] + between + right[mask_j] + between + '"' + str(value) + tail
+        for mask_i, mask_j, value in form.entries()
+    ]
+    if items:
+        out.append("[" + _newline(entry_depth))
+        out.append(("," + _newline(entry_depth)).join(items))
+        out.append(inner + "]")
+    else:
+        out.append("[]")
+    out.append(
+        f',{inner}"n": {form.n},{inner}"p": {form.p},{inner}"q": {form.q}{_newline(depth)}}}'
+    )
+
+
+def _plain(payload):
+    """The payload with every form leaf replaced by form_to_dict's dict."""
+    if isinstance(payload, DoubleForm):
+        return form_to_dict(payload)
+    if isinstance(payload, dict):
+        return {key: _plain(value) for key, value in payload.items()}
+    if isinstance(payload, list):
+        return [_plain(value) for value in payload]
+    return payload
 
 
 def _expect_dict(obj, path: str) -> dict:
@@ -135,22 +257,54 @@ def form_from_dict(obj, path: str = "form") -> DoubleForm:
     _require_cell_budget(len(entries), f"D^({p},{q}) at n={n}")
     row_rank = _mask_rank_table(n, p)
     col_rank = _mask_rank_table(n, q)
-    last = None
+    row_masks, col_masks = _index_masks(n, p), _index_masks(n, q)
+    row_types, col_types = (int,) * p, (int,) * q
+    width = comb(n, q)
+    values: dict[str, Fraction] = {}
+    cells: dict[int, dict[int, Fraction]] = {}
+    last = -1
     for index, entry in enumerate(entries):
-        epath = f"{path}.entries[{index}]"
-        entry = _expect_list(entry, epath)
-        if len(entry) != 3:
-            raise SchemaError(epath, f"expected [I, J, value], got {entry!r}")
-        left = _read_index_set(entry[0], n, p, f"{epath}[0]")
-        right = _read_index_set(entry[1], n, q, f"{epath}[1]")
-        value = rational_from_str(entry[2], f"{epath}[2]")
-        key = (row_rank[left.mask], col_rank[right.mask])
-        if last is not None and key <= last:
-            raise SchemaError(epath, "entries must be strictly sorted by (rank I, rank J)")
+        left = right = value = None
+        if type(entry) is list and len(entry) == 3:
+            raw_i, raw_j, raw_value = entry
+            # exact ints only: True == 1 and 1.0 == 1 would hit the table too
+            if type(raw_i) is list and tuple(map(type, raw_i)) == row_types:
+                left = row_masks.get(tuple(raw_i))
+            if type(raw_j) is list and tuple(map(type, raw_j)) == col_types:
+                right = col_masks.get(tuple(raw_j))
+            if type(raw_value) is str:
+                value = values.get(raw_value)
+        if left is None or right is None or value is None:
+            epath = f"{path}.entries[{index}]"
+            entry = _expect_list(entry, epath)
+            if len(entry) != 3:
+                raise SchemaError(epath, f"expected [I, J, value], got {entry!r}")
+            if left is None:
+                left = _read_index_set(entry[0], n, p, f"{epath}[0]").mask
+            if right is None:
+                right = _read_index_set(entry[1], n, q, f"{epath}[1]").mask
+            if value is None:
+                value = rational_from_str(entry[2], f"{epath}[2]")
+                if type(entry[2]) is str:
+                    values[entry[2]] = value
+        key = row_rank[left] * width + col_rank[right]
+        if key <= last:
+            raise SchemaError(
+                f"{path}.entries[{index}]", "entries must be strictly sorted by (rank I, rank J)"
+            )
         last = key
-        if value:
-            form.set_cell(left.mask, right.mask, value)
+        row = cells.get(left)
+        if row is None:
+            row = cells[left] = {}
+        row[right] = value
+    form._publish(cells)  # drops the zero values
     return form
+
+
+@lru_cache(maxsize=None)
+def _index_masks(n: int, k: int) -> dict[tuple[int, ...], int]:
+    """Every valid index list of a k-subset of [0, n), as a tuple -> its mask."""
+    return {mask_to_indices(mask): mask for mask in subset_masks(n, k)}
 
 
 def _read_index_set(obj, n: int, size: int, path: str) -> IndexSet:
@@ -169,12 +323,16 @@ def _read_index_set(obj, n: int, size: int, path: str) -> IndexSet:
 # -- EffectiveDecomposition ----------------------------------------------------
 
 
-def decomposition_to_dict(decomposition: EffectiveDecomposition) -> dict:
+def _decomposition_payload(decomposition: EffectiveDecomposition) -> dict:
     return {
         "n": decomposition.n,
         "p": decomposition.p,
-        "components": [form_to_dict(c) for c in decomposition.components],
+        "components": list(decomposition.components),
     }
+
+
+def decomposition_to_dict(decomposition: EffectiveDecomposition) -> dict:
+    return _plain(_decomposition_payload(decomposition))
 
 
 def decomposition_from_dict(obj, path: str = "decomposition") -> EffectiveDecomposition:
@@ -331,7 +489,7 @@ def build_curvature_tensor(spec: ModelSpec) -> CurvatureTensor:
 # -- InvariantReport -------------------------------------------------------------
 
 
-def report_to_dict(report: InvariantReport) -> dict:
+def _report_payload(report: InvariantReport) -> dict:
     out = {
         "n": report.n,
         "invariants": [
@@ -339,7 +497,7 @@ def report_to_dict(report: InvariantReport) -> dict:
                 "q": row.q,
                 "h": rational_to_str(row.weyl),
                 "h_decimal": decimal6(row.weyl),
-                "T": form_to_dict(row.einstein),
+                "T": row.einstein,
             }
             for row in report.rows
         ],
@@ -364,6 +522,10 @@ def report_to_dict(report: InvariantReport) -> dict:
     else:
         out["h4_sign"] = None
     return out
+
+
+def report_to_dict(report: InvariantReport) -> dict:
+    return _plain(_report_payload(report))
 
 
 def report_from_dict(obj, path: str = "report") -> InvariantReport:

@@ -131,6 +131,32 @@ def test_usage_errors(tmp_path, capsys):
     assert exit_info.value.code == 2
 
 
+_BAD_INPUT_FILES = {
+    "invalid_utf8": b'{"n": "\xff\xfe"}',
+    "deep_nesting": b"[" * 100000,
+}
+
+
+@pytest.mark.parametrize("content", sorted(_BAD_INPUT_FILES))
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["decompose", "--input"],
+        ["invariants", "--max-q", "1", "--spec"],
+        ["pq", "--p", "1", "--q", "1", "--plane", "0", "--spec"],
+    ],
+    ids=["decompose", "invariants", "pq"],
+)
+def test_unreadable_json_is_a_usage_error(tmp_path, capsys, command, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(_BAD_INPUT_FILES[content])
+    assert main(command + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: malformed JSON: ")
+
+
 def test_plane_arity_error(product_spec):
     assert main(["pq", "--spec", product_spec, "--p", "2", "--q", "1", "--plane", "0"]) == 2
 

@@ -5,9 +5,13 @@ route (divide_g_power, then decompose of the quotient), and the
 single-pass mul_g_power against repeated products by g.  The one Bareiss
 elimination behind linalg's rank, solve and nullspace is checked against
 determinants of minors; the invariant report's power sequence and shared
-contraction chain against repeated products and contractions.
+contraction chain against repeated products and contractions.  The
+canonical JSON writer is checked against json.dumps with sorted keys and a
+two-space indent on forms, decompositions, invariant reports and verify
+payloads.
 """
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -29,8 +33,16 @@ from doubleforms import (
     weyl_invariant,
 )
 from doubleforms import linalg
+from doubleforms.curvature import Frame, InvariantReport, SectionalSample, pq_sectional
 from doubleforms.decomposition import divide_g_power
-from doubleforms.verify import model_zoo
+from doubleforms.exterior import subset_masks
+from doubleforms.serialize import (
+    decomposition_to_dict,
+    dumps_canonical,
+    form_to_dict,
+    report_to_dict,
+)
+from doubleforms.verify import SUITES, model_zoo, run_verify
 
 
 def dense_rational_form(rng, n, p, q):
@@ -234,3 +246,90 @@ def test_invariant_report_matches_per_q_invariants():
                 h = c.contract().scalar_value() / factorial(2 * q)
                 assert row.weyl == h, (n, name, q)
                 assert row.einstein == h * g - c.scale(Fraction(1, factorial(2 * q - 1)))
+
+
+# -- serialize: one canonical writer against json.dumps -------------------------
+
+
+def json_oracle(plain) -> str:
+    return json.dumps(plain, indent=2, sort_keys=True) + "\n"
+
+
+@st.composite
+def sparse_forms(draw, max_n=6, square=False):
+    """Any bidegree at n <= 6, the zero form included; negative and
+    multi-digit numerators, some denominators above 1."""
+    n = draw(st.integers(1, max_n))
+    p = draw(st.integers(0, n))
+    q = p if square else draw(st.integers(0, n))
+    rows, cols = subset_masks(n, p), subset_masks(n, q)
+    values = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=97)
+    cells = draw(st.dictionaries(
+        st.tuples(st.sampled_from(rows), st.sampled_from(cols)), values, max_size=40
+    ))
+    form = make_zero(n, p, q)
+    for (mask_i, mask_j), value in cells.items():
+        form.set_cell(mask_i, mask_j, value)
+    return form
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_forms())
+def test_writer_matches_json_dumps_on_forms(form):
+    plain = form_to_dict(form)
+    assert dumps_canonical(form) == dumps_canonical(plain) == json_oracle(plain)
+
+
+def test_writer_matches_json_dumps_on_edge_bidegrees():
+    for form in (make_zero(1, 0, 0), make_zero(5, 0, 3), make_g(1), make_g(4).scale(-12345)):
+        assert dumps_canonical(form) == json_oracle(form_to_dict(form))
+    scalar = make_zero(3, 0, 0)
+    scalar.set_cell(0, 0, Fraction(-1000003, 7))
+    assert dumps_canonical(scalar) == json_oracle(form_to_dict(scalar))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_forms(max_n=6, square=True))
+def test_writer_matches_json_dumps_on_decompositions(w):
+    d = decompose(w)
+    plain = decomposition_to_dict(d)
+    assert dumps_canonical(d) == dumps_canonical(plain) == json_oracle(plain)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 6), st.data())
+def test_writer_matches_json_dumps_on_invariant_reports(n, data):
+    name, tensor = data.draw(st.sampled_from(model_zoo(n, random.Random(n))))
+    report = build_invariant_report(tensor, data.draw(st.integers(1, n // 2)))
+    plain = report_to_dict(report)
+    assert dumps_canonical(report) == dumps_canonical(plain) == json_oracle(plain), name
+    # the pq command's report: one sample, no rows, no h4 sign
+    p = data.draw(st.integers(0, n - 2))
+    plane = tuple(range(p))
+    value = pq_sectional(tensor, p, 1, Frame.coordinate(n, plane) if p else None)
+    sample = InvariantReport(n, (), (SectionalSample(p, 1, plane, value),), None)
+    assert dumps_canonical(sample) == json_oracle(report_to_dict(sample)), name
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(sorted(SUITES)), st.integers(2, 5), st.integers(0, 2**32))
+def test_writer_matches_json_dumps_on_verify_payloads(suite, n, seed):
+    outcome = run_verify(suite, n, 1, seed)
+    payload = outcome.to_dict()
+    assert dumps_canonical(payload) == json_oracle(payload)
+    runs = {"runs": [payload, run_verify(suite, n, 1, seed + 1).to_dict()]}
+    assert dumps_canonical(runs) == json_oracle(runs)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_json_values)
+def test_writer_matches_json_dumps_on_json_values(value):
+    # failure records carry free-form labels and inputs: escapes, nesting, empties
+    assert dumps_canonical(value) == json_oracle(value)

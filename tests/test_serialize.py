@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from doubleforms import decompose, make_basis, make_g, make_zero
-from doubleforms.core import IdentityError
+from doubleforms.core import CellBudgetError, IdentityError, cell_budget, set_cell_budget
 from doubleforms.curvature import build_invariant_report
 from doubleforms.serialize import (
     ModelSpec,
@@ -200,3 +200,77 @@ def test_dumps_canonical_is_deterministic():
     payload = {"b": 1, "a": [3, 2], "nested": {"z": "1/2", "y": None}}
     assert dumps_canonical(payload) == dumps_canonical(json.loads(json.dumps(payload)))
     assert dumps_canonical(payload).endswith("\n")
+
+
+# -- form_from_dict: the mask-table fast path refuses what the validating route refuses
+
+_BASE_FORM = {"n": 4, "p": 2, "q": 1, "entries": [[[0, 1], [0], "1"], [[0, 2], [1], "-3/2"]]}
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ([[0, True], [1], "1"], "form.entries[1][0][]: expected an integer, got True"),
+        ([[0, 2], [True], "1"], "form.entries[1][1][]: expected an integer, got True"),
+        ([[0, 2], [1.0], "1"], "form.entries[1][1][]: expected an integer, got 1.0"),
+        ([{"0": 0}, [1], "1"], "form.entries[1][0]: expected an array, got dict"),
+        (["02", [1], "1"], "form.entries[1][0]: expected an array, got str"),
+        ([[0, 2], "1", "1"], "form.entries[1][1]: expected an array, got str"),
+        ([[2, 0], [1], "1"], "form.entries[1][0]: indices must be strictly increasing, got (2, 0)"),
+        ([[2, 2], [1], "1"], "form.entries[1][0]: indices must be strictly increasing, got (2, 2)"),
+        ([[0, 4], [1], "1"], "form.entries[1][0]: index 4 out of range [0, 4)"),
+        ([[-1, 2], [1], "1"], "form.entries[1][0]: index -1 out of range [0, 4)"),
+        ([[2], [1], "1"], "form.entries[1][0]: expected 2 indices, got 1"),
+        ([[0, 2], [1, 2], "1"], "form.entries[1][1]: expected 1 indices, got 2"),
+        ([[0, 2], [1]], "form.entries[1]: expected [I, J, value], got [[0, 2], [1]]"),
+        ([[0, 2], [1], "1", "1"], "form.entries[1]: expected [I, J, value], got [[0, 2], [1], '1', '1']"),
+        ("x", "form.entries[1]: expected an array, got str"),
+        ([[0, 2], [1], 1.5], "form.entries[1][2]: expected a rational string, got 1.5"),
+        ([[0, 2], [1], True], "form.entries[1][2]: expected a rational string, got True"),
+        ([[0, 2], [1], "1/0"], "form.entries[1][2]: zero denominator"),
+        (
+            [[0, 2], [1], "١"],
+            "form.entries[1][2]: expected 'num' or 'num/den' with positive denominator, got '١'",
+        ),
+        ([[0, 1], [0], "1"], "form.entries[1]: entries must be strictly sorted by (rank I, rank J)"),
+    ],
+)
+def test_form_entry_errors_are_unchanged(entry, message):
+    data = json.loads(json.dumps(_BASE_FORM))
+    data["entries"][1] = entry
+    with pytest.raises(SchemaError) as err:
+        form_from_dict(data)
+    assert str(err.value) == message
+
+
+def test_form_entry_errors_after_a_reused_value_string():
+    # a value string read once is reused; a later bad entry still fails on its own path
+    data = json.loads(json.dumps(_BASE_FORM))
+    data["entries"][1][2] = "1"
+    data["entries"].append([[0, 3], [0], "1/0"])
+    with pytest.raises(SchemaError) as err:
+        form_from_dict(data)
+    assert str(err.value) == "form.entries[2][2]: zero denominator"
+
+
+def test_form_entries_past_the_cell_budget_are_refused():
+    previous = cell_budget()
+    set_cell_budget(1)
+    try:
+        with pytest.raises(CellBudgetError) as err:
+            form_from_dict(_BASE_FORM)
+    finally:
+        set_cell_budget(previous)
+    assert str(err.value) == (
+        "refusing 2 cells for D^(2,1) at n=4: more than the budget of 1 "
+        "(see set_cell_budget / DOUBLEFORMS_CELL_BUDGET)"
+    )
+
+
+def test_form_entry_accepts_a_json_integer_value():
+    data = json.loads(json.dumps(_BASE_FORM))
+    data["entries"][1][2] = 3
+    form = form_from_dict(data)
+    assert form[(0, 2), (1,)] == 3
+    assert form[(0, 1), (0,)] == 1
+    assert form_to_dict(form)["entries"][1] == [[0, 2], [1], "3"]
