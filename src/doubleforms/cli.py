@@ -37,12 +37,12 @@ def _load_json(path: str):
             return json.load(handle)
     except OSError as exc:
         raise SchemaError(path, f"cannot read file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(path, f"malformed JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise SchemaError(path, f"malformed JSON: not UTF-8 text: {exc}") from exc
     except RecursionError as exc:
         raise SchemaError(path, "malformed JSON: nested too deeply") from exc
+    except ValueError as exc:  # JSONDecodeError, or an integer with more digits than int() converts
+        raise SchemaError(path, f"malformed JSON: {exc}") from exc
 
 
 def run_invariants(spec: serialize.ModelSpec, max_q: int) -> InvariantReport:

@@ -8,13 +8,14 @@ nonzero coefficients are stored, in one sparse map over index-set bitmasks:
     cells[mask_I][mask_J] == value of the form on (e_I, e_J).
 
 No zero value and no empty row is ever stored, so two forms are equal
-exactly when their maps are.  Every operation walks the stored cells and
-accumulates into dicts, then drops the cells that cancelled.  The cell
-budget bounds the number of stored cells: it is checked where a kernel
-publishes its result, where dense rows or a flattened array come in, and
-on the dense integer matrices built for linear solving.  The flattened
-layout (index sets in lexicographic order, row-major) is known only here,
-in _flat_cells, _flatten and _unflatten.
+exactly when their maps are.  Every operation walks the stored cells; mul,
+mul_g_power and contract accumulate integer numerators over one common
+denominator, and Fractions are made at publish, which drops the cells that
+cancelled.  The cell budget bounds the number of stored cells: it is
+checked where a kernel publishes its result, where dense rows or a
+flattened array come in, and on the dense integer matrices built for linear
+solving.  The flattened layout (index sets in lexicographic order,
+row-major) is known only here, in _flat_cells, _flatten and _unflatten.
 
 All coefficients are exact rationals, so every algebraic identity exercised
 by the test suite is checked with equality, never with tolerances.  Forms are
@@ -37,7 +38,7 @@ from __future__ import annotations
 import itertools
 import os
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .exterior import (
     MAX_DIMENSION,
@@ -46,8 +47,8 @@ from .exterior import (
     complement_sign_mask,
     mask_to_indices,
     subset_masks,
-    wedge_sign_masks,
     _mask_rank_table,
+    _odd_above,
 )
 
 Scalar = Fraction
@@ -151,7 +152,13 @@ _ZERO = Fraction(0)
 _NO_ROW: dict = {}  # read-only stand-in for a row with no stored cell
 
 
-def _add_into(cells: dict, mask_i: int, mask_j: int, value: Fraction) -> None:
+def _common_denominator(cells: dict) -> int:
+    """The lcm of the stored values' denominators, d: every value v has the
+    integer numerator v.numerator * (d // v.denominator) over d."""
+    return lcm(*{value.denominator for row in cells.values() for value in row.values()})
+
+
+def _add_into(cells: dict, mask_i: int, mask_j: int, value) -> None:
     """Accumulate value into cells[mask_i][mask_j]."""
     row = cells.get(mask_i)
     if row is None:
@@ -191,13 +198,19 @@ class DoubleForm:
                 for mask_i, row in zip(subset_masks(n, p), coeffs)
             })
 
-    def _publish(self, acc: dict) -> None:
+    def _publish(self, acc: dict, den: int | None = None) -> None:
         """Store the accumulated cells that did not cancel to zero, without
-        empty rows, refusing more of them than the cell budget."""
+        empty rows, refusing more of them than the cell budget.  With den,
+        acc holds integer numerators over den, made Fractions here."""
         cells = {}
         stored = 0
         for mask_i, row in acc.items():
-            kept = {mask_j: value for mask_j, value in row.items() if value}
+            if den is None:
+                kept = {mask_j: value for mask_j, value in row.items() if value}
+            elif den == 1:  # Fraction(int) skips the gcd
+                kept = {mask_j: Fraction(value) for mask_j, value in row.items() if value}
+            else:
+                kept = {mask_j: Fraction(value, den) for mask_j, value in row.items() if value}
             if kept:
                 cells[mask_i] = kept
                 stored += len(kept)
@@ -350,27 +363,35 @@ class DoubleForm:
         out = DoubleForm(n, min(p_out, n), min(q_out, n))
         if p_out > n or q_out > n:
             return out
+        den_a = _common_denominator(self.cells)
+        den_b = _common_denominator(other.cells)
+        right = [
+            (mask_k, [(mask_l, b.numerator * (den_b // b.denominator)) for mask_l, b in row.items()])
+            for mask_k, row in other.cells.items()
+        ]
         acc = {}
-        right = list(other.cells.items())
         for mask_i, row_a in self.cells.items():
+            odd_i = _odd_above(mask_i)
+            # sign(I,K) sign(J,L) = (-1)^(popcount(K & odd_I) + popcount(L & odd_J))
+            left = [
+                (mask_j, _odd_above(mask_j), a.numerator * (den_a // a.denominator))
+                for mask_j, a in row_a.items()
+            ]
             for mask_k, row_b in right:
                 if mask_i & mask_k:
                     continue
-                row_sign = wedge_sign_masks(mask_i, mask_k)
+                row_odd = (mask_k & odd_i).bit_count() & 1
                 target = acc.setdefault(mask_i | mask_k, {})
-                for mask_j, a in row_a.items():
-                    for mask_l, b in row_b.items():
+                for mask_j, odd_j, a in left:
+                    for mask_l, b in row_b:
                         if mask_j & mask_l:
                             continue
-                        value = a * b
-                        if wedge_sign_masks(mask_j, mask_l) != row_sign:
-                            value = -value
                         col = mask_j | mask_l
-                        if col in target:
-                            target[col] += value
+                        if (mask_l & odd_j).bit_count() & 1 == row_odd:
+                            target[col] = target.get(col, 0) + a * b
                         else:
-                            target[col] = value
-        out._publish(acc)
+                            target[col] = target.get(col, 0) - a * b
+        out._publish(acc, den_a * den_b)
         return out
 
     def mul_g_power(self, power: int) -> "DoubleForm":
@@ -397,13 +418,14 @@ class DoubleForm:
             return out
         acc = {}
         weight = factorial(power)
+        den = _common_denominator(self.cells)
         for mask_i, row in self.cells.items():
             for mask_j, value in row.items():
-                plus = weight * value
+                plus = weight * value.numerator * (den // value.denominator)
                 minus = -plus
                 for sign, ti, tj in g_power_terms(n, power, mask_i, mask_j):
                     _add_into(acc, ti, tj, plus if sign > 0 else minus)
-        out._publish(acc)
+        out._publish(acc, den)
         return out
 
     # -- contraction, inner product, star ----------------------------------
@@ -419,8 +441,10 @@ class DoubleForm:
             return DoubleForm(n, max(p - 1, 0), max(q - 1, 0))
         out = DoubleForm(n, p - 1, q - 1)
         acc = {}
+        den = _common_denominator(self.cells)
         for mask_i, row in self.cells.items():
             for mask_j, value in row.items():
+                value = value.numerator * (den // value.denominator)
                 common = mask_i & mask_j
                 while common:
                     bit = common & -common
@@ -430,7 +454,7 @@ class DoubleForm:
                     below = bit - 1
                     flips = (mask_i & below).bit_count() + (mask_j & below).bit_count()
                     _add_into(acc, mask_i ^ bit, mask_j ^ bit, -value if flips & 1 else value)
-        out._publish(acc)
+        out._publish(acc, den)
         return out
 
     def inner(self, other: "DoubleForm") -> Fraction:
@@ -602,9 +626,11 @@ def g_power_terms(n: int, power: int, mask_i: int, mask_j: int):
     stay within n.
     """
     used = mask_i | mask_j
+    # sign(S,I) sign(S,J) = (-1)^(popcount(I & odd_S) + popcount(J & odd_S))
+    differ = mask_i ^ mask_j
     for mask_s in subset_masks(n, power):
         if not mask_s & used:
-            sign = wedge_sign_masks(mask_s, mask_i) * wedge_sign_masks(mask_s, mask_j)
+            sign = -1 if (differ & _odd_above(mask_s)).bit_count() & 1 else 1
             yield sign, mask_s | mask_i, mask_s | mask_j
 
 

@@ -67,21 +67,30 @@ def mask_rank(n: int, mask: int) -> int:
     return _mask_rank_table(n, mask.bit_count())[mask]
 
 
+@lru_cache(maxsize=None)
+def _odd_above(a: int) -> int:
+    """Bit y is set when an odd number of elements of A exceed y: the XOR
+    over x in A of (1 << x) - 1, the mask of the y below x."""
+    table = 0
+    while a:
+        low = a & -a
+        a ^= low
+        table ^= low - 1
+    return table
+
+
 def wedge_sign_masks(a: int, b: int) -> int:
     """Sign of e_A ^ e_B relative to e_{A|B}; 0 when A and B intersect.
 
     The sign is the parity of the number of transpositions sorting the
     concatenation (A ascending, B ascending), i.e. (-1)^{#{(x,y) in AxB : x > y}}.
+    Grouping the inversions by y in B, that count is the sum over y in B of
+    #{x in A : x > y}, whose parity is bit y of _odd_above(A); so the sign is
+    (-1)^popcount(B & _odd_above(A)), a popcount core's kernels use inline.
     """
     if a & b:
         return 0
-    inversions = 0
-    rest = b
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        inversions += (a >> low.bit_length()).bit_count()
-    return -1 if inversions & 1 else 1
+    return -1 if (b & _odd_above(a)).bit_count() & 1 else 1
 
 
 def complement_sign_mask(n: int, a: int) -> int:

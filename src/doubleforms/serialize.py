@@ -82,9 +82,13 @@ def rational_from_str(text, path: str = "value") -> Fraction:
             f"expected 'num' or 'num/den' with positive denominator, got {text!r}",
         )
     num, _, den = text.partition("/")
-    if den and int(den) == 0:
+    try:  # int() refuses more digits than the interpreter's conversion limit
+        num, den = int(num), int(den or 1)
+    except ValueError as exc:
+        raise SchemaError(path, f"number too long: {exc}") from exc
+    if den == 0:
         raise SchemaError(path, "zero denominator")
-    return Fraction(int(num), int(den)) if den else Fraction(int(num))
+    return Fraction(num, den)
 
 
 def decimal6(value: Fraction) -> str:

@@ -157,6 +157,37 @@ def test_unreadable_json_is_a_usage_error(tmp_path, capsys, command, content):
     assert len(lines) == 1 and lines[0].startswith(f"error: {path}: malformed JSON: ")
 
 
+# CPython refuses int <-> str conversions past a digit limit (4300 by default)
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_LONG = "1" * 5000
+
+
+@pytest.mark.skipif(not 0 < _DIGIT_LIMIT < len(_LONG), reason="no int() digit limit below 5000")
+@pytest.mark.parametrize(
+    "command, text, where",
+    [
+        (["invariants", "--max-q", "1", "--spec"],
+         '{"model": "constant", "n": 4, "lambda": "%s"}' % _LONG, "spec.lambda: number too long"),
+        (["invariants", "--max-q", "1", "--spec"],
+         '{"model": "constant", "n": %s, "lambda": "1"}' % _LONG, "malformed JSON"),
+        (["decompose", "--input"],
+         '{"n": 2, "p": 1, "q": 1, "entries": [[[0], [0], "%s"]]}' % _LONG,
+         "form.entries[0][2]: number too long"),
+        (["decompose", "--input"],
+         '{"n": 2, "p": 1, "q": 1, "entries": [[[0], [0], %s]]}' % _LONG, "malformed JSON"),
+    ],
+    ids=["lambda", "n", "entry_string", "entry_integer"],
+)
+def test_numbers_past_the_digit_limit_are_usage_errors(tmp_path, capsys, command, text, where):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert main(command + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and where in lines[0], lines
+
+
 def test_plane_arity_error(product_spec):
     assert main(["pq", "--spec", product_spec, "--p", "2", "--q", "1", "--plane", "0"]) == 2
 

@@ -10,6 +10,7 @@ from doubleforms.exterior import (
     complement_sign,
     complement_sign_mask,
     mask_rank,
+    mask_to_indices,
     rank,
     subset_masks,
     unrank,
@@ -123,3 +124,12 @@ def test_index_set_validation():
         IndexSet.from_indices(17, (0,))
     with pytest.raises(BasisError):
         unrank(4, 2, 6)
+
+
+def test_wedge_sign_table_matches_inversion_count_exhaustively():
+    # every pair of masks at n = 8 covers every pair at n <= 8
+    indices = [mask_to_indices(mask) for mask in range(1 << 8)]
+    for mask_a, a in enumerate(indices):
+        for mask_b, b in enumerate(indices):
+            expected = 0 if mask_a & mask_b else _inversion_sign(a + b)
+            assert wedge_sign_masks(mask_a, mask_b) == expected, (a, b)

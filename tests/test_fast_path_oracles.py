@@ -8,7 +8,9 @@ determinants of minors; the invariant report's power sequence and shared
 contraction chain against repeated products and contractions.  The
 canonical JSON writer is checked against json.dumps with sorted keys and a
 two-space indent on forms, decompositions, invariant reports and verify
-payloads.
+payloads.  The integer-numerator mul, mul_g_power and contract are checked
+against the Fraction-accumulating loops they replaced, on forms over many
+distinct prime denominators and on products and contractions that cancel.
 """
 
 import json
@@ -333,3 +335,171 @@ _json_values = st.recursive(
 def test_writer_matches_json_dumps_on_json_values(value):
     # failure records carry free-form labels and inputs: escapes, nesting, empties
     assert dumps_canonical(value) == json_oracle(value)
+
+
+# -- integer kernels against the Fraction-accumulating loops -----------------
+#
+# mul, mul_g_power and contract accumulate integer numerators over one common
+# denominator.  The references below are the Fraction-accumulating loops they
+# replaced, with the per-bit inversion count as their sign, so they share
+# neither the arithmetic nor the parity table with the kernels.
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79)
+
+
+def reference_sign(a, b):
+    """Sign of e_A ^ e_B by counting, for each y in B, the x in A above it."""
+    if a & b:
+        return 0
+    inversions = 0
+    rest = b
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        inversions += (a >> low.bit_length()).bit_count()
+    return -1 if inversions & 1 else 1
+
+
+def _add(acc, mask_i, mask_j, value):
+    row = acc.setdefault(mask_i, {})
+    row[mask_j] = row.get(mask_j, 0) + value
+
+
+def _kept(acc):
+    """The accumulated map without cancelled cells and empty rows."""
+    cells = {}
+    for mask_i, row in acc.items():
+        kept = {mask_j: value for mask_j, value in row.items() if value}
+        if kept:
+            cells[mask_i] = kept
+    return cells
+
+
+def reference_mul(a, b):
+    """((p, q), cells) of a . b."""
+    n, p, q = a.n, a.p + b.p, a.q + b.q
+    if p > n or q > n:
+        return (min(p, n), min(q, n)), {}
+    acc = {}
+    for mask_i, row_a in a.cells.items():
+        for mask_k, row_b in b.cells.items():
+            if mask_i & mask_k:
+                continue
+            row_sign = reference_sign(mask_i, mask_k)
+            for mask_j, x in row_a.items():
+                for mask_l, y in row_b.items():
+                    if mask_j & mask_l:
+                        continue
+                    value = x * y
+                    if reference_sign(mask_j, mask_l) != row_sign:
+                        value = -value
+                    _add(acc, mask_i | mask_k, mask_j | mask_l, value)
+    return (p, q), _kept(acc)
+
+
+def reference_mul_g_power(w, power):
+    """((p, q), cells) of g^power . w, from g^k = k! sum_S e_S (x) e_S."""
+    n, p, q = w.n, w.p + power, w.q + power
+    if p > n or q > n:
+        return (min(p, n), min(q, n)), {}
+    acc = {}
+    weight = factorial(power)
+    for mask_i, row in w.cells.items():
+        for mask_j, value in row.items():
+            for mask_s in subset_masks(n, power):
+                if mask_s & (mask_i | mask_j):
+                    continue
+                sign = reference_sign(mask_s, mask_i) * reference_sign(mask_s, mask_j)
+                _add(acc, mask_s | mask_i, mask_s | mask_j, sign * weight * value)
+    return (p, q), _kept(acc)
+
+
+def reference_contract(w):
+    """((p, q), cells) of c w."""
+    if w.p == 0 or w.q == 0:
+        return (max(w.p - 1, 0), max(w.q - 1, 0)), {}
+    acc = {}
+    for mask_i, row in w.cells.items():
+        for mask_j, value in row.items():
+            common = mask_i & mask_j
+            while common:
+                bit = common & -common
+                common ^= bit
+                below = bit - 1
+                flips = (mask_i & below).bit_count() + (mask_j & below).bit_count()
+                _add(acc, mask_i ^ bit, mask_j ^ bit, -value if flips & 1 else value)
+    return (w.p - 1, w.q - 1), _kept(acc)
+
+
+def assert_matches_reference(result, expected):
+    bidegree, cells = expected
+    assert (result.p, result.q) == bidegree
+    assert result.cells == cells
+    for row in result.cells.values():
+        assert row
+        for value in row.values():
+            assert type(value) is Fraction and value != 0
+
+
+@st.composite
+def prime_denominator_forms(draw, n, p=None, q=None):
+    """Up to 14 cells, each over its own prime, so the common denominator
+    is a product of up to 14 primes; numerators in [-3, 3], 0 excluded."""
+    p = draw(st.integers(0, n)) if p is None else p
+    q = draw(st.integers(0, n)) if q is None else q
+    keys = draw(st.lists(
+        st.tuples(st.sampled_from(subset_masks(n, p)), st.sampled_from(subset_masks(n, q))),
+        max_size=14, unique=True,
+    ))
+    primes = draw(st.permutations(PRIMES))
+    form = make_zero(n, p, q)
+    for (mask_i, mask_j), prime in zip(keys, primes):
+        form.set_cell(mask_i, mask_j, Fraction(draw(st.sampled_from((-3, -2, -1, 1, 2, 3))), prime))
+    return form
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_integer_mul_matches_fraction_loop(n, data):
+    a = data.draw(prime_denominator_forms(n))
+    b = data.draw(st.one_of(st.just(a), prime_denominator_forms(n)))
+    assert_matches_reference(a.mul(b), reference_mul(a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_integer_mul_cancels_to_the_zero_map(n, data):
+    # w . w = (-1)^(p+q) w . w, so every cell cancels when p + q is odd
+    p = data.draw(st.integers(0, n))
+    q = data.draw(st.integers(0, n).filter(lambda q: (p + q) % 2))
+    w = data.draw(prime_denominator_forms(n, p, q))
+    product = w.mul(w)
+    assert_matches_reference(product, reference_mul(w, w))
+    assert product.cells == {}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 7), st.data())
+def test_integer_mul_g_power_matches_fraction_loop(n, k, data):
+    w = data.draw(prime_denominator_forms(n))
+    assert_matches_reference(w.mul_g_power(k), reference_mul_g_power(w, k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_integer_contract_matches_fraction_loop(n, data):
+    w = data.draw(prime_denominator_forms(n))
+    assert_matches_reference(w.contract(), reference_contract(w))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6), st.data())
+def test_integer_kernels_cancel_on_effective_forms(n, data):
+    # the top component w_p of w in D^(p,p), 2p <= n, is effective:
+    # c w_p = 0 and g^(n-2p+1) w_p = 0, so every accumulated cell cancels
+    p = data.draw(st.integers(1, n // 2))
+    top = decompose(data.draw(prime_denominator_forms(n, p, p))).components[p]
+    k = n - 2 * p + 1
+    assert_matches_reference(top.contract(), reference_contract(top))
+    assert_matches_reference(top.mul_g_power(k), reference_mul_g_power(top, k))
+    assert top.contract().cells == {} and top.mul_g_power(k).cells == {}
