@@ -9,13 +9,14 @@ nonzero coefficients are stored, in one sparse map over index-set bitmasks:
 
 No zero value and no empty row is ever stored, so two forms are equal
 exactly when their maps are.  Every operation walks the stored cells; mul,
-mul_g_power and contract accumulate integer numerators over one common
-denominator, and Fractions are made at publish, which drops the cells that
-cancelled.  The cell budget bounds the number of stored cells: it is
-checked where a kernel publishes its result, where dense rows or a
-flattened array come in, and on the dense integer matrices built for linear
-solving.  The flattened layout (index sets in lexicographic order,
-row-major) is known only here, in _flat_cells, _flatten and _unflatten.
+contract and g_power_sum (every linear combination: +, -, scale, g-powers)
+accumulate integer numerators over one common denominator, and Fractions
+are made at publish, which drops the cells that cancelled.  The cell budget
+bounds the number of stored cells: it is checked where a kernel publishes
+its result, where dense rows or a flattened array come in, and on the dense
+integer matrices built for linear solving.  The flattened layout (index
+sets in lexicographic order, row-major) is known only here, in _flat_cells,
+_flatten and _unflatten.
 
 All coefficients are exact rationals, so every algebraic identity exercised
 by the test suite is checked with equality, never with tolerances.  Forms are
@@ -42,7 +43,6 @@ from math import comb, factorial, lcm
 
 from .exterior import (
     MAX_DIMENSION,
-    BasisError,
     IndexSet,
     complement_sign_mask,
     mask_to_indices,
@@ -307,33 +307,17 @@ class DoubleForm:
 
     def __add__(self, other: "DoubleForm") -> "DoubleForm":
         self._require_same_bidegree(other)
-        return self._combined(other, subtract=False)
+        return g_power_sum(self.n, self.p, self.q, [(1, 0, self), (1, 0, other)])
 
     def __sub__(self, other: "DoubleForm") -> "DoubleForm":
         self._require_same_bidegree(other)
-        return self._combined(other, subtract=True)
-
-    def _combined(self, other: "DoubleForm", subtract: bool) -> "DoubleForm":
-        out = DoubleForm(self.n, self.p, self.q)
-        cells = {mask_i: dict(row) for mask_i, row in self.cells.items()}
-        for mask_i, row in other.cells.items():
-            for mask_j, value in row.items():
-                _add_into(cells, mask_i, mask_j, -value if subtract else value)
-        out._publish(cells)
-        return out
+        return g_power_sum(self.n, self.p, self.q, [(1, 0, self), (-1, 0, other)])
 
     def __neg__(self) -> "DoubleForm":
         return self.scale(Fraction(-1))
 
     def scale(self, value) -> "DoubleForm":
-        s = as_scalar(value)
-        out = DoubleForm(self.n, self.p, self.q)
-        if s:
-            out.cells = {
-                mask_i: {mask_j: s * v for mask_j, v in row.items()}
-                for mask_i, row in self.cells.items()
-            }
-        return out
+        return g_power_sum(self.n, self.p, self.q, [(as_scalar(value), 0, self)])
 
     def __rmul__(self, value) -> "DoubleForm":
         return self.scale(value)
@@ -397,36 +381,17 @@ class DoubleForm:
     def mul_g_power(self, power: int) -> "DoubleForm":
         """Left multiplication by g^power; power 0 is the identity.
 
-        Uses g^k = k! sum_{|S|=k} e_S (x) e_S, so that one pass over the
-        entries and the k-subsets S gives
-
-            g^k . (e_I (x) e_J) = k! sum_S sign(S,I) sign(S,J) e_{S u I} (x) e_{S u J}
-
-        over the S disjoint from I and J (see g_power_terms).  Degree
-        overflow past n returns the zero form of the clamped degree
+        Degree overflow past n returns the zero form of the clamped degree
         (min(p+k, n), min(q+k, n)), as k successive products by g would.
         """
         if not isinstance(power, int) or power < 0:
             raise DegreeError(f"g-power must be a nonnegative integer, got {power!r}")
         if power == 0:
             return self
-        n = self.n
-        p_out = self.p + power
-        q_out = self.q + power
-        out = DoubleForm(n, min(p_out, n), min(q_out, n))
-        if p_out > n or q_out > n:
-            return out
-        acc = {}
-        weight = factorial(power)
-        den = _common_denominator(self.cells)
-        for mask_i, row in self.cells.items():
-            for mask_j, value in row.items():
-                plus = weight * value.numerator * (den // value.denominator)
-                minus = -plus
-                for sign, ti, tj in g_power_terms(n, power, mask_i, mask_j):
-                    _add_into(acc, ti, tj, plus if sign > 0 else minus)
-        out._publish(acc, den)
-        return out
+        n, p, q = self.n, self.p + power, self.q + power
+        if p > n or q > n:
+            return DoubleForm(n, min(p, n), min(q, n))
+        return g_power_sum(n, p, q, [(1, power, self)])
 
     # -- contraction, inner product, star ----------------------------------
 
@@ -621,7 +586,7 @@ def g_power_terms(n: int, power: int, mask_i: int, mask_j: int):
     """Expand g^power . (e_I (x) e_J) / power! over the basis.
 
     Yields (sign(S,I) sign(S,J), S u I, S u J) for every power-subset S of
-    range(n) disjoint from I and J; the single kernel behind mul_g_power and
+    range(n) disjoint from I and J; the single kernel behind g_power_sum and
     decomposition.g_power_matrix.  The caller checks that the target degrees
     stay within n.
     """
@@ -632,6 +597,44 @@ def g_power_terms(n: int, power: int, mask_i: int, mask_j: int):
         if not mask_s & used:
             sign = -1 if (differ & _odd_above(mask_s)).bit_count() & 1 else 1
             yield sign, mask_s | mask_i, mask_s | mask_j
+
+
+def g_power_sum(n: int, p: int, q: int, terms) -> DoubleForm:
+    """sum_i c_i g^{k_i} . w_i in D^{p,q} for terms (c_i, k_i, w_i), in one pass.
+
+    c is an exact rational or int, w a form over n with (w.p+k, w.q+k) ==
+    (p, q); any other term raises DegreeError.  From g^k = k! sum_{|S|=k}
+    e_S (x) e_S, g^k . (e_I (x) e_J) = k! sum_S sign(S,I) sign(S,J)
+    e_{S u I} (x) e_{S u J} over the S disjoint from I and J (g_power_terms).
+    Cells accumulate as integer numerators over the lcm of the terms'
+    c.denominator * _common_denominator(w), skipping zero coefficients and
+    empty forms; Fractions are made once, at publish.
+    """
+    out = DoubleForm(n, p, q)
+    scaled, den = [], 1
+    for c, k, w in terms:
+        if w.n != n or k < 0 or (w.p + k, w.q + k) != (p, q):
+            raise DegreeError(f"g^{k} . D^({w.p},{w.q}) at n={w.n} is not in D^({p},{q}) at n={n}")
+        if c and w.cells:
+            w_den = _common_denominator(w.cells)
+            den = lcm(den, c.denominator * w_den)
+            scaled.append((c, k, w, w_den))
+    acc = {}
+    for c, k, w, w_den in scaled:
+        weight = c.numerator * factorial(k) * (den // (c.denominator * w_den))
+        for mask_i, row in w.cells.items():
+            if not k:
+                target = acc.setdefault(mask_i, {})
+                for mask_j, value in row.items():
+                    value = weight * value.numerator * (w_den // value.denominator)
+                    target[mask_j] = target.get(mask_j, 0) + value
+                continue
+            for mask_j, value in row.items():
+                value = weight * value.numerator * (w_den // value.denominator)
+                for sign, ti, tj in g_power_terms(n, k, mask_i, mask_j):
+                    _add_into(acc, ti, tj, value if sign > 0 else -value)
+    out._publish(acc, den)
+    return out
 
 
 def contractions(form: DoubleForm, times: int) -> list[DoubleForm]:

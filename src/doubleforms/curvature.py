@@ -39,7 +39,7 @@ from .core import (
     make_zero,
 )
 from .decomposition import decompose
-from .exterior import subset_masks, mask_to_indices, _mask_rank_table
+from .exterior import _mask_rank_table
 
 
 @dataclass(frozen=True)

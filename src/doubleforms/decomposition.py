@@ -17,6 +17,9 @@ divide_g_power, the exact linear-solving route through the isomorphism
 g^{2p-n}: D^{n-p,n-p} -> D^{p,p}, is kept as the independent cross-check of
 that claim and is not called by decompose.
 
+Each closed form here is a sum sum_i c_i g^{k_i} w_i, handed whole to
+core.g_power_sum, which accumulates it in one integer pass.
+
 The module also carries the closed-form Hodge star on first-Bianchi tensors
 (contractions only, no complement signs), its expression through effective
 components, and the exact rank of multiplication by g-powers.
@@ -38,6 +41,7 @@ from .core import (
     _require_cell_budget,
     _unflatten,
     contractions,
+    g_power_sum,
     g_power_terms,
     make_zero,
 )
@@ -67,10 +71,8 @@ class EffectiveDecomposition:
 
     def reconstruct(self) -> DoubleForm:
         """Sum of g^{p-k} . w_k, the inverse of decompose."""
-        total = make_zero(self.n, self.p, self.p)
-        for k, comp in enumerate(self.components):
-            total = total + comp.mul_g_power(self.p - k)
-        return total
+        terms = [(1, self.p - k, comp) for k, comp in enumerate(self.components)]
+        return g_power_sum(self.n, self.p, self.p, terms)
 
 
 def reconstruct(decomposition: EffectiveDecomposition) -> DoubleForm:
@@ -100,14 +102,10 @@ def decompose(form: DoubleForm) -> EffectiveDecomposition:
     components = []
     for k in range(min(p, n - p) + 1):
         lead = Fraction(factorial(n - p - k), factorial(p - k) * factorial(n - 2 * k))
-        acc = chain[p - k]
-        for r in range(1, k + 1):
-            denominator = factorial(r)
-            for i in range(r):
-                denominator *= n - 2 * k + 2 + i
-            term = chain[p - k + r].mul_g_power(r)
-            acc = acc + term.scale(Fraction((-1) ** r, denominator))
-        components.append(acc.scale(lead))
+        terms = [(lead, 0, chain[p - k])]
+        for r in range(1, k + 1):  # c_r = -c_{r-1} / (r (n-2k+1+r))
+            terms.append((terms[-1][0] / -(r * (n - 2 * k + 1 + r)), r, chain[p - k + r]))
+        components.append(g_power_sum(n, k, k, terms))
     components += [make_zero(n, k, k) for k in range(n - p + 1, p + 1)]
     return EffectiveDecomposition(n, p, tuple(components))
 
@@ -208,13 +206,11 @@ def star_bianchi(form: DoubleForm, k: int) -> DoubleForm:
     if not 1 <= p <= k <= n:
         raise DegreeError(f"need 1 <= p <= k <= n, got p={p}, k={k}, n={n}")
     chain = contractions(form, p)
-    result = make_zero(n, n - k, n - k)
-    for r in range(max(0, p - n + k), p + 1):
-        coefficient = Fraction(
-            (-1) ** (r + p), factorial(r) * factorial(n - k - p + r)
-        )
-        result = result + chain[r].mul_g_power(n - k - p + r).scale(coefficient)
-    return result
+    return g_power_sum(n, n - k, n - k, [
+        (Fraction((-1) ** (r + p), factorial(r) * factorial(n - k - p + r)),
+         n - k - p + r, chain[r])
+        for r in range(max(0, p - n + k), p + 1)
+    ])
 
 
 def star_in_components(
@@ -240,13 +236,9 @@ def star_in_components(
                 f"star_in_components needs effective components; "
                 f"component {k} has a nonzero contraction"
             )
-    target = max(n - p - g_power, 0)
-    result = make_zero(n, target, target)
-    upper = min(p, n - p - g_power)
-    for i in range(0, upper + 1):
-        coefficient = Fraction(
-            factorial(p - i + g_power) * (-1) ** i, factorial(n - p - g_power - i)
-        )
-        term = decomposition.components[i].mul_g_power(n - p - g_power - i)
-        result = result + term.scale(coefficient)
-    return result
+    top = n - p - g_power
+    return g_power_sum(n, max(top, 0), max(top, 0), [
+        (Fraction(factorial(p - i + g_power) * (-1) ** i, factorial(top - i)), top - i,
+         decomposition.components[i])
+        for i in range(min(p, top) + 1)
+    ])

@@ -50,7 +50,7 @@ from .curvature import (
     make_product,
 )
 from .decomposition import EffectiveDecomposition
-from .exterior import IndexSet, mask_to_indices, subset_masks, _mask_rank_table
+from .exterior import MAX_DIMENSION, IndexSet, mask_to_indices, subset_masks, _mask_rank_table
 
 
 class SchemaError(ValueError):
@@ -65,10 +65,10 @@ _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def rational_to_str(value: Fraction) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:  # "num", or "num/den"
+        return str(Fraction(value))
+    except ValueError as exc:  # str() refuses ints past the interpreter's digit limit
+        raise DoubleFormError(f"output number too long: {exc}") from exc
 
 
 def rational_from_str(text, path: str = "value") -> Fraction:
@@ -182,10 +182,13 @@ def _write_form(form: DoubleForm, depth: int, out: list) -> None:
     head = "[" + _newline(entry_depth + 1)
     tail = '"' + _newline(entry_depth) + "]"
     # str of a Fraction is rational_to_str's text: "num", or "num/den"
-    items = [
-        head + left[mask_i] + between + right[mask_j] + between + '"' + str(value) + tail
-        for mask_i, mask_j, value in form.entries()
-    ]
+    try:
+        items = [
+            head + left[mask_i] + between + right[mask_j] + between + '"' + str(value) + tail
+            for mask_i, mask_j, value in form.entries()
+        ]
+    except ValueError as exc:  # str() refuses ints past the interpreter's digit limit
+        raise DoubleFormError(f"output number too long: {exc}") from exc
     if items:
         out.append("[" + _newline(entry_depth))
         out.append(("," + _newline(entry_depth)).join(items))
@@ -373,7 +376,8 @@ class ModelSpec:
     form: DoubleForm | None = None
 
 
-def model_spec_from_dict(obj, path: str = "spec") -> ModelSpec:
+def model_spec_from_dict(obj, path: str = "spec", *, depth: int = 0) -> ModelSpec:
+    """The spec obj describes; depth counts the products it is a factor of."""
     obj = _expect_dict(obj, path)
     if "model" not in obj:
         raise SchemaError(path, "missing required field(s): ['model']")
@@ -422,8 +426,11 @@ def model_spec_from_dict(obj, path: str = "spec") -> ModelSpec:
         raw = _expect_list(obj["factors"], f"{path}.factors")
         if len(raw) < 2:
             raise SchemaError(f"{path}.factors", "a product needs at least two factors")
+        if depth >= MAX_DIMENSION - 1:  # m nested products have n >= m + 1
+            raise SchemaError(path, f"products nested more than {MAX_DIMENSION - 1} deep")
         factors = tuple(
-            model_spec_from_dict(f, f"{path}.factors[{i}]") for i, f in enumerate(raw)
+            model_spec_from_dict(f, f"{path}.factors[{i}]", depth=depth + 1)
+            for i, f in enumerate(raw)
         )
         n = sum(f.n for f in factors)
         if "n" in obj and _expect_int(obj["n"], f"{path}.n") != n:

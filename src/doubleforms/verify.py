@@ -36,14 +36,11 @@ from .curvature import (
     avez_pairing,
     einstein_tensor,
     has_constant_sectional,
-    is_conformally_flat_algebraic,
     is_einstein,
     make_conformally_flat,
     make_constant_curvature,
     make_hypersurface,
     make_product,
-    orthogonal_complement,
-    p_curvature,
     power,
     pq_sectional,
     sectional_curvature,

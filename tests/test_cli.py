@@ -157,6 +157,33 @@ def test_unreadable_json_is_a_usage_error(tmp_path, capsys, command, content):
     assert len(lines) == 1 and lines[0].startswith(f"error: {path}: malformed JSON: ")
 
 
+def test_products_nested_as_deep_as_json_allows_are_usage_errors(tmp_path, capsys):
+    # past 15 levels no product fits in n <= 16; deeper specs once overflowed
+    # the stack while the tensor was built
+    leaf = '{"model": "constant", "n": 2, "lambda": "1"}'
+    path = tmp_path / "spec.json"
+
+    def error_line(levels):
+        head, tail = '{"model": "product", "factors": [', ", " + leaf + "]}"
+        path.write_text(head * levels + leaf + tail * levels)
+        assert main(["invariants", "--max-q", "1", "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, lines
+        return lines[0]
+
+    low, high = 16, 100000  # the deepest nesting json.load accepts, by bisection
+    while high - low > 1:
+        middle = (low + high) // 2
+        if "nested too deeply" in error_line(middle):
+            high = middle
+        else:
+            low = middle
+    assert low > 100
+    assert error_line(low).startswith("error: spec" + ".factors[0]" * 15 + ": products nested")
+
+
 # CPython refuses int <-> str conversions past a digit limit (4300 by default)
 _DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 _LONG = "1" * 5000
@@ -186,6 +213,32 @@ def test_numbers_past_the_digit_limit_are_usage_errors(tmp_path, capsys, command
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and where in lines[0], lines
+
+
+@pytest.mark.skipif(not 0 < _DIGIT_LIMIT < 6000, reason="no int() digit limit below 6000")
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        # a 3000-digit lambda is accepted; h_4 has about 6000 digits
+        (["invariants", "--max-q", "2", "--format", fmt, "--spec"],
+         '{"model": "constant", "n": 4, "lambda": "%s"}' % ("1" * 3000))
+        for fmt in ("json", "table")
+    ] + [
+        # the trace 1/d1 + 1/d2 of coprime 3000-digit d1, d2 is over d1 d2
+        (["decompose", "--input"],
+         '{"n": 2, "p": 1, "q": 1, "entries": [[[0], [0], "1/%s"], [[1], [1], "1/1%s"]]}'
+         % ("1" * 3000, "0" * 3000)),
+    ],
+    ids=["invariants_json", "invariants_table", "decompose"],
+)
+def test_output_numbers_past_the_digit_limit_are_usage_errors(tmp_path, capsys, command, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert main(command + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: output number too long"), lines
 
 
 def test_plane_arity_error(product_spec):

@@ -11,6 +11,11 @@ two-space indent on forms, decompositions, invariant reports and verify
 payloads.  The integer-numerator mul, mul_g_power and contract are checked
 against the Fraction-accumulating loops they replaced, on forms over many
 distinct prime denominators and on products and contractions that cancel.
+The one linear-combination kernel, g_power_sum, is checked against the
+Fraction loops of +, - and scale it replaced, on term lists that mix
+powers, zero coefficients and empty forms or cancel, and the closed forms
+built on it (decompose, reconstruct, star_bianchi, star_in_components)
+against their chained acc + X.mul_g_power(r).scale(c) versions.
 """
 
 import json
@@ -19,6 +24,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,9 +38,12 @@ from doubleforms import (
     make_zero,
     power,
     sign_report_h4,
+    star_bianchi,
+    star_in_components,
     weyl_invariant,
 )
 from doubleforms import linalg
+from doubleforms.core import DegreeError, contractions, g_power_sum
 from doubleforms.curvature import Frame, InvariantReport, SectionalSample, pq_sectional
 from doubleforms.decomposition import divide_g_power
 from doubleforms.exterior import subset_masks
@@ -44,7 +53,7 @@ from doubleforms.serialize import (
     form_to_dict,
     report_to_dict,
 )
-from doubleforms.verify import SUITES, model_zoo, run_verify
+from doubleforms.verify import SUITES, model_zoo, random_bianchi, run_verify
 
 
 def dense_rational_form(rng, n, p, q):
@@ -503,3 +512,190 @@ def test_integer_kernels_cancel_on_effective_forms(n, data):
     assert_matches_reference(top.contract(), reference_contract(top))
     assert_matches_reference(top.mul_g_power(k), reference_mul_g_power(top, k))
     assert top.contract().cells == {} and top.mul_g_power(k).cells == {}
+
+
+# -- one linear-combination kernel against the chained Fraction loops --------
+#
+# g_power_sum evaluates sum_i c_i g^(k_i) w_i in one integer pass; +, -, scale
+# and mul_g_power are calls of it with one or two terms, and so are the
+# closed forms of decomposition.  The references below are the Fraction loops
+# they replaced: the _combined loop behind + and -, the loop of scale, and
+# the chained acc + X.mul_g_power(r).scale(c) closed forms, built on
+# reference_mul_g_power.
+
+
+def _form(n, bidegree, cells):
+    out = make_zero(n, *bidegree)
+    out.cells = cells
+    return out
+
+
+def reference_add(a, b, subtract=False):
+    """a + b (or a - b) by the deleted DoubleForm._combined loop."""
+    cells = {mask_i: dict(row) for mask_i, row in a.cells.items()}
+    for mask_i, row in b.cells.items():
+        for mask_j, value in row.items():
+            _add(cells, mask_i, mask_j, -value if subtract else value)
+    return _form(a.n, (a.p, a.q), _kept(cells))
+
+
+def reference_scale(w, s):
+    """s w by the deleted Fraction loop of DoubleForm.scale."""
+    cells = {}
+    if s:
+        cells = {
+            mask_i: {mask_j: s * v for mask_j, v in row.items()} for mask_i, row in w.cells.items()
+        }
+    return _form(w.n, (w.p, w.q), cells)
+
+
+def reference_g(w, power):
+    return _form(w.n, *reference_mul_g_power(w, power))
+
+
+def reference_g_power_sum(n, p, q, terms):
+    total = make_zero(n, p, q)
+    for c, k, w in terms:
+        total = reference_add(total, reference_scale(reference_g(w, k), Fraction(c)))
+    return total
+
+
+def reference_decompose(form):
+    n, p = form.n, form.p
+    chain = contractions(form, p)
+    components = []
+    for k in range(min(p, n - p) + 1):
+        lead = Fraction(factorial(n - p - k), factorial(p - k) * factorial(n - 2 * k))
+        acc = chain[p - k]
+        for r in range(1, k + 1):
+            denominator = factorial(r)
+            for i in range(r):
+                denominator *= n - 2 * k + 2 + i
+            term = reference_g(chain[p - k + r], r)
+            acc = reference_add(acc, reference_scale(term, Fraction((-1) ** r, denominator)))
+        components.append(reference_scale(acc, lead))
+    return components + [make_zero(n, k, k) for k in range(n - p + 1, p + 1)]
+
+
+def reference_reconstruct(decomposition):
+    total = make_zero(decomposition.n, decomposition.p, decomposition.p)
+    for k, comp in enumerate(decomposition.components):
+        total = reference_add(total, reference_g(comp, decomposition.p - k))
+    return total
+
+
+def reference_star_bianchi(form, k):
+    n, p = form.n, form.p
+    chain = contractions(form, p)
+    result = make_zero(n, n - k, n - k)
+    for r in range(max(0, p - n + k), p + 1):
+        coefficient = Fraction((-1) ** (r + p), factorial(r) * factorial(n - k - p + r))
+        term = reference_g(chain[r], n - k - p + r)
+        result = reference_add(result, reference_scale(term, coefficient))
+    return result
+
+
+def reference_star_in_components(decomposition, g_power):
+    n, p = decomposition.n, decomposition.p
+    target = max(n - p - g_power, 0)
+    result = make_zero(n, target, target)
+    for i in range(min(p, n - p - g_power) + 1):
+        coefficient = Fraction(
+            factorial(p - i + g_power) * (-1) ** i, factorial(n - p - g_power - i)
+        )
+        term = reference_g(decomposition.components[i], n - p - g_power - i)
+        result = reference_add(result, reference_scale(term, coefficient))
+    return result
+
+
+def assert_same_form(result, expected):
+    assert_matches_reference(result, ((expected.p, expected.q), expected.cells))
+
+
+_coefficients = st.one_of(
+    st.sampled_from((0, 1, -1, 2)),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+)
+
+
+@st.composite
+def g_power_terms_into(draw, n, p, q):
+    """(c, k, w) terms landing in D^(p,q): powers from 0 to min(p, q), zero
+    coefficients and empty forms included."""
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        k = draw(st.integers(0, min(p, q)))
+        terms.append((draw(_coefficients), k, draw(prime_denominator_forms(n, p - k, q - k))))
+    return terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_g_power_sum_matches_chained_fraction_loops(n, data):
+    p, q = data.draw(st.integers(0, n)), data.draw(st.integers(0, n))
+    terms = data.draw(g_power_terms_into(n, p, q))
+    assert_same_form(g_power_sum(n, p, q, terms), reference_g_power_sum(n, p, q, terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_linear_operations_match_fraction_loops(n, data):
+    p, q = data.draw(st.integers(0, n)), data.draw(st.integers(0, n))
+    a = data.draw(prime_denominator_forms(n, p, q))
+    b = data.draw(st.one_of(st.just(a), prime_denominator_forms(n, p, q)))
+    s = data.draw(_coefficients)
+    assert_same_form(a + b, reference_add(a, b))
+    assert_same_form(a - b, reference_add(a, b, subtract=True))
+    assert_same_form(a.scale(s), reference_scale(a, Fraction(s)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_g_power_sum_cancels_to_the_zero_map(n, data):
+    # c g^k w - c (g^k w) as a power-0 term, around terms that cancel in pairs
+    p, q = data.draw(st.integers(0, n)), data.draw(st.integers(0, n))
+    k = data.draw(st.integers(0, min(p, q)))
+    w = data.draw(prime_denominator_forms(n, p - k, q - k))
+    c = data.draw(_coefficients)
+    others = data.draw(g_power_terms_into(n, p, q))
+    terms = others + [(c, k, w), (-c, 0, reference_g(w, k))] + [(-x, j, u) for x, j, u in others]
+    total = g_power_sum(n, p, q, terms)
+    assert (total.n, total.p, total.q, total.cells) == (n, p, q, {})
+
+
+def test_g_power_sum_refuses_terms_outside_the_target():
+    w = make_g(4)
+    for terms in (
+        [(1, 1, w)],  # lands in D^(2,2)
+        [(1, 0, make_g(5))],  # another n
+        [(1, 0, make_zero(4, 1, 2))],  # another bidegree, even when empty
+        [(0, 2, make_zero(4, 0, 0))],  # a zero coefficient is still checked
+        [(1, -1, make_zero(4, 2, 2))],  # a negative power
+    ):
+        with pytest.raises(DegreeError):
+            g_power_sum(4, 1, 1, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_decompose_and_reconstruct_match_chained_references(n, data):
+    w = data.draw(prime_denominator_forms(n, *(2 * [data.draw(st.integers(0, n))])))
+    d = decompose(w)
+    for component, expected in zip(d.components, reference_decompose(w), strict=True):
+        assert_same_form(component, expected)
+    assert_same_form(d.reconstruct(), reference_reconstruct(d))
+    assert d.reconstruct() == w
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6), st.data())
+def test_star_formulas_match_chained_references(n, data):
+    p = data.draw(st.integers(1, min(3, n // 2)))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    prime = data.draw(st.sampled_from(PRIMES))
+    w = reference_scale(random_bianchi(rng, n, p), Fraction(data.draw(st.integers(1, 5)), prime))
+    k = data.draw(st.integers(p, n))
+    assert_same_form(star_bianchi(w, k), reference_star_bianchi(w, k))
+    d = decompose(w)
+    g_power = data.draw(st.integers(0, n + 1))  # no term once g_power > n - p
+    assert_same_form(star_in_components(d, g_power), reference_star_in_components(d, g_power))

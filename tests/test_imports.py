@@ -1,0 +1,43 @@
+"""Every module of the package uses each name it imports.
+
+A stdlib-only stand-in for a linter's unused-import rule: a name that an
+import binds in a module other than __init__.py (whose imports are its
+re-exports) must be referenced somewhere in that module.  from __future__
+imports are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import doubleforms
+
+PACKAGE = Path(doubleforms.__file__).resolve().parent
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            # `import a.b` binds a
+            imported.update((alias.asname or alias.name).partition(".")[0] for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_unused_imports_are_found():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\nimport sys as system\nfrom math import comb, lcm as least\n"
+        "def f():\n    return comb(system.maxsize, 2)\n"
+    )
+    assert unused_imports(source) == ["least", "os"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    unused = {p.name: unused_imports(p.read_text(encoding="utf-8")) for p in modules}
+    assert {name: names for name, names in unused.items() if names} == {}

@@ -158,6 +158,22 @@ def test_model_spec_schema_errors():
         assert expected_bit.lower() in str(err.value).lower()
 
 
+def nested_products(levels, leaf):
+    """A product spec whose first factor is a product, levels deep."""
+    for _ in range(levels):
+        leaf = {"model": "product", "factors": [leaf, {"model": "constant", "n": 1, "lambda": "0"}]}
+    return leaf
+
+
+def test_product_nesting_is_bounded_by_the_largest_dimension():
+    # each level adds a factor of n >= 1, so 15 levels of two n = 1 factors reach n = 16
+    one = {"model": "constant", "n": 1, "lambda": "0"}
+    assert model_spec_from_dict(nested_products(14, nested_products(1, one))).n == 16
+    with pytest.raises(SchemaError) as err:
+        model_spec_from_dict(nested_products(16, one))
+    assert str(err.value).startswith("spec" + ".factors[0]" * 15 + ": products nested")
+
+
 def test_explicit_model_requires_bianchi():
     good = form_to_dict(make_g(4).mul(make_g(4)))
     spec = model_spec_from_dict({"model": "explicit", "form": good})
