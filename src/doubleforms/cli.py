@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import time
 
@@ -61,14 +62,27 @@ def _cmd_invariants(args) -> int:
     return 0
 
 
-def _parse_plane(text: str) -> tuple[int, ...]:
-    try:
-        indices = tuple(int(part) for part in text.split(",") if part != "")
+_INTEGER_RE = re.compile(r"-?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """An integer flag value: ASCII digits with an optional leading '-',
+    matched in full (no sign '+', spaces, underscores or other digits)."""
+    if not _INTEGER_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    try:  # int() refuses more digits than the interpreter's conversion limit
+        return int(text)
     except ValueError as exc:
-        raise SchemaError("--plane", f"expected comma-separated integers, got {text!r}") from exc
-    if not indices:
+        raise argparse.ArgumentTypeError(f"number too long: {exc}") from exc
+
+
+def _parse_plane(text: str) -> tuple[int, ...]:
+    if not text:
         raise SchemaError("--plane", "needs at least one index")
-    return indices
+    try:
+        return tuple(map(_integer, text.split(",")))
+    except argparse.ArgumentTypeError as exc:
+        raise SchemaError("--plane", f"expected comma-separated integers, got {text!r}") from exc
 
 
 def _cmd_pq(args) -> int:
@@ -125,14 +139,14 @@ def _parser() -> argparse.ArgumentParser:
 
     p_inv = sub.add_parser("invariants", help="h_{2q} and T_{2q} tables for a model")
     p_inv.add_argument("--spec", required=True, help="model spec JSON file")
-    p_inv.add_argument("--max-q", type=int, required=True, dest="max_q")
+    p_inv.add_argument("--max-q", type=_integer, required=True, dest="max_q")
     p_inv.add_argument("--format", choices=("json", "table"), default="json")
     p_inv.set_defaults(func=_cmd_invariants)
 
     p_pq = sub.add_parser("pq", help="s_{(p,q)} on a coordinate plane")
     p_pq.add_argument("--spec", required=True)
-    p_pq.add_argument("--p", type=int, required=True)
-    p_pq.add_argument("--q", type=int, required=True)
+    p_pq.add_argument("--p", type=_integer, required=True)
+    p_pq.add_argument("--q", type=_integer, required=True)
     p_pq.add_argument("--plane", default="", help="comma-separated indices, e.g. 0,1")
     p_pq.add_argument("--format", choices=("json", "table"), default="json")
     p_pq.set_defaults(func=_cmd_pq)
@@ -143,9 +157,9 @@ def _parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run an identity suite")
     p_ver.add_argument("--suite", required=True)
-    p_ver.add_argument("--n", type=int, default=None, help="dimension (default: 4 and 5)")
-    p_ver.add_argument("--trials", type=int, default=50)
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--n", type=_integer, default=None, help="dimension (default: 4 and 5)")
+    p_ver.add_argument("--trials", type=_integer, default=50)
+    p_ver.add_argument("--seed", type=_integer, default=0)
     p_ver.set_defaults(func=_cmd_verify)
     return parser
 

@@ -3,19 +3,24 @@
 A double form of bidegree (p, q) is a bilinear form on Lambda^p x Lambda^q,
 skew-symmetric within each argument block, with one coefficient per basis
 element e_I (x) e_J.  The basis is orthonormal and self-dual.  Only the
-nonzero coefficients are stored, in one sparse map over index-set bitmasks:
+nonzero coefficients are stored, as integer numerators over one positive
+denominator, in one sparse map over index-set bitmasks:
 
-    cells[mask_I][mask_J] == value of the form on (e_I, e_J).
+    cells[mask_I][mask_J] / den == value of the form on (e_I, e_J).
 
-No zero value and no empty row is ever stored, so two forms are equal
-exactly when their maps are.  Every operation walks the stored cells; mul,
-contract and g_power_sum (every linear combination: +, -, scale, g-powers)
-accumulate integer numerators over one common denominator, and Fractions
-are made at publish, which drops the cells that cancelled.  The cell budget
-bounds the number of stored cells: it is checked where a kernel publishes
-its result, where dense rows or a flattened array come in, and on the dense
-integer matrices built for linear solving.  The flattened layout (index
-sets in lexicographic order, row-major) is known only here, in _flat_cells,
+No zero numerator and no empty row is ever stored, gcd(den, every
+numerator) == 1, and den == 1 for the zero form, so two forms are equal
+exactly when their maps and denominators are.  Every operation walks the
+stored numerators: the kernels (mul, contract, bianchi_sum, and
+g_power_sum for every linear combination: +, -, scale, g-powers) read each
+operand's den, accumulate plain ints over the product or lcm of those, and
+publish, which drops the cells that cancelled and divides by one gcd.  A
+Fraction is made only where a value leaves a form: cell(), entries(),
+inner(), evaluate() and the flattened array.  The cell budget bounds the
+number of stored cells: it is checked where a kernel publishes its result,
+where dense rows or a flattened array come in, and on the dense integer
+matrices built for linear solving.  The flattened layout (index sets in
+lexicographic order, row-major) is known only here, in _flat_cells,
 _flatten and _unflatten.
 
 All coefficients are exact rationals, so every algebraic identity exercised
@@ -39,7 +44,7 @@ from __future__ import annotations
 import itertools
 import os
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 from .exterior import (
     MAX_DIMENSION,
@@ -152,21 +157,11 @@ _ZERO = Fraction(0)
 _NO_ROW: dict = {}  # read-only stand-in for a row with no stored cell
 
 
-def _common_denominator(cells: dict) -> int:
-    """The lcm of the stored values' denominators, d: every value v has the
-    integer numerator v.numerator * (d // v.denominator) over d."""
-    return lcm(*{value.denominator for row in cells.values() for value in row.values()})
-
-
-def _add_into(cells: dict, mask_i: int, mask_j: int, value) -> None:
-    """Accumulate value into cells[mask_i][mask_j]."""
-    row = cells.get(mask_i)
-    if row is None:
-        cells[mask_i] = {mask_j: value}
-    elif mask_j in row:
-        row[mask_j] += value
-    else:
-        row[mask_j] = value
+def _ratio(value) -> tuple[int, int]:
+    """(numerator, denominator) of an exact int or Fraction scalar."""
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator
+    raise DoubleFormError(f"expected an exact rational scalar, got {value!r}")
 
 
 class DoubleForm:
@@ -175,7 +170,7 @@ class DoubleForm:
     coeffs, when given, are dense C(n,p) x C(n,q) rows in lexicographic order.
     """
 
-    __slots__ = ("n", "p", "q", "cells")
+    __slots__ = ("n", "p", "q", "cells", "den")
 
     def __init__(self, n: int, p: int, q: int, coeffs=None):
         if not isinstance(n, int) or not 1 <= n <= MAX_DIMENSION:
@@ -186,36 +181,56 @@ class DoubleForm:
         self.p = p
         self.q = q
         self.cells = {}
+        self.den = 1
         if coeffs is not None:
             rows, cols = comb(n, p), comb(n, q)
             if len(coeffs) != rows or any(len(row) != cols for row in coeffs):
                 raise DimensionMismatchError(
                     f"coefficient array must be {rows}x{cols} for D^({p},{q}) at n={n}"
                 )
+            ratios = [list(map(_ratio, row)) for row in coeffs]
+            den = lcm(*{d for row in ratios for _, d in row})
             col_masks = subset_masks(n, q)
             self._publish({
-                mask_i: dict(zip(col_masks, map(as_scalar, row)))
-                for mask_i, row in zip(subset_masks(n, p), coeffs)
-            })
+                mask_i: {mask_j: num * (den // d) for mask_j, (num, d) in zip(col_masks, row)}
+                for mask_i, row in zip(subset_masks(n, p), ratios)
+            }, den)
 
-    def _publish(self, acc: dict, den: int | None = None) -> None:
-        """Store the accumulated cells that did not cancel to zero, without
-        empty rows, refusing more of them than the cell budget.  With den,
-        acc holds integer numerators over den, made Fractions here."""
+    def _publish(self, acc: dict, den: int) -> None:
+        """Store acc, integer numerators over den > 0, as the cells: drop the
+        cells that cancelled to zero and the empty rows, refuse more cells
+        than the cell budget, and divide by the gcd of den and the
+        numerators.  acc is emptied and its rows may be kept as they are, so
+        the caller hands it over."""
         cells = {}
         stored = 0
-        for mask_i, row in acc.items():
-            if den is None:
-                kept = {mask_j: value for mask_j, value in row.items() if value}
-            elif den == 1:  # Fraction(int) skips the gcd
-                kept = {mask_j: Fraction(value) for mask_j, value in row.items() if value}
-            else:
-                kept = {mask_j: Fraction(value, den) for mask_j, value in row.items() if value}
-            if kept:
-                cells[mask_i] = kept
-                stored += len(kept)
-        _require_cell_budget(stored, f"D^({self.p},{self.q}) at n={self.n}")
+        while acc:  # popped, so a row's memory is free once its copy is made
+            mask_i, row = acc.popitem()
+            if not all(row.values()):
+                row = {mask_j: value for mask_j, value in row.items() if value}
+            if row:
+                cells[mask_i] = row
+                stored += len(row)
+        if stored > (_cell_budget or cell_budget()):
+            _require_cell_budget(stored, f"D^({self.p},{self.q}) at n={self.n}")
         self.cells = cells
+        self.den = den
+        if den != 1:
+            self._reduce(den)
+
+    def _reduce(self, common: int) -> None:
+        """Divide den and every numerator by their gcd, given common, the gcd
+        of den and some of the numerators (den itself will do)."""
+        for row in self.cells.values():
+            if common == 1:
+                return
+            common = gcd(common, *row.values())
+        if common != 1:  # den alone when no cell is stored, leaving den == 1
+            self.den //= common
+            self.cells = {
+                mask_i: {mask_j: value // common for mask_j, value in row.items()}
+                for mask_i, row in self.cells.items()
+            }
 
     # -- basic structure ---------------------------------------------------
 
@@ -229,28 +244,44 @@ class DoubleForm:
 
     def cell(self, mask_i: int, mask_j: int) -> Fraction:
         """Coefficient at (e_I, e_J), given as index-set masks."""
-        return self.cells.get(mask_i, _NO_ROW).get(mask_j, _ZERO)
+        num = self.cells.get(mask_i, _NO_ROW).get(mask_j)
+        return Fraction(num, self.den) if num else _ZERO
 
     def set_cell(self, mask_i: int, mask_j: int, value) -> None:
-        """Set one coefficient while building a form; 0 removes the cell."""
-        value = as_scalar(value)
+        """Set one coefficient while building a form; 0 removes the cell.
+
+        O(1) for an integer value while den is 1.  Otherwise the numerators
+        move to the lcm of den and the value's denominator, and the form is
+        reduced again.
+        """
+        num, value_den = _ratio(value)
+        den = self.den
+        if value_den != 1 or den != 1:
+            common = lcm(den, value_den)
+            if common != den:
+                factor = common // den
+                self.cells = {
+                    row_mask: {col_mask: v * factor for col_mask, v in row.items()}
+                    for row_mask, row in self.cells.items()
+                }
+                self.den = den = common
+            num *= den // value_den
         row = self.cells.setdefault(mask_i, {})
-        if value:
-            row[mask_j] = value
+        if num:
+            row[mask_j] = num
         else:
             row.pop(mask_j, None)
             if not row:
                 del self.cells[mask_i]
+        if den != 1:
+            self._reduce(gcd(den, num))
 
     def entries(self):
         """Yield (mask_I, mask_J, coefficient) over nonzero coefficients,
         in lexicographic (rank I, rank J) order."""
-        row_rank = _mask_rank_table(self.n, self.p)
-        col_rank = _mask_rank_table(self.n, self.q)
-        for mask_i in sorted(self.cells, key=row_rank.__getitem__):
-            row = self.cells[mask_i]
-            for mask_j in sorted(row, key=col_rank.__getitem__):
-                yield mask_i, mask_j, row[mask_j]
+        den = self.den
+        for mask_i, mask_j, num in _sorted_cells(self):
+            yield mask_i, mask_j, Fraction(num, den)
 
     def is_zero(self) -> bool:
         return not self.cells
@@ -279,6 +310,7 @@ class DoubleForm:
             self.n == other.n
             and self.p == other.p
             and self.q == other.q
+            and self.den == other.den
             and self.cells == other.cells
         )
 
@@ -347,20 +379,12 @@ class DoubleForm:
         out = DoubleForm(n, min(p_out, n), min(q_out, n))
         if p_out > n or q_out > n:
             return out
-        den_a = _common_denominator(self.cells)
-        den_b = _common_denominator(other.cells)
-        right = [
-            (mask_k, [(mask_l, b.numerator * (den_b // b.denominator)) for mask_l, b in row.items()])
-            for mask_k, row in other.cells.items()
-        ]
+        right = [(mask_k, list(row.items())) for mask_k, row in other.cells.items()]
         acc = {}
         for mask_i, row_a in self.cells.items():
             odd_i = _odd_above(mask_i)
             # sign(I,K) sign(J,L) = (-1)^(popcount(K & odd_I) + popcount(L & odd_J))
-            left = [
-                (mask_j, _odd_above(mask_j), a.numerator * (den_a // a.denominator))
-                for mask_j, a in row_a.items()
-            ]
+            left = [(mask_j, _odd_above(mask_j), a) for mask_j, a in row_a.items()]
             for mask_k, row_b in right:
                 if mask_i & mask_k:
                     continue
@@ -375,7 +399,7 @@ class DoubleForm:
                             target[col] = target.get(col, 0) + a * b
                         else:
                             target[col] = target.get(col, 0) - a * b
-        out._publish(acc, den_a * den_b)
+        out._publish(acc, self.den * other.den)
         return out
 
     def mul_g_power(self, power: int) -> "DoubleForm":
@@ -406,20 +430,24 @@ class DoubleForm:
             return DoubleForm(n, max(p - 1, 0), max(q - 1, 0))
         out = DoubleForm(n, p - 1, q - 1)
         acc = {}
-        den = _common_denominator(self.cells)
         for mask_i, row in self.cells.items():
-            for mask_j, value in row.items():
-                value = value.numerator * (den // value.denominator)
-                common = mask_i & mask_j
-                while common:
-                    bit = common & -common
-                    common ^= bit
-                    # moving e_j to the front of each block passes the
-                    # smaller indices of that block
-                    below = bit - 1
-                    flips = (mask_i & below).bit_count() + (mask_j & below).bit_count()
-                    _add_into(acc, mask_i ^ bit, mask_j ^ bit, -value if flips & 1 else value)
-        out._publish(acc, den)
+            rest = mask_i
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                # moving e_j to the front of each block passes the smaller
+                # indices of that block
+                below = bit - 1
+                row_odd = (mask_i & below).bit_count() & 1
+                target = acc.setdefault(mask_i ^ bit, {})
+                for mask_j, value in row.items():
+                    if mask_j & bit:
+                        col = mask_j ^ bit
+                        if (mask_j & below).bit_count() & 1 == row_odd:
+                            target[col] = target.get(col, 0) + value
+                        else:
+                            target[col] = target.get(col, 0) - value
+        out._publish(acc, self.den)
         return out
 
     def inner(self, other: "DoubleForm") -> Fraction:
@@ -427,7 +455,7 @@ class DoubleForm:
         self._require_same_space(other)
         if (self.p, self.q) != (other.p, other.q):
             return _ZERO
-        total = _ZERO
+        total = 0
         for mask_i, row in self.cells.items():
             other_row = other.cells.get(mask_i)
             if other_row:
@@ -435,7 +463,7 @@ class DoubleForm:
                     b = other_row.get(mask_j)
                     if b is not None:
                         total += a * b
-        return total
+        return Fraction(total, self.den * other.den)
 
     def norm_sq(self) -> Fraction:
         return self.inner(self)
@@ -456,6 +484,7 @@ class DoubleForm:
                 full ^ mask_j: value if sign_i == complement_sign_mask(n, mask_j) else -value
                 for mask_j, value in row.items()
             }
+        out.den = self.den
         return out
 
     # -- symmetry and the Bianchi sum ---------------------------------------
@@ -466,6 +495,7 @@ class DoubleForm:
         for mask_i, row in self.cells.items():
             for mask_j, value in row.items():
                 out.cells.setdefault(mask_j, {})[mask_i] = value
+        out.den = self.den
         return out
 
     def is_symmetric(self) -> bool:
@@ -497,28 +527,33 @@ class DoubleForm:
                 while movable:
                     bit = movable & -movable
                     movable ^= bit
-                    new_j = mask_j ^ bit
+                    new_i, new_j = mask_i | bit, mask_j ^ bit
                     # slot of the moved index inside the enlarged first block is
                     # 1-based; pulling it out of the second block costs one swap
                     # per smaller remaining index.
                     flips = (mask_i & (bit - 1)).bit_count() + 1 + (new_j & (bit - 1)).bit_count()
-                    _add_into(acc, mask_i | bit, new_j, -value if flips & 1 else value)
-        out._publish(acc)
+                    term = -value if flips & 1 else value
+                    target = acc.get(new_i)
+                    if target is None:
+                        acc[new_i] = {new_j: term}
+                    else:
+                        target[new_j] = target.get(new_j, 0) + term
+        out._publish(acc, self.den)
         return out
 
     # -- evaluation as a multilinear form -----------------------------------
 
     def evaluate(self, x_vectors, y_vectors) -> Fraction:
         """Value on (x_1 ^ ... ^ x_p, y_1 ^ ... ^ y_q) for rational vectors."""
-        xs = [_coerce_vector(self.n, v) for v in x_vectors]
-        ys = [_coerce_vector(self.n, v) for v in y_vectors]
+        xs, x_scale = _integer_vectors(self.n, x_vectors)
+        ys, y_scale = _integer_vectors(self.n, y_vectors)
         if len(xs) != self.p or len(ys) != self.q:
             raise DimensionMismatchError(
                 f"need {self.p} x-vectors and {self.q} y-vectors, "
                 f"got {len(xs)} and {len(ys)}"
             )
-        total = _ZERO
-        col_minors: dict[int, Fraction] = {}
+        total = 0
+        col_minors: dict[int, int] = {}
         for mask_i, row in self.cells.items():
             row_minor = _minor(xs, mask_i)
             if not row_minor:
@@ -529,7 +564,7 @@ class DoubleForm:
                     col_minor = col_minors[mask_j] = _minor(ys, mask_j)
                 if col_minor:
                     total += value * row_minor * col_minor
-        return total
+        return Fraction(total, self.den * x_scale * y_scale)
 
 
 def _coerce_vector(n: int, vector) -> list[Fraction]:
@@ -539,38 +574,59 @@ def _coerce_vector(n: int, vector) -> list[Fraction]:
     return vec
 
 
-def _minor(vectors, mask: int) -> Fraction:
-    """Coordinate of v_1 ^ ... ^ v_k on e_I, for I the index set of mask."""
+def _integer_vectors(n: int, vectors) -> tuple[list[list[int]], int]:
+    """The vectors, each scaled to integers by the lcm of its denominators,
+    and the product of those scales: a minor of the scaled vectors is that
+    product times the same minor of the given ones."""
+    out, scale = [], 1
+    for vector in vectors:
+        ratios = [_ratio(v) for v in vector]
+        if len(ratios) != n:
+            raise DimensionMismatchError(f"vector length {len(ratios)} != ambient dimension {n}")
+        den = lcm(*(d for _, d in ratios))
+        out.append([num * (den // d) for num, d in ratios])
+        scale *= den
+    return out, scale
+
+
+def _minor(vectors: list[list[int]], mask: int) -> int:
+    """Coordinate of v_1 ^ ... ^ v_k on e_I, for integer vectors and I the
+    index set of mask."""
     idx = mask_to_indices(mask)
     return _det([[vec[i] for i in idx] for vec in vectors])
 
 
-def _wedge_coordinates(n: int, vectors, k: int) -> list[Fraction]:
-    """Coordinates of v_1 ^ ... ^ v_k over the lex-ordered basis of Lambda^k."""
-    return [_minor(vectors, mask) for mask in subset_masks(n, k)]
+def _wedge_coordinates(n: int, vectors, k: int) -> list[int]:
+    """Integer coordinates, over the lex-ordered basis of Lambda^k, of a
+    positive multiple of v_1 ^ ... ^ v_k: the wedge of the vectors scaled to
+    integers by _integer_vectors."""
+    ints, _ = _integer_vectors(n, vectors)
+    return [_minor(ints, mask) for mask in subset_masks(n, k)]
 
 
-def _det(rows) -> Fraction:
-    """Determinant of a small square rational matrix by exact elimination."""
-    size = len(rows)
-    if size == 0:
-        return Fraction(1)
+def _det(rows: list[list[int]]) -> int:
+    """Determinant of a small square integer matrix by fraction-free
+    (Bareiss) elimination: each division by the previous pivot is exact."""
     m = [list(r) for r in rows]
-    det = Fraction(1)
+    size = len(m)
+    sign, previous = 1, 1
     for col in range(size):
         pivot = next((r for r in range(col, size) if m[r][col]), None)
         if pivot is None:
-            return _ZERO
+            return 0
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
+            sign = -sign
+        top = m[col]
+        lead = top[col]
         for r in range(col + 1, size):
-            if m[r][col]:
-                f = m[r][col] * inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return det
+            row = m[r]
+            below = row[col]
+            row[col + 1:] = [
+                (x * lead - below * y) // previous for x, y in zip(row[col + 1:], top[col + 1:])
+            ]
+        previous = lead
+    return sign * previous
 
 
 def _permutation_sign(perm) -> int:
@@ -586,9 +642,8 @@ def g_power_terms(n: int, power: int, mask_i: int, mask_j: int):
     """Expand g^power . (e_I (x) e_J) / power! over the basis.
 
     Yields (sign(S,I) sign(S,J), S u I, S u J) for every power-subset S of
-    range(n) disjoint from I and J; the single kernel behind g_power_sum and
-    decomposition.g_power_matrix.  The caller checks that the target degrees
-    stay within n.
+    range(n) disjoint from I and J, for decomposition.g_power_matrix; the
+    caller checks that the target degrees stay within n.
     """
     used = mask_i | mask_j
     # sign(S,I) sign(S,J) = (-1)^(popcount(I & odd_S) + popcount(J & odd_S))
@@ -605,34 +660,49 @@ def g_power_sum(n: int, p: int, q: int, terms) -> DoubleForm:
     c is an exact rational or int, w a form over n with (w.p+k, w.q+k) ==
     (p, q); any other term raises DegreeError.  From g^k = k! sum_{|S|=k}
     e_S (x) e_S, g^k . (e_I (x) e_J) = k! sum_S sign(S,I) sign(S,J)
-    e_{S u I} (x) e_{S u J} over the S disjoint from I and J (g_power_terms).
-    Cells accumulate as integer numerators over the lcm of the terms'
-    c.denominator * _common_denominator(w), skipping zero coefficients and
-    empty forms; Fractions are made once, at publish.
+    e_{S u I} (x) e_{S u J} over the S disjoint from I and J.  Rows go
+    first, as in mul: per row I and subset S, the row parity and the
+    target row are found once.  Cells accumulate as integer numerators over
+    the lcm of the terms' c.denominator * w.den, skipping zero coefficients
+    and empty forms, and are published once.
     """
     out = DoubleForm(n, p, q)
-    scaled, den = [], 1
+    live, den = [], 1
     for c, k, w in terms:
         if w.n != n or k < 0 or (w.p + k, w.q + k) != (p, q):
             raise DegreeError(f"g^{k} . D^({w.p},{w.q}) at n={w.n} is not in D^({p},{q}) at n={n}")
         if c and w.cells:
-            w_den = _common_denominator(w.cells)
-            den = lcm(den, c.denominator * w_den)
-            scaled.append((c, k, w, w_den))
+            den = lcm(den, c.denominator * w.den)
+            live.append((c, k, w))
     acc = {}
-    for c, k, w, w_den in scaled:
-        weight = c.numerator * factorial(k) * (den // (c.denominator * w_den))
+    for c, k, w in live:
+        weight = c.numerator * factorial(k) * (den // (c.denominator * w.den))
+        if not k:
+            for mask_i, row in w.cells.items():
+                target = acc.get(mask_i)
+                if target is None:
+                    acc[mask_i] = {mask_j: weight * value for mask_j, value in row.items()}
+                else:
+                    for mask_j, value in row.items():
+                        target[mask_j] = target.get(mask_j, 0) + weight * value
+            continue
+        subsets = [(mask_s, _odd_above(mask_s)) for mask_s in subset_masks(n, k)]
         for mask_i, row in w.cells.items():
-            if not k:
-                target = acc.setdefault(mask_i, {})
-                for mask_j, value in row.items():
-                    value = weight * value.numerator * (w_den // value.denominator)
-                    target[mask_j] = target.get(mask_j, 0) + value
-                continue
-            for mask_j, value in row.items():
-                value = weight * value.numerator * (w_den // value.denominator)
-                for sign, ti, tj in g_power_terms(n, k, mask_i, mask_j):
-                    _add_into(acc, ti, tj, value if sign > 0 else -value)
+            scaled = [(mask_j, weight * value) for mask_j, value in row.items()]
+            for mask_s, odd_s in subsets:
+                if mask_s & mask_i:
+                    continue
+                # sign(S,I) sign(S,J) = (-1)^(popcount(I & odd_S) + popcount(J & odd_S))
+                row_odd = (mask_i & odd_s).bit_count() & 1
+                target = acc.setdefault(mask_s | mask_i, {})
+                for mask_j, value in scaled:
+                    if mask_s & mask_j:
+                        continue
+                    col = mask_s | mask_j
+                    if (mask_j & odd_s).bit_count() & 1 == row_odd:
+                        target[col] = target.get(col, 0) + value
+                    else:
+                        target[col] = target.get(col, 0) - value
     out._publish(acc, den)
     return out
 
@@ -648,23 +718,34 @@ def contractions(form: DoubleForm, times: int) -> list[DoubleForm]:
 # -- the flattened layout ---------------------------------------------------
 
 
+def _sorted_cells(form: DoubleForm):
+    """(mask_I, mask_J, numerator) per stored cell, in lexicographic
+    (rank I, rank J) order."""
+    row_rank = _mask_rank_table(form.n, form.p)
+    col_rank = _mask_rank_table(form.n, form.q)
+    for mask_i in sorted(form.cells, key=row_rank.__getitem__):
+        row = form.cells[mask_i]
+        for mask_j in sorted(row, key=col_rank.__getitem__):
+            yield mask_i, mask_j, row[mask_j]
+
+
 def _flat_cells(form: DoubleForm):
-    """(position in the lex-ordered, row-major flattened array, value) per
-    stored cell."""
+    """(position in the lex-ordered, row-major flattened array, numerator)
+    per stored cell; the values are the numerators over form.den."""
     row_rank = _mask_rank_table(form.n, form.p)
     col_rank = _mask_rank_table(form.n, form.q)
     cols = comb(form.n, form.q)
     for mask_i, row in form.cells.items():
         base = row_rank[mask_i] * cols
-        for mask_j, value in row.items():
-            yield base + col_rank[mask_j], value
+        for mask_j, num in row.items():
+            yield base + col_rank[mask_j], num
 
 
 def _flatten(form: DoubleForm) -> list[Fraction]:
     """The dense flattened coefficient array of a form."""
     values = [_ZERO] * (comb(form.n, form.p) * comb(form.n, form.q))
-    for index, value in _flat_cells(form):
-        values[index] = value
+    for index, num in _flat_cells(form):
+        values[index] = Fraction(num, form.den)
     return values
 
 
@@ -689,15 +770,14 @@ def make_basis(n: int, left, right) -> DoubleForm:
     if i.n != n or j.n != n:
         raise DimensionMismatchError("index sets must live over the given n")
     out = DoubleForm(n, i.k, j.k)
-    out.cells[i.mask] = {j.mask: Fraction(1)}
+    out.cells[i.mask] = {j.mask: 1}
     return out
 
 
 def make_g(n: int) -> DoubleForm:
     """The metric tensor g = sum_i e_i (x) e_i in D^{1,1}."""
     out = DoubleForm(n, 1, 1)
-    one = Fraction(1)
-    out.cells = {1 << i: {1 << i: one} for i in range(n)}
+    out.cells = {1 << i: {1 << i: 1} for i in range(n)}
     return out
 
 

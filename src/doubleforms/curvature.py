@@ -126,6 +126,7 @@ def _embed(form: DoubleForm, n_total: int, offset: int) -> DoubleForm:
         mask_i << offset: {mask_j << offset: value for mask_j, value in row.items()}
         for mask_i, row in form.cells.items()
     }
+    out.den = form.den
     return out
 
 
@@ -163,13 +164,14 @@ class Frame:
     Linear independence is equivalent to a nonzero Gram determinant, which
     equals the squared norm of the wedge of the vectors; sectional values
     divide by it, so any basis of the plane gives the orthonormal value.
-    wedge_coordinates, the coordinates of v_1 ^ ... ^ v_p over the
-    lexicographic basis, are computed once, at construction.
+    wedge_coordinates, the integer coordinates over the lexicographic basis
+    of a positive multiple of v_1 ^ ... ^ v_p (each vector scaled to
+    integers), are computed once, at construction.
     """
 
     n: int
     vectors: tuple[tuple[Fraction, ...], ...]
-    wedge_coordinates: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    wedge_coordinates: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.vectors:
@@ -237,7 +239,12 @@ def _residual(vector, ortho_basis):
 
 
 def sectional_curvature(form: DoubleForm, plane: Frame) -> Fraction:
-    """K(P) = w(V, V) / <V, V> for V the wedge of the frame vectors."""
+    """K(P) = w(V, V) / <V, V> for V the wedge of the frame vectors.
+
+    The ratio does not change when V is scaled, so V is the frame's integer
+    wedge, and w(V, V) / <V, V> is (sum of numerator * V_I * V_J) over
+    (form.den * <V, V>), one Fraction.
+    """
     if form.n != plane.n:
         raise DegreeError(
             f"form over n={form.n} cannot be evaluated on a frame over n={plane.n}"
@@ -252,7 +259,7 @@ def sectional_curvature(form: DoubleForm, plane: Frame) -> Fraction:
     if not gram:
         raise FrameError("frame vectors are linearly dependent")
     rank = _mask_rank_table(form.n, form.p)
-    value = Fraction(0)
+    value = 0
     for mask_i, row in form.cells.items():
         ci = coords[rank[mask_i]]
         if not ci:
@@ -261,7 +268,7 @@ def sectional_curvature(form: DoubleForm, plane: Frame) -> Fraction:
             cj = coords[rank[mask_j]]
             if cj:
                 value += entry * ci * cj
-    return value / gram
+    return Fraction(value, form.den * gram)
 
 
 # -- the (p,q)-curvatures ------------------------------------------------------

@@ -7,15 +7,18 @@ Emission has one writer, dumps_canonical.  Its text is json.dumps's with
 sorted keys and a two-space indent, plus a final newline: ASCII string
 escapes, entries in lexicographic cell order.  Besides plain JSON values it
 takes forms, decompositions and invariant reports as leaves; a form's
-entries are written straight from DoubleForm.entries(), with the text of
-each index list cached per (n, k, depth), so no list of lists is built.
+entries are written straight from its stored numerators in entries()
+order, each over the form's denominator reduced by one gcd, with the text
+of each index list cached per (n, k, depth), so no list of lists and no
+Fraction is built.
 form_to_dict, decomposition_to_dict and report_to_dict build plain dicts
 from the same payloads.  json.dumps itself is left to the tests, as the
 writer's oracle.
 
 Parsing: form_from_dict looks an index list up in a cached
 tuple(indices) -> mask table per (n, k) when the list holds exact ints
-only, and reads each distinct value string once per call.  Anything else
+only, reads each distinct value string once per call, and publishes the
+numerators over the lcm of the values' denominators once.  Anything else
 takes the validating route (_read_index_set, rational_from_str), so which
 inputs are refused, and with which message, does not depend on the fast
 path.
@@ -29,13 +32,14 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from math import comb
+from math import comb, gcd, lcm
 
 from .core import (
     BianchiRequiredError,
     DoubleForm,
     DoubleFormError,
     _require_cell_budget,
+    _sorted_cells,
     make_zero,
 )
 from .curvature import (
@@ -181,11 +185,13 @@ def _write_form(form: DoubleForm, depth: int, out: list) -> None:
     between = "," + _newline(entry_depth + 1)
     head = "[" + _newline(entry_depth + 1)
     tail = '"' + _newline(entry_depth) + "]"
-    # str of a Fraction is rational_to_str's text: "num", or "num/den"
+    # rational_to_str's text: "num", or "num/den" in lowest terms
+    den = form.den
     try:
         items = [
-            head + left[mask_i] + between + right[mask_j] + between + '"' + str(value) + tail
-            for mask_i, mask_j, value in form.entries()
+            head + left[mask_i] + between + right[mask_j] + between + '"'
+            + (_ratio_text(num, den) if den != 1 else str(num)) + tail
+            for mask_i, mask_j, num in _sorted_cells(form)
         ]
     except ValueError as exc:  # str() refuses ints past the interpreter's digit limit
         raise DoubleFormError(f"output number too long: {exc}") from exc
@@ -198,6 +204,14 @@ def _write_form(form: DoubleForm, depth: int, out: list) -> None:
     out.append(
         f',{inner}"n": {form.n},{inner}"p": {form.p},{inner}"q": {form.q}{_newline(depth)}}}'
     )
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """num/den in lowest terms, as rational_to_str writes it."""
+    common = gcd(num, den)
+    if common == den:
+        return str(num // den)
+    return f"{num // common}/{den // common}"
 
 
 def _plain(payload):
@@ -267,11 +281,13 @@ def form_from_dict(obj, path: str = "form") -> DoubleForm:
     row_masks, col_masks = _index_masks(n, p), _index_masks(n, q)
     row_types, col_types = (int,) * p, (int,) * q
     width = comb(n, q)
-    values: dict[str, Fraction] = {}
-    cells: dict[int, dict[int, Fraction]] = {}
+    # cells hold an index into ratios; each distinct value string is read once
+    ratios: list[Fraction] = []
+    slots: dict[str, int] = {}
+    cells: dict[int, dict[int, int]] = {}
     last = -1
     for index, entry in enumerate(entries):
-        left = right = value = None
+        left = right = slot = None
         if type(entry) is list and len(entry) == 3:
             raw_i, raw_j, raw_value = entry
             # exact ints only: True == 1 and 1.0 == 1 would hit the table too
@@ -280,8 +296,8 @@ def form_from_dict(obj, path: str = "form") -> DoubleForm:
             if type(raw_j) is list and tuple(map(type, raw_j)) == col_types:
                 right = col_masks.get(tuple(raw_j))
             if type(raw_value) is str:
-                value = values.get(raw_value)
-        if left is None or right is None or value is None:
+                slot = slots.get(raw_value)
+        if left is None or right is None or slot is None:
             epath = f"{path}.entries[{index}]"
             entry = _expect_list(entry, epath)
             if len(entry) != 3:
@@ -290,10 +306,11 @@ def form_from_dict(obj, path: str = "form") -> DoubleForm:
                 left = _read_index_set(entry[0], n, p, f"{epath}[0]").mask
             if right is None:
                 right = _read_index_set(entry[1], n, q, f"{epath}[1]").mask
-            if value is None:
-                value = rational_from_str(entry[2], f"{epath}[2]")
+            if slot is None:
+                slot = len(ratios)
+                ratios.append(rational_from_str(entry[2], f"{epath}[2]"))
                 if type(entry[2]) is str:
-                    values[entry[2]] = value
+                    slots[entry[2]] = slot
         key = row_rank[left] * width + col_rank[right]
         if key <= last:
             raise SchemaError(
@@ -303,8 +320,13 @@ def form_from_dict(obj, path: str = "form") -> DoubleForm:
         row = cells.get(left)
         if row is None:
             row = cells[left] = {}
-        row[right] = value
-    form._publish(cells)  # drops the zero values
+        row[right] = slot
+    den = lcm(*{ratio.denominator for ratio in ratios})
+    scaled = [ratio.numerator * (den // ratio.denominator) for ratio in ratios]
+    form._publish({
+        mask_i: {mask_j: scaled[slot] for mask_j, slot in row.items()}
+        for mask_i, row in cells.items()
+    }, den)  # drops the zero values
     return form
 
 

@@ -74,7 +74,7 @@ def random_form(rng: random.Random, n: int, p: int, q: int, density: float = 0.2
     for mask_i in form.row_masks:
         for mask_j in col_masks:
             if rng.random() < density:
-                form.set_cell(mask_i, mask_j, Fraction(rng.randint(-9, 9)))
+                form.set_cell(mask_i, mask_j, rng.randint(-9, 9))
     return form
 
 
@@ -97,8 +97,10 @@ def _operator_rows(n: int, p: int, q: int, operator) -> list[list[int]]:
         for mask_j in subset_masks(n, q):
             cell = make_zero(n, p, q)
             cell.set_cell(mask_i, mask_j, 1)
-            for r, value in _flat_cells(operator(cell)):
-                rows[r][col] = int(value)
+            image = operator(cell)
+            assert image.den == 1, "an integer operator gave a fractional image"
+            for r, num in _flat_cells(image):
+                rows[r][col] = num
             col += 1
     return rows
 

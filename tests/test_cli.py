@@ -356,3 +356,60 @@ def test_cell_budget_environment_keeps_int_syntax():
     result = run_with_cell_budget(" 7 ", code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "7"
+
+
+def exit_code(argv) -> int:
+    """main's return value, or the code argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "flag, text",
+    [
+        ("--max-q", "٢"),  # ARABIC-INDIC DIGIT TWO
+        ("--max-q", "+1"),
+        ("--max-q", " 1"),
+        ("--max-q", "1 "),
+        ("--p", "２"),  # FULLWIDTH DIGIT TWO
+        ("--q", "0_1"),
+        ("--n", "٤"),  # ARABIC-INDIC DIGIT FOUR
+        ("--trials", "1_0"),
+        ("--seed", "+1"),
+        ("--seed", "1" * 5000),
+        ("--plane", "١,٢"),
+        ("--plane", "0,,1,"),
+        ("--plane", ",0,1"),
+        ("--plane", "0, 1"),
+        ("--plane", "+0,1"),
+        ("--plane", "0," + "1" * 5000),
+    ],
+)
+def test_integer_flags_take_ascii_digits_matched_in_full(
+    sphere_spec, product_spec, capsys, flag, text
+):
+    commands = {
+        "--max-q": ["invariants", "--spec", sphere_spec, "--max-q", "1"],
+        "--p": ["pq", "--spec", product_spec, "--p", "2", "--q", "1", "--plane", "0,1"],
+        "--q": ["pq", "--spec", product_spec, "--p", "2", "--q", "1", "--plane", "0,1"],
+        "--plane": ["pq", "--spec", product_spec, "--p", "2", "--q", "1", "--plane", "0,1"],
+        "--n": ["verify", "--suite", "hodge", "--n", "4", "--trials", "1"],
+        "--trials": ["verify", "--suite", "hodge", "--n", "4", "--trials", "1"],
+        "--seed": ["verify", "--suite", "hodge", "--n", "4", "--trials", "1", "--seed", "0"],
+    }
+    argv = commands[flag]
+    assert exit_code(argv) == 0  # the command runs with the plain value
+    capsys.readouterr()
+    argv[argv.index(flag) + 1] = text
+    assert exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err and "Traceback" not in captured.err
+
+
+def test_integer_flags_keep_a_leading_minus(sphere_spec, capsys):
+    assert exit_code(["verify", "--suite", "hodge", "--n", "4", "--trials", "1", "--seed", "-3"]) == 0
+    assert exit_code(["pq", "--spec", sphere_spec, "--p", "1", "--q", "1", "--plane", "-1"]) == 2
+    assert "coordinate index out of range" in capsys.readouterr().err

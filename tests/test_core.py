@@ -68,7 +68,7 @@ def test_cell_budget_counts_stored_cells():
         with pytest.raises(CellBudgetError, match=r"refusing 15 cells for D\^\(2,2\) at n=6"):
             make_g(6).mul(make_g(6))
         rows = [[int(i == j < 10) for j in range(15)] for i in range(15)]
-        assert len(DoubleForm(6, 2, 2, rows).cells) == 10
+        assert sum(1 for _ in DoubleForm(6, 2, 2, rows).entries()) == 10
         rows[10][10] = 1
         with pytest.raises(CellBudgetError):
             DoubleForm(6, 2, 2, rows)

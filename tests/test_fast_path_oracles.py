@@ -15,14 +15,18 @@ The one linear-combination kernel, g_power_sum, is checked against the
 Fraction loops of +, - and scale it replaced, on term lists that mix
 powers, zero coefficients and empty forms or cancel, and the closed forms
 built on it (decompose, reconstruct, star_bianchi, star_in_components)
-against their chained acc + X.mul_g_power(r).scale(c) versions.
+against their chained acc + X.mul_g_power(r).scale(c) versions.  The
+references read values through entries(), as Fractions.  inner, evaluate,
+bianchi_sum and sectional_curvature, which accumulate the stored integer
+numerators, are checked against the Fraction loops of the per-cell
+Fraction storage.
 """
 
 import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -44,7 +48,13 @@ from doubleforms import (
 )
 from doubleforms import linalg
 from doubleforms.core import DegreeError, contractions, g_power_sum
-from doubleforms.curvature import Frame, InvariantReport, SectionalSample, pq_sectional
+from doubleforms.curvature import (
+    Frame,
+    InvariantReport,
+    SectionalSample,
+    pq_sectional,
+    sectional_curvature,
+)
 from doubleforms.decomposition import divide_g_power
 from doubleforms.exterior import subset_masks
 from doubleforms.serialize import (
@@ -369,6 +379,14 @@ def reference_sign(a, b):
     return -1 if inversions & 1 else 1
 
 
+def fraction_cells(w):
+    """mask_I -> {mask_J -> Fraction} over the stored cells, read through entries()."""
+    cells = {}
+    for mask_i, mask_j, value in w.entries():
+        cells.setdefault(mask_i, {})[mask_j] = value
+    return cells
+
+
 def _add(acc, mask_i, mask_j, value):
     row = acc.setdefault(mask_i, {})
     row[mask_j] = row.get(mask_j, 0) + value
@@ -390,8 +408,8 @@ def reference_mul(a, b):
     if p > n or q > n:
         return (min(p, n), min(q, n)), {}
     acc = {}
-    for mask_i, row_a in a.cells.items():
-        for mask_k, row_b in b.cells.items():
+    for mask_i, row_a in fraction_cells(a).items():
+        for mask_k, row_b in fraction_cells(b).items():
             if mask_i & mask_k:
                 continue
             row_sign = reference_sign(mask_i, mask_k)
@@ -413,7 +431,7 @@ def reference_mul_g_power(w, power):
         return (min(p, n), min(q, n)), {}
     acc = {}
     weight = factorial(power)
-    for mask_i, row in w.cells.items():
+    for mask_i, row in fraction_cells(w).items():
         for mask_j, value in row.items():
             for mask_s in subset_masks(n, power):
                 if mask_s & (mask_i | mask_j):
@@ -428,7 +446,7 @@ def reference_contract(w):
     if w.p == 0 or w.q == 0:
         return (max(w.p - 1, 0), max(w.q - 1, 0)), {}
     acc = {}
-    for mask_i, row in w.cells.items():
+    for mask_i, row in fraction_cells(w).items():
         for mask_j, value in row.items():
             common = mask_i & mask_j
             while common:
@@ -441,13 +459,16 @@ def reference_contract(w):
 
 
 def assert_matches_reference(result, expected):
+    """Same bidegree and values, stored as reduced nonzero integer numerators."""
     bidegree, cells = expected
     assert (result.p, result.q) == bidegree
-    assert result.cells == cells
+    assert fraction_cells(result) == cells
+    numerators = [v for row in result.cells.values() for v in row.values()]
+    assert result.den >= 1 and gcd(result.den, *numerators) == 1
     for row in result.cells.values():
         assert row
         for value in row.values():
-            assert type(value) is Fraction and value != 0
+            assert type(value) is int and value != 0
 
 
 @st.composite
@@ -525,15 +546,18 @@ def test_integer_kernels_cancel_on_effective_forms(n, data):
 
 
 def _form(n, bidegree, cells):
-    out = make_zero(n, *bidegree)
-    out.cells = cells
-    return out
+    """The form with the given Fraction cells, built from dense rows."""
+    p, q = bidegree
+    return DoubleForm(n, p, q, [
+        [cells.get(mask_i, {}).get(mask_j, 0) for mask_j in subset_masks(n, q)]
+        for mask_i in subset_masks(n, p)
+    ])
 
 
 def reference_add(a, b, subtract=False):
     """a + b (or a - b) by the deleted DoubleForm._combined loop."""
-    cells = {mask_i: dict(row) for mask_i, row in a.cells.items()}
-    for mask_i, row in b.cells.items():
+    cells = fraction_cells(a)
+    for mask_i, row in fraction_cells(b).items():
         for mask_j, value in row.items():
             _add(cells, mask_i, mask_j, -value if subtract else value)
     return _form(a.n, (a.p, a.q), _kept(cells))
@@ -544,7 +568,8 @@ def reference_scale(w, s):
     cells = {}
     if s:
         cells = {
-            mask_i: {mask_j: s * v for mask_j, v in row.items()} for mask_i, row in w.cells.items()
+            mask_i: {mask_j: s * v for mask_j, v in row.items()}
+            for mask_i, row in fraction_cells(w).items()
         }
     return _form(w.n, (w.p, w.q), cells)
 
@@ -609,7 +634,7 @@ def reference_star_in_components(decomposition, g_power):
 
 
 def assert_same_form(result, expected):
-    assert_matches_reference(result, ((expected.p, expected.q), expected.cells))
+    assert_matches_reference(result, ((expected.p, expected.q), fraction_cells(expected)))
 
 
 _coefficients = st.one_of(
@@ -699,3 +724,131 @@ def test_star_formulas_match_chained_references(n, data):
     d = decompose(w)
     g_power = data.draw(st.integers(0, n + 1))  # no term once g_power > n - p
     assert_same_form(star_in_components(d, g_power), reference_star_in_components(d, g_power))
+
+
+# -- value-reading methods against the Fraction loops they replaced ------------
+#
+# inner, evaluate, bianchi_sum and sectional_curvature accumulate the stored
+# integer numerators and make one Fraction at the end.  The references are
+# the Fraction loops of the per-cell Fraction storage, reading values through
+# entries(), with minors by Fraction elimination of the unscaled vectors.
+
+
+def reference_inner(a, b):
+    if (a.p, a.q) != (b.p, b.q):
+        return Fraction(0)
+    right = fraction_cells(b)
+    total = Fraction(0)
+    for mask_i, row in fraction_cells(a).items():
+        for mask_j, x in row.items():
+            y = right.get(mask_i, {}).get(mask_j)
+            if y is not None:
+                total += x * y
+    return total
+
+
+def reference_det(rows):
+    m = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for col in range(len(m)):
+        pivot = next((r for r in range(col, len(m)) if m[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, len(m)):
+            f = m[r][col] / m[col][col]
+            m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return det
+
+
+def reference_minor(vectors, mask):
+    idx = [i for i in range(len(vectors[0]) if vectors else 0) if mask >> i & 1]
+    return reference_det([[vec[i] for i in idx] for vec in vectors])
+
+
+def reference_evaluate(w, xs, ys):
+    total = Fraction(0)
+    for mask_i, row in fraction_cells(w).items():
+        for mask_j, value in row.items():
+            total += value * reference_minor(xs, mask_i) * reference_minor(ys, mask_j)
+    return total
+
+
+def reference_bianchi_sum(w):
+    """((p, q), cells) of B w."""
+    n, p, q = w.n, w.p, w.q
+    if q == 0:
+        return (min(p + 1, n), 0), {}
+    if p == n:
+        return (n, q - 1), {}
+    acc = {}
+    for mask_i, row in fraction_cells(w).items():
+        for mask_j, value in row.items():
+            movable = mask_j & ~mask_i
+            while movable:
+                bit = movable & -movable
+                movable ^= bit
+                new_j = mask_j ^ bit
+                flips = (mask_i & (bit - 1)).bit_count() + 1 + (new_j & (bit - 1)).bit_count()
+                _add(acc, mask_i | bit, new_j, -value if flips & 1 else value)
+    return (p + 1, q - 1), _kept(acc)
+
+
+def reference_sectional_curvature(w, vectors):
+    n, k = w.n, len(vectors)
+    coords = {mask: reference_minor(vectors, mask) for mask in subset_masks(n, k)}
+    value = Fraction(0)
+    for mask_i, row in fraction_cells(w).items():
+        for mask_j, entry in row.items():
+            value += entry * coords[mask_i] * coords[mask_j]
+    return value / sum(c * c for c in coords.values())
+
+
+_vector_entries = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=7)
+)
+
+
+def rational_vectors(n, count):
+    return st.lists(
+        st.lists(_vector_entries, min_size=n, max_size=n), min_size=count, max_size=count
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_inner_and_bianchi_sum_match_fraction_loops(n, data):
+    a = data.draw(prime_denominator_forms(n))
+    b = data.draw(st.one_of(
+        st.just(a), prime_denominator_forms(n, a.p, a.q), prime_denominator_forms(n)
+    ))
+    assert a.inner(b) == reference_inner(a, b)
+    assert type(a.inner(b)) is Fraction
+    assert_matches_reference(a.bianchi_sum(), reference_bianchi_sum(a))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_evaluate_matches_fraction_loop(n, data):
+    w = data.draw(prime_denominator_forms(n))
+    xs = data.draw(rational_vectors(n, w.p))
+    ys = data.draw(rational_vectors(n, w.q))
+    value = w.evaluate(xs, ys)
+    assert value == reference_evaluate(w, xs, ys)
+    assert type(value) is Fraction
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 6), st.data())
+def test_sectional_curvature_matches_fraction_loop(n, data):
+    k = data.draw(st.integers(1, n))
+    w = data.draw(prime_denominator_forms(n, k, k))
+    vectors = data.draw(rational_vectors(n, k).filter(
+        lambda vs: any(reference_minor(vs, mask) for mask in subset_masks(n, k))
+    ))
+    value = sectional_curvature(w, Frame.from_vectors(n, vectors))
+    assert value == reference_sectional_curvature(w, vectors)
+    assert type(value) is Fraction

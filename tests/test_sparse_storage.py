@@ -1,20 +1,24 @@
 """The sparse cell map behind DoubleForm.
 
-A form stores only its nonzero coefficients, mask_I -> {mask_J -> value},
-with no stored zero and no empty row, so equality of forms is equality of
-maps.  These properties check that invariant through the dense layouts
-(rows given to the constructor, the flattened array), exact cancellation
-in the kernels, symmetry and output order.
+A form stores only its nonzero coefficients, as integer numerators
+mask_I -> {mask_J -> int} over one positive denominator den, with no stored
+zero, no empty row, gcd(den, every numerator) == 1 and den == 1 for the
+zero form, so equality of forms is equality of maps and denominators.
+These properties check that invariant on every construction route (dense
+rows, set_cell, JSON, each kernel, hodge, transpose, the product
+embedding), that two routes to the same form compare equal, and check
+exact cancellation in the kernels, symmetry and output order.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doubleforms import DoubleForm, make_basis, make_zero
-from doubleforms.core import _flatten, _unflatten
+from doubleforms import DoubleForm, make_basis, make_g, make_zero
+from doubleforms.core import _flatten, _unflatten, g_power_sum
+from doubleforms.curvature import _embed
 from doubleforms.exterior import mask_rank, subset_masks
 from doubleforms.serialize import form_from_dict, form_to_dict
 
@@ -34,16 +38,26 @@ def small_forms(draw, p=None, q=None):
     return DoubleForm(n, p, q, draw(st.lists(row, min_size=comb(n, p), max_size=comb(n, p))))
 
 
-def assert_no_stored_zero(w):
+def assert_normalized(w):
+    """Nonzero int numerators, no empty row, den >= 1 coprime to them all
+    (so den == 1 for the zero form)."""
+    assert type(w.den) is int and w.den >= 1
     for mask_i, row in w.cells.items():
         assert row, f"empty row {mask_i:b}"
-        assert all(row.values()), f"stored zero in row {mask_i:b}"
+        assert all(type(v) is int and v for v in row.values()), f"bad numerator in row {mask_i:b}"
+    assert gcd(w.den, *(v for row in w.cells.values() for v in row.values())) == 1
+
+
+def _dense_rows(w):
+    flat = _flatten(w)
+    cols = comb(w.n, w.q)
+    return [flat[at:at + cols] for at in range(0, len(flat), cols)]
 
 
 @settings(max_examples=100, deadline=None)
 @given(small_forms())
 def test_dense_layouts_round_trip(w):
-    assert_no_stored_zero(w)
+    assert_normalized(w)
     flat = _flatten(w)
     assert len(flat) == comb(w.n, w.p) * comb(w.n, w.q)
     again = _unflatten(w.n, w.p, w.q, flat)
@@ -88,22 +102,69 @@ def test_products_that_cancel_store_nothing(data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(small_forms(), small_forms())
-def test_every_kernel_keeps_the_map_free_of_zeros(w, v):
+@given(small_forms(), small_forms(), st.sampled_from([Fraction(-3, 2), Fraction(5, 4), 6]))
+def test_every_kernel_keeps_the_map_free_of_zeros(w, v, s):
+    n, p, q = w.n, w.p, w.q
+    shifted = _embed(w, n + 3, 2)
     results = [
         w.contract(),
         w.hodge(),
         w.bianchi_sum(),
         w.transpose(),
         w.mul_g_power(2),
-        w.scale(Fraction(-3, 2)),
+        w.scale(s),
+        g_power_sum(n, p, q, [(s, 0, w), (Fraction(1, 3), 0, w)]),
+        shifted,
     ]
-    if w.n == v.n:
+    if n == v.n:
         results.append(w.mul(v))
-        if (w.p, w.q) == (v.p, v.q):
+        if (p, q) == (v.p, v.q):
             results += [w + v, w - v]
     for result in results:
-        assert_no_stored_zero(result)
+        assert_normalized(result)
+    # the same form by two routes
+    sign = -1 if (p + q) * (n - p - q) % 2 else 1
+    assert w.hodge().hodge() == w.scale(sign)
+    assert w.transpose().transpose() == w
+    assert g_power_sum(n, p, q, [(s, 0, w), (Fraction(1, 3), 0, w)]) == w.scale(s + Fraction(1, 3))
+    if p < n and q < n:
+        assert w.mul_g_power(1) == make_g(n).mul(w)
+    scaled_rows = [[s * value for value in row] for row in _dense_rows(w)]
+    assert w.scale(s) == DoubleForm(n, p, q, scaled_rows)
+    by_cells = make_zero(n + 3, p, q)
+    for mask_i, mask_j, value in w.entries():
+        by_cells.set_cell(mask_i << 2, mask_j << 2, value)
+    assert shifted == by_cells
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_forms(), st.data())
+def test_build_routes_store_reduced_numerators_and_agree(w, data):
+    n, p, q = w.n, w.p, w.q
+    assert_normalized(w)  # dense rows
+    parsed = form_from_dict(form_to_dict(w))
+    assert_normalized(parsed)
+    assert parsed == w
+    built = make_zero(n, p, q)
+    for mask_i, mask_j, value in w.entries():
+        built.set_cell(mask_i, mask_j, value)
+        assert_normalized(built)
+    assert built == w
+    if w.is_zero():
+        return
+    # overwrite a cell with another value (zero included), put it back,
+    # then remove it; each step against the dense rows of the same values
+    mask_i = data.draw(st.sampled_from(sorted(w.cells)))
+    mask_j = data.draw(st.sampled_from(sorted(w.cells[mask_i])))
+    i, j = mask_rank(n, mask_i), mask_rank(n, mask_j)
+    rows = _dense_rows(w)
+    for value in (data.draw(values), rows[i][j], 0):
+        built.set_cell(mask_i, mask_j, value)
+        rows[i][j] = value
+        assert_normalized(built)
+        assert built == DoubleForm(n, p, q, rows)
+        assert built.cell(mask_i, mask_j) == value
+    assert (built.den == 1) == all(v.denominator == 1 for row in rows for v in map(Fraction, row))
 
 
 @settings(max_examples=100, deadline=None)
@@ -139,7 +200,7 @@ def test_writing_zero_removes_the_cell(w, data):
     dense[i * cols + j] = Fraction(0)
     assert mask_j not in w.cells.get(mask_i, {})
     assert (mask_i in w.cells) != row_was_single
-    assert_no_stored_zero(w)
+    assert_normalized(w)
     assert _flatten(w) == dense
     rows = [dense[at:at + cols] for at in range(0, len(dense), cols)]
     assert w == DoubleForm(w.n, w.p, w.q, rows)
