@@ -4,7 +4,7 @@ Commands:
   invariants --spec FILE --max-q Q [--format json|table]
   pq         --spec FILE --p P --q Q --plane i,j,... [--format json|table]
   decompose  --input FORM.json
-  verify     --suite NAME [--n N] [--trials T] [--seed S]
+  verify     --suite NAME [--n N] [--trials T] [--seed S] [--timings FILE]
 
 Exit codes: 0 success, 1 identity failure, 2 usage or schema error.  Output
 on stdout is byte-identical for identical inputs; timing goes to stderr.
@@ -13,6 +13,7 @@ on stdout is byte-identical for identical inputs; timing goes to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import re
@@ -116,9 +117,24 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_verify(args) -> int:
     dims = [args.n] if args.n is not None else [4, 5]
-    started = time.perf_counter()
-    outcomes = [verify.run_verify(args.suite, n, args.trials, args.seed) for n in dims]
-    elapsed = time.perf_counter() - started
+    with contextlib.ExitStack() as stack:
+        timings = None
+        if args.timings is not None:
+            # opened before the run, so that a bad path fails at once
+            try:
+                timings = stack.enter_context(open(args.timings, "w", encoding="utf-8"))
+            except OSError as exc:
+                raise SchemaError("--timings", f"cannot write file: {exc}") from exc
+        started = time.perf_counter()
+        outcomes = [verify.run_verify(args.suite, n, args.trials, args.seed) for n in dims]
+        elapsed = time.perf_counter() - started
+        if timings is not None:
+            try:
+                json.dump({"runs": [o.timings_dict() for o in outcomes]}, timings, indent=2)
+                timings.write("\n")
+                timings.close()
+            except OSError as exc:
+                raise SchemaError("--timings", f"cannot write file: {exc}") from exc
     if len(outcomes) == 1:
         payload = outcomes[0].to_dict()
     else:
@@ -160,6 +176,10 @@ def _parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--n", type=_integer, default=None, help="dimension (default: 4 and 5)")
     p_ver.add_argument("--trials", type=_integer, default=50)
     p_ver.add_argument("--seed", type=_integer, default=0)
+    p_ver.add_argument(
+        "--timings", default=None, metavar="FILE",
+        help="write each check's wall time and case count, per n, as JSON to FILE",
+    )
     p_ver.set_defaults(func=_cmd_verify)
     return parser
 

@@ -153,6 +153,9 @@ def power(tensor: CurvatureTensor, exponent: int) -> CurvatureTensor:
 # -- frames and sectional curvature -------------------------------------------
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 class FrameError(DoubleFormError):
     """Degenerate or malformed tangent frame."""
 
@@ -190,16 +193,31 @@ class Frame:
 
     @classmethod
     def coordinate(cls, n: int, indices) -> "Frame":
-        """The plane spanned by the listed standard basis vectors."""
+        """The plane spanned by the listed standard basis vectors.
+
+        The wedge e_{i_1} ^ ... ^ e_{i_k} has one nonzero coordinate, at
+        the plane's mask: the sign of the permutation that sorts the
+        indices, that is the parity of their inversions.
+        """
         idx = tuple(indices)
+        if any(not isinstance(i, int) or isinstance(i, bool) for i in idx):
+            raise FrameError(f"coordinate plane indices must be integers, got {idx!r}")
         if len(set(idx)) != len(idx):
             raise FrameError(f"coordinate plane indices must be distinct, got {idx}")
         if any(not 0 <= i < n for i in idx):
             raise FrameError(f"coordinate index out of range [0, {n}): {idx}")
-        vectors = tuple(
-            tuple(Fraction(1) if j == i else Fraction(0) for j in range(n)) for i in idx
-        )
-        return cls(n, vectors)
+        if not idx:
+            raise FrameError("a frame needs at least one vector")
+        vectors = tuple(tuple(_ONE if j == i else _ZERO for j in range(n)) for i in idx)
+        inversions = sum(a > b for k, a in enumerate(idx) for b in idx[k + 1:])
+        table = _mask_rank_table(n, len(idx))
+        coords = [0] * len(table)
+        coords[table[sum(1 << i for i in idx)]] = -1 if inversions & 1 else 1
+        frame = object.__new__(cls)  # skips __post_init__ and its C(n, k) minors
+        object.__setattr__(frame, "n", n)
+        object.__setattr__(frame, "vectors", vectors)
+        object.__setattr__(frame, "wedge_coordinates", tuple(coords))
+        return frame
 
     @property
     def size(self) -> int:

@@ -3,8 +3,16 @@
 Everything here works over Fractions (or ints) and never approximates.
 One fraction-free Bareiss forward pass on denominator-cleared rows, which
 keeps intermediate integers small, serves rank (its pivot count), solve and
-nullspace (integer back substitution from its rows); projections keep an
-integer orthogonal basis with gcd reduction after every step.
+nullspace (integer back substitution from its rows).
+
+rank and KernelProjector work block by block.  The operator matrices built
+from double forms (the Bianchi and contraction constraints, g_power_matrix)
+preserve I delta J and so are block-diagonal up to an ordering of rows and
+columns.  _blocks finds the connected components of any matrix's nonzero
+pattern, with no knowledge of the operator: the rank is the sum of the
+block ranks, and the orthogonal projection onto the kernel is the blockwise
+projection, one precomputed integer matrix per block.  nullspace stays
+whole, because the basis it returns depends on the elimination order.
 """
 
 from __future__ import annotations
@@ -89,10 +97,43 @@ def _back_substitute(rows, pivots, cols: int, free: int | None = None) -> list[F
     return [Fraction(v, d) if v else _ZERO for v in num]
 
 
+def _blocks(rows) -> list[tuple[list[int], list[int]]]:
+    """The connected components of the nonzero pattern of a matrix.
+
+    Two columns are joined when a row is nonzero in both (union-find over
+    columns).  Returns (row indices, column indices) per component that
+    holds a nonzero row, rows and columns each in their original order;
+    zero rows and columns zero in every row belong to no component.
+    """
+    parent: dict[int, int] = {}
+
+    def root(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    supports = [[c for c, v in enumerate(row) if v] for row in rows]
+    for support in supports:
+        for c in support:
+            parent.setdefault(c, c)
+            parent[root(c)] = root(support[0])
+    blocks: dict[int, tuple[list[int], list[int]]] = {}
+    for r, support in enumerate(supports):
+        if support:
+            blocks.setdefault(root(support[0]), ([], []))[0].append(r)
+    for c in sorted(parent):
+        blocks[root(c)][1].append(c)
+    return list(blocks.values())
+
+
 def rank(matrix) -> int:
-    """Exact rank: the number of pivots of the forward elimination."""
-    rows = [r for r in matrix if any(r)]
-    return len(_echelon(rows, [0] * len(rows))[1])
+    """Exact rank: the sum over the blocks of the forward elimination's
+    pivot count on the block."""
+    total = 0
+    for block_rows, cols in _blocks(matrix):
+        rows = [[matrix[r][c] for c in cols] for r in block_rows]
+        total += len(_echelon(rows, [0] * len(rows))[1])
+    return total
 
 
 def solve(matrix, rhs) -> list[Fraction] | None:
@@ -138,33 +179,48 @@ def _reduce_content(vec: list[int]) -> list[int]:
 class KernelProjector:
     """Orthogonal projection onto the kernel of a constraint matrix.
 
-    Gram-Schmidt (without normalization) orthogonalizes the constraint rows
-    into an integer basis of the row space; projecting subtracts the
-    row-space component.  Exact, deterministic, and cached by callers.
+    Per block of the constraint rows, Gram-Schmidt (without normalization)
+    orthogonalizes the rows into an integer basis b of the block's row
+    space, and the block's projector I - sum b b^T / |b|^2 is stored as the
+    integer matrix scale * (I - sum b b^T / |b|^2), scale the lcm of the
+    |b|^2.  Columns outside every block pass through unchanged.  Exact,
+    deterministic, and cached by callers.
     """
 
     def __init__(self, constraint_rows):
-        basis: list[list[int]] = []
-        norms: list[int] = []
-        for row in constraint_rows:
-            vec = _integer_row(row)
-            if not any(vec):
-                continue
-            for b, nb in zip(basis, norms):
-                d = _dot_int(vec, b)
-                if d:
-                    vec = _reduce_content([nb * x - d * y for x, y in zip(vec, b)])
-            if any(vec):
-                basis.append(vec)
-                norms.append(_dot_int(vec, vec))
-        self.basis = basis
-        self.norms = norms
+        self.blocks: list[tuple[list[int], list[list[int]], int]] = []
+        for block_rows, cols in _blocks(constraint_rows):
+            basis: list[list[int]] = []
+            norms: list[int] = []
+            for r in block_rows:
+                vec = _integer_row([constraint_rows[r][c] for c in cols])
+                for b, nb in zip(basis, norms):
+                    d = _dot_int(vec, b)
+                    if d:
+                        vec = _reduce_content([nb * x - d * y for x, y in zip(vec, b)])
+                if any(vec):
+                    basis.append(vec)
+                    norms.append(_dot_int(vec, vec))
+            scale = lcm(*norms)
+            weights = [scale // nb for nb in norms]
+            matrix = [
+                [scale * (i == j) - sum(w * b[i] * b[j] for b, w in zip(basis, weights))
+                 for j in range(len(cols))]
+                for i in range(len(cols))
+            ]
+            self.blocks.append((cols, matrix, scale))
 
     def project(self, vector) -> list[Fraction]:
-        out = [Fraction(v) for v in vector]
-        for b, nb in zip(self.basis, self.norms):
-            d = sum(x * y for x, y in zip(out, b) if y and x)
-            if d:
-                f = Fraction(d, nb)
-                out = [x - f * y if y else x for x, y in zip(out, b)]
+        """The projection of a rational vector: its denominators cleared
+        once, then one integer matrix-vector product per block."""
+        out = [v if isinstance(v, Fraction) else Fraction(v) for v in vector]
+        den = lcm(*(v.denominator for v in out))
+        for cols, matrix, scale in self.blocks:
+            nums = [out[c].numerator * (den // out[c].denominator) for c in cols]
+            if not any(nums):
+                continue
+            total = scale * den
+            for c, row in zip(cols, matrix):
+                value = sum(m * x for m, x in zip(row, nums) if x)
+                out[c] = Fraction(value, total) if value else _ZERO
         return out

@@ -55,7 +55,7 @@ from .decomposition import (
     star_bianchi,
     star_in_components,
 )
-from .exterior import mask_to_indices, subset_masks
+from .exterior import subset_masks
 from .linalg import KernelProjector, nullspace
 
 
@@ -72,15 +72,27 @@ def random_form(rng: random.Random, n: int, p: int, q: int, density: float = 0.2
     form = make_zero(n, p, q)
     col_masks = form.col_masks
     for mask_i in form.row_masks:
+        row = {}
         for mask_j in col_masks:
             if rng.random() < density:
-                form.set_cell(mask_i, mask_j, rng.randint(-9, 9))
+                value = rng.randint(-9, 9)
+                if value:
+                    row[mask_j] = value
+        if row:
+            form.cells[mask_i] = row
     return form
 
 
 def random_symmetric(rng: random.Random, n: int, p: int) -> DoubleForm:
     form = random_form(rng, n, p, p)
     return (form + form.transpose()).scale(Fraction(1, 2))
+
+
+def _unit_form(n: int, p: int, q: int, mask_i: int, mask_j: int) -> DoubleForm:
+    """The basis form e_I (x) e_J of D^{p,q}, for I and J given as masks."""
+    form = make_zero(n, p, q)
+    form.cells[mask_i] = {mask_j: 1}
+    return form
 
 
 def _operator_rows(n: int, p: int, q: int, operator) -> list[list[int]]:
@@ -95,9 +107,7 @@ def _operator_rows(n: int, p: int, q: int, operator) -> list[list[int]]:
     col = 0
     for mask_i in subset_masks(n, p):
         for mask_j in subset_masks(n, q):
-            cell = make_zero(n, p, q)
-            cell.set_cell(mask_i, mask_j, 1)
-            image = operator(cell)
+            image = operator(_unit_form(n, p, q, mask_i, mask_j))
             assert image.den == 1, "an integer operator gave a fractional image"
             for r, num in _flat_cells(image):
                 rows[r][col] = num
@@ -204,6 +214,7 @@ class CheckResult:
     name: str
     cases: int
     failures: list[CheckFailure] = field(default_factory=list)
+    elapsed: float = 0.0  # reported out of band, never part of the canonical dict
 
     @property
     def ok(self) -> bool:
@@ -245,6 +256,20 @@ class VerifyOutcome:
             "checks": [c.to_dict() for c in sorted(self.checks, key=lambda c: c.name)],
         }
 
+    def timings_dict(self) -> dict:
+        """Wall time and case count of the run and of each check, in run order."""
+        return {
+            "suite": self.suite,
+            "n": self.n,
+            "trials": self.trials,
+            "seed": self.seed,
+            "cases": self.cases,
+            "elapsed_s": self.elapsed,
+            "checks": [
+                {"name": c.name, "cases": c.cases, "elapsed_s": c.elapsed} for c in self.checks
+            ],
+        }
+
 
 def _ser(value):
     if isinstance(value, DoubleForm):
@@ -271,8 +296,8 @@ class _Recorder:
                 CheckFailure(self.name, label, detail, {k: _ser(v) for k, v in inputs.items()})
             )
 
-    def result(self) -> CheckResult:
-        return CheckResult(self.name, self.cases, self.failures)
+    def result(self, elapsed: float) -> CheckResult:
+        return CheckResult(self.name, self.cases, self.failures, elapsed)
 
 
 def _cases_per_config(trials: int, configs: int) -> int:
@@ -366,28 +391,31 @@ def check_product_oracle(rec, rng, n, trials):
 
 
 def check_adjointness(rec, rng, n, trials):
+    g = make_g(n)
     if n <= 4:
         # exhaustive over all basis double forms
         for p in range(n):
             for q in range(n):
+                rights = []
+                for mk in subset_masks(n, p + 1):
+                    for ml in subset_masks(n, q + 1):
+                        right = _unit_form(n, p + 1, q + 1, mk, ml)
+                        rights.append((right, right.contract()))
                 for mi in subset_masks(n, p):
                     for mj in subset_masks(n, q):
-                        left = make_basis(n, mask_to_indices(mi), mask_to_indices(mj))
-                        g_left = make_g(n).mul(left)
-                        for mk in subset_masks(n, p + 1):
-                            for ml in subset_masks(n, q + 1):
-                                right = make_basis(n, mask_to_indices(mk), mask_to_indices(ml))
-                                rec.case(
-                                    f"basis p={p} q={q}",
-                                    g_left.inner(right) == left.inner(right.contract()),
-                                    "<gw,t> != <w,ct>",
-                                    left=left,
-                                    right=right,
-                                )
+                        left = _unit_form(n, p, q, mi, mj)
+                        g_left = g.mul(left)
+                        for right, c_right in rights:
+                            rec.case(
+                                f"basis p={p} q={q}",
+                                g_left.inner(right) == left.inner(c_right),
+                                "<gw,t> != <w,ct>",
+                                left=left,
+                                right=right,
+                            )
         return
     configs = [(p, q) for p in range(n) for q in range(n)]
     per = _cases_per_config(trials, len(configs))
-    g = make_g(n)
     for p, q in configs:
         for i in range(per):
             a = random_form(rng, n, p, q)
@@ -1386,6 +1414,7 @@ def run_verify(suite: str, n: int, trials: int, seed: int) -> VerifyOutcome:
             full_name = f"{suite_name}.{check_name}"
             rng = random.Random(f"{seed}:{suite_name}:{check_name}:{n}:{trials}")
             recorder = _Recorder(full_name)
+            check_started = time.perf_counter()
             check(recorder, rng, n, trials)
-            results.append(recorder.result())
+            results.append(recorder.result(time.perf_counter() - check_started))
     return VerifyOutcome(suite, n, trials, seed, results, time.perf_counter() - started)

@@ -113,6 +113,39 @@ def test_verify_stdout_digest(n, capsys):
     assert digest == VERIFY_DIGESTS[n]
 
 
+def test_verify_timings_leave_stdout_unchanged(tmp_path, capsys):
+    args = ["verify", "--suite", "all", "--trials", "2", "--seed", "4"]
+    assert main(args) == 0
+    plain = capsys.readouterr().out
+    path = tmp_path / "timings.json"
+    assert main(args + ["--timings", str(path)]) == 0
+    assert capsys.readouterr().out == plain
+    timings = json.loads(path.read_text())
+    runs = json.loads(plain)["runs"]
+    assert [run["n"] for run in timings["runs"]] == [4, 5]
+    for timed, run in zip(timings["runs"], runs):
+        assert set(timed) == {"suite", "n", "trials", "seed", "cases", "elapsed_s", "checks"}
+        assert (timed["suite"], timed["trials"], timed["seed"]) == ("all", 2, 4)
+        assert timed["cases"] == run["cases"]
+        assert sorted(c["name"] for c in timed["checks"]) == [c["name"] for c in run["checks"]]
+        for check, reported in zip(sorted(timed["checks"], key=lambda c: c["name"]), run["checks"]):
+            assert set(check) == {"name", "cases", "elapsed_s"}
+            assert check["cases"] == reported["cases"]
+            assert check["elapsed_s"] >= 0
+        assert sum(c["elapsed_s"] for c in timed["checks"]) <= timed["elapsed_s"]
+
+
+@pytest.mark.parametrize("target", ["missing-dir/timings.json", "."])
+def test_verify_timings_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys, target):
+    args = ["verify", "--suite", "hodge", "--n", "4", "--trials", "1"]
+    assert main(args + ["--timings", str(tmp_path / target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --timings: cannot write file")
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
 def test_usage_errors(tmp_path, capsys):
     assert main(["verify", "--suite", "bogus", "--n", "4"]) == 2
     bad = tmp_path / "bad.json"

@@ -182,6 +182,12 @@ def test_sectional_curvature_basics():
         sectional_curvature(w, Frame.coordinate(4, (0,)))
 
 
+@pytest.mark.parametrize("indices", [(1.0,), (True,), (0, F(2)), ("1",)])
+def test_coordinate_frames_refuse_non_integer_indices(indices):
+    with pytest.raises(FrameError, match="must be integers"):
+        Frame.coordinate(4, indices)
+
+
 def test_metric_trace_formula():
     # (g^p w)(P,P) = p! trace(w | Lambda^r P) on orthonormal coordinate frames
     rng = random.Random("eq19")

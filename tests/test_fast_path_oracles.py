@@ -4,7 +4,11 @@ The closed-form decompose at 2p > n is checked against the solve-based
 route (divide_g_power, then decompose of the quotient), and the
 single-pass mul_g_power against repeated products by g.  The one Bareiss
 elimination behind linalg's rank, solve and nullspace is checked against
-determinants of minors; the invariant report's power sequence and shared
+determinants of minors, and the blockwise rank and KernelProjector against
+the whole-matrix rank and dense Fraction projector they replaced, on every
+g_power_matrix and constraint set at n <= 5 and on interleaved block
+matrices.  Coordinate frames' wedge coordinates are checked against the
+minors of their vectors; the invariant report's power sequence and shared
 contraction chain against repeated products and contractions.  The
 canonical JSON writer is checked against json.dumps with sorted keys and a
 two-space indent on forms, decompositions, invariant reports and verify
@@ -47,7 +51,13 @@ from doubleforms import (
     weyl_invariant,
 )
 from doubleforms import linalg
-from doubleforms.core import DegreeError, contractions, g_power_sum
+from doubleforms.core import (
+    DegreeError,
+    _flatten,
+    _wedge_coordinates,
+    contractions,
+    g_power_sum,
+)
 from doubleforms.curvature import (
     Frame,
     InvariantReport,
@@ -55,7 +65,7 @@ from doubleforms.curvature import (
     pq_sectional,
     sectional_curvature,
 )
-from doubleforms.decomposition import divide_g_power
+from doubleforms.decomposition import divide_g_power, g_power_matrix
 from doubleforms.exterior import subset_masks
 from doubleforms.serialize import (
     decomposition_to_dict,
@@ -63,7 +73,14 @@ from doubleforms.serialize import (
     form_to_dict,
     report_to_dict,
 )
-from doubleforms.verify import SUITES, model_zoo, random_bianchi, run_verify
+from doubleforms.verify import (
+    SUITES,
+    _operator_rows,
+    model_zoo,
+    random_bianchi,
+    random_symmetric,
+    run_verify,
+)
 
 
 def dense_rational_form(rng, n, p, q):
@@ -238,6 +255,125 @@ def test_solve_consistent_and_inconsistent_systems(m, data):
     if x is not None:
         assert mat_vec(m, x) == rhs
 
+
+
+# -- linalg: blockwise rank and projection against the whole matrix ------------
+
+
+def reference_rank(matrix):
+    """The whole-matrix rank: one forward elimination over every nonzero row."""
+    rows = [r for r in matrix if any(r)]
+    return len(linalg._echelon(rows, [0] * len(rows))[1])
+
+
+class ReferenceProjector:
+    """The dense projector: Gram-Schmidt over every constraint row at once,
+    then one Fraction update of the whole vector per basis vector."""
+
+    def __init__(self, constraint_rows):
+        self.basis, self.norms = [], []
+        for row in constraint_rows:
+            vec = linalg._integer_row(row)
+            if not any(vec):
+                continue
+            for b, nb in zip(self.basis, self.norms):
+                d = linalg._dot_int(vec, b)
+                if d:
+                    vec = linalg._reduce_content([nb * x - d * y for x, y in zip(vec, b)])
+            if any(vec):
+                self.basis.append(vec)
+                self.norms.append(linalg._dot_int(vec, vec))
+
+    def project(self, vector):
+        out = [Fraction(v) for v in vector]
+        for b, nb in zip(self.basis, self.norms):
+            d = sum(x * y for x, y in zip(out, b) if y and x)
+            if d:
+                f = Fraction(d, nb)
+                out = [x - f * y if y else x for x, y in zip(out, b)]
+        return out
+
+
+def assert_projects_like_reference(rows, vector):
+    fast = linalg.KernelProjector(rows).project(vector)
+    assert fast == ReferenceProjector(rows).project(vector)
+    assert all(type(v) is Fraction for v in fast)
+    assert mat_vec(rows, fast) == [0] * len(rows)
+
+
+def constraint_sets(max_n):
+    """(label, rows) of every Bianchi and effective constraint set at n <= max_n."""
+    for n in range(1, max_n + 1):
+        for p in range(n + 1):
+            bianchi = _operator_rows(n, p, p, lambda w: w.bianchi_sum())
+            yield (n, p, "bianchi"), bianchi
+            yield (n, p, "effective"), bianchi + _operator_rows(n, p, p, lambda w: w.contract())
+
+
+def test_blockwise_rank_matches_whole_matrix_on_g_power_matrices():
+    for n in range(1, 6):
+        for p in range(n + 1):
+            for q in range(n + 1):
+                for power in range(n + 1):
+                    m = g_power_matrix(n, p, q, power)
+                    assert linalg.rank(m) == reference_rank(m), (n, p, q, power)
+
+
+def test_blockwise_rank_and_projector_match_whole_matrix_on_constraints():
+    rng = random.Random("blockwise-constraints")
+    for label, rows in constraint_sets(5):
+        assert linalg.rank(rows) == reference_rank(rows), label
+        width = len(rows[0])
+        for _ in range(2):
+            vector = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(width)]
+            assert_projects_like_reference(rows, vector)
+        n, p, _ = label
+        assert_projects_like_reference(rows, _flatten(random_symmetric(rng, n, p)))
+
+
+@st.composite
+def interleaved_block_matrices(draw):
+    """Integer block-diagonal matrices with zero rows and columns, their rows
+    and columns permuted so that the blocks interleave."""
+    blocks = draw(st.lists(
+        st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+            lambda shape: st.lists(st.lists(st.integers(-3, 3), min_size=shape[1],
+                                            max_size=shape[1]),
+                                   min_size=shape[0], max_size=shape[0])
+        ),
+        min_size=1, max_size=4,
+    ))
+    zero_rows, zero_cols = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    rows = sum(len(b) for b in blocks) + zero_rows
+    cols = sum(len(b[0]) for b in blocks) + zero_cols
+    dense = [[0] * cols for _ in range(rows)]
+    r0 = c0 = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            dense[r0 + i][c0:c0 + len(row)] = row
+        r0, c0 = r0 + len(b), c0 + len(b[0])
+    row_order = draw(st.permutations(range(rows)))
+    col_order = draw(st.permutations(range(cols)))
+    return [[dense[r][c] for c in col_order] for r in row_order]
+
+
+@settings(max_examples=150, deadline=None)
+@given(interleaved_block_matrices(), st.data())
+def test_blockwise_rank_and_projector_on_interleaved_blocks(m, data):
+    assert linalg.rank(m) == reference_rank(m)
+    vector = data.draw(st.lists(_entries, min_size=len(m[0]), max_size=len(m[0])))
+    assert_projects_like_reference(m, vector)
+
+
+def test_coordinate_frames_match_minors():
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            for idx in permutations(range(n), k):
+                frame = Frame.coordinate(n, idx)
+                assert frame.wedge_coordinates == tuple(
+                    _wedge_coordinates(n, frame.vectors, k)
+                ), (n, idx)
+                assert frame == Frame.from_vectors(n, frame.vectors)
 
 # -- curvature: one power sequence and one contraction chain ------------------
 
