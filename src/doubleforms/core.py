@@ -16,12 +16,14 @@ g_power_sum for every linear combination: +, -, scale, g-powers) read each
 operand's den, accumulate plain ints over the product or lcm of those, and
 publish, which drops the cells that cancelled and divides by one gcd.  A
 Fraction is made only where a value leaves a form: cell(), entries(),
-inner(), evaluate() and the flattened array.  The cell budget bounds the
-number of stored cells: it is checked where a kernel publishes its result,
-where dense rows or a flattened array come in, and on the dense integer
-matrices built for linear solving.  The flattened layout (index sets in
-lexicographic order, row-major) is known only here, in _flat_cells,
-_flatten and _unflatten.
+inner(), evaluate() and the flattened array.  One kernel, _wedge, computes
+the coordinates of a wedge v_1 ^ ... ^ v_k of integer vectors, one vector
+at a time, as a sparse mask -> int map; evaluate() and curvature.Frame read
+it.  The cell budget bounds the number of stored cells: it is checked where
+a kernel publishes its result, where dense rows or a flattened array come
+in, and on the dense integer matrices built for linear solving.  The
+flattened layout (index sets in lexicographic order, row-major) is known
+only here, in _flat_cells, _flatten and _unflatten.
 
 All coefficients are exact rationals, so every algebraic identity exercised
 by the test suite is checked with equality, never with tolerances.  Forms are
@@ -50,7 +52,6 @@ from .exterior import (
     MAX_DIMENSION,
     IndexSet,
     complement_sign_mask,
-    mask_to_indices,
     subset_masks,
     _mask_rank_table,
     _odd_above,
@@ -544,7 +545,9 @@ class DoubleForm:
     # -- evaluation as a multilinear form -----------------------------------
 
     def evaluate(self, x_vectors, y_vectors) -> Fraction:
-        """Value on (x_1 ^ ... ^ x_p, y_1 ^ ... ^ y_q) for rational vectors."""
+        """Value on (x_1 ^ ... ^ x_p, y_1 ^ ... ^ y_q) for rational vectors:
+        each tuple is scaled to integers and wedged once by _wedge, and one
+        pass over the stored cells those wedges reach sums the products."""
         xs, x_scale = _integer_vectors(self.n, x_vectors)
         ys, y_scale = _integer_vectors(self.n, y_vectors)
         if len(xs) != self.p or len(ys) != self.q:
@@ -552,19 +555,24 @@ class DoubleForm:
                 f"need {self.p} x-vectors and {self.q} y-vectors, "
                 f"got {len(xs)} and {len(ys)}"
             )
+        total = self._on_wedges(_wedge(xs), _wedge(ys))
+        return Fraction(total, self.den * x_scale * y_scale)
+
+    def _on_wedges(self, x_coords: dict, y_coords: dict) -> int:
+        """den times the value on (X, Y), for sparse wedge coordinates as
+        _wedge returns them: sum of numerator * X_I * Y_J over the stored
+        cells, looking up only the rows that X reaches."""
         total = 0
-        col_minors: dict[int, int] = {}
-        for mask_i, row in self.cells.items():
-            row_minor = _minor(xs, mask_i)
-            if not row_minor:
+        cells = self.cells
+        for mask_i, x in x_coords.items():
+            row = cells.get(mask_i)
+            if row is None:
                 continue
             for mask_j, value in row.items():
-                col_minor = col_minors.get(mask_j)
-                if col_minor is None:
-                    col_minor = col_minors[mask_j] = _minor(ys, mask_j)
-                if col_minor:
-                    total += value * row_minor * col_minor
-        return Fraction(total, self.den * x_scale * y_scale)
+                y = y_coords.get(mask_j)
+                if y is not None:
+                    total += value * x * y
+        return total
 
 
 def _coerce_vector(n: int, vector) -> list[Fraction]:
@@ -589,44 +597,38 @@ def _integer_vectors(n: int, vectors) -> tuple[list[list[int]], int]:
     return out, scale
 
 
-def _minor(vectors: list[list[int]], mask: int) -> int:
-    """Coordinate of v_1 ^ ... ^ v_k on e_I, for integer vectors and I the
-    index set of mask."""
-    idx = mask_to_indices(mask)
-    return _det([[vec[i] for i in idx] for vec in vectors])
+def _wedge(vectors) -> dict[int, int]:
+    """The nonzero coordinates of v_1 ^ ... ^ v_k over the basis e_I, as
+    mask_I -> int, for integer vectors; empty exactly when the vectors are
+    linearly dependent, and {0: 1} for no vectors.
 
+    The wedge is built one vector at a time, dropping coordinates that
+    cancel after each step.  Wedging e_I with e_i (i not in I) gives
+    +-e_{I u {i}}: e_i has to move left past each element of I above i to
+    reach its sorted place, one transposition each, so
 
-def _wedge_coordinates(n: int, vectors, k: int) -> list[int]:
-    """Integer coordinates, over the lex-ordered basis of Lambda^k, of a
-    positive multiple of v_1 ^ ... ^ v_k: the wedge of the vectors scaled to
-    integers by _integer_vectors."""
-    ints, _ = _integer_vectors(n, vectors)
-    return [_minor(ints, mask) for mask in subset_masks(n, k)]
+        e_I ^ e_i = (-1)^popcount(I >> (i + 1)) e_{I u {i}},
 
-
-def _det(rows: list[list[int]]) -> int:
-    """Determinant of a small square integer matrix by fraction-free
-    (Bareiss) elimination: each division by the previous pivot is exact."""
-    m = [list(r) for r in rows]
-    size = len(m)
-    sign, previous = 1, 1
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col]), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        top = m[col]
-        lead = top[col]
-        for r in range(col + 1, size):
-            row = m[r]
-            below = row[col]
-            row[col + 1:] = [
-                (x * lead - below * y) // previous for x, y in zip(row[col + 1:], top[col + 1:])
-            ]
-        previous = lead
-    return sign * previous
+    and e_I ^ e_i = 0 for i in I.  The coordinate on e_I is the minor of
+    the vectors' matrix on the columns I.
+    """
+    coords = {0: 1}
+    for vector in vectors:
+        terms = [(i, 1 << i, x) for i, x in enumerate(vector) if x]
+        acc: dict[int, int] = {}
+        for mask, c in coords.items():
+            for i, bit, x in terms:
+                if mask & bit:
+                    continue
+                target = mask | bit
+                if (mask >> (i + 1)).bit_count() & 1:
+                    acc[target] = acc.get(target, 0) - c * x
+                else:
+                    acc[target] = acc.get(target, 0) + c * x
+        coords = {mask: c for mask, c in acc.items() if c}
+        if not coords:
+            break
+    return coords
 
 
 def _permutation_sign(perm) -> int:

@@ -31,7 +31,8 @@ from .core import (
     DoubleForm,
     DoubleFormError,
     IdentityError,
-    _wedge_coordinates,
+    _integer_vectors,
+    _wedge,
     as_scalar,
     contractions,
     make_g,
@@ -39,19 +40,17 @@ from .core import (
     make_zero,
 )
 from .decomposition import decompose
-from .exterior import _mask_rank_table
 
 
 @dataclass(frozen=True)
 class CurvatureTensor:
-    """A symmetric (p,p) double form, optionally certified Bianchi.
+    """A symmetric (p,p) double form certified Bianchi.
 
-    Certification is verified eagerly: constructing with
-    certified_bianchi=True checks B(form) == 0 exactly.
+    Certification is verified eagerly: construction checks B(form) == 0
+    exactly.
     """
 
     form: DoubleForm
-    certified_bianchi: bool = True
 
     def __post_init__(self) -> None:
         if self.form.p != self.form.q:
@@ -60,7 +59,7 @@ class CurvatureTensor:
             )
         if not self.form.is_symmetric():
             raise DoubleFormError("curvature tensors must be symmetric")
-        if self.certified_bianchi and not self.form.bianchi_sum().is_zero():
+        if not self.form.bianchi_sum().is_zero():
             raise BianchiRequiredError(
                 "form does not satisfy the first Bianchi identity"
             )
@@ -115,9 +114,7 @@ def make_product(first: CurvatureTensor, second: CurvatureTensor) -> CurvatureTe
         )
     n = first.n + second.n
     total = _embed(first.form, n, 0) + _embed(second.form, n, first.n)
-    return CurvatureTensor(
-        total, first.certified_bianchi and second.certified_bianchi
-    )
+    return CurvatureTensor(total)
 
 
 def _embed(form: DoubleForm, n_total: int, offset: int) -> DoubleForm:
@@ -147,7 +144,7 @@ def power(tensor: CurvatureTensor, exponent: int) -> CurvatureTensor:
     if not isinstance(exponent, int) or exponent < 1:
         raise DegreeError(f"power needs a positive integer exponent, got {exponent!r}")
     form = next(islice(_power_forms(tensor), exponent - 1, None))
-    return CurvatureTensor(form, tensor.certified_bianchi)
+    return CurvatureTensor(form)
 
 
 # -- frames and sectional curvature -------------------------------------------
@@ -167,14 +164,15 @@ class Frame:
     Linear independence is equivalent to a nonzero Gram determinant, which
     equals the squared norm of the wedge of the vectors; sectional values
     divide by it, so any basis of the plane gives the orthonormal value.
-    wedge_coordinates, the integer coordinates over the lexicographic basis
-    of a positive multiple of v_1 ^ ... ^ v_p (each vector scaled to
-    integers), are computed once, at construction.
+    wedge_coordinates holds a positive multiple of v_1 ^ ... ^ v_p (each
+    vector scaled to integers) as a sparse map mask_I -> nonzero int, made
+    once at construction by core._wedge; the vectors are dependent exactly
+    when that map is empty.
     """
 
     n: int
     vectors: tuple[tuple[Fraction, ...], ...]
-    wedge_coordinates: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    wedge_coordinates: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.vectors:
@@ -182,8 +180,8 @@ class Frame:
         for vec in self.vectors:
             if len(vec) != self.n:
                 raise FrameError(f"frame vectors must have length {self.n}")
-        coords = tuple(_wedge_coordinates(self.n, self.vectors, len(self.vectors)))
-        if not any(coords):
+        coords = _wedge(_integer_vectors(self.n, self.vectors)[0])
+        if not coords:
             raise FrameError("frame vectors are linearly dependent")
         object.__setattr__(self, "wedge_coordinates", coords)
 
@@ -210,13 +208,11 @@ class Frame:
             raise FrameError("a frame needs at least one vector")
         vectors = tuple(tuple(_ONE if j == i else _ZERO for j in range(n)) for i in idx)
         inversions = sum(a > b for k, a in enumerate(idx) for b in idx[k + 1:])
-        table = _mask_rank_table(n, len(idx))
-        coords = [0] * len(table)
-        coords[table[sum(1 << i for i in idx)]] = -1 if inversions & 1 else 1
-        frame = object.__new__(cls)  # skips __post_init__ and its C(n, k) minors
+        coords = {sum(1 << i for i in idx): -1 if inversions & 1 else 1}
+        frame = object.__new__(cls)  # skips __post_init__ and its wedge
         object.__setattr__(frame, "n", n)
         object.__setattr__(frame, "vectors", vectors)
-        object.__setattr__(frame, "wedge_coordinates", tuple(coords))
+        object.__setattr__(frame, "wedge_coordinates", coords)
         return frame
 
     @property
@@ -261,7 +257,8 @@ def sectional_curvature(form: DoubleForm, plane: Frame) -> Fraction:
 
     The ratio does not change when V is scaled, so V is the frame's integer
     wedge, and w(V, V) / <V, V> is (sum of numerator * V_I * V_J) over
-    (form.den * <V, V>), one Fraction.
+    (form.den * <V, V>), one Fraction.  V's coordinates are read from the
+    frame's sparse map, with the rows it reaches looked up in the form.
     """
     if form.n != plane.n:
         raise DegreeError(
@@ -273,20 +270,8 @@ def sectional_curvature(form: DoubleForm, plane: Frame) -> Fraction:
             f"{form.p}-plane, got {plane.size} vectors"
         )
     coords = plane.wedge_coordinates
-    gram = sum(c * c for c in coords)
-    if not gram:
-        raise FrameError("frame vectors are linearly dependent")
-    rank = _mask_rank_table(form.n, form.p)
-    value = 0
-    for mask_i, row in form.cells.items():
-        ci = coords[rank[mask_i]]
-        if not ci:
-            continue
-        for mask_j, entry in row.items():
-            cj = coords[rank[mask_j]]
-            if cj:
-                value += entry * ci * cj
-    return Fraction(value, form.den * gram)
+    gram = sum(c * c for c in coords.values())
+    return Fraction(form._on_wedges(coords, coords), form.den * gram)
 
 
 # -- the (p,q)-curvatures ------------------------------------------------------
@@ -511,7 +496,7 @@ def build_invariant_report(
     n = tensor.n
     _require_q(n, max_q, "max_q")
     rows = tuple(
-        InvariantRow(q, *_weyl_and_einstein(CurvatureTensor(form, tensor.certified_bianchi).form, q))
+        InvariantRow(q, *_weyl_and_einstein(CurvatureTensor(form).form, q))
         for q, form in zip(range(1, max_q + 1), _power_forms(tensor))
     )
     h4 = rows[1].weyl if max_q >= 2 else None

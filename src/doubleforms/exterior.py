@@ -115,7 +115,9 @@ class IndexSet:
         idx = tuple(indices)
         _check_dimension(n)
         for i in idx:
-            if not isinstance(i, int) or not 0 <= i < n:
+            if not isinstance(i, int) or isinstance(i, bool):
+                raise BasisError(f"indices must be integers, got {i!r}")
+            if not 0 <= i < n:
                 raise BasisError(f"index {i!r} out of range [0, {n})")
         if any(b <= a for a, b in zip(idx, idx[1:])):
             raise BasisError(f"indices must be strictly increasing, got {idx}")

@@ -35,7 +35,6 @@ from json.encoder import encode_basestring_ascii
 from math import comb, gcd, lcm
 
 from .core import (
-    BianchiRequiredError,
     DoubleForm,
     DoubleFormError,
     _require_cell_budget,
@@ -512,9 +511,7 @@ def build_curvature_tensor(spec: ModelSpec) -> CurvatureTensor:
             result = make_product(result, tensor)
         return result
     try:
-        return CurvatureTensor(spec.form, certified_bianchi=True)
-    except BianchiRequiredError as exc:
-        raise SchemaError("spec.form", str(exc)) from exc
+        return CurvatureTensor(spec.form)
     except DoubleFormError as exc:
         raise SchemaError("spec.form", str(exc)) from exc
 

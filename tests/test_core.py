@@ -7,10 +7,12 @@ from math import comb, factorial
 import pytest
 
 from doubleforms import (
+    BasisError,
     CellBudgetError,
     DegreeError,
     DimensionMismatchError,
     DoubleForm,
+    IndexSet,
     make_basis,
     make_g,
     make_scalar,
@@ -47,6 +49,22 @@ def test_constructor_errors():
         make_zero(0, 0, 0)
     with pytest.raises(DegreeError):
         make_zero(17, 1, 1)
+
+
+def test_bool_indices_are_refused():
+    # bool is an int subclass; True must not pass for the index 1
+    with pytest.raises(BasisError, match="indices must be integers"):
+        IndexSet.from_indices(4, (False, True))
+    with pytest.raises(BasisError):
+        make_basis(4, (True,), (0,))
+    with pytest.raises(BasisError):
+        make_basis(4, (0,), (False,))
+    form = make_basis(4, (1,), (0,))
+    with pytest.raises(BasisError):
+        form[(True,), (0,)]
+    with pytest.raises(BasisError):
+        form[(1,), (False,)]
+    assert form[(1,), (0,)] == 1
 
 
 def test_cell_budget():

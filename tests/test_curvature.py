@@ -88,10 +88,7 @@ def test_curvature_tensor_invariants():
         CurvatureTensor(make_basis(4, (0, 1), (0, 2)))  # not symmetric
     not_bianchi = make_basis(4, (0, 1), (2, 3)) + make_basis(4, (2, 3), (0, 1))
     with pytest.raises(BianchiRequiredError):
-        CurvatureTensor(not_bianchi, certified_bianchi=True)
-    # the same form is accepted uncertified
-    tensor = CurvatureTensor(not_bianchi, certified_bianchi=False)
-    assert tensor.p == 2
+        CurvatureTensor(not_bianchi)
 
 
 def test_power_closed_forms():

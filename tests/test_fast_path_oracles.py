@@ -7,9 +7,11 @@ elimination behind linalg's rank, solve and nullspace is checked against
 determinants of minors, and the blockwise rank and KernelProjector against
 the whole-matrix rank and dense Fraction projector they replaced, on every
 g_power_matrix and constraint set at n <= 5 and on interleaved block
-matrices.  Coordinate frames' wedge coordinates are checked against the
-minors of their vectors; the invariant report's power sequence and shared
-contraction chain against repeated products and contractions.  The
+matrices.  The one wedge kernel, core._wedge, is checked against Fraction
+minors on rational frames, dependent ones included, and coordinate frames'
+directly set wedge coordinates against the minors of their vectors.  The
+invariant report's power sequence and shared contraction chain are checked
+against repeated products and contractions.  The
 canonical JSON writer is checked against json.dumps with sorted keys and a
 two-space indent on forms, decompositions, invariant reports and verify
 payloads.  The integer-numerator mul, mul_g_power and contract are checked
@@ -30,7 +32,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -54,12 +56,13 @@ from doubleforms import linalg
 from doubleforms.core import (
     DegreeError,
     _flatten,
-    _wedge_coordinates,
+    _wedge,
     contractions,
     g_power_sum,
 )
 from doubleforms.curvature import (
     Frame,
+    FrameError,
     InvariantReport,
     SectionalSample,
     pq_sectional,
@@ -370,10 +373,15 @@ def test_coordinate_frames_match_minors():
         for k in range(1, n + 1):
             for idx in permutations(range(n), k):
                 frame = Frame.coordinate(n, idx)
-                assert frame.wedge_coordinates == tuple(
-                    _wedge_coordinates(n, frame.vectors, k)
-                ), (n, idx)
-                assert frame == Frame.from_vectors(n, frame.vectors)
+                coords = frame.wedge_coordinates
+                assert len(coords) == 1 and all(coords.values()), (n, idx)
+                for mask in subset_masks(n, k):
+                    assert coords.get(mask, 0) == reference_minor(frame.vectors, mask), (
+                        n, idx, mask,
+                    )
+                general = Frame.from_vectors(n, frame.vectors)
+                assert frame == general
+                assert general.wedge_coordinates == coords
 
 # -- curvature: one power sequence and one contraction chain ------------------
 
@@ -975,6 +983,47 @@ def test_evaluate_matches_fraction_loop(n, data):
     value = w.evaluate(xs, ys)
     assert value == reference_evaluate(w, xs, ys)
     assert type(value) is Fraction
+
+
+@st.composite
+def maybe_dependent_frames(draw, n):
+    """k <= n + 1 rational vectors; often the last is a combination of the
+    others, so that every minor vanishes."""
+    k = draw(st.integers(0, n + 1))
+    vectors = draw(rational_vectors(n, k))
+    if k >= 2 and draw(st.booleans()):
+        coefficients = draw(st.lists(_vector_entries, min_size=k - 1, max_size=k - 1))
+        vectors[-1] = [
+            sum((Fraction(c) * Fraction(vec[i]) for c, vec in zip(coefficients, vectors)), Fraction(0))
+            for i in range(n)
+        ]
+    return vectors
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7), st.data())
+def test_wedge_matches_minors(n, data):
+    vectors = data.draw(maybe_dependent_frames(n))
+    k = len(vectors)
+    # the kernel takes integer vectors: scale each by its denominators' lcm
+    scales = [lcm(*(Fraction(x).denominator for x in vec)) for vec in vectors]
+    ints = [[int(Fraction(x) * s) for x in vec] for vec, s in zip(vectors, scales)]
+    coords = _wedge(ints)
+    assert all(type(c) is int and c for c in coords.values())
+    masks = subset_masks(n, k) if k <= n else ()
+    assert set(coords) <= set(masks)
+    minors = {mask: reference_minor(vectors, mask) for mask in masks}
+    scale = prod(scales)
+    for mask, minor in minors.items():
+        assert coords.get(mask, 0) == scale * minor, mask
+    assert (not coords) == (not any(minors.values()))
+    if not k:
+        assert coords == {0: 1}
+    elif not coords:
+        with pytest.raises(FrameError, match="linearly dependent"):
+            Frame.from_vectors(n, vectors)
+    else:
+        assert Frame.from_vectors(n, vectors).wedge_coordinates == coords
 
 
 @settings(max_examples=100, deadline=None)
