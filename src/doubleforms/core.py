@@ -11,10 +11,11 @@ denominator, in one sparse map over index-set bitmasks:
 No zero numerator and no empty row is ever stored, gcd(den, every
 numerator) == 1, and den == 1 for the zero form, so two forms are equal
 exactly when their maps and denominators are.  Every operation walks the
-stored numerators: the kernels (mul, contract, bianchi_sum, and
-g_power_sum for every linear combination: +, -, scale, g-powers) read each
-operand's den, accumulate plain ints over the product or lcm of those, and
-publish, which drops the cells that cancelled and divides by one gcd.  A
+stored numerators: the kernels (mul, contract for every c^k in one pass,
+bianchi_sum, and g_power_sum for every linear combination: +, -, scale,
+g-powers) read each operand's den, accumulate plain ints over the product
+or lcm of those, and publish, which drops the cells that cancelled and
+divides by one gcd.  A
 Fraction is made only where a value leaves a form: cell(), entries(),
 inner(), evaluate() and the flattened array.  One kernel, _wedge, computes
 the coordinates of a wedge v_1 ^ ... ^ v_k of integer vectors, one vector
@@ -45,13 +46,16 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections import defaultdict
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 
 from .exterior import (
     MAX_DIMENSION,
     IndexSet,
     complement_sign_mask,
+    mask_to_indices,
     subset_masks,
     _mask_rank_table,
     _odd_above,
@@ -174,7 +178,7 @@ class DoubleForm:
     __slots__ = ("n", "p", "q", "cells", "den")
 
     def __init__(self, n: int, p: int, q: int, coeffs=None):
-        if not isinstance(n, int) or not 1 <= n <= MAX_DIMENSION:
+        if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_DIMENSION:
             raise DegreeError(f"ambient dimension must be in [1, {MAX_DIMENSION}], got {n!r}")
         if not (isinstance(p, int) and isinstance(q, int) and 0 <= p <= n and 0 <= q <= n):
             raise DegreeError(f"bidegree ({p!r}, {q!r}) out of range for n={n}")
@@ -420,34 +424,57 @@ class DoubleForm:
 
     # -- contraction, inner product, star ----------------------------------
 
-    def contract(self) -> "DoubleForm":
-        """Trace over one vector inserted in front of both blocks.
+    def contract(self, k: int = 1) -> "DoubleForm":
+        """c^k, the trace over k vectors inserted in front of both blocks, in
+        one pass; contract() is c.
 
-        c w (x..., y...) = sum_j w(e_j ^ x..., e_j ^ y...); the zero form of
-        the clamped degree when p or q is 0.
+        c w (x..., y...) = sum_j w(e_j ^ x..., e_j ^ y...).  Iterating k
+        times sums over ordered k-tuples of distinct j, which insert the
+        same vectors in the same order in both blocks: the k! orders of one
+        set S give the same term, and e_{j_k} ^ ... ^ e_{j_1} = +-e_S with
+        the same sign in both blocks, so
+
+            c^k w [I'][J'] = k! sum_{|S|=k, S disjoint from I' u J'}
+                             sign(S, I') sign(S, J') w[S u I'][S u J'],
+
+        with sign(S, A) = (-1)^inv(S, A) the sign of e_S ^ e_A and inv(S, A)
+        the number of pairs s in S, a in A with s > a.  By
+        exterior.wedge_sign_masks that sign is (-1)^popcount(A & odd_S),
+        odd_S = _odd_above(S); with I = S u I', J = S u J' the two
+        popcounts add to popcount((I ^ J) & odd_S) mod 2, because
+        I' ^ J' = I ^ J.  So each stored cell (I, J) sends
+        +-k! * value to (I - S, J - S) for every k-subset S of I & J,
+        and only those.  k = 0 is the identity; for k > min(p, q) the
+        result is the zero form of the clamped degree
+        (max(p - k, 0), max(q - k, 0)), as k single contractions give.
         """
+        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+            raise DegreeError(f"contraction count must be a nonnegative integer, got {k!r}")
+        if k == 0:
+            return self
         n, p, q = self.n, self.p, self.q
-        if p == 0 or q == 0:
-            return DoubleForm(n, max(p - 1, 0), max(q - 1, 0))
-        out = DoubleForm(n, p - 1, q - 1)
-        acc = {}
+        if k > p or k > q:
+            return DoubleForm(n, max(p - k, 0), max(q - k, 0))
+        out = DoubleForm(n, p - k, q - k)
+        table = _subset_table(k)
+        acc = defaultdict(dict)
         for mask_i, row in self.cells.items():
-            rest = mask_i
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                # moving e_j to the front of each block passes the smaller
-                # indices of that block
-                below = bit - 1
-                row_odd = (mask_i & below).bit_count() & 1
-                target = acc.setdefault(mask_i ^ bit, {})
-                for mask_j, value in row.items():
-                    if mask_j & bit:
-                        col = mask_j ^ bit
-                        if (mask_j & below).bit_count() & 1 == row_odd:
-                            target[col] = target.get(col, 0) + value
-                        else:
+            for mask_j, value in row.items():
+                subsets = table[mask_i & mask_j]
+                if subsets:
+                    differ = mask_i ^ mask_j
+                    for mask_s, odd_s in subsets:
+                        target = acc[mask_i ^ mask_s]
+                        col = mask_j ^ mask_s
+                        if (differ & odd_s).bit_count() & 1:
                             target[col] = target.get(col, 0) - value
+                        else:
+                            target[col] = target.get(col, 0) + value
+        if k > 1:  # k!, once per result cell rather than per contribution
+            weight = factorial(k)
+            for target in acc.values():
+                for col in target:
+                    target[col] *= weight
         out._publish(acc, self.den)
         return out
 
@@ -629,6 +656,32 @@ def _wedge(vectors) -> dict[int, int]:
         if not coords:
             break
     return coords
+
+
+class _SubsetTable(dict):
+    """mask -> ((S, _odd_above(S)), ...) over the k-subsets S of mask, ()
+    when mask has fewer than k elements; each entry is made on first use.
+    A memo like exterior's lru_caches: at most one entry per mask of up to
+    MAX_DIMENSION bits."""
+
+    __slots__ = ("k",)
+
+    def __init__(self, k: int):
+        super().__init__()
+        self.k = k
+
+    def __missing__(self, mask: int) -> tuple[tuple[int, int], ...]:
+        bits = [1 << i for i in mask_to_indices(mask)]
+        subsets = self[mask] = tuple(
+            (mask_s, _odd_above(mask_s))
+            for mask_s in map(sum, itertools.combinations(bits, self.k))
+        )
+        return subsets
+
+
+@lru_cache(maxsize=None)
+def _subset_table(k: int) -> _SubsetTable:
+    return _SubsetTable(k)
 
 
 def _permutation_sign(perm) -> int:

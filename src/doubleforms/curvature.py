@@ -157,6 +157,11 @@ class FrameError(DoubleFormError):
     """Degenerate or malformed tangent frame."""
 
 
+def _require_frame_dimension(n) -> None:
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise FrameError(f"a frame's dimension must be an integer, got {n!r}")
+
+
 @dataclass(frozen=True)
 class Frame:
     """A spanning set of rational vectors for a tangent p-plane.
@@ -175,6 +180,7 @@ class Frame:
     wedge_coordinates: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        _require_frame_dimension(self.n)
         if not self.vectors:
             raise FrameError("a frame needs at least one vector")
         for vec in self.vectors:
@@ -197,6 +203,7 @@ class Frame:
         the plane's mask: the sign of the permutation that sorts the
         indices, that is the parity of their inversions.
         """
+        _require_frame_dimension(n)
         idx = tuple(indices)
         if any(not isinstance(i, int) or isinstance(i, bool) for i in idx):
             raise FrameError(f"coordinate plane indices must be integers, got {idx!r}")
@@ -252,6 +259,17 @@ def _residual(vector, ortho_basis):
     return vector
 
 
+def _require_plane(n: int, p: int, q: int, plane: Frame) -> None:
+    """Refuse a plane that a (p,q)-form over n cannot be evaluated on."""
+    if n != plane.n:
+        raise DegreeError(f"form over n={n} cannot be evaluated on a frame over n={plane.n}")
+    if p != plane.size or q != plane.size:
+        raise DegreeError(
+            f"sectional curvature of a ({p},{q})-form needs a {p}-plane, "
+            f"got {plane.size} vectors"
+        )
+
+
 def sectional_curvature(form: DoubleForm, plane: Frame) -> Fraction:
     """K(P) = w(V, V) / <V, V> for V the wedge of the frame vectors.
 
@@ -260,15 +278,7 @@ def sectional_curvature(form: DoubleForm, plane: Frame) -> Fraction:
     (form.den * <V, V>), one Fraction.  V's coordinates are read from the
     frame's sparse map, with the rows it reaches looked up in the form.
     """
-    if form.n != plane.n:
-        raise DegreeError(
-            f"form over n={form.n} cannot be evaluated on a frame over n={plane.n}"
-        )
-    if form.p != plane.size or form.q != plane.size:
-        raise DegreeError(
-            f"sectional curvature of a ({form.p},{form.q})-form needs a "
-            f"{form.p}-plane, got {plane.size} vectors"
-        )
+    _require_plane(form.n, form.p, form.q, plane)
     coords = plane.wedge_coordinates
     gram = sum(c * c for c in coords.values())
     return Fraction(form._on_wedges(coords, coords), form.den * gram)
@@ -299,7 +309,28 @@ def pq_curvature_tensor(tensor: CurvatureTensor, p: int, q: int) -> DoubleForm:
 
 
 def pq_sectional(tensor: CurvatureTensor, p: int, q: int, plane: Frame | None) -> Fraction:
-    """s_{(p,q)}(P), the sectional curvature of the (p,q)-curvature tensor."""
+    """s_{(p,q)}(P), the sectional curvature of the (p,q)-curvature tensor.
+
+    On a coordinate plane it is h_{2q} of R restricted to the complement.
+    Say the plane's wedge has one nonzero coordinate c, at the mask of P
+    (every Frame.coordinate, and any frame spanning a coordinate plane).
+    Then K(P) = T[P, P] c^2 / c^2 = T[P, P] for T = star(g^m R^q) / m!,
+    m = n - 2q - p, and K = P^c has n - p = 2q + m elements:
+
+    * star sends the cell (K, K) to (P, P) with the sign of K against its
+      complement twice, so T[P, P] = (g^m R^q)[K, K] / m!;
+    * g^m = m! sum_{|S|=m} e_S (x) e_S, so (g^m R^q)[K, K] is m! times the
+      sum over the m-subsets S of K of sign(S, K - S)^2 R^q[K - S, K - S],
+      that is m! sum_{A in K, |A|=2q} R^q[A, A];
+    * a cell of a product has its index sets inside K exactly when both
+      factors' cells do, so restricting to the cells with I, J inside K
+      commutes with the product: R^q restricted is (R restricted)^q.
+
+    So s_{(p,q)}(P) = sum_{A in K, |A|=2q} (R|_K)^q[A, A] = h_{2q}(R|_K),
+    and R|_K, the cells of R disjoint from P, is again symmetric and
+    Bianchi.  Other planes take sectional_curvature(pq_curvature_tensor),
+    which stays the oracle for this route.
+    """
     _require_pq_range(tensor, p, q)
     if p == 0:
         if plane is not None:
@@ -307,17 +338,36 @@ def pq_sectional(tensor: CurvatureTensor, p: int, q: int, plane: Frame | None) -
         return weyl_invariant(tensor, q)
     if plane is None:
         raise DegreeError(f"s_({p},{q}) needs a {p}-plane")
+    _require_plane(tensor.n, p, p, plane)
+    if len(plane.wedge_coordinates) == 1:
+        (mask,) = plane.wedge_coordinates
+        return weyl_invariant(_restricted(tensor, mask), q)
     return sectional_curvature(pq_curvature_tensor(tensor, p, q), plane)
+
+
+def _restricted(tensor: CurvatureTensor, mask: int) -> CurvatureTensor:
+    """R restricted to the complement of mask: the cells (I, J) with I and
+    J disjoint from it, reduced and certified."""
+    form = tensor.form
+    out = make_zero(form.n, form.p, form.q)
+    out._publish({
+        mask_i: {mask_j: value for mask_j, value in row.items() if not mask_j & mask}
+        for mask_i, row in form.cells.items()
+        if not mask_i & mask
+    }, form.den)
+    return CurvatureTensor(out)
 
 
 def weyl_invariant(tensor: CurvatureTensor, q: int) -> Fraction:
     """h_{2q} = c^{2q} R^q / (2q)!, the 2q-th scalar curvature invariant.
 
-    h_2 is half the scalar curvature; for even n, h_n is the Gauss-Bonnet
-    integrand up to the tube-formula normalization.
+    c^{2q} of the (2q,2q)-form R^q is one contraction pass whose one cell
+    is (2q)! sum_{|S|=2q} R^q[S, S], so h_{2q} is the sum of the diagonal
+    of R^q.  h_2 is half the scalar curvature; for even n, h_n is the
+    Gauss-Bonnet integrand up to the tube-formula normalization.
     """
     _require_q(tensor.n, q)
-    return contractions(power(tensor, q).form, 2 * q)[-1].scalar_value() / factorial(2 * q)
+    return power(tensor, q).form.contract(2 * q).scalar_value() / factorial(2 * q)
 
 
 def einstein_tensor(tensor: CurvatureTensor, q: int) -> DoubleForm:
@@ -333,10 +383,11 @@ def einstein_tensor(tensor: CurvatureTensor, q: int) -> DoubleForm:
 
 
 def _weyl_and_einstein(rq: DoubleForm, q: int) -> tuple[Fraction, DoubleForm]:
-    """(h_{2q}, T_{2q}) read off the one contraction chain of R^q."""
-    chain = contractions(rq, 2 * q)
-    h = chain[2 * q].scalar_value() / factorial(2 * q)
-    return h, h * make_g(rq.n) - chain[2 * q - 1].scale(Fraction(1, factorial(2 * q - 1)))
+    """(h_{2q}, T_{2q}) from two contraction passes over R^q, c^{2q} and
+    c^{2q-1}."""
+    h = rq.contract(2 * q).scalar_value() / factorial(2 * q)
+    traced = rq.contract(2 * q - 1)
+    return h, h * make_g(rq.n) - traced.scale(Fraction(1, factorial(2 * q - 1)))
 
 
 def p_curvature(tensor: CurvatureTensor, p: int, plane: Frame) -> Fraction:

@@ -30,7 +30,13 @@ class BasisError(ValueError):
 
 
 def _check_dimension(n: int) -> None:
-    if not isinstance(n, int) or not 1 <= n <= MAX_DIMENSION:
+    """Refuse an n that is not an int in [1, MAX_DIMENSION], a bool included.
+
+    subset_masks and _mask_rank_table are lru_cached, and True == 1 shares
+    their cache entry, so the check they make runs only on a cache miss;
+    IndexSet, DoubleForm and curvature.Frame check n before reaching them.
+    """
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_DIMENSION:
         raise BasisError(
             f"ambient dimension must be an integer in [1, {MAX_DIMENSION}], got {n!r}"
         )
@@ -107,8 +113,9 @@ class IndexSet:
 
     def __post_init__(self) -> None:
         _check_dimension(self.n)
-        if not isinstance(self.mask, int) or self.mask < 0 or self.mask >> self.n:
-            raise BasisError(f"index mask {self.mask!r} out of range for n={self.n}")
+        mask = self.mask
+        if not isinstance(mask, int) or isinstance(mask, bool) or mask < 0 or mask >> self.n:
+            raise BasisError(f"index mask {mask!r} out of range for n={self.n}")
 
     @classmethod
     def from_indices(cls, n: int, indices) -> "IndexSet":

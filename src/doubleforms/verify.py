@@ -458,10 +458,10 @@ def check_iterated_contraction_lemma(rec, rng, n, trials):
     for p, q, k, l in configs:
         for i in range(per):
             w = random_form(rng, n, p, q)
-            lhs = contractions(w.mul_g_power(l).scale(Fraction(1, factorial(l))), k)[-1]
+            lhs = w.mul_g_power(l).scale(Fraction(1, factorial(l))).contract(k)
             rhs = make_zero(n, max(p + l - k, 0), max(q + l - k, 0))
             for r in range(0, min(k, l) + 1):
-                cm = contractions(w, k - r)[-1]
+                cm = w.contract(k - r)
                 if r == 0:
                     term = cm.mul_g_power(l).scale(Fraction(1, factorial(l)))
                 else:
@@ -689,7 +689,7 @@ def check_effective_contraction_law(rec, rng, n, trials):
     for p, k, l in configs:
         for i in range(per):
             w = decompose(random_form(rng, n, p, p)).components[p]
-            lhs = contractions(w.mul_g_power(l), k)[-1]
+            lhs = w.mul_g_power(l).contract(k)
             if l < k:
                 rec.case(
                     f"(p,k,l)=({p},{k},{l})#{i}",
@@ -725,7 +725,7 @@ def check_contraction_of_components(rec, rng, n, trials):
                     rhs = rhs + comps[p - idx].mul_g_power(idx - k).scale(scale)
                 rec.case(
                     f"(p,k)=({p},{k})#{i}",
-                    contractions(w, k)[-1] == rhs,
+                    w.contract(k) == rhs,
                     "c^k through components failed",
                     form=w,
                 )
@@ -760,7 +760,7 @@ def check_metric_kernel_contractions(rec, rng, n, trials):
         k_min = p + q + l - n
         for idx, vec in enumerate(kernel[: max(1, trials // 8)]):
             w = _unflatten(n, p, q, vec)
-            ok = w.mul_g_power(l).is_zero() and contractions(w, k_min)[-1].is_zero()
+            ok = w.mul_g_power(l).is_zero() and w.contract(k_min).is_zero()
             rec.case(
                 f"(p,q,l)=({p},{q},{l})#{idx}",
                 ok,

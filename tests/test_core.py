@@ -67,6 +67,36 @@ def test_bool_indices_are_refused():
     assert form[(1,), (0,)] == 1
 
 
+def test_bool_dimensions_and_masks_are_refused():
+    # True == 1 and hashes like it, so build the n = 1 cache entries first:
+    # the refusal must not depend on the lru_cached subset tables
+    assert make_zero(1, 1, 1).row_masks == (1,)
+    assert IndexSet(1, 1).indices == (0,)
+    with pytest.raises(BasisError, match="out of range"):
+        IndexSet(4, True)
+    with pytest.raises(BasisError, match="out of range"):
+        IndexSet(4, False)
+    with pytest.raises(BasisError, match="ambient dimension"):
+        IndexSet(True, 0)
+    with pytest.raises(DegreeError, match="ambient dimension"):
+        make_zero(True, 1, 1)
+    with pytest.raises(DegreeError, match="ambient dimension"):
+        make_g(True)
+
+
+def test_contract_count():
+    w = random_form(random.Random(5), 5, 3, 2, density=0.6)
+    assert w.contract(0) is w
+    assert w.contract(1) == w.contract()
+    assert w.contract(2) == w.contract().contract()
+    for k in (3, 4):  # past min(p, q): the zero form of the clamped degree
+        over = w.contract(k)
+        assert (over.p, over.q, over.den) == (max(3 - k, 0), 0, 1) and over.is_zero()
+    for bad in (-1, True, 1.0, "1"):
+        with pytest.raises(DegreeError, match="contraction count"):
+            w.contract(bad)
+
+
 def test_cell_budget():
     previous = cell_budget()
     try:

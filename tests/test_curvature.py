@@ -185,6 +185,14 @@ def test_coordinate_frames_refuse_non_integer_indices(indices):
         Frame.coordinate(4, indices)
 
 
+def test_frames_refuse_bool_dimensions():
+    Frame.coordinate(1, (0,))  # True == 1: the n = 1 frame must not stand in
+    with pytest.raises(FrameError, match="dimension must be an integer"):
+        Frame.coordinate(True, (0,))
+    with pytest.raises(FrameError, match="dimension must be an integer"):
+        Frame.from_vectors(True, [[1]])
+
+
 def test_metric_trace_formula():
     # (g^p w)(P,P) = p! trace(w | Lambda^r P) on orthonormal coordinate frames
     rng = random.Random("eq19")

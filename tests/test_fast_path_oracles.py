@@ -10,8 +10,11 @@ g_power_matrix and constraint set at n <= 5 and on interleaved block
 matrices.  The one wedge kernel, core._wedge, is checked against Fraction
 minors on rational frames, dependent ones included, and coordinate frames'
 directly set wedge coordinates against the minors of their vectors.  The
-invariant report's power sequence and shared contraction chain are checked
-against repeated products and contractions.  The
+invariant report's power sequence and its h_{2q} and T_{2q} against
+repeated products and single contractions, the one-pass contract(k)
+against the chain contractions(w, k)[-1], and pq_sectional's complement
+restriction on coordinate planes against the sectional curvature of
+pq_curvature_tensor.  The
 canonical JSON writer is checked against json.dumps with sorted keys and a
 two-space indent on forms, decompositions, invariant reports and verify
 payloads.  The integer-numerator mul, mul_g_power and contract are checked
@@ -39,12 +42,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doubleforms import (
+    CurvatureTensor,
     DoubleForm,
     build_invariant_report,
     decompose,
     einstein_tensor,
     make_constant_curvature,
+    make_conformally_flat,
     make_g,
+    make_hypersurface,
+    make_product,
     make_zero,
     power,
     sign_report_h4,
@@ -65,6 +72,7 @@ from doubleforms.curvature import (
     FrameError,
     InvariantReport,
     SectionalSample,
+    pq_curvature_tensor,
     pq_sectional,
     sectional_curvature,
 )
@@ -81,6 +89,7 @@ from doubleforms.verify import (
     _operator_rows,
     model_zoo,
     random_bianchi,
+    random_form,
     random_symmetric,
     run_verify,
 )
@@ -1037,3 +1046,77 @@ def test_sectional_curvature_matches_fraction_loop(n, data):
     value = sectional_curvature(w, Frame.from_vectors(n, vectors))
     assert value == reference_sectional_curvature(w, vectors)
     assert type(value) is Fraction
+
+
+# -- one-pass c^k and the complement restriction -------------------------------
+
+
+@st.composite
+def contractible_forms(draw):
+    """A sparse form of any bidegree at n <= 6, or a dense one, whose
+    cells share many indices between I and J, scaled by a rational."""
+    if draw(st.booleans()):
+        return draw(sparse_forms())
+    n = draw(st.integers(1, 6))
+    p, q = draw(st.integers(0, n)), draw(st.integers(0, n))
+    form = random_form(random.Random(draw(st.integers(0, 2**32))), n, p, q, density=0.6)
+    return form.scale(draw(st.fractions(min_value=-5, max_value=5, max_denominator=12)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(contractible_forms(), st.data())
+def test_one_pass_contraction_matches_the_chain(w, data):
+    k = data.draw(st.integers(0, min(w.p, w.q) + 1))
+    fast = w.contract(k)
+    chain = contractions(w, k)[-1]
+    assert (fast.p, fast.q) == (chain.p, chain.q)
+    assert fast.den == chain.den
+    assert fast.cells == chain.cells
+
+
+def oracle_models(rng, n):
+    """The four model kinds with random rational data, and a random
+    Bianchi tensor; the shape operator and conformal factor are not
+    diagonal."""
+    models = [
+        ("constant", make_constant_curvature(n, Fraction(rng.randint(-5, 5), rng.randint(1, 4)))),
+        ("hypersurface", make_hypersurface(random_symmetric(rng, n, 1))),
+        ("conformally_flat", make_conformally_flat(random_symmetric(rng, n, 1))),
+        ("random_bianchi", CurvatureTensor(random_bianchi(rng, n, 2))),
+    ]
+    if n >= 4:
+        left = make_constant_curvature(2, Fraction(rng.randint(-3, 3)))
+        right = make_hypersurface(random_symmetric(rng, n - 2, 1))
+        models.append(("product", make_product(left, right)))
+    return models
+
+
+def coordinate_planes(rng, n, p):
+    """A coordinate plane as Frame.coordinate of unsorted indices and as
+    Frame.from_vectors of its scaled, permuted coordinate vectors.  The
+    scales are +-2 or +-3 over 1, 5 or 7, and each vector is scaled to
+    integers, so the second frame's one wedge coordinate is at least 2^p
+    in size, of either sign."""
+    idx = rng.sample(range(n), p)
+    scales = [Fraction(rng.choice((-3, -2, 2, 3)), rng.choice((1, 5, 7))) for _ in idx]
+    vectors = [[s if j == i else 0 for j in range(n)] for i, s in zip(idx, scales)]
+    scaled = Frame.from_vectors(n, vectors)
+    return [Frame.coordinate(n, idx), scaled]
+
+
+def test_restriction_route_matches_the_pq_tensor():
+    rng = random.Random(13)
+    signs = set()
+    for n in range(2, 8):
+        for name, model in oracle_models(rng, n):
+            for q in range(1, n // 2 + 1):
+                for p in range(1, n - 2 * q + 1):
+                    tensor = pq_curvature_tensor(model, p, q)
+                    for frame in coordinate_planes(rng, n, p):
+                        (c,) = frame.wedge_coordinates.values()
+                        signs.add((c > 0, abs(c) == 1))
+                        fast = pq_sectional(model, p, q, frame)
+                        assert fast == sectional_curvature(tensor, frame), (n, name, p, q)
+                        assert type(fast) is Fraction
+    # unsorted coordinate frames give -1 and +1; scaled ones, either sign
+    assert signs == {(True, True), (False, True), (True, False), (False, False)}
