@@ -15,9 +15,10 @@ stored numerators: the kernels (mul, contract for every c^k in one pass,
 bianchi_sum, and g_power_sum for every linear combination: +, -, scale,
 g-powers) read each operand's den, accumulate plain ints over the product
 or lcm of those, and publish, which drops the cells that cancelled and
-divides by one gcd.  A
-Fraction is made only where a value leaves a form: cell(), entries(),
-inner(), evaluate() and the flattened array.  One kernel, _wedge, computes
+divides by one gcd.  trace_of_product sums the diagonal of a product into
+one int without forming the product.  A Fraction is made only where a
+value leaves a form: cell(), entries(), inner(), evaluate(),
+trace_of_product() and the flattened array.  One kernel, _wedge, computes
 the coordinates of a wedge v_1 ^ ... ^ v_k of integer vectors, one vector
 at a time, as a sparse mask -> int map; evaluate() and curvature.Frame read
 it.  The cell budget bounds the number of stored cells: it is checked where
@@ -180,7 +181,11 @@ class DoubleForm:
     def __init__(self, n: int, p: int, q: int, coeffs=None):
         if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_DIMENSION:
             raise DegreeError(f"ambient dimension must be in [1, {MAX_DIMENSION}], got {n!r}")
-        if not (isinstance(p, int) and isinstance(q, int) and 0 <= p <= n and 0 <= q <= n):
+        if (
+            not (isinstance(p, int) and isinstance(q, int) and 0 <= p <= n and 0 <= q <= n)
+            or isinstance(p, bool)
+            or isinstance(q, bool)
+        ):
             raise DegreeError(f"bidegree ({p!r}, {q!r}) out of range for n={n}")
         self.n = n
         self.p = p
@@ -600,6 +605,73 @@ class DoubleForm:
                 if y is not None:
                     total += value * x * y
         return total
+
+
+def trace_of_product(x: DoubleForm, y: DoubleForm) -> Fraction:
+    """sum_{|A|=m} (x . y)[A, A] for x in D^{p,q}, y in D^{r,s} with
+    p + r == q + s == m, without forming x . y; c^m (x . y) is m! times it.
+
+    A cell (I1, J1) of x and a cell (I2, J2) of y reach the diagonal cell
+    (A, A) exactly when I1 and I2 split A, and so do J1 and J2.  Then A
+    contains I1 u J1, and with P = I1 - J1, Q = J1 - I1 and C = A - (I1 u
+    J1) the partner is
+
+        I2 = A - I1 = Q u C,    J2 = A - J1 = P u C,
+
+    so for each stored cell of x the partners are the cells (Q u C, P u C)
+    of y, C running over the (r - |Q|)-subsets of the indices outside
+    I1 u J1 (only indices in some row mask of y can give a stored cell),
+    and there are none when |Q| > r.  Cells of x with the same I1 u J1 and
+    |Q| share those subsets, so each list is made once per call and kept
+    only for it.  Each pair contributes
+    sign(I1, I2) sign(J1, J2) x[I1, J1] y[I2, J2], the sign of mul,
+    (-1)^(popcount(I2 & odd_I1) + popcount(J2 & odd_J1)) with
+    odd_I = _odd_above(I); C's share of it is popcount(C & (odd_I1 ^
+    odd_J1)).  The sum is one int over x.den * y.den, made a Fraction once.
+    """
+    x._require_same_space(y)
+    r = y.p
+    if x.p + r != x.q + y.q:
+        raise DegreeError(
+            f"the trace needs a square product, got ({x.p},{x.q}) . ({y.p},{y.q})"
+        )
+    cells_y = y.cells
+    support = 0
+    for mask_k in cells_y:
+        support |= mask_k
+    subsets = {}  # (free, size) -> the size-subsets C of free, for this call only
+    total = 0
+    for mask_i, row in x.cells.items():
+        odd_i = _odd_above(mask_i)
+        for mask_j, value in row.items():
+            mask_q = mask_j & ~mask_i
+            size = r - mask_q.bit_count()
+            if size < 0:
+                continue
+            free = support & ~(mask_i | mask_j)
+            choices = subsets.get((free, size))
+            if choices is None:
+                bits = [1 << i for i in mask_to_indices(free)]
+                choices = subsets[free, size] = list(map(sum, itertools.combinations(bits, size)))
+            if not choices:
+                continue
+            mask_p = mask_i & ~mask_j
+            odd_j = _odd_above(mask_j)
+            flip = odd_i ^ odd_j
+            partners = 0
+            for mask_c in choices:
+                num = cells_y.get(mask_q | mask_c, _NO_ROW).get(mask_p | mask_c)
+                if num:
+                    if (mask_c & flip).bit_count() & 1:
+                        partners -= num
+                    else:
+                        partners += num
+            if partners:
+                if ((mask_q & odd_i).bit_count() + (mask_p & odd_j).bit_count()) & 1:
+                    total -= value * partners
+                else:
+                    total += value * partners
+    return Fraction(total, x.den * y.den)
 
 
 def _coerce_vector(n: int, vector) -> list[Fraction]:

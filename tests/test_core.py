@@ -84,6 +84,14 @@ def test_bool_dimensions_and_masks_are_refused():
         make_g(True)
 
 
+def test_bool_bidegrees_are_refused():
+    # a form with p = True would be written as "p": true, which no reader takes
+    for p, q in ((True, 1), (1, True), (False, 0), (0, False)):
+        with pytest.raises(DegreeError, match="bidegree"):
+            make_zero(4, p, q)
+    assert make_zero(4, 1, 0).p == 1
+
+
 def test_contract_count():
     w = random_form(random.Random(5), 5, 3, 2, density=0.6)
     assert w.contract(0) is w

@@ -14,7 +14,9 @@ invariant report's power sequence and its h_{2q} and T_{2q} against
 repeated products and single contractions, the one-pass contract(k)
 against the chain contractions(w, k)[-1], and pq_sectional's complement
 restriction on coordinate planes against the sectional curvature of
-pq_curvature_tensor.  The
+pq_curvature_tensor.  trace_of_product is checked against the formed
+product and c^m, and weyl_invariant, the trace of R^ceil(q/2) .
+R^floor(q/2), against c^(2q) of the whole R^q.  The
 canonical JSON writer is checked against json.dumps with sorted keys and a
 two-space indent on forms, decompositions, invariant reports and verify
 payloads.  The integer-numerator mul, mul_g_power and contract are checked
@@ -62,16 +64,19 @@ from doubleforms import (
 from doubleforms import linalg
 from doubleforms.core import (
     DegreeError,
+    DimensionMismatchError,
     _flatten,
     _wedge,
     contractions,
     g_power_sum,
+    trace_of_product,
 )
 from doubleforms.curvature import (
     Frame,
     FrameError,
     InvariantReport,
     SectionalSample,
+    _restricted,
     pq_curvature_tensor,
     pq_sectional,
     sectional_curvature,
@@ -1120,3 +1125,121 @@ def test_restriction_route_matches_the_pq_tensor():
                         assert type(fast) is Fraction
     # unsorted coordinate frames give -1 and +1; scaled ones, either sign
     assert signs == {(True, True), (False, True), (True, False), (False, False)}
+
+
+# -- h_{2q} as the trace of one product ------------------------------------------
+
+
+def reference_trace(x, y):
+    """sum_A (x . y)[A, A] through the formed product and c^m; past n both
+    clamp to zero forms."""
+    m = x.p + y.p
+    return x.mul(y).contract(m).scalar_value() / factorial(m)
+
+
+def reference_weyl_invariant(tensor, q):
+    """h_{2q} from the whole of R^q, one contraction pass."""
+    return power(tensor, q).form.contract(2 * q).scalar_value() / factorial(2 * q)
+
+
+@st.composite
+def trace_operands(draw):
+    """(x, y) with x . y of square bidegree (m, m).  At n <= 6 both are
+    sparse or 60%-dense rational forms, zero forms or y = x; at n = 7, 8 x
+    is a dense (p, q)-form with p, q in {2, 3} and y has degree 0, 1 or 2,
+    so x has cells with |J - I| past y's degree."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    scale = draw(st.fractions(min_value=-5, max_value=5, max_denominator=12).filter(bool))
+    if draw(st.integers(0, 4)) == 0:
+        n = draw(st.sampled_from((7, 8)))
+        p, q = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+        r = draw(st.integers(max(q - p, 0), 2 - max(p - q, 0)))
+        x = dense_rational_form(rng, n, p, q)
+        y = random_form(rng, n, r, p + r - q, density=0.3).scale(scale)
+        return x, y
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(0, n + 1))  # m = n + 1: the product is zero
+    degrees = st.integers(max(m - n, 0), min(m, n))
+    p, q = draw(degrees), draw(degrees)
+    r, s = m - p, m - q
+
+    def operand(a, b):
+        kind = draw(st.sampled_from(("sparse", "dense", "zero")))
+        if kind == "sparse":
+            return draw(prime_denominator_forms(n, a, b))
+        if kind == "zero":
+            return make_zero(n, a, b)
+        return random_form(rng, n, a, b, density=0.6).scale(scale)
+
+    x = operand(p, q)
+    if (r, s) == (p, q) and draw(st.booleans()):
+        return x, x
+    return x, operand(r, s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(trace_operands())
+def test_trace_of_product_matches_mul_and_contract(operands):
+    x, y = operands
+    got = trace_of_product(x, y)
+    assert type(got) is Fraction
+    assert got == reference_trace(x, y)
+
+
+def test_trace_of_product_refuses_other_bidegrees():
+    with pytest.raises(DegreeError, match="square product"):
+        trace_of_product(make_zero(4, 2, 1), make_zero(4, 1, 1))
+    with pytest.raises(DimensionMismatchError):
+        trace_of_product(make_zero(4, 1, 1), make_zero(5, 1, 1))
+
+
+def weyl_oracle_tensors(rng, n):
+    """Every zoo kind of verify and of oracle_models, and the same models
+    restricted to the complement of a random coordinate plane."""
+    models = model_zoo(n, rng) + oracle_models(rng, n)
+    mask = sum(1 << i for i in rng.sample(range(n), rng.randint(1, max(n - 2, 1))))
+    return models + [(name + " restricted", _restricted(t, mask)) for name, t in models]
+
+
+def test_weyl_invariant_matches_the_whole_power():
+    rng = random.Random(14)
+    for n in range(2, 9):
+        for name, tensor in weyl_oracle_tensors(rng, n):
+            for q in range(1, n // 2 + 1):
+                got = weyl_invariant(tensor, q)
+                assert got == reference_weyl_invariant(tensor, q), (n, name, q)
+                assert type(got) is Fraction
+
+
+def test_weyl_invariant_matches_the_whole_power_on_random_bianchi():
+    rng = random.Random(15)
+    for n in range(2, 9):
+        tensor = CurvatureTensor(random_bianchi(rng, n, 2))
+        for q in range(1, n // 2 + 1):
+            assert weyl_invariant(tensor, q) == reference_weyl_invariant(tensor, q), (n, q)
+
+
+def test_weyl_invariant_refuses_other_degrees():
+    # c^(2q) R^q is a scalar only for R in D^(2,2)
+    for p in (1, 3):
+        tensor = CurvatureTensor(random_bianchi(random.Random(p), 6, p))
+        with pytest.raises(DegreeError, match="weyl_invariant"):
+            weyl_invariant(tensor, 1)
+
+
+def test_weyl_invariant_forms_only_the_larger_half_power(monkeypatch):
+    tensor = make_constant_curvature(10, Fraction(2, 3))
+    products = []
+    mul = DoubleForm.mul
+
+    def counted(self, other):
+        products.append((self.p, other.p))
+        return mul(self, other)
+
+    monkeypatch.setattr(DoubleForm, "mul", counted)
+    for q in range(1, 6):
+        products.clear()
+        weyl_invariant(tensor, q)
+        assert len(products) == (q + 1) // 2 - 1, q
+        # no product reaches past R^ceil(q/2), a (2 ceil(q/2))-form
+        assert all(left + right <= 2 * ((q + 1) // 2) for left, right in products), q
