@@ -47,15 +47,10 @@ def _load_json(path: str):
         raise SchemaError(path, f"malformed JSON: {exc}") from exc
 
 
-def run_invariants(spec: serialize.ModelSpec, max_q: int) -> InvariantReport:
-    """Invariant table for a model; trace identity asserted before emission."""
-    tensor = serialize.build_curvature_tensor(spec)
-    return build_invariant_report(tensor, max_q)
-
-
 def _cmd_invariants(args) -> int:
     spec = serialize.model_spec_from_dict(_load_json(args.spec))
-    report = run_invariants(spec, args.max_q)
+    tensor = serialize.build_curvature_tensor(spec)
+    report = build_invariant_report(tensor, args.max_q)
     if args.format == "table":
         sys.stdout.write(serialize.report_to_table(report))
     else:

@@ -15,10 +15,13 @@ stored numerators: the kernels (mul, contract for every c^k in one pass,
 bianchi_sum, and g_power_sum for every linear combination: +, -, scale,
 g-powers) read each operand's den, accumulate plain ints over the product
 or lcm of those, and publish, which drops the cells that cancelled and
-divides by one gcd.  trace_of_product sums the diagonal of a product into
-one int without forming the product.  A Fraction is made only where a
-value leaves a form: cell(), entries(), inner(), evaluate(),
-trace_of_product() and the flattened array.  One kernel, _wedge, computes
+divides by one gcd.  c^k and g^k visit the same k-subsets S with the same
+sign, (-1)^popcount((I ^ J) & odd_S): contract, g_power_sum and
+decomposition.g_power_matrix draw them from one table, _subset_table(k).
+trace_of_product sums the diagonal of a product into one int without
+forming the product.  A Fraction is made only where a value leaves a form:
+cell(), entries(), inner(), evaluate(), trace_of_product() and the
+flattened array.  One kernel, _wedge, computes
 the coordinates of a wedge v_1 ^ ... ^ v_k of integer vectors, one vector
 at a time, as a sparse mask -> int map; evaluate() and curvature.Frame read
 it.  The cell budget bounds the number of stored cells: it is checked where
@@ -733,6 +736,9 @@ def _wedge(vectors) -> dict[int, int]:
 class _SubsetTable(dict):
     """mask -> ((S, _odd_above(S)), ...) over the k-subsets S of mask, ()
     when mask has fewer than k elements; each entry is made on first use.
+    The one source of the subsets S and parities odd_S that c^k and g^k
+    visit: contract reads the entry of I & J, g_power_sum and
+    decomposition.g_power_matrix the entry of the full mask of range(n).
     A memo like exterior's lru_caches: at most one entry per mask of up to
     MAX_DIMENSION bits."""
 
@@ -763,22 +769,6 @@ def _permutation_sign(perm) -> int:
             if perm[i] > perm[j]:
                 inversions += 1
     return -1 if inversions & 1 else 1
-
-
-def g_power_terms(n: int, power: int, mask_i: int, mask_j: int):
-    """Expand g^power . (e_I (x) e_J) / power! over the basis.
-
-    Yields (sign(S,I) sign(S,J), S u I, S u J) for every power-subset S of
-    range(n) disjoint from I and J, for decomposition.g_power_matrix; the
-    caller checks that the target degrees stay within n.
-    """
-    used = mask_i | mask_j
-    # sign(S,I) sign(S,J) = (-1)^(popcount(I & odd_S) + popcount(J & odd_S))
-    differ = mask_i ^ mask_j
-    for mask_s in subset_masks(n, power):
-        if not mask_s & used:
-            sign = -1 if (differ & _odd_above(mask_s)).bit_count() & 1 else 1
-            yield sign, mask_s | mask_i, mask_s | mask_j
 
 
 def g_power_sum(n: int, p: int, q: int, terms) -> DoubleForm:
@@ -813,7 +803,7 @@ def g_power_sum(n: int, p: int, q: int, terms) -> DoubleForm:
                     for mask_j, value in row.items():
                         target[mask_j] = target.get(mask_j, 0) + weight * value
             continue
-        subsets = [(mask_s, _odd_above(mask_s)) for mask_s in subset_masks(n, k)]
+        subsets = _subset_table(k)[(1 << n) - 1]
         for mask_i, row in w.cells.items():
             scaled = [(mask_j, weight * value) for mask_j, value in row.items()]
             for mask_s, odd_s in subsets:

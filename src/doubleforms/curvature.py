@@ -40,7 +40,7 @@ from .core import (
     make_zero,
     trace_of_product,
 )
-from .decomposition import decompose
+from .decomposition import _require_bianchi_symmetric, decompose
 
 
 @dataclass(frozen=True)
@@ -54,16 +54,7 @@ class CurvatureTensor:
     form: DoubleForm
 
     def __post_init__(self) -> None:
-        if self.form.p != self.form.q:
-            raise DegreeError(
-                f"curvature tensors need p == q, got ({self.form.p},{self.form.q})"
-            )
-        if not self.form.is_symmetric():
-            raise DoubleFormError("curvature tensors must be symmetric")
-        if not self.form.bianchi_sum().is_zero():
-            raise BianchiRequiredError(
-                "form does not satisfy the first Bianchi identity"
-            )
+        _require_bianchi_symmetric(self.form, "a curvature tensor")
 
     @property
     def n(self) -> int:

@@ -39,10 +39,10 @@ from .core import (
     DoubleFormError,
     _flatten,
     _require_cell_budget,
+    _subset_table,
     _unflatten,
     contractions,
     g_power_sum,
-    g_power_terms,
     make_zero,
 )
 from .exterior import _mask_rank_table, subset_masks
@@ -143,11 +143,17 @@ def g_power_matrix(n: int, p: int, q: int, power: int) -> list[list[int]]:
     col_rank = _mask_rank_table(n, q + power)
     cols = comb(n, q + power)
     weight = factorial(power)
+    subsets = _subset_table(power)[(1 << n) - 1]
     col = 0
     for mask_i in subset_masks(n, p):
         for mask_j in subset_masks(n, q):
-            for sign, ti, tj in g_power_terms(n, power, mask_i, mask_j):
-                matrix[row_rank[ti] * cols + col_rank[tj]][col] = sign * weight
+            # g^power . (e_I (x) e_J) = power! sum_S sign(S,I) sign(S,J)
+            # e_{S u I} (x) e_{S u J}, S disjoint from I and J (g_power_sum)
+            used, differ = mask_i | mask_j, mask_i ^ mask_j
+            for mask_s, odd_s in subsets:
+                if not mask_s & used:
+                    row = matrix[row_rank[mask_s | mask_i] * cols + col_rank[mask_s | mask_j]]
+                    row[col] = -weight if (differ & odd_s).bit_count() & 1 else weight
             col += 1
     return matrix
 

@@ -42,6 +42,7 @@ from .curvature import (
     make_hypersurface,
     make_product,
     power,
+    pq_curvature_tensor,
     pq_sectional,
     sectional_curvature,
     sign_report_h4,
@@ -211,10 +212,19 @@ class CheckFailure:
 
 @dataclass
 class CheckResult:
+    """Cases and failures of one named check; the check records into it."""
+
     name: str
-    cases: int
+    cases: int = 0
     failures: list[CheckFailure] = field(default_factory=list)
     elapsed: float = 0.0  # reported out of band, never part of the canonical dict
+
+    def case(self, label: str, passed: bool, detail: str = "mismatch", **inputs):
+        self.cases += 1
+        if not passed:
+            self.failures.append(
+                CheckFailure(self.name, label, detail, {k: _ser(v) for k, v in inputs.items()})
+            )
 
     @property
     def ok(self) -> bool:
@@ -279,25 +289,6 @@ def _ser(value):
     if isinstance(value, (list, tuple)):
         return [_ser(v) for v in value]
     return value
-
-
-class _Recorder:
-    """Collects cases and failures for one named check."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.cases = 0
-        self.failures: list[CheckFailure] = []
-
-    def case(self, label: str, passed: bool, detail: str = "mismatch", **inputs):
-        self.cases += 1
-        if not passed:
-            self.failures.append(
-                CheckFailure(self.name, label, detail, {k: _ser(v) for k, v in inputs.items()})
-            )
-
-    def result(self, elapsed: float) -> CheckResult:
-        return CheckResult(self.name, self.cases, self.failures, elapsed)
 
 
 def _cases_per_config(trials: int, configs: int) -> int:
@@ -853,8 +844,6 @@ def check_einstein_trace(rec, rng, n, trials):
 
 
 def check_sectional_sum_recursion(rec, rng, n, trials):
-    from .curvature import pq_curvature_tensor
-
     for name, model in model_zoo(n, rng):
         for q in (1, 2):
             if 2 * q > n:
@@ -930,8 +919,6 @@ def check_hypersurface_symmetric_functions(rec, rng, n, trials):
 
 
 def check_constant_curvature_values(rec, rng, n, trials):
-    from .curvature import pq_curvature_tensor
-
     per = max(1, trials // 6)
     for lam in (Fraction(1), Fraction(-2), Fraction(1, 3)):
         model = make_constant_curvature(n, lam)
@@ -1026,8 +1013,6 @@ def check_power_scaling(rec, rng, n, trials):
 
 
 def check_einstein_difference(rec, rng, n, trials):
-    from .curvature import pq_curvature_tensor
-
     models = [m for m in model_zoo(n, rng) if is_einstein(m[1])]
     for name, model in models:
         scalar = model.form.contract().contract().scalar_value()
@@ -1049,8 +1034,6 @@ def check_einstein_difference(rec, rng, n, trials):
 
 
 def check_constant_sum(rec, rng, n, trials):
-    from .curvature import pq_curvature_tensor
-
     for lam in (Fraction(1), Fraction(-1)):
         model = make_constant_curvature(n, lam)
         scalar = model.form.contract().contract().scalar_value()
@@ -1074,8 +1057,6 @@ def check_constant_sum(rec, rng, n, trials):
 
 def check_constant_pq_characterization(rec, rng, n, trials):
     # forward on constant curvature; refuted on a sphere product
-    from .curvature import pq_curvature_tensor
-
     model = make_constant_curvature(n, Fraction(2))
     for q in (1, 2):
         if 2 * q > n:
@@ -1104,25 +1085,17 @@ def check_constant_pq_characterization(rec, rng, n, trials):
         # products realize both directions (Einstein at matched dimensions,
         # non-Einstein otherwise); coordinate lines witness either way since
         # the model is diagonal.
-        ricci = product.form.contract()
-        proportional = ricci == (
-            ricci.contract().scalar_value() / Fraction(n)
-        ) * make_g(n)
         lines = {pq_sectional(product, 1, 1, Frame.coordinate(n, (i,))) for i in range(n)}
         rec.case(
             "low-p branch product",
-            (len(lines) == 1) == proportional,
+            (len(lines) == 1) == is_einstein(product),
             "s_1 constancy on lines must match cR ~ g",
         )
         skew = make_hypersurface(_diag_form(n, [1, 1, 1, 0] + [0] * (n - 4)))
-        ricci = skew.form.contract()
-        proportional = ricci == (
-            ricci.contract().scalar_value() / Fraction(n)
-        ) * make_g(n)
         lines = {pq_sectional(skew, 1, 1, Frame.coordinate(n, (i,))) for i in range(n)}
         rec.case(
             "low-p branch refute",
-            (not proportional) and len(lines) > 1,
+            not is_einstein(skew) and len(lines) > 1,
             "non-Einstein hypersurface should have varying s_1",
         )
 
@@ -1413,8 +1386,9 @@ def run_verify(suite: str, n: int, trials: int, seed: int) -> VerifyOutcome:
         for check_name, check in SUITES[suite_name]:
             full_name = f"{suite_name}.{check_name}"
             rng = random.Random(f"{seed}:{suite_name}:{check_name}:{n}:{trials}")
-            recorder = _Recorder(full_name)
+            result = CheckResult(full_name)
             check_started = time.perf_counter()
-            check(recorder, rng, n, trials)
-            results.append(recorder.result(time.perf_counter() - check_started))
+            check(result, rng, n, trials)
+            result.elapsed = time.perf_counter() - check_started
+            results.append(result)
     return VerifyOutcome(suite, n, trials, seed, results, time.perf_counter() - started)

@@ -91,6 +91,16 @@ def test_curvature_tensor_invariants():
         CurvatureTensor(not_bianchi)
 
 
+def test_curvature_tensor_refuses_an_asymmetric_form_as_star_bianchi_does():
+    from doubleforms import BianchiRequiredError, star_bianchi
+
+    asymmetric = make_basis(4, (0, 1), (0, 2))
+    with pytest.raises(BianchiRequiredError, match="star_bianchi needs a symmetric form"):
+        star_bianchi(asymmetric, 2)
+    with pytest.raises(BianchiRequiredError, match="a curvature tensor needs a symmetric form"):
+        CurvatureTensor(asymmetric)
+
+
 def test_power_closed_forms():
     lam = F(3, 2)
     model = make_constant_curvature(5, lam)

@@ -1,5 +1,6 @@
 """Orthogonal decomposition, effective components, g-power ranks."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import comb, factorial
@@ -26,7 +27,7 @@ from doubleforms import (
 )
 from doubleforms.core import _unflatten, cell_budget, set_cell_budget
 from doubleforms.decomposition import divide_g_power
-from doubleforms.exterior import subset_masks
+from doubleforms.exterior import mask_rank, subset_masks, wedge_sign_masks
 from doubleforms import linalg
 from doubleforms.verify import (
     _operator_rows,
@@ -219,6 +220,36 @@ def test_map_rank_matches_prediction():
                         assert (got == source) == (p + q <= n - 1)
                         assert (got == target) == (p + q >= n - 1)
                         assert (got == source == target) == (p + q == n - 1)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_g_power_matrix_entries_match_the_wedge_sign_oracle(n):
+    # g^k . (e_I (x) e_J) = k! sum_S sign(S,I) sign(S,J) e_{S u I} (x) e_{S u J}
+    # over the k-subsets S of range(n) disjoint from I and J
+    for p, q, power in itertools.product(range(n + 1), repeat=3):
+        matrix = g_power_matrix(n, p, q, power)
+        sources = [(mi, mj) for mi in subset_masks(n, p) for mj in subset_masks(n, q)]
+        if p + power > n or q + power > n:
+            assert matrix == [[0] * len(sources)], (n, p, q, power)
+            continue
+        if power == 0:
+            assert matrix == [
+                [int(row == col) for col in range(len(sources))] for row in range(len(sources))
+            ], (n, p, q)
+        cols = comb(n, q + power)
+        expected = [[0] * len(sources) for _ in range(comb(n, p + power) * cols)]
+        for col, (mask_i, mask_j) in enumerate(sources):
+            for subset in itertools.combinations(range(n), power):
+                mask_s = sum(1 << s for s in subset)
+                if mask_s & (mask_i | mask_j):
+                    continue
+                row = mask_rank(n, mask_s | mask_i) * cols + mask_rank(n, mask_s | mask_j)
+                expected[row][col] = (
+                    factorial(power)
+                    * wedge_sign_masks(mask_s, mask_i)
+                    * wedge_sign_masks(mask_s, mask_j)
+                )
+        assert matrix == expected, (n, p, q, power)
 
 
 def test_dense_matrices_are_refused_past_the_cell_budget():
