@@ -59,10 +59,6 @@ from .exterior import (
     MAX_DIMENSION,
     BasisError,
     IndexSet,
-    complement_sign,
-    rank,
-    unrank,
-    wedge_sign,
 )
 
 __version__ = "0.1.0"

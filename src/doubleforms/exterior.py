@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 
 # Forms store only nonzero cells and the cell budget counts those, so n is
 # capped by what the package enumerates per (n, k): subset_masks and the rank
@@ -147,43 +146,3 @@ class IndexSet:
     def __repr__(self) -> str:
         return f"IndexSet(n={self.n}, indices={self.indices})"
 
-
-def rank(index_set: IndexSet) -> int:
-    """Lexicographic rank of a k-subset among all k-subsets of [0, n).
-
-    Computed arithmetically (combinatorial number system); agrees with the
-    position in subset_masks, which enumerates via itertools.
-    """
-    n = index_set.n
-    idx = index_set.indices
-    k = len(idx)
-    r = 0
-    prev = -1
-    for t, i in enumerate(idx):
-        for v in range(prev + 1, i):
-            r += comb(n - 1 - v, k - t - 1)
-        prev = i
-    return r
-
-
-def unrank(n: int, k: int, r: int) -> IndexSet:
-    """Inverse of rank: the r-th k-subset of [0, n) in lexicographic order."""
-    masks = subset_masks(n, k)
-    if not 0 <= r < len(masks):
-        raise BasisError(f"rank {r!r} out of range [0, {len(masks)})")
-    return IndexSet(n, masks[r])
-
-
-def wedge_sign(left: IndexSet, right: IndexSet) -> tuple[int, IndexSet]:
-    """Sign and merged index set of e_I ^ e_K; sign 0 when I and K overlap."""
-    if left.n != right.n:
-        raise BasisError("wedge_sign requires index sets over the same n")
-    return (
-        wedge_sign_masks(left.mask, right.mask),
-        IndexSet(left.n, left.mask | right.mask),
-    )
-
-
-def complement_sign(index_set: IndexSet) -> tuple[int, IndexSet]:
-    """Sign s and complement I^c with star(e_I) = s * e_{I^c}."""
-    return complement_sign_mask(index_set.n, index_set.mask), index_set.complement()

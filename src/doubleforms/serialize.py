@@ -6,22 +6,28 @@ must be positive.
 Emission has one writer, dumps_canonical.  Its text is json.dumps's with
 sorted keys and a two-space indent, plus a final newline: ASCII string
 escapes, entries in lexicographic cell order.  Besides plain JSON values it
-takes forms, decompositions and invariant reports as leaves; a form's
-entries are written straight from its stored numerators in entries()
-order, each over the form's denominator reduced by one gcd, with the text
-of each index list cached per (n, k, depth), so no list of lists and no
-Fraction is built.
+takes forms, decompositions and invariant reports as leaves.  A form's
+entries are written row by row straight from its stored numerators, in
+entries() order: each row's text up to the column is built once, the text
+of each index list followed by what comes after it is cached per
+(n, k, depth), and each distinct numerator's value text, reduced against
+the form's denominator by one gcd, is built once per form, so no list of
+lists and no Fraction is built.
 form_to_dict, decomposition_to_dict and report_to_dict build plain dicts
 from the same payloads.  json.dumps itself is left to the tests, as the
 writer's oracle.
 
-Parsing: form_from_dict looks an index list up in a cached
-tuple(indices) -> mask table per (n, k) when the list holds exact ints
-only, reads each distinct value string once per call, and publishes the
-numerators over the lcm of the values' denominators once.  Anything else
-takes the validating route (_read_index_set, rational_from_str), so which
-inputs are refused, and with which message, does not depend on the fast
-path.
+Parsing: form_from_dict reads a form's entries by one of two routes.  The
+bulk route (_read_in_bulk) checks a whole column of the entries at a time:
+the types and lengths of the entries, their index lists, indices and
+values, the index lists against a cached tuple -> mask table per (n, k),
+and the strict order of the (I, J) pairs; it reads each distinct value
+once.  It never raises: on anything it does not accept it declines, and
+the validating route (_read_entries) reads the entries one at a time
+through _read_index_set and rational_from_str.  Only that route refuses
+input, at the first malformed entry, so which inputs are refused, and with
+which message, does not depend on the bulk route.  Either way the
+numerators are published over the lcm of the values' denominators once.
 """
 
 from __future__ import annotations
@@ -31,14 +37,15 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
-from math import comb, gcd, lcm
+from math import gcd, lcm
+from operator import lt
 
 from .core import (
     DoubleForm,
     DoubleFormError,
     _require_cell_budget,
-    _sorted_cells,
     make_zero,
 )
 from .curvature import (
@@ -174,29 +181,46 @@ def _index_texts(n: int, k: int, depth: int) -> dict[int, str]:
     }
 
 
+@lru_cache(maxsize=None)
+def _column_texts(n: int, k: int, depth: int) -> dict[int, str]:
+    """mask -> its index list's text at the given depth, then the comma,
+    line break and opening quote of the value that follows it in an entry."""
+    between = "," + _newline(depth) + '"'
+    return {mask: text + between for mask, text in _index_texts(n, k, depth).items()}
+
+
 def _write_form(form: DoubleForm, depth: int, out: list) -> None:
-    """form_to_dict(form)'s canonical text, written from the stored cells."""
+    """form_to_dict(form)'s canonical text, written from the stored cells:
+    each row's text up to its column once, each numerator's text once."""
     inner = _newline(depth + 1)
     out.append("{" + inner + '"entries": ')
     entry_depth = depth + 2
     left = _index_texts(form.n, form.p, entry_depth + 1)
-    right = _index_texts(form.n, form.q, entry_depth + 1)
-    between = "," + _newline(entry_depth + 1)
+    right = _column_texts(form.n, form.q, entry_depth + 1)
     head = "[" + _newline(entry_depth + 1)
+    between = "," + _newline(entry_depth + 1)
     tail = '"' + _newline(entry_depth) + "]"
-    # rational_to_str's text: "num", or "num/den" in lowest terms
     den = form.den
-    try:
-        items = [
-            head + left[mask_i] + between + right[mask_j] + between + '"'
-            + (_ratio_text(num, den) if den != 1 else str(num)) + tail
-            for mask_i, mask_j, num in _sorted_cells(form)
-        ]
+    numerators = set(chain.from_iterable(map(dict.values, form.cells.values())))
+    try:  # rational_to_str's text: "num", or "num/den" in lowest terms
+        texts = {
+            num: (_ratio_text(num, den) if den != 1 else str(num)) + tail for num in numerators
+        }
     except ValueError as exc:  # str() refuses ints past the interpreter's digit limit
         raise DoubleFormError(f"output number too long: {exc}") from exc
-    if items:
+    row_rank = _mask_rank_table(form.n, form.p)
+    col_rank = _mask_rank_table(form.n, form.q).__getitem__
+    sep = "," + _newline(entry_depth)
+    rows = []
+    for mask_i in sorted(form.cells, key=row_rank.__getitem__):
+        row = form.cells[mask_i]
+        prefix = head + left[mask_i] + between  # opens each of the row's entries
+        rows.append(prefix + (sep + prefix).join(
+            [right[mask_j] + texts[row[mask_j]] for mask_j in sorted(row, key=col_rank)]
+        ))
+    if rows:
         out.append("[" + _newline(entry_depth))
-        out.append(("," + _newline(entry_depth)).join(items))
+        out.append(sep.join(rows))
         out.append(inner + "]")
     else:
         out.append("[]")
@@ -264,6 +288,9 @@ def form_to_dict(form: DoubleForm) -> dict:
 
 
 def form_from_dict(obj, path: str = "form") -> DoubleForm:
+    """The form obj describes.  Its entries are read by _read_in_bulk, or,
+    when that declines them, by _read_entries, which refuses the first
+    malformed entry; the form is the same either way."""
     obj = _expect_dict(obj, path)
     _expect_keys(obj, path, {"n", "p", "q", "entries"})
     n = _expect_int(obj["n"], f"{path}.n")
@@ -275,58 +302,89 @@ def form_from_dict(obj, path: str = "form") -> DoubleForm:
         raise SchemaError(path, str(exc)) from exc
     entries = _expect_list(obj["entries"], f"{path}.entries")
     _require_cell_budget(len(entries), f"D^({p},{q}) at n={n}")
-    row_rank = _mask_rank_table(n, p)
-    col_rank = _mask_rank_table(n, q)
-    row_masks, col_masks = _index_masks(n, p), _index_masks(n, q)
-    row_types, col_types = (int,) * p, (int,) * q
-    width = comb(n, q)
-    # cells hold an index into ratios; each distinct value string is read once
-    ratios: list[Fraction] = []
-    slots: dict[str, int] = {}
+    read = _read_in_bulk(entries, n, p, q)
+    if read is None:
+        read = _read_entries(entries, n, p, q, path)
+    rows, cols, values, ratios = read
+    den = lcm(*{ratio.denominator for ratio in ratios.values()})
+    scaled = {value: ratio.numerator * (den // ratio.denominator) for value, ratio in ratios.items()}
     cells: dict[int, dict[int, int]] = {}
-    last = -1
-    for index, entry in enumerate(entries):
-        left = right = slot = None
-        if type(entry) is list and len(entry) == 3:
-            raw_i, raw_j, raw_value = entry
-            # exact ints only: True == 1 and 1.0 == 1 would hit the table too
-            if type(raw_i) is list and tuple(map(type, raw_i)) == row_types:
-                left = row_masks.get(tuple(raw_i))
-            if type(raw_j) is list and tuple(map(type, raw_j)) == col_types:
-                right = col_masks.get(tuple(raw_j))
-            if type(raw_value) is str:
-                slot = slots.get(raw_value)
-        if left is None or right is None or slot is None:
-            epath = f"{path}.entries[{index}]"
-            entry = _expect_list(entry, epath)
-            if len(entry) != 3:
-                raise SchemaError(epath, f"expected [I, J, value], got {entry!r}")
-            if left is None:
-                left = _read_index_set(entry[0], n, p, f"{epath}[0]").mask
-            if right is None:
-                right = _read_index_set(entry[1], n, q, f"{epath}[1]").mask
-            if slot is None:
-                slot = len(ratios)
-                ratios.append(rational_from_str(entry[2], f"{epath}[2]"))
-                if type(entry[2]) is str:
-                    slots[entry[2]] = slot
-        key = row_rank[left] * width + col_rank[right]
-        if key <= last:
-            raise SchemaError(
-                f"{path}.entries[{index}]", "entries must be strictly sorted by (rank I, rank J)"
-            )
-        last = key
-        row = cells.get(left)
+    for mask_i, mask_j, num in zip(rows, cols, map(scaled.__getitem__, values)):
+        row = cells.get(mask_i)
         if row is None:
-            row = cells[left] = {}
-        row[right] = slot
-    den = lcm(*{ratio.denominator for ratio in ratios})
-    scaled = [ratio.numerator * (den // ratio.denominator) for ratio in ratios]
-    form._publish({
-        mask_i: {mask_j: scaled[slot] for mask_j, slot in row.items()}
-        for mask_i, row in cells.items()
-    }, den)  # drops the zero values
+            row = cells[mask_i] = {}
+        row[mask_j] = num
+    form._publish(cells, den)  # drops the zero values
     return form
+
+
+# Both readers test the strict (rank I, rank J) order of the entries as the
+# order of their (I, J) index lists: valid index lists of one length sort
+# lexicographically, as subset_masks ranks them.
+
+
+def _read_in_bulk(entries: list, n: int, p: int, q: int):
+    """(row masks, column masks, values, value -> Fraction) of entries that
+    _read_entries accepts, each check made over a whole column of the
+    entries; None for anything else, no entries included.  Never raises."""
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {3}:
+        return None
+    raw_i, raw_j, values = zip(*entries)
+    # exact ints only: True == 1 and 1.0 == 1 would hit the tables too
+    if (
+        set(map(type, raw_i)) != {list}
+        or set(map(type, raw_j)) != {list}
+        or not set(map(type, chain.from_iterable(raw_i))) <= {int}
+        or not set(map(type, chain.from_iterable(raw_j))) <= {int}
+        or not set(map(type, values)) <= {str, int}
+    ):
+        return None
+    rows = list(map(_index_masks(n, p).get, map(tuple, raw_i)))
+    cols = list(map(_index_masks(n, q).get, map(tuple, raw_j)))
+    if None in rows or None in cols:
+        return None
+    pairs, later = zip(raw_i, raw_j), zip(islice(raw_i, 1, None), islice(raw_j, 1, None))
+    if not all(map(lt, pairs, later)):
+        return None
+    ratios = {}
+    for value in dict.fromkeys(values):  # each distinct value read once
+        ratio = _ratio_of(value)
+        if ratio is None:
+            return None
+        ratios[value] = ratio
+    return rows, cols, values, ratios
+
+
+def _ratio_of(value: str | int) -> Fraction | None:
+    """rational_from_str(value) where that returns, None where it raises."""
+    if type(value) is int:
+        return Fraction(value)
+    if not _RATIONAL_RE.fullmatch(value):
+        return None
+    num, _, den = value.partition("/")
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError:
+        return None
+    return Fraction(num, den) if den else None
+
+
+def _read_entries(entries: list, n: int, p: int, q: int, path: str):
+    """_read_in_bulk's lists, read and validated one entry at a time: the
+    one route that refuses a malformed entry, naming the first one."""
+    rows, cols, values, ratios = [], [], [], {}
+    for index, entry in enumerate(entries):
+        epath = f"{path}.entries[{index}]"
+        entry = _expect_list(entry, epath)
+        if len(entry) != 3:
+            raise SchemaError(epath, f"expected [I, J, value], got {entry!r}")
+        rows.append(_read_index_set(entry[0], n, p, f"{epath}[0]").mask)
+        cols.append(_read_index_set(entry[1], n, q, f"{epath}[1]").mask)
+        ratios[entry[2]] = rational_from_str(entry[2], f"{epath}[2]")
+        values.append(entry[2])
+        if index and entry[:2] <= entries[index - 1][:2]:
+            raise SchemaError(epath, "entries must be strictly sorted by (rank I, rank J)")
+    return rows, cols, values, ratios
 
 
 @lru_cache(maxsize=None)

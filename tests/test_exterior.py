@@ -1,22 +1,61 @@
-"""Basis combinatorics: ranks, wedge signs, complement signs."""
+"""Basis combinatorics: ranks, wedge signs, complement signs.
+
+The package works on masks only.  rank, unrank, wedge_sign and
+complement_sign below are the IndexSet-level functions it once exported,
+kept here as oracles of the mask tables: rank counts subsets arithmetically
+(combinatorial number system) where mask_rank reads subset_masks'
+enumeration, and the sign functions return the merged or complementary
+IndexSet next to the mask primitives' sign.
+"""
 
 import itertools
+from math import comb
 
 import pytest
 
 from doubleforms.exterior import (
     BasisError,
     IndexSet,
-    complement_sign,
     complement_sign_mask,
     mask_rank,
     mask_to_indices,
-    rank,
     subset_masks,
-    unrank,
-    wedge_sign,
     wedge_sign_masks,
 )
+
+
+def rank(index_set):
+    """Lexicographic rank of a k-subset among all k-subsets of [0, n)."""
+    n = index_set.n
+    idx = index_set.indices
+    k = len(idx)
+    r = 0
+    prev = -1
+    for t, i in enumerate(idx):
+        for v in range(prev + 1, i):
+            r += comb(n - 1 - v, k - t - 1)
+        prev = i
+    return r
+
+
+def unrank(n, k, r):
+    """Inverse of rank: the r-th k-subset of [0, n) in lexicographic order."""
+    masks = subset_masks(n, k)
+    if not 0 <= r < len(masks):
+        raise BasisError(f"rank {r!r} out of range [0, {len(masks)})")
+    return IndexSet(n, masks[r])
+
+
+def wedge_sign(left, right):
+    """Sign and merged index set of e_I ^ e_K; sign 0 when I and K overlap."""
+    if left.n != right.n:
+        raise BasisError("wedge_sign requires index sets over the same n")
+    return wedge_sign_masks(left.mask, right.mask), IndexSet(left.n, left.mask | right.mask)
+
+
+def complement_sign(index_set):
+    """Sign s and complement I^c with star(e_I) = s * e_{I^c}."""
+    return complement_sign_mask(index_set.n, index_set.mask), index_set.complement()
 
 
 def _inversion_sign(sequence):

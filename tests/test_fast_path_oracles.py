@@ -19,7 +19,11 @@ product and c^m, and weyl_invariant, the trace of R^ceil(q/2) .
 R^floor(q/2), against c^(2q) of the whole R^q.  The
 canonical JSON writer is checked against json.dumps with sorted keys and a
 two-space indent on forms, decompositions, invariant reports and verify
-payloads.  The integer-numerator mul, mul_g_power and contract are checked
+payloads, on forms whose numerators repeat too.  The JSON reader's bulk
+route is checked against a per-entry reader on sparse, dense and
+integer-valued forms, and its refusals against the messages the
+per-entry reader gave before it, pinned for faults made in a dense form.
+The integer-numerator mul, mul_g_power and contract are checked
 against the Fraction-accumulating loops they replaced, on forms over many
 distinct prime denominators and on products and contractions that cancel.
 The one linear-combination kernel, g_power_sum, is checked against the
@@ -82,11 +86,15 @@ from doubleforms.curvature import (
     sectional_curvature,
 )
 from doubleforms.decomposition import divide_g_power, g_power_matrix
-from doubleforms.exterior import subset_masks
+from doubleforms.exterior import IndexSet, subset_masks
 from doubleforms.serialize import (
+    SchemaError,
+    _read_in_bulk,
     decomposition_to_dict,
     dumps_canonical,
+    form_from_dict,
     form_to_dict,
+    rational_from_str,
     report_to_dict,
 )
 from doubleforms.verify import (
@@ -434,15 +442,23 @@ def json_oracle(plain) -> str:
     return json.dumps(plain, indent=2, sort_keys=True) + "\n"
 
 
+# values of pooled sparse_forms: few enough that cells share numerators
+VALUE_POOL = (Fraction(1), Fraction(-3, 2), Fraction(2, 3), Fraction(7), Fraction(-5, 4))
+
+
 @st.composite
-def sparse_forms(draw, max_n=6, square=False):
+def sparse_forms(draw, max_n=6, square=False, pooled=False):
     """Any bidegree at n <= 6, the zero form included; negative and
-    multi-digit numerators, some denominators above 1."""
+    multi-digit numerators, some denominators above 1.  Pooled forms take
+    their values from VALUE_POOL, so numerators repeat across rows."""
     n = draw(st.integers(1, max_n))
     p = draw(st.integers(0, n))
     q = p if square else draw(st.integers(0, n))
     rows, cols = subset_masks(n, p), subset_masks(n, q)
-    values = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=97)
+    if pooled:
+        values = st.sampled_from(VALUE_POOL)
+    else:
+        values = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=97)
     cells = draw(st.dictionaries(
         st.tuples(st.sampled_from(rows), st.sampled_from(cols)), values, max_size=40
     ))
@@ -455,6 +471,14 @@ def sparse_forms(draw, max_n=6, square=False):
 @settings(max_examples=200, deadline=None)
 @given(sparse_forms())
 def test_writer_matches_json_dumps_on_forms(form):
+    plain = form_to_dict(form)
+    assert dumps_canonical(form) == dumps_canonical(plain) == json_oracle(plain)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_forms(pooled=True))
+def test_writer_matches_json_dumps_on_repeated_values(form):
+    # the writer builds each distinct numerator's text once per form
     plain = form_to_dict(form)
     assert dumps_canonical(form) == dumps_canonical(plain) == json_oracle(plain)
 
@@ -512,6 +536,207 @@ _json_values = st.recursive(
 def test_writer_matches_json_dumps_on_json_values(value):
     # failure records carry free-form labels and inputs: escapes, nesting, empties
     assert dumps_canonical(value) == json_oracle(value)
+
+
+# -- serialize: the bulk reader against a per-entry reference -----------------
+#
+# form_from_dict reads well-formed entries by serialize._read_in_bulk, one
+# check per column of the entries, and anything else by the validating
+# per-entry loop.  The reference reads each entry on its own, through
+# IndexSet.from_indices, rational_from_str and set_cell.
+
+
+def reference_form_from_dict(data):
+    form = make_zero(data["n"], data["p"], data["q"])
+    for raw_i, raw_j, value in data["entries"]:
+        left = IndexSet.from_indices(form.n, raw_i)
+        right = IndexSet.from_indices(form.n, raw_j)
+        assert (left.k, right.k) == (form.p, form.q)
+        form.set_cell(left.mask, right.mask, rational_from_str(value))
+    return form
+
+
+def assert_reads_as(data, form):
+    """form_from_dict(data) equals the reference and form, and the bulk
+    route read it unless it has no entries."""
+    read = _read_in_bulk(data["entries"], data["n"], data["p"], data["q"])
+    assert (read is None) == (not data["entries"])
+    assert form_from_dict(data) == reference_form_from_dict(data) == form
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_forms())
+def test_reader_matches_per_entry_reference(form):
+    assert_reads_as(form_to_dict(form), form)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_forms(pooled=True), st.data())
+def test_reader_matches_per_entry_reference_on_repeated_and_integer_values(form, data):
+    # repeated value strings are read once; JSON integers are values too
+    plain = form_to_dict(form)
+    for entry in plain["entries"]:
+        if "/" not in entry[2] and data.draw(st.booleans()):
+            entry[2] = int(entry[2])
+    assert_reads_as(plain, form)
+
+
+def test_reader_matches_per_entry_reference_on_dense_forms():
+    rng = random.Random(16)
+    nonzero = [k for k in range(-9, 10) if k]
+    for n in range(1, 7):
+        for p in range(n + 1):
+            for q in range(n + 1):
+                form = make_zero(n, p, q)
+                for mask_i in subset_masks(n, p):
+                    for mask_j in subset_masks(n, q):
+                        form.set_cell(mask_i, mask_j, Fraction(rng.choice(nonzero), rng.randint(1, 6)))
+                data = form_to_dict(form)
+                assert len(data["entries"]) == comb(n, p) * comb(n, q)
+                assert_reads_as(data, form)
+
+
+def dense_form_data():
+    """Every cell of D^(2,1) at n = 4, valued from a pool of five strings."""
+    pool = ("1", "-3/2", "2/3", "5", "-7/4")
+    rows, cols = list(combinations(range(4), 2)), list(combinations(range(4), 1))
+    return {"n": 4, "p": 2, "q": 1, "entries": [
+        [list(i), list(j), pool[(r * len(cols) + c) % len(pool)]]
+        for r, i in enumerate(rows) for c, j in enumerate(cols)
+    ]}
+
+
+def assert_refused_with(faults, message):
+    """dense_form_data() with faults (index -> entry) is refused, by the
+    validating route, with message; the bulk route declines it."""
+    data = dense_form_data()
+    assert _read_in_bulk(data["entries"], 4, 2, 1) is not None
+    for index, entry in faults.items():
+        data["entries"][index] = json.loads(json.dumps(entry))
+    assert _read_in_bulk(data["entries"], 4, 2, 1) is None
+    with pytest.raises(SchemaError) as err:
+        form_from_dict(data)
+    assert str(err.value) == message
+
+
+def _as_bools(indices):
+    """0 and 1 as False and True: equal values, and in order, of type bool."""
+    return [bool(x) if x in (0, 1) else x for x in indices]
+
+
+# name -> the malformed entry made of entries[k]: each kind of fault of
+# tests/test_serialize.py's test_form_entry_errors_are_unchanged, made in
+# place, so that an entry that breaks only one check stays in order.
+ENTRY_FAULTS = {
+    "bool index in I": lambda e, k: [_as_bools(e[k][0]), e[k][1], e[k][2]],
+    "bool index in J": lambda e, k: [e[k][0], _as_bools(e[k][1]), e[k][2]],
+    "float index in I": lambda e, k: [[float(x) for x in e[k][0]], e[k][1], e[k][2]],
+    "float index in J": lambda e, k: [e[k][0], [float(x) for x in e[k][1]], e[k][2]],
+    "I an object": lambda e, k: [{str(x): x for x in e[k][0]}, e[k][1], e[k][2]],
+    "I a string": lambda e, k: ["".join(map(str, e[k][0])), e[k][1], e[k][2]],
+    "J a string": lambda e, k: [e[k][0], "".join(map(str, e[k][1])), e[k][2]],
+    "I decreasing": lambda e, k: [e[k][0][::-1], e[k][1], e[k][2]],
+    "I repeated": lambda e, k: [e[k][0][:1] * 2, e[k][1], e[k][2]],
+    "I past n": lambda e, k: [e[k][0][:1] + [4], e[k][1], e[k][2]],
+    "I negative": lambda e, k: [[-1] + e[k][0][1:], e[k][1], e[k][2]],
+    "I short": lambda e, k: [e[k][0][:1], e[k][1], e[k][2]],
+    "J long": lambda e, k: [e[k][0], e[k][1] + [3], e[k][2]],
+    "no value": lambda e, k: e[k][:2],
+    "two values": lambda e, k: e[k] + e[k][2:],
+    "a string entry": lambda e, k: "x",
+    "a null entry": lambda e, k: None,
+    "float value": lambda e, k: e[k][:2] + [1.5],
+    "bool value": lambda e, k: e[k][:2] + [True],
+    "list value": lambda e, k: e[k][:2] + [e[k][2:]],
+    "zero denominator": lambda e, k: e[k][:2] + [e[k][2].partition("/")[0] + "/0"],
+    "negative denominator": lambda e, k: e[k][:2] + ["1/-2"],
+    "other digits": lambda e, k: e[k][:2] + ["١"],
+    "repeats the previous entry": lambda e, k: e[k - 1],
+    "copies the next entry": lambda e, k: e[k + 1],
+}
+
+
+# Each fault made at an index drawn once with random.Random(16), among the
+# indices 1..22 where it changes the entry.  The messages are pinned from
+# the per-entry reader that form_from_dict was before the bulk route.
+@pytest.mark.parametrize(
+    "fault, index, message",
+    [
+        ("bool index in I", 12, "form.entries[12][0][]: expected an integer, got True"),
+        ("bool index in J", 16, "form.entries[16][1][]: expected an integer, got False"),
+        ("float index in I", 16, "form.entries[16][0][]: expected an integer, got 1.0"),
+        ("float index in J", 10, "form.entries[10][1][]: expected an integer, got 2.0"),
+        ("I an object", 14, "form.entries[14][0]: expected an array, got dict"),
+        ("I a string", 8, "form.entries[8][0]: expected an array, got str"),
+        ("J a string", 15, "form.entries[15][1]: expected an array, got str"),
+        ("I decreasing", 1, "form.entries[1][0]: indices must be strictly increasing, got (1, 0)"),
+        ("I repeated", 14, "form.entries[14][0]: indices must be strictly increasing, got (1, 1)"),
+        ("I past n", 22, "form.entries[22][0]: index 4 out of range [0, 4)"),
+        ("I negative", 9, "form.entries[9][0]: index -1 out of range [0, 4)"),
+        ("I short", 8, "form.entries[8][0]: expected 2 indices, got 1"),
+        ("J long", 21, "form.entries[21][1]: expected 1 indices, got 2"),
+        ("no value", 8, "form.entries[8]: expected [I, J, value], got [[0, 3], [0]]"),
+        (
+            "two values", 1,
+            "form.entries[1]: expected [I, J, value], got [[0, 1], [1], '-3/2', '-3/2']",
+        ),
+        ("a string entry", 10, "form.entries[10]: expected an array, got str"),
+        ("a null entry", 10, "form.entries[10]: expected an array, got NoneType"),
+        ("float value", 11, "form.entries[11][2]: expected a rational string, got 1.5"),
+        ("bool value", 22, "form.entries[22][2]: expected a rational string, got True"),
+        ("list value", 5, "form.entries[5][2]: expected a rational string, got ['1']"),
+        ("zero denominator", 20, "form.entries[20][2]: zero denominator"),
+        (
+            "negative denominator", 10,
+            "form.entries[10][2]: expected 'num' or 'num/den' with positive denominator, got '1/-2'",
+        ),
+        (
+            "other digits", 1,
+            "form.entries[1][2]: expected 'num' or 'num/den' with positive denominator, got '١'",
+        ),
+        (
+            "repeats the previous entry", 8,
+            "form.entries[8]: entries must be strictly sorted by (rank I, rank J)",
+        ),
+        (
+            "copies the next entry", 20,
+            "form.entries[21]: entries must be strictly sorted by (rank I, rank J)",
+        ),
+    ],
+)
+def test_dense_form_entry_errors_are_unchanged(fault, index, message):
+    entries = dense_form_data()["entries"]
+    entry = ENTRY_FAULTS[fault](entries, index)
+    assert json.dumps(entry) != json.dumps(entries[index])
+    assert_refused_with({index: entry}, message)
+
+
+@pytest.mark.parametrize(
+    "faults, message",
+    [
+        # entry 3 repeats entry 1; entry 7 holds a bool index
+        (
+            {3: [[0, 1], [1], "-3/2"], 7: [[0, True], [1], "1"]},
+            "form.entries[3]: entries must be strictly sorted by (rank I, rank J)",
+        ),
+        # entry 3 holds a bool index; entry 7 repeats entry 5
+        (
+            {3: [[0, 2], [True], "1"], 7: [[0, 2], [1], "1"]},
+            "form.entries[3][1][]: expected an integer, got True",
+        ),
+        (
+            {3: [[0, 4], [1], "1"], 7: [[0, 2], [1.0], "1"]},
+            "form.entries[3][0]: index 4 out of range [0, 4)",
+        ),
+        # entry 9 repeats entry 0
+        (
+            {2: [[0, 1], [2], "1/0"], 9: [[0, 1], [0], "1"]},
+            "form.entries[2][2]: zero denominator",
+        ),
+    ],
+)
+def test_the_first_of_two_faults_of_different_kinds_is_named(faults, message):
+    assert_refused_with(faults, message)
 
 
 # -- integer kernels against the Fraction-accumulating loops -----------------

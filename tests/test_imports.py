@@ -41,3 +41,11 @@ def test_no_module_imports_a_name_it_never_uses():
     assert modules
     unused = {p.name: unused_imports(p.read_text(encoding="utf-8")) for p in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_exterior_exports_no_index_set_level_helpers():
+    # rank, unrank, wedge_sign and complement_sign live on in
+    # tests/test_exterior.py as oracles of the mask tables
+    for name in ("rank", "unrank", "wedge_sign", "complement_sign"):
+        assert not hasattr(doubleforms, name), name
+        assert not hasattr(doubleforms.exterior, name), name
