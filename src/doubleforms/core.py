@@ -898,6 +898,18 @@ def make_g(n: int) -> DoubleForm:
     return out
 
 
+def _diagonal(n: int, values) -> DoubleForm:
+    """sum_i values[i] e_i (x) e_i in D^{1,1}, for n exact rational values,
+    published once over the lcm of their denominators."""
+    out = DoubleForm(n, 1, 1)
+    ratios = list(map(_ratio, values))
+    if len(ratios) != n:
+        raise DimensionMismatchError(f"{len(ratios)} diagonal values for n={n}")
+    den = lcm(*(d for _, d in ratios))
+    out._publish({1 << i: {1 << i: num * (den // d)} for i, (num, d) in enumerate(ratios)}, den)
+    return out
+
+
 def make_scalar(n: int, value) -> DoubleForm:
     """A scalar as the corresponding (0,0)-form."""
     out = DoubleForm(n, 0, 0)

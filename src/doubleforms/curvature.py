@@ -41,6 +41,7 @@ from .core import (
     trace_of_product,
 )
 from .decomposition import _require_bianchi_symmetric, decompose
+from .exterior import subset_masks
 
 
 @dataclass(frozen=True)
@@ -69,21 +70,56 @@ class CurvatureTensor:
 
 
 def make_constant_curvature(n: int, curvature) -> CurvatureTensor:
-    """R = (lambda/2) g^2, the constant-sectional-curvature model."""
+    """R = (lambda/2) g^2, the constant-sectional-curvature model.
+
+    g^2 = 2 sum_{|S|=2} e_S (x) e_S, so R holds lambda on every diagonal
+    cell (S, S) with |S| = 2 and nothing else; it is published as such.
+    """
     if n < 2:
         raise DegreeError(f"constant curvature models need n >= 2, got {n}")
     lam = as_scalar(curvature)
-    return CurvatureTensor(make_scalar(n, lam / 2).mul_g_power(2))
+    out = make_zero(n, 2, 2)
+    out._publish({mask: {mask: lam.numerator} for mask in subset_masks(n, 2)}, lam.denominator)
+    return CurvatureTensor(out)
 
 
 def make_hypersurface(second_fundamental: DoubleForm) -> CurvatureTensor:
-    """R = B^2/2 for a symmetric shape operator B, per the Gauss equation."""
+    """R = B^2/2 for a symmetric shape operator B, per the Gauss equation:
+
+        R[{i,j}, {k,l}] = B_ik B_jl - B_il B_jk    for i < j and k < l.
+
+    B.B reaches that cell from (e_i (x) e_k).(e_j (x) e_l) and from the
+    same two factors in the other order, with the same sign, and the 1/2
+    cancels that double count.  So each unordered pair of stored rows
+    i < j of B is visited once: B_ik B_jl with k != l goes to the column
+    {k, l}, with sign + for k < l and - for k > l (e_l ^ e_k = -e_k ^ e_l).
+    The numerators are published once, over B.den^2.  At n = 1 the result
+    is the zero (1,1) form, the clamped degree of B.B there.
+    """
     b = second_fundamental
     if (b.p, b.q) != (1, 1):
         raise DegreeError(f"the shape operator must be a (1,1)-form, got ({b.p},{b.q})")
     if not b.is_symmetric():
         raise DoubleFormError("the shape operator must be symmetric")
-    return CurvatureTensor(b.mul(b).scale(Fraction(1, 2)))
+    if b.n == 1:
+        return CurvatureTensor(make_zero(1, 1, 1))
+    rows = sorted(b.cells.items())
+    acc = {}
+    for at, (mask_i, row_i) in enumerate(rows):
+        for mask_j, row_j in rows[at + 1:]:
+            target = acc[mask_i | mask_j] = {}
+            for mask_k, x in row_i.items():
+                for mask_l, y in row_j.items():
+                    if mask_k == mask_l:
+                        continue
+                    col = mask_k | mask_l
+                    if mask_k < mask_l:
+                        target[col] = target.get(col, 0) + x * y
+                    else:
+                        target[col] = target.get(col, 0) - x * y
+    out = make_zero(b.n, 2, 2)
+    out._publish(acc, b.den * b.den)
+    return CurvatureTensor(out)
 
 
 def make_conformally_flat(h: DoubleForm) -> CurvatureTensor:
@@ -355,13 +391,14 @@ def weyl_invariant(tensor: CurvatureTensor, q: int) -> Fraction:
 
     c^{2q} of the (2q,2q)-form R^q is one cell, (2q)! sum_{|A|=2q}
     R^q[A, A], so h_{2q} is the trace sum_A R^q[A, A].  Even-degree forms
-    commute, so R^q = R^a . R^b with a = ceil(q/2), b = floor(q/2), and
+    commute, so R^q = R^b . R^a with b = floor(q/2), a = ceil(q/2), and
     core.trace_of_product reads the trace of that product off the cells of
-    R^a and R^b: a cell (I1, J1) of R^a meets only the cells (Q u C, P u C)
-    of R^b, with P = I1 - J1, Q = J1 - I1 and C disjoint from I1 u J1, at
-    the sign sign(I1, Q u C) sign(J1, P u C) of the product.  So h_{2q}
-    costs a - 1 products (R^b is met on the way to R^a) and no R^q; R^a
-    is certified, as power certifies its result.  h_2 = c^2 R / 2 is half
+    R^b and R^a: a cell (I1, J1) of R^b, the lower power and the one with
+    fewer cells to walk, meets only the cells (Q u C, P u C) of R^a, with
+    P = I1 - J1, Q = J1 - I1 and C disjoint from I1 u J1, at the sign
+    sign(I1, Q u C) sign(J1, P u C) of the product.  So h_{2q} costs
+    a - 1 products (R^b is met on the way to R^a) and no R^q; R^a is
+    certified, as power certifies its result.  h_2 = c^2 R / 2 is half
     the scalar curvature; for even n, h_n is the Gauss-Bonnet integrand up
     to the tube-formula normalization.
     """
@@ -375,7 +412,7 @@ def weyl_invariant(tensor: CurvatureTensor, q: int) -> Fraction:
             lower = form
     if larger > 1:
         CurvatureTensor(form)
-    return trace_of_product(form, lower)
+    return trace_of_product(lower, form)
 
 
 def einstein_tensor(tensor: CurvatureTensor, q: int) -> DoubleForm:
@@ -548,18 +585,20 @@ def build_invariant_report(
     """Invariants for q = 1..max_q; requires 2 max_q <= n.
 
     R, R^2, ..., R^max_q are built once, each from the previous one by a
-    single product (max_q - 1 in all), and each is certified once, as power
-    certifies its result.  Row q reads h_{2q} and T_{2q} off the one
+    single product (max_q - 1 in all), and each power R^q with q >= 2 is
+    certified once, as power certifies its result; R itself was certified
+    when the tensor was made.  Row q reads h_{2q} and T_{2q} off the one
     contraction chain of R^q; the h_4 sign report reuses row 2's h_4.
     """
     n = tensor.n
     _require_q(n, max_q, "max_q")
-    rows = tuple(
-        InvariantRow(q, *_weyl_and_einstein(CurvatureTensor(form).form, q))
-        for q, form in zip(range(1, max_q + 1), _power_forms(tensor))
-    )
+    rows = []
+    for q, form in zip(range(1, max_q + 1), _power_forms(tensor)):
+        if q > 1:
+            CurvatureTensor(form)
+        rows.append(InvariantRow(q, *_weyl_and_einstein(form, q)))
     h4 = rows[1].weyl if max_q >= 2 else None
     h4_sign = _sign_report_h4(tensor, h4) if n >= 4 else None
-    report = InvariantReport(n, rows, samples, h4_sign)
+    report = InvariantReport(n, tuple(rows), samples, h4_sign)
     report.validate_trace()
     return report

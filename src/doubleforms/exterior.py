@@ -140,9 +140,6 @@ class IndexSet:
     def __len__(self) -> int:
         return self.k
 
-    def complement(self) -> "IndexSet":
-        return IndexSet(self.n, ((1 << self.n) - 1) ^ self.mask)
-
     def __repr__(self) -> str:
         return f"IndexSet(n={self.n}, indices={self.indices})"
 

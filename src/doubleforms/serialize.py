@@ -28,6 +28,9 @@ through _read_index_set and rational_from_str.  Only that route refuses
 input, at the first malformed entry, so which inputs are refused, and with
 which message, does not depend on the bulk route.  Either way the
 numerators are published over the lcm of the values' denominators once.
+model_spec_from_dict reads a conformally flat h_matrix one entry at a time,
+but each distinct string once: the path string of an entry is built only
+when its value is read, and symmetry is checked a row against its column.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from operator import lt
 from .core import (
     DoubleForm,
     DoubleFormError,
+    _diagonal,
     _require_cell_budget,
     make_zero,
 )
@@ -484,18 +488,28 @@ def model_spec_from_dict(obj, path: str = "spec", *, depth: int = 0) -> ModelSpe
         _expect_keys(obj, path, {"model", "h_matrix"}, optional={"n"})
         raw = _expect_list(obj["h_matrix"], f"{path}.h_matrix")
         size = len(raw)
-        matrix = []
+        matrix, seen = [], {}
         for i, row in enumerate(raw):
             row = _expect_list(row, f"{path}.h_matrix[{i}]")
             if len(row) != size:
                 raise SchemaError(f"{path}.h_matrix[{i}]", f"expected {size} columns, got {len(row)}")
-            matrix.append(
-                tuple(rational_from_str(v, f"{path}.h_matrix[{i}][{j}]") for j, v in enumerate(row))
-            )
-        for i in range(size):
-            for j in range(i + 1, size):
-                if matrix[i][j] != matrix[j][i]:
-                    raise SchemaError(f"{path}.h_matrix", f"matrix is not symmetric at ({i},{j})")
+            values = []
+            for j, v in enumerate(row):
+                # each distinct string is read once; no other JSON value
+                # equals a string, so the string alone keys its Fraction
+                ratio = seen.get(v) if type(v) is str else None
+                if ratio is None:
+                    ratio = rational_from_str(v, f"{path}.h_matrix[{i}][{j}]")
+                    if type(v) is str:
+                        seen[v] = ratio
+                values.append(ratio)
+            matrix.append(tuple(values))
+        # row i meets column i at every j < i already, so the first j where
+        # they differ is the first asymmetric (i, j) with i < j
+        for i, (row, column) in enumerate(zip(matrix, zip(*matrix))):
+            if row != column:
+                j = next(j for j, (a, b) in enumerate(zip(row, column)) if a != b)
+                raise SchemaError(f"{path}.h_matrix", f"matrix is not symmetric at ({i},{j})")
         n = _expect_int(obj["n"], f"{path}.n") if "n" in obj else size
         if n != size:
             raise SchemaError(f"{path}.n", f"n={n} but the matrix is {size}x{size}")
@@ -552,16 +566,9 @@ def build_curvature_tensor(spec: ModelSpec) -> CurvatureTensor:
     if spec.model == "constant":
         return make_constant_curvature(spec.n, spec.curvature)
     if spec.model == "hypersurface":
-        shape = make_zero(spec.n, 1, 1)
-        for i, value in enumerate(spec.eigenvalues):
-            shape.set_cell(1 << i, 1 << i, value)
-        return make_hypersurface(shape)
+        return make_hypersurface(_diagonal(spec.n, spec.eigenvalues))
     if spec.model == "conformally_flat":
-        h = make_zero(spec.n, 1, 1)
-        for i, row in enumerate(spec.h_matrix):
-            for j, value in enumerate(row):
-                h.set_cell(1 << i, 1 << j, value)
-        return make_conformally_flat(h)
+        return make_conformally_flat(DoubleForm(spec.n, 1, 1, spec.h_matrix))
     if spec.model == "product":
         tensors = [build_curvature_tensor(f) for f in spec.factors]
         result = tensors[0]

@@ -19,6 +19,7 @@ from . import serialize
 from .core import (
     DoubleForm,
     DoubleFormError,
+    _diagonal,
     _flat_cells,
     _flatten,
     _require_cell_budget,
@@ -797,23 +798,16 @@ def check_star_components_form(rec, rng, n, trials):
 # -- curvature suite --------------------------------------------------------------
 
 
-def _diag_form(n: int, values) -> DoubleForm:
-    form = make_zero(n, 1, 1)
-    for i, value in enumerate(values):
-        form.set_cell(1 << i, 1 << i, Fraction(value))
-    return form
-
-
 def model_zoo(n: int, rng: random.Random | None = None) -> list[tuple[str, CurvatureTensor]]:
     """Deterministic models at dimension n, plus one projected random tensor."""
-    eigen = [1, 1, 1, 0, 2, -1, 1, 3][:n]
-    conf = [1, -1, 2, 0, 1, -2, 3, 1][:n]
+    eigen = ([1, 1, 1, 0, 2, -1, 1, 3] + [0] * n)[:n]
+    conf = ([1, -1, 2, 0, 1, -2, 3, 1] + [0] * n)[:n]
     models = [
         ("constant_1", make_constant_curvature(n, 1)),
         ("constant_-1/2", make_constant_curvature(n, Fraction(-1, 2))),
         ("flat", make_constant_curvature(n, 0)),
-        ("hypersurface_diag", make_hypersurface(_diag_form(n, eigen))),
-        ("conformally_flat_diag", make_conformally_flat(_diag_form(n, conf))),
+        ("hypersurface_diag", make_hypersurface(_diagonal(n, eigen))),
+        ("conformally_flat_diag", make_conformally_flat(_diagonal(n, conf))),
     ]
     if n >= 4:
         left = make_constant_curvature(2, 1)
@@ -907,7 +901,7 @@ def check_hypersurface_symmetric_functions(rec, rng, n, trials):
     per = max(1, trials // 4)
     for i in range(per):
         values = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-        model = make_hypersurface(_diag_form(n, values))
+        model = make_hypersurface(_diagonal(n, values))
         for q in range(1, n // 2 + 1):
             expected = Fraction(factorial(2 * q), 2**q) * elementary_symmetric(values, 2 * q)
             rec.case(
@@ -947,7 +941,7 @@ def check_conformally_flat_values(rec, rng, n, trials):
     per = min(per, 6)
     for i in range(per):
         values = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-        model = make_conformally_flat(_diag_form(n, values))
+        model = make_conformally_flat(_diagonal(n, values))
         for q in range(1, n // 2 + 1):
             for p in range(0, n - 2 * q + 1):
                 expected = Fraction(
@@ -1091,7 +1085,7 @@ def check_constant_pq_characterization(rec, rng, n, trials):
             (len(lines) == 1) == is_einstein(product),
             "s_1 constancy on lines must match cR ~ g",
         )
-        skew = make_hypersurface(_diag_form(n, [1, 1, 1, 0] + [0] * (n - 4)))
+        skew = make_hypersurface(_diagonal(n, [1, 1, 1, 0] + [0] * (n - 4)))
         lines = {pq_sectional(skew, 1, 1, Frame.coordinate(n, (i,))) for i in range(n)}
         rec.case(
             "low-p branch refute",
@@ -1296,7 +1290,7 @@ def check_conformal_scalar_flat_sign(rec, rng, n, trials):
     for i in range(per):
         values = [Fraction(rng.randint(-4, 4)) for _ in range(n - 1)]
         values.append(-sum(values))  # traceless: zero scalar curvature
-        h = _diag_form(n, values)
+        h = _diagonal(n, values)
         tensor = make_conformally_flat(h)
         report = sign_report_h4(tensor)
         if tensor.form.is_zero():

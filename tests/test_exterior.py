@@ -55,7 +55,8 @@ def wedge_sign(left, right):
 
 def complement_sign(index_set):
     """Sign s and complement I^c with star(e_I) = s * e_{I^c}."""
-    return complement_sign_mask(index_set.n, index_set.mask), index_set.complement()
+    complement = IndexSet(index_set.n, ((1 << index_set.n) - 1) ^ index_set.mask)
+    return complement_sign_mask(index_set.n, index_set.mask), complement
 
 
 def _inversion_sign(sequence):

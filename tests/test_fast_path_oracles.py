@@ -15,14 +15,21 @@ repeated products and single contractions, the one-pass contract(k)
 against the chain contractions(w, k)[-1], and pq_sectional's complement
 restriction on coordinate planes against the sectional curvature of
 pq_curvature_tensor.  trace_of_product is checked against the formed
-product and c^m, and weyl_invariant, the trace of R^ceil(q/2) .
-R^floor(q/2), against c^(2q) of the whole R^q.  The
+product and c^m, and weyl_invariant, the trace of R^floor(q/2) .
+R^ceil(q/2), against c^(2q) of the whole R^q.  The model constructors are
+checked against the expressions they replaced: the constant model against
+(lambda/2) g^2 as mul_g_power, the hypersurface model's one pass over pairs
+of rows against B.B/2, and the shapes of build_curvature_tensor against
+shapes built by set_cell.  The
 canonical JSON writer is checked against json.dumps with sorted keys and a
 two-space indent on forms, decompositions, invariant reports and verify
 payloads, on forms whose numerators repeat too.  The JSON reader's bulk
 route is checked against a per-entry reader on sparse, dense and
 integer-valued forms, and its refusals against the messages the
-per-entry reader gave before it, pinned for faults made in a dense form.
+per-entry reader gave before it, pinned for faults made in a dense form;
+the spec reader's h_matrix loop, which reads each distinct string once and
+checks symmetry a row against its column, likewise against per-entry
+rational_from_str and a pairwise symmetry check.
 The integer-numerator mul, mul_g_power and contract are checked
 against the Fraction-accumulating loops they replaced, on forms over many
 distinct prime denominators and on products and contractions that cancel.
@@ -58,6 +65,7 @@ from doubleforms import (
     make_g,
     make_hypersurface,
     make_product,
+    make_scalar,
     make_zero,
     power,
     sign_report_h4,
@@ -69,6 +77,7 @@ from doubleforms import linalg
 from doubleforms.core import (
     DegreeError,
     DimensionMismatchError,
+    _diagonal,
     _flatten,
     _wedge,
     contractions,
@@ -90,10 +99,12 @@ from doubleforms.exterior import IndexSet, subset_masks
 from doubleforms.serialize import (
     SchemaError,
     _read_in_bulk,
+    build_curvature_tensor,
     decomposition_to_dict,
     dumps_canonical,
     form_from_dict,
     form_to_dict,
+    model_spec_from_dict,
     rational_from_str,
     report_to_dict,
 )
@@ -435,6 +446,96 @@ def test_invariant_report_matches_per_q_invariants():
                 assert row.einstein == h * g - c.scale(Fraction(1, factorial(2 * q - 1)))
 
 
+# -- curvature: model constructors against the expressions they replaced ----
+
+_model_values = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 1, 2, 3, 4, 7)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(2, 10),
+    st.one_of(st.just(Fraction(0)), st.integers(-9, 9).map(Fraction), _model_values),
+)
+def test_constant_curvature_matches_lambda_half_g_squared(n, lam):
+    assert make_constant_curvature(n, lam).form == make_scalar(n, lam / 2).mul_g_power(2)
+
+
+@st.composite
+def shape_operators(draw):
+    """Symmetric (1,1)-forms at n <= 8 with fractional values: diagonal,
+    dense, sparse with some rows left empty, or zero."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(("diagonal", "dense", "sparse", "zero")))
+    empty = draw(st.sets(st.integers(0, n - 1))) if kind == "sparse" else set()
+    matrix = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if kind == "zero" or (kind == "diagonal" and i != j) or {i, j} & empty:
+                continue
+            if kind == "sparse" and not draw(st.booleans()):
+                continue
+            matrix[i][j] = matrix[j][i] = draw(_model_values)
+    return DoubleForm(n, 1, 1, matrix)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape_operators())
+def test_hypersurface_matches_half_the_square(b):
+    assert make_hypersurface(b).form == b.mul(b).scale(Fraction(1, 2))
+
+
+def test_hypersurface_at_n1_is_the_clamped_zero_form():
+    b = _diagonal(1, [Fraction(3, 2)])
+    form = make_hypersurface(b).form
+    assert form == b.mul(b) == make_zero(1, 1, 1)
+
+
+@pytest.mark.parametrize("values", [[1, 2, 3], [1]])
+def test_diagonal_takes_exactly_n_values(values):
+    with pytest.raises(DimensionMismatchError):
+        _diagonal(2, values)
+
+
+def test_model_zoo_pads_its_diagonals_with_zeros_past_n8():
+    models = dict(model_zoo(9))
+    shape = _diagonal(9, [1, 1, 1, 0, 2, -1, 1, 3, 0])
+    assert models["hypersurface_diag"].form == make_hypersurface(shape).form
+
+
+def set_cell_shape(n, rows):
+    """The (1,1)-form with the given rows, one set_cell per entry."""
+    form = make_zero(n, 1, 1)
+    for i, row in enumerate(rows):
+        for j, value in enumerate(row):
+            form.set_cell(1 << i, 1 << j, value)
+    return form
+
+
+def spec_value(value, data):
+    """value as a JSON integer, its lowest-terms string or an unreduced one."""
+    choices = [str(value), f"{value.numerator * 3}/{value.denominator * 3}"]
+    if value.denominator == 1:
+        choices.append(value.numerator)
+    return data.draw(st.sampled_from(choices))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape_operators(), st.data())
+def test_spec_shapes_match_set_cell_shapes(b, data):
+    n = b.n
+    rows = [[b.cell(1 << i, 1 << j) for j in range(n)] for i in range(n)]
+    eigen = [rows[i][i] for i in range(n)]
+    shape = set_cell_shape(n, [[v if i == j else 0 for j, v in enumerate(eigen)] for i in range(n)])
+    assert _diagonal(n, eigen) == shape
+    assert DoubleForm(n, 1, 1, rows) == set_cell_shape(n, rows) == b
+    hypersurface = {"model": "hypersurface", "eigenvalues": [spec_value(v, data) for v in eigen]}
+    conformal = {"model": "conformally_flat", "h_matrix": [[spec_value(v, data) for v in row] for row in rows]}
+    built = build_curvature_tensor(model_spec_from_dict(hypersurface)).form
+    assert built == shape.mul(shape).scale(Fraction(1, 2))
+    built = build_curvature_tensor(model_spec_from_dict(conformal)).form
+    assert built == make_g(n).mul(set_cell_shape(n, rows))
+
+
 # -- serialize: one canonical writer against json.dumps -------------------------
 
 
@@ -737,6 +838,132 @@ def test_dense_form_entry_errors_are_unchanged(fault, index, message):
 )
 def test_the_first_of_two_faults_of_different_kinds_is_named(faults, message):
     assert_refused_with(faults, message)
+
+
+# -- serialize: the h_matrix reader against per-entry rational_from_str -----
+#
+# model_spec_from_dict reads each distinct string of an h_matrix once and
+# checks symmetry a row against its column; the values, and the message of
+# the first fault, must be those of reading every entry and comparing every
+# pair i < j.
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_h_matrix_reader_matches_per_entry_values(n, data):
+    rows = [[data.draw(st.sampled_from(("1", "-3/2", 2, 0, "4/6", "2/3"))) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            rows[i][j] = rows[j][i]
+    conformal = model_spec_from_dict({"model": "conformally_flat", "h_matrix": rows})
+    assert conformal.h_matrix == tuple(tuple(map(rational_from_str, row)) for row in rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 8), st.data())
+def test_the_first_asymmetric_pair_is_named(n, data):
+    # equal values written differently ("2/3", "4/6") are symmetric
+    pool = ("2/3", "4/6", "1", 1, "-1")
+    rows = [[data.draw(st.sampled_from(pool)) for _ in range(n)] for _ in range(n)]
+    values = [[rational_from_str(v) for v in row] for row in rows]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if values[i][j] != values[j][i]]
+    spec = {"model": "conformally_flat", "h_matrix": rows}
+    if not pairs:
+        assert model_spec_from_dict(spec).h_matrix == tuple(map(tuple, values))
+        return
+    with pytest.raises(SchemaError) as err:
+        model_spec_from_dict(spec)
+    assert str(err.value) == "spec.h_matrix: matrix is not symmetric at (%d,%d)" % pairs[0]
+
+
+SPEC_POOL = ("1", "-3/2", 2, "2/3", 0)
+
+
+def matrix_spec():
+    """A symmetric 5 x 5 h_matrix of strings and JSON integers."""
+    return {"model": "conformally_flat", "h_matrix": [
+        [SPEC_POOL[(i * j + i + j) % len(SPEC_POOL)] for j in range(5)] for i in range(5)
+    ]}
+
+
+def _set(m, i, j, value, transpose=None):
+    m[i][j] = value
+    if transpose is not None:
+        m[j][i] = transpose
+
+
+# name -> the fault made in place at (i, j) of matrix_spec()'s h_matrix; a
+# bool or float value sits across from a 1, which it equals as a number,
+# and is met after the string "1" at (0, 0) was read
+MATRIX_FAULTS = {
+    "a string row": lambda m, i, j: m.__setitem__(i, "x"),
+    "a null row": lambda m, i, j: m.__setitem__(i, None),
+    "a short row": lambda m, i, j: m.__setitem__(i, m[i][:-1]),
+    "a long row": lambda m, i, j: m.__setitem__(i, m[i] + ["1"]),
+    "bool value": lambda m, i, j: _set(m, i, j, True, 1),
+    "float value": lambda m, i, j: _set(m, i, j, 1.0, 1),
+    "list value": lambda m, i, j: _set(m, i, j, [m[i][j]]),
+    "zero denominator": lambda m, i, j: _set(m, i, j, "1/0"),
+    "decimal string": lambda m, i, j: _set(m, i, j, "1.5"),
+    "negative denominator": lambda m, i, j: _set(m, i, j, "1/-2"),
+    "other digits": lambda m, i, j: _set(m, i, j, "١"),
+    "asymmetric": lambda m, i, j: _set(m, i, j, "7"),
+}
+
+
+def assert_spec_refused_with(spec, message):
+    with pytest.raises(SchemaError) as err:
+        model_spec_from_dict(json.loads(json.dumps(spec)))
+    assert str(err.value) == message
+
+
+# (i, j) drawn once with random.Random(17); the messages are pinned from the
+# per-entry reader that model_spec_from_dict was before the string cache
+@pytest.mark.parametrize(
+    "fault, i, j, message",
+    [
+        ("a string row", 4, 3, "spec.h_matrix[4]: expected an array, got str"),
+        ("a null row", 2, 4, "spec.h_matrix[2]: expected an array, got NoneType"),
+        ("a short row", 2, 1, "spec.h_matrix[2]: expected 5 columns, got 4"),
+        ("a long row", 4, 2, "spec.h_matrix[4]: expected 5 columns, got 6"),
+        ("bool value", 0, 4, "spec.h_matrix[0][4]: expected a rational string, got True"),
+        ("float value", 1, 3, "spec.h_matrix[1][3]: expected a rational string, got 1.0"),
+        ("list value", 3, 2, "spec.h_matrix[3][2]: expected a rational string, got ['-3/2']"),
+        ("zero denominator", 4, 2, "spec.h_matrix[4][2]: zero denominator"),
+        (
+            "decimal string", 3, 1,
+            "spec.h_matrix[3][1]: expected 'num' or 'num/den' with positive denominator, got '1.5'",
+        ),
+        (
+            "negative denominator", 4, 0,
+            "spec.h_matrix[4][0]: expected 'num' or 'num/den' with positive denominator, got '1/-2'",
+        ),
+        (
+            "other digits", 1, 4,
+            "spec.h_matrix[1][4]: expected 'num' or 'num/den' with positive denominator, got '١'",
+        ),
+        ("asymmetric", 1, 4, "spec.h_matrix: matrix is not symmetric at (1,4)"),
+    ],
+)
+def test_h_matrix_errors_are_unchanged(fault, i, j, message):
+    spec = matrix_spec()
+    MATRIX_FAULTS[fault](spec["h_matrix"], i, j)
+    assert spec != matrix_spec()
+    assert_spec_refused_with(spec, message)
+
+
+@pytest.mark.parametrize("value", [True, 1.0])
+def test_a_value_equal_to_an_integer_read_before_it_is_refused(value):
+    # the cache holds strings only, so 1's Fraction is never handed to True
+    spec = {"model": "conformally_flat", "h_matrix": [[1, value], [value, 1]]}
+    assert_spec_refused_with(spec, f"spec.h_matrix[0][1]: expected a rational string, got {value!r}")
+
+
+def test_a_value_fault_is_named_before_an_asymmetry():
+    spec = matrix_spec()
+    _set(spec["h_matrix"], 0, 1, "7")
+    _set(spec["h_matrix"], 4, 4, "1/0")
+    assert_spec_refused_with(spec, "spec.h_matrix[4][4]: zero denominator")
 
 
 # -- integer kernels against the Fraction-accumulating loops -----------------

@@ -49,3 +49,8 @@ def test_exterior_exports_no_index_set_level_helpers():
     for name in ("rank", "unrank", "wedge_sign", "complement_sign"):
         assert not hasattr(doubleforms, name), name
         assert not hasattr(doubleforms.exterior, name), name
+
+
+def test_index_set_has_no_complement_method():
+    # the complement mask is (1 << n) - 1 ^ mask wherever it is needed
+    assert not hasattr(doubleforms.exterior.IndexSet, "complement")
