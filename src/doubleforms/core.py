@@ -19,9 +19,14 @@ divides by one gcd.  c^k and g^k visit the same k-subsets S with the same
 sign, (-1)^popcount((I ^ J) & odd_S): contract, g_power_sum and
 decomposition.g_power_matrix draw them from one table, _subset_table(k).
 trace_of_product sums the diagonal of a product into one int without
-forming the product.  A Fraction is made only where a value leaves a form:
-cell(), entries(), inner(), evaluate(), trace_of_product() and the
-flattened array.  One kernel, _wedge, computes
+forming the product; it reads its partner subsets C, plain masks, from a
+second memo, _subsets_of(mask, k).  One enumerator, _k_subsets, fills both.
+Both memos live for the whole process, like exterior's lru_caches, and
+grow only with the keys met: one entry per mask and k, holding the C(b, k)
+subsets of the mask's b bits, so over the masks of n indices each memo
+holds at most 3^n subsets, all k together.  A Fraction is made only where
+a value leaves a form: cell(), entries(), inner(), evaluate(),
+trace_of_product() and the flattened array.  One kernel, _wedge, computes
 the coordinates of a wedge v_1 ^ ... ^ v_k of integer vectors, one vector
 at a time, as a sparse mask -> int map; evaluate() and curvature.Frame read
 it.  The cell budget bounds the number of stored cells: it is checked where
@@ -384,6 +389,16 @@ class DoubleForm:
         degree overflow past n returns the zero form of the clamped degree,
         matching Lambda^{>n} = 0.  Rows are paired first, so a pair of rows
         with overlapping I and K is skipped before any cell is looked at.
+
+        A square x . x with p >= 1 and p + q even pairs each unordered pair
+        of rows once and doubles it.  The ordered pairs (I, K) and (K, I)
+        reach the same cells (I u K, J u L) with the same products
+        x[I, J] x[K, L], and their signs differ by
+        sign(K,I) sign(L,J) / (sign(I,K) sign(J,L)) = (-1)^(p^2 + q^2)
+        = (-1)^(p + q) = +1.  A row I meets itself only when I & I is
+        empty, that is p = 0, so for p >= 1 no pair (I, I) is left out.
+        For odd p + q the two orders cancel, and the general loop already
+        publishes the zero form.
         """
         self._require_same_space(other)
         n = self.n
@@ -393,12 +408,14 @@ class DoubleForm:
         if p_out > n or q_out > n:
             return out
         right = [(mask_k, list(row.items())) for mask_k, row in other.cells.items()]
+        square = other is self and self.p and not (self.p + self.q) & 1
+        weight = 2 if square else 1
         acc = {}
-        for mask_i, row_a in self.cells.items():
+        for at, (mask_i, row_a) in enumerate(self.cells.items()):
             odd_i = _odd_above(mask_i)
             # sign(I,K) sign(J,L) = (-1)^(popcount(K & odd_I) + popcount(L & odd_J))
-            left = [(mask_j, _odd_above(mask_j), a) for mask_j, a in row_a.items()]
-            for mask_k, row_b in right:
+            left = [(mask_j, _odd_above(mask_j), weight * a) for mask_j, a in row_a.items()]
+            for mask_k, row_b in right[at + 1:] if square else right:
                 if mask_i & mask_k:
                     continue
                 row_odd = (mask_k & odd_i).bit_count() & 1
@@ -538,11 +555,11 @@ class DoubleForm:
         if self.p != self.q:
             raise DegreeError(f"is_symmetric needs p == q, got ({self.p},{self.q})")
         cells = self.cells
-        return all(
-            cells.get(mask_j, _NO_ROW).get(mask_i) == value
-            for mask_i, row in cells.items()
-            for mask_j, value in row.items()
-        )
+        for mask_i, row in cells.items():
+            for mask_j, value in row.items():
+                if cells.get(mask_j, _NO_ROW).get(mask_i) != value:
+                    return False
+        return True
 
     def bianchi_sum(self) -> "DoubleForm":
         """First Bianchi sum into D^{p+1, q-1}.
@@ -625,8 +642,8 @@ def trace_of_product(x: DoubleForm, y: DoubleForm) -> Fraction:
     of y, C running over the (r - |Q|)-subsets of the indices outside
     I1 u J1 (only indices in some row mask of y can give a stored cell),
     and there are none when |Q| > r.  Cells of x with the same I1 u J1 and
-    |Q| share those subsets, so each list is made once per call and kept
-    only for it.  Each pair contributes
+    |Q| share those subsets, and so do later calls: each list is made once
+    per process, by the memo _subsets_of.  Each pair contributes
     sign(I1, I2) sign(J1, J2) x[I1, J1] y[I2, J2], the sign of mul,
     (-1)^(popcount(I2 & odd_I1) + popcount(J2 & odd_J1)) with
     odd_I = _odd_above(I); C's share of it is popcount(C & (odd_I1 ^
@@ -642,7 +659,6 @@ def trace_of_product(x: DoubleForm, y: DoubleForm) -> Fraction:
     support = 0
     for mask_k in cells_y:
         support |= mask_k
-    subsets = {}  # (free, size) -> the size-subsets C of free, for this call only
     total = 0
     for mask_i, row in x.cells.items():
         odd_i = _odd_above(mask_i)
@@ -651,11 +667,7 @@ def trace_of_product(x: DoubleForm, y: DoubleForm) -> Fraction:
             size = r - mask_q.bit_count()
             if size < 0:
                 continue
-            free = support & ~(mask_i | mask_j)
-            choices = subsets.get((free, size))
-            if choices is None:
-                bits = [1 << i for i in mask_to_indices(free)]
-                choices = subsets[free, size] = list(map(sum, itertools.combinations(bits, size)))
+            choices = _subsets_of(support & ~(mask_i | mask_j), size)
             if not choices:
                 continue
             mask_p = mask_i & ~mask_j
@@ -749,10 +761,8 @@ class _SubsetTable(dict):
         self.k = k
 
     def __missing__(self, mask: int) -> tuple[tuple[int, int], ...]:
-        bits = [1 << i for i in mask_to_indices(mask)]
         subsets = self[mask] = tuple(
-            (mask_s, _odd_above(mask_s))
-            for mask_s in map(sum, itertools.combinations(bits, self.k))
+            (mask_s, _odd_above(mask_s)) for mask_s in _k_subsets(mask, self.k)
         )
         return subsets
 
@@ -760,6 +770,19 @@ class _SubsetTable(dict):
 @lru_cache(maxsize=None)
 def _subset_table(k: int) -> _SubsetTable:
     return _SubsetTable(k)
+
+
+def _k_subsets(mask: int, k: int):
+    """The k-subsets of mask as masks, in itertools.combinations order over
+    its set bits, lowest first; nothing when mask has fewer than k bits."""
+    return map(sum, itertools.combinations([1 << i for i in mask_to_indices(mask)], k))
+
+
+@lru_cache(maxsize=None)
+def _subsets_of(mask: int, k: int) -> tuple[int, ...]:
+    """The k-subsets of mask as a tuple of masks, made once per (mask, k)
+    for the whole process: trace_of_product's partner subsets C."""
+    return tuple(_k_subsets(mask, k))
 
 
 def _permutation_sign(perm) -> int:

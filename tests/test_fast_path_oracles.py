@@ -15,8 +15,12 @@ repeated products and single contractions, the one-pass contract(k)
 against the chain contractions(w, k)[-1], and pq_sectional's complement
 restriction on coordinate planes against the sectional curvature of
 pq_curvature_tensor.  trace_of_product is checked against the formed
-product and c^m, and weyl_invariant, the trace of R^floor(q/2) .
-R^ceil(q/2), against c^(2q) of the whole R^q.  The model constructors are
+product and c^m, also with its partner-subset memo warm, and
+weyl_invariant, the trace of R^floor(q/2) . R^ceil(q/2), against c^(2q)
+of the whole R^q; the memo _subsets_of against itertools.combinations and
+the masks of _subset_table.  The square w . w over unordered row pairs is
+checked against the general loop on an equal copy of w and the Fraction
+loop, and is_symmetric against w == w.transpose().  The model constructors are
 checked against the expressions they replaced: the constant model against
 (lambda/2) g^2 as mul_g_power, the hypersurface model's one pass over pairs
 of rows against B.B/2, and the shapes of build_curvature_tensor against
@@ -79,6 +83,8 @@ from doubleforms.core import (
     DimensionMismatchError,
     _diagonal,
     _flatten,
+    _subset_table,
+    _subsets_of,
     _wedge,
     contractions,
     g_power_sum,
@@ -1118,6 +1124,71 @@ def test_integer_mul_cancels_to_the_zero_map(n, data):
     assert product.cells == {}
 
 
+@st.composite
+def squared_forms(draw):
+    """A form w for w . w, with w . w inside n.  Half are square-path
+    forms: p >= 1 and p + q even, with several rows, several cells per row
+    and den != 1.  The rest have p = 0 or odd p + q, which take the general
+    loop."""
+    n = draw(st.integers(2, 7))
+    half = n // 2
+    kind = draw(st.sampled_from(("square", "square", "p = 0", "odd")))
+    if kind == "square":
+        p = draw(st.integers(1, half))
+        q = draw(st.integers(0, half).filter(lambda q: not (p + q) % 2))
+    elif kind == "p = 0":
+        p, q = 0, draw(st.integers(0, half))
+    else:
+        p = draw(st.integers(0, half))
+        q = draw(st.integers(0, half).filter(lambda q: (p + q) % 2))
+    row_masks, col_masks = subset_masks(n, p), subset_masks(n, q)
+    rows = draw(st.lists(st.sampled_from(row_masks), min_size=min(2, len(row_masks)),
+                         max_size=6, unique=True))
+    w = make_zero(n, p, q)
+    for mask_i in rows:
+        cols = draw(st.lists(st.sampled_from(col_masks), min_size=min(2, len(col_masks)),
+                             max_size=5, unique=True))
+        for mask_j in cols:
+            num = draw(st.integers(-9, 9).filter(bool))
+            w.set_cell(mask_i, mask_j, Fraction(num, draw(st.sampled_from(PRIMES[:5]))))
+    w.set_cell(rows[0], col_masks[0], Fraction(1, 3))  # den != 1 whatever was drawn
+    return w
+
+
+def copy_of(w):
+    """An equal form that is not w, so w.mul(copy) takes the general loop."""
+    copy = make_zero(w.n, w.p, w.q)
+    copy.cells = {mask_i: dict(row) for mask_i, row in w.cells.items()}
+    copy.den = w.den
+    return copy
+
+
+@settings(max_examples=200, deadline=None)
+@given(squared_forms())
+def test_square_matches_the_general_loop_and_the_fraction_loop(w):
+    assert w.den != 1
+    copy = copy_of(w)
+    assert copy is not w and copy == w
+    square = w.mul(w)
+    assert square == w.mul(copy)
+    assert_matches_reference(square, reference_mul(w, w))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_is_symmetric_matches_the_transpose(n, data):
+    # random, symmetrized, and symmetrized with one cell (I, J) changed
+    p = data.draw(st.integers(0, n))
+    w = data.draw(prime_denominator_forms(n, p, p))
+    if data.draw(st.booleans()):
+        w = w + w.transpose()
+        if data.draw(st.booleans()):
+            masks = subset_masks(n, p)
+            w.set_cell(data.draw(st.sampled_from(masks)), data.draw(st.sampled_from(masks)),
+                       data.draw(st.sampled_from((0, Fraction(1, 7), 5))))
+    assert w.is_symmetric() == (w == w.transpose())
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 7), st.data())
 def test_integer_mul_g_power_matches_fraction_loop(n, k, data):
@@ -1695,3 +1766,31 @@ def test_weyl_invariant_forms_only_the_larger_half_power(monkeypatch):
         assert len(products) == (q + 1) // 2 - 1, q
         # no product reaches past R^ceil(q/2), a (2 ceil(q/2))-form
         assert all(left + right <= 2 * ((q + 1) // 2) for left, right in products), q
+
+
+# -- the partner subsets of trace_of_product -------------------------------------
+
+
+def test_subsets_of_is_combinations_over_the_bits():
+    for mask in range(1 << 7):
+        bits = [1 << i for i in range(7) if mask >> i & 1]
+        for k in range(8):
+            expected = tuple(map(sum, combinations(bits, k)))
+            assert _subsets_of(mask, k) == expected, (mask, k)
+            assert tuple(s for s, _ in _subset_table(k)[mask]) == expected, (mask, k)
+
+
+def test_trace_of_product_with_a_warm_memo():
+    rng = random.Random(18)
+    shapes = [(6, (2, 2), (2, 2)), (7, (2, 3), (2, 1)), (7, (1, 1), (3, 3)), (8, (3, 2), (1, 2))]
+    operands = [
+        (random_form(rng, n, *dx, density=0.5), random_form(rng, n, *dy, density=0.5))
+        for n, dx, dy in shapes
+    ]
+    operands += [(x, x) for x, y in operands if (x.p, x.q) == (y.p, y.q)]
+    expected = [reference_trace(x, y) for x, y in operands]
+    _subsets_of.cache_clear()
+    for round_ in range(3):
+        assert [trace_of_product(x, y) for x, y in operands] == expected, round_
+    info = _subsets_of.cache_info()
+    assert info.hits > 2 * info.misses > 0
