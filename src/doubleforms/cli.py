@@ -47,15 +47,23 @@ def _load_json(path: str):
         raise SchemaError(path, f"malformed JSON: {exc}") from exc
 
 
-def _cmd_invariants(args) -> int:
-    spec = serialize.model_spec_from_dict(_load_json(args.spec))
-    tensor = serialize.build_curvature_tensor(spec)
-    report = build_invariant_report(tensor, args.max_q)
-    if args.format == "table":
+def _read_tensor(path: str):
+    """The certified curvature tensor of the model spec in a JSON file."""
+    return serialize.build_curvature_tensor(serialize.model_spec_from_dict(_load_json(path)))
+
+
+def _write_report(report: InvariantReport, fmt: str) -> int:
+    """Write a report to stdout as a table or as canonical JSON."""
+    if fmt == "table":
         sys.stdout.write(serialize.report_to_table(report))
     else:
         sys.stdout.write(serialize.dumps_canonical(report))
     return 0
+
+
+def _cmd_invariants(args) -> int:
+    report = build_invariant_report(_read_tensor(args.spec), args.max_q)
+    return _write_report(report, args.format)
 
 
 _INTEGER_RE = re.compile(r"-?[0-9]+")
@@ -82,8 +90,7 @@ def _parse_plane(text: str) -> tuple[int, ...]:
 
 
 def _cmd_pq(args) -> int:
-    spec = serialize.model_spec_from_dict(_load_json(args.spec))
-    tensor = serialize.build_curvature_tensor(spec)
+    tensor = _read_tensor(args.spec)
     if args.p == 0 and args.plane:
         raise SchemaError("--plane", "s_(0,q) is a scalar and takes no plane")
     plane = _parse_plane(args.plane) if args.p > 0 else ()
@@ -94,11 +101,7 @@ def _cmd_pq(args) -> int:
     report = InvariantReport(
         tensor.n, (), (SectionalSample(args.p, args.q, plane, value),), None
     )
-    if args.format == "table":
-        sys.stdout.write(serialize.report_to_table(report))
-    else:
-        sys.stdout.write(serialize.dumps_canonical(report))
-    return 0
+    return _write_report(report, args.format)
 
 
 def _cmd_decompose(args) -> int:
@@ -184,16 +187,10 @@ def main(argv=None) -> int:
     try:
         cell_budget()  # a bad DOUBLEFORMS_CELL_BUDGET is a usage error
         return args.func(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except verify.UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except IdentityError as exc:
         print(f"identity failure: {exc}", file=sys.stderr)
         return 1
-    except DoubleFormError as exc:
+    except (SchemaError, verify.UsageError, DoubleFormError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

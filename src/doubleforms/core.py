@@ -33,7 +33,11 @@ it.  The cell budget bounds the number of stored cells: it is checked where
 a kernel publishes its result, where dense rows or a flattened array come
 in, and on the dense integer matrices built for linear solving.  The
 flattened layout (index sets in lexicographic order, row-major) is known
-only here, in _flat_cells, _flatten and _unflatten.
+in _flat_cells, _flatten and _unflatten here, and in
+decomposition.g_power_matrix, which writes the row of a target cell as
+row_rank[I] * cols + col_rank[J] itself.  Exact values become integer
+numerators over one denominator through one scaler, _integer_numerators:
+dense rows, vectors, diagonals, serialize's JSON values and linalg's rows.
 
 All coefficients are exact rationals, so every algebraic identity exercised
 by the test suite is checked with equality, never with tolerances.  Forms are
@@ -66,6 +70,7 @@ from .exterior import (
     complement_sign_mask,
     mask_to_indices,
     subset_masks,
+    _is_count,
     _mask_rank_table,
     _odd_above,
 )
@@ -102,7 +107,7 @@ class IdentityError(DoubleFormError):
 
 
 def _checked_budget(budget, source: str = "cell budget") -> int:
-    if not isinstance(budget, int) or budget < 1:
+    if not _is_count(budget, 1):
         raise DoubleFormError(f"{source} must be a positive integer, got {budget!r}")
     return budget
 
@@ -178,6 +183,15 @@ def _ratio(value) -> tuple[int, int]:
     raise DoubleFormError(f"expected an exact rational scalar, got {value!r}")
 
 
+def _integer_numerators(values) -> tuple[list[int], int]:
+    """Exact int or Fraction values as integer numerators over one
+    denominator, the lcm of theirs: (numerators, lcm).  Anything else
+    raises DoubleFormError."""
+    ratios = list(map(_ratio, values))
+    den = lcm(*{d for _, d in ratios})
+    return [num * (den // d) for num, d in ratios], den
+
+
 class DoubleForm:
     """An element of D^{p,q} over R^n with exact rational coefficients.
 
@@ -187,6 +201,7 @@ class DoubleForm:
     __slots__ = ("n", "p", "q", "cells", "den")
 
     def __init__(self, n: int, p: int, q: int, coeffs=None):
+        # inline, not exterior._is_count: every form, each kernel result too, passes here
         if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_DIMENSION:
             raise DegreeError(f"ambient dimension must be in [1, {MAX_DIMENSION}], got {n!r}")
         if (
@@ -206,12 +221,11 @@ class DoubleForm:
                 raise DimensionMismatchError(
                     f"coefficient array must be {rows}x{cols} for D^({p},{q}) at n={n}"
                 )
-            ratios = [list(map(_ratio, row)) for row in coeffs]
-            den = lcm(*{d for row in ratios for _, d in row})
+            nums, den = _integer_numerators(itertools.chain.from_iterable(coeffs))
             col_masks = subset_masks(n, q)
             self._publish({
-                mask_i: {mask_j: num * (den // d) for mask_j, (num, d) in zip(col_masks, row)}
-                for mask_i, row in zip(subset_masks(n, p), ratios)
+                mask_i: dict(zip(col_masks, nums[at:at + cols]))
+                for mask_i, at in zip(subset_masks(n, p), range(0, len(nums), cols))
             }, den)
 
     def _publish(self, acc: dict, den: int) -> None:
@@ -438,7 +452,7 @@ class DoubleForm:
         Degree overflow past n returns the zero form of the clamped degree
         (min(p+k, n), min(q+k, n)), as k successive products by g would.
         """
-        if not isinstance(power, int) or power < 0:
+        if not _is_count(power, 0):
             raise DegreeError(f"g-power must be a nonnegative integer, got {power!r}")
         if power == 0:
             return self
@@ -473,7 +487,7 @@ class DoubleForm:
         result is the zero form of the clamped degree
         (max(p - k, 0), max(q - k, 0)), as k single contractions give.
         """
-        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+        if not _is_count(k, 0):
             raise DegreeError(f"contraction count must be a nonnegative integer, got {k!r}")
         if k == 0:
             return self
@@ -702,11 +716,10 @@ def _integer_vectors(n: int, vectors) -> tuple[list[list[int]], int]:
     product times the same minor of the given ones."""
     out, scale = [], 1
     for vector in vectors:
-        ratios = [_ratio(v) for v in vector]
-        if len(ratios) != n:
-            raise DimensionMismatchError(f"vector length {len(ratios)} != ambient dimension {n}")
-        den = lcm(*(d for _, d in ratios))
-        out.append([num * (den // d) for num, d in ratios])
+        nums, den = _integer_numerators(vector)
+        if len(nums) != n:
+            raise DimensionMismatchError(f"vector length {len(nums)} != ambient dimension {n}")
+        out.append(nums)
         scale *= den
     return out, scale
 
@@ -925,11 +938,10 @@ def _diagonal(n: int, values) -> DoubleForm:
     """sum_i values[i] e_i (x) e_i in D^{1,1}, for n exact rational values,
     published once over the lcm of their denominators."""
     out = DoubleForm(n, 1, 1)
-    ratios = list(map(_ratio, values))
-    if len(ratios) != n:
-        raise DimensionMismatchError(f"{len(ratios)} diagonal values for n={n}")
-    den = lcm(*(d for _, d in ratios))
-    out._publish({1 << i: {1 << i: num * (den // d)} for i, (num, d) in enumerate(ratios)}, den)
+    nums, den = _integer_numerators(values)
+    if len(nums) != n:
+        raise DimensionMismatchError(f"{len(nums)} diagonal values for n={n}")
+    out._publish({1 << i: {1 << i: num} for i, num in enumerate(nums)}, den)
     return out
 
 

@@ -41,7 +41,7 @@ from .core import (
     trace_of_product,
 )
 from .decomposition import _require_bianchi_symmetric, decompose
-from .exterior import subset_masks
+from .exterior import _is_count, subset_masks
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ def power(tensor: CurvatureTensor, exponent: int) -> CurvatureTensor:
     R^q is the q-th term of the sequence R, R^2, ... (q - 1 products); only
     the result is certified.  build_invariant_report walks the same sequence.
     """
-    if not isinstance(exponent, int) or exponent < 1:
+    if not _is_count(exponent, 1):
         raise DegreeError(f"power needs a positive integer exponent, got {exponent!r}")
     form = next(islice(_power_forms(tensor), exponent - 1, None))
     return CurvatureTensor(form)
@@ -316,14 +316,14 @@ def sectional_curvature(form: DoubleForm, plane: Frame) -> Fraction:
 
 
 def _require_q(n: int, q, name: str = "q") -> None:
-    if not (isinstance(q, int) and 1 <= q and 2 * q <= n):
+    if not _is_count(q, 1, n // 2):
         raise DegreeError(f"need 1 <= {name} <= n/2, got {name}={q!r} at n={n}")
 
 
 def _require_pq_range(tensor: CurvatureTensor, p: int, q: int) -> None:
     n = tensor.n
     _require_q(n, q)
-    if not (isinstance(p, int) and 0 <= p <= n - 2 * q):
+    if not _is_count(p, 0, n - 2 * q):
         raise DegreeError(f"need 0 <= p <= n - 2q, got p={p!r} at n={n}, q={q}")
 
 

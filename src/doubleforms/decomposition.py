@@ -45,7 +45,7 @@ from .core import (
     g_power_sum,
     make_zero,
 )
-from .exterior import _mask_rank_table, subset_masks
+from .exterior import _is_count, _mask_rank_table, subset_masks
 
 
 @dataclass(frozen=True)
@@ -121,13 +121,13 @@ def project_conformal(form: DoubleForm) -> DoubleForm:
 def g_power_matrix(n: int, p: int, q: int, power: int) -> list[list[int]]:
     """Matrix of w -> g^power . w from D^{p,q} to D^{p+power,q+power}.
 
-    Rows are target cells, columns source basis elements, both in
-    lexicographic cell order.  Entries are integers.  A matrix with more
-    cells than the cell budget is refused before it is allocated.
+    Rows are target cells, columns source basis elements, both in the
+    flattened layout of core._flat_cells.  Entries are integers.  A matrix
+    with more cells than the cell budget is refused before it is allocated.
     """
-    if not (0 <= p <= n and 0 <= q <= n):
+    if not (_is_count(p, 0, n) and _is_count(q, 0, n)):
         raise DegreeError(f"bidegree ({p},{q}) out of range for n={n}")
-    if power < 0:
+    if not _is_count(power, 0):
         raise DegreeError(f"g-power must be nonnegative, got {power}")
     overflow = p + power > n or q + power > n
     source_dim = comb(n, p) * comb(n, q)
@@ -177,10 +177,10 @@ def divide_g_power(form: DoubleForm, power: int) -> DoubleForm:
     components of decompose(w).  It is an oracle for the tests, not a
     production path; raises if no exact preimage exists.
     """
+    if not _is_count(power, 0, min(form.p, form.q)):
+        raise DegreeError(f"cannot divide a ({form.p},{form.q})-form by g^{power}")
     n = form.n
     source_p, source_q = form.p - power, form.q - power
-    if source_p < 0 or source_q < 0:
-        raise DegreeError(f"cannot divide a ({form.p},{form.q})-form by g^{power}")
     solution = linalg.solve(g_power_matrix(n, source_p, source_q, power), _flatten(form))
     if solution is None:
         raise DoubleFormError(f"form is not divisible by g^{power}")
@@ -209,7 +209,7 @@ def star_bianchi(form: DoubleForm, k: int) -> DoubleForm:
     """
     _require_bianchi_symmetric(form, "star_bianchi")
     n, p = form.n, form.p
-    if not 1 <= p <= k <= n:
+    if not (1 <= p and _is_count(k, p, n)):
         raise DegreeError(f"need 1 <= p <= k <= n, got p={p}, k={k}, n={n}")
     chain = contractions(form, p)
     return g_power_sum(n, n - k, n - k, [
@@ -231,7 +231,7 @@ def star_in_components(
     is what decompose produces from a symmetric Bianchi input.
     """
     n, p = decomposition.n, decomposition.p
-    if g_power < 0:
+    if not _is_count(g_power, 0):
         raise DegreeError(f"g-power must be nonnegative, got {g_power}")
     for k, comp in enumerate(decomposition.components):
         if k == 0:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import inf
 
 # Forms store only nonzero cells and the cell budget counts those, so n is
 # capped by what the package enumerates per (n, k): subset_masks and the rank
@@ -28,6 +29,12 @@ class BasisError(ValueError):
     """Invalid ambient dimension or index set."""
 
 
+def _is_count(value, low: int, high: float = inf) -> bool:
+    """Whether value is an int, not a bool (True would pass as 1), in
+    [low, high]; each caller raises its own error and message."""
+    return isinstance(value, int) and not isinstance(value, bool) and low <= value <= high
+
+
 def _check_dimension(n: int) -> None:
     """Refuse an n that is not an int in [1, MAX_DIMENSION], a bool included.
 
@@ -35,7 +42,7 @@ def _check_dimension(n: int) -> None:
     their cache entry, so the check they make runs only on a cache miss;
     IndexSet, DoubleForm and curvature.Frame check n before reaching them.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_DIMENSION:
+    if not _is_count(n, 1, MAX_DIMENSION):
         raise BasisError(
             f"ambient dimension must be an integer in [1, {MAX_DIMENSION}], got {n!r}"
         )
@@ -113,7 +120,7 @@ class IndexSet:
     def __post_init__(self) -> None:
         _check_dimension(self.n)
         mask = self.mask
-        if not isinstance(mask, int) or isinstance(mask, bool) or mask < 0 or mask >> self.n:
+        if not _is_count(mask, 0) or mask >> self.n:
             raise BasisError(f"index mask {mask!r} out of range for n={self.n}")
 
     @classmethod

@@ -1,9 +1,13 @@
 """Exact rational linear algebra: rank, solving, nullspaces, projections.
 
-Everything here works over Fractions (or ints) and never approximates.
-One fraction-free Bareiss forward pass on denominator-cleared rows, which
-keeps intermediate integers small, serves rank (its pivot count), solve and
-nullspace (integer back substitution from its rows).
+Everything here works over Fractions (or ints) and never approximates:
+rows are scaled to integers by core._integer_numerators, which refuses any
+other entry with DoubleFormError.  One fraction-free Bareiss forward pass
+on those rows, which keeps intermediate integers small, serves rank (its
+pivot count), nullspace (integer back substitution from its rows) and
+solve: x is the kernel vector of [A | -b] whose last entry is 1.  The
+pivots in A's columns are those of A alone, so free variables are zero,
+and there is no solution when the last column is a pivot.
 
 rank and KernelProjector work block by block.  The operator matrices built
 from double forms (the Bianchi and contraction constraints, g_power_matrix)
@@ -20,33 +24,34 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .core import _integer_numerators, as_scalar
+
 _ZERO = Fraction(0)
+
+
+def _reduce_content(vec: list[int]) -> list[int]:
+    """An integer vector divided by the gcd of its entries."""
+    content = gcd(*vec)
+    return [v // content for v in vec] if content > 1 else vec
 
 
 def _integer_row(row) -> list[int]:
     """Clear denominators and divide out the content of a rational row."""
-    fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row]
-    scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    ints = [f.numerator * (scale // f.denominator) for f in fracs]
-    content = gcd(*ints)
-    if content > 1:
-        ints = [v // content for v in ints]
-    return ints
+    return _reduce_content(_integer_numerators(row)[0])
 
 
-def _echelon(matrix, rhs) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free (Bareiss) forward elimination of [matrix | rhs].
+def _echelon(matrix) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free (Bareiss) forward elimination of a matrix.
 
     The rows are denominator-cleared first; each step then divides exactly
     by the previous pivot, so every entry stays an integer minor of the
-    input.  Pivots are sought in the matrix columns only.  Returns the
-    integer rows and the pivot columns; the rows below the pivots are zero
-    in every matrix column.
+    input.  Returns the integer rows and the pivot columns; the rows below
+    the pivots are zero.
     """
-    rows = [_integer_row(list(row) + [b]) for row, b in zip(matrix, rhs)]
+    rows = [_integer_row(row) for row in matrix]
     pivots: list[int] = []
     prev = 1
-    for c in range(len(rows[0]) - 1 if rows else 0):
+    for c in range(len(rows[0]) if rows else 0):
         top = len(pivots)
         if top == len(rows):
             break
@@ -69,8 +74,8 @@ def _echelon(matrix, rhs) -> tuple[list[list[int]], list[int]]:
     return rows, pivots
 
 
-def _back_substitute(rows, pivots, cols: int, free: int | None = None) -> list[Fraction]:
-    """The x with rows @ x == rhs whose free entries are 0, but x[free] = 1.
+def _back_substitute(rows, pivots, cols: int, free: int) -> list[Fraction]:
+    """The x with rows @ x == 0 whose free entries are 0, but x[free] = 1.
 
     Runs in integers on the numerators d x, for d the last Bareiss pivot:
     d is the determinant of the pivot block, so d x is integral by Cramer's
@@ -80,14 +85,12 @@ def _back_substitute(rows, pivots, cols: int, free: int | None = None) -> list[F
     """
     d = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
     num = [0] * cols
-    support = []
-    if free is not None:
-        num[free] = d
-        support.append(free)
+    num[free] = d
+    support = [free]
     for r in range(len(pivots) - 1, -1, -1):
         c = pivots[r]
         row = rows[r]
-        acc = d * row[cols]
+        acc = 0
         for k in support:
             if row[k]:
                 acc -= row[k] * num[k]
@@ -132,21 +135,23 @@ def rank(matrix) -> int:
     total = 0
     for block_rows, cols in _blocks(matrix):
         rows = [[matrix[r][c] for c in cols] for r in block_rows]
-        total += len(_echelon(rows, [0] * len(rows))[1])
+        total += len(_echelon(rows)[1])
     return total
 
 
 def solve(matrix, rhs) -> list[Fraction] | None:
     """One exact solution of matrix @ x = rhs, or None if inconsistent.
 
-    Free variables are set to zero.
+    Free variables are set to zero: x is the kernel vector of [matrix | -rhs]
+    whose last entry is 1, and there is none when that column is a pivot.
     """
     if not matrix:
         return [] if not any(rhs) else None
-    rows, pivots = _echelon(matrix, rhs)
-    if any(row[-1] for row in rows[len(pivots):]):
-        return None  # zero row with nonzero rhs: inconsistent
-    return _back_substitute(rows, pivots, len(matrix[0]))
+    cols = len(matrix[0])
+    rows, pivots = _echelon([[*row, -b] for row, b in zip(matrix, rhs)])
+    if pivots and pivots[-1] == cols:
+        return None  # a zero row of the matrix with a nonzero rhs
+    return _back_substitute(rows, pivots, cols + 1, cols)[:cols]
 
 
 def nullspace(matrix) -> list[list[Fraction]]:
@@ -158,22 +163,13 @@ def nullspace(matrix) -> list[list[Fraction]]:
     if not matrix:
         return []
     cols = len(matrix[0])
-    rows, pivots = _echelon(matrix, [0] * len(matrix))
+    rows, pivots = _echelon(matrix)
     free = sorted(set(range(cols)) - set(pivots))
     return [_back_substitute(rows, pivots, cols, f) for f in free]
 
 
 def _dot_int(a, b) -> int:
     return sum(x * y for x, y in zip(a, b) if x and y)
-
-
-def _reduce_content(vec: list[int]) -> list[int]:
-    content = 0
-    for v in vec:
-        content = gcd(content, v)
-    if content > 1:
-        return [v // content for v in vec]
-    return vec
 
 
 class KernelProjector:
@@ -213,10 +209,10 @@ class KernelProjector:
     def project(self, vector) -> list[Fraction]:
         """The projection of a rational vector: its denominators cleared
         once, then one integer matrix-vector product per block."""
-        out = [v if isinstance(v, Fraction) else Fraction(v) for v in vector]
-        den = lcm(*(v.denominator for v in out))
+        out = list(map(as_scalar, vector))
+        scaled, den = _integer_numerators(out)
         for cols, matrix, scale in self.blocks:
-            nums = [out[c].numerator * (den // out[c].denominator) for c in cols]
+            nums = [scaled[c] for c in cols]
             if not any(nums):
                 continue
             total = scale * den

@@ -27,7 +27,8 @@ the validating route (_read_entries) reads the entries one at a time
 through _read_index_set and rational_from_str.  Only that route refuses
 input, at the first malformed entry, so which inputs are refused, and with
 which message, does not depend on the bulk route.  Either way the
-numerators are published over the lcm of the values' denominators once.
+numerators are published over the lcm of the values' denominators once,
+scaled by core._integer_numerators.
 model_spec_from_dict reads a conformally flat h_matrix one entry at a time,
 but each distinct string once: the path string of an entry is built only
 when its value is read, and symmetry is checked a row against its column.
@@ -42,13 +43,14 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
-from math import gcd, lcm
+from math import gcd
 from operator import lt
 
 from .core import (
     DoubleForm,
     DoubleFormError,
     _diagonal,
+    _integer_numerators,
     _require_cell_budget,
     make_zero,
 )
@@ -310,8 +312,8 @@ def form_from_dict(obj, path: str = "form") -> DoubleForm:
     if read is None:
         read = _read_entries(entries, n, p, q, path)
     rows, cols, values, ratios = read
-    den = lcm(*{ratio.denominator for ratio in ratios.values()})
-    scaled = {value: ratio.numerator * (den // ratio.denominator) for value, ratio in ratios.items()}
+    nums, den = _integer_numerators(ratios.values())
+    scaled = dict(zip(ratios, nums))
     cells: dict[int, dict[int, int]] = {}
     for mask_i, mask_j, num in zip(rows, cols, map(scaled.__getitem__, values)):
         row = cells.get(mask_i)

@@ -11,9 +11,10 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from functools import lru_cache
+from math import comb, factorial, prod
 
 from . import serialize
 from .core import (
@@ -57,7 +58,7 @@ from .decomposition import (
     star_bianchi,
     star_in_components,
 )
-from .exterior import subset_masks
+from .exterior import _is_count, subset_masks
 from .linalg import KernelProjector, nullspace
 
 
@@ -117,18 +118,13 @@ def _operator_rows(n: int, p: int, q: int, operator) -> list[list[int]]:
     return rows
 
 
-_projector_cache: dict[tuple[int, int, bool], KernelProjector] = {}
-
-
+@lru_cache(maxsize=None)
 def bianchi_projector(n: int, p: int, effective: bool = False) -> KernelProjector:
     """Orthogonal projector onto Ker B (optionally also Ker c) in D^{p,p}."""
-    key = (n, p, effective)
-    if key not in _projector_cache:
-        rows = _operator_rows(n, p, p, lambda w: w.bianchi_sum())
-        if effective:
-            rows += _operator_rows(n, p, p, lambda w: w.contract())
-        _projector_cache[key] = KernelProjector(rows)
-    return _projector_cache[key]
+    rows = _operator_rows(n, p, p, lambda w: w.bianchi_sum())
+    if effective:
+        rows += _operator_rows(n, p, p, lambda w: w.contract())
+    return KernelProjector(rows)
 
 
 def random_bianchi(rng: random.Random, n: int, p: int, effective: bool = False) -> DoubleForm:
@@ -202,14 +198,6 @@ class CheckFailure:
     detail: str
     inputs: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "case": self.case,
-            "detail": self.detail,
-            "inputs": self.inputs,
-        }
-
 
 @dataclass
 class CheckResult:
@@ -235,7 +223,7 @@ class CheckResult:
         return {
             "name": self.name,
             "cases": self.cases,
-            "failures": [f.to_dict() for f in self.failures],
+            "failures": [asdict(f) for f in self.failures],
         }
 
 
@@ -296,11 +284,30 @@ def _cases_per_config(trials: int, configs: int) -> int:
     return max(1, trials // max(configs, 1))
 
 
+def _config_cases(configs: list, trials: int, weight: int = 1) -> list:
+    """(config, i) config by config, i < _cases_per_config(trials, weight *
+    len(configs)): the cases of a check that spreads trials over configs."""
+    per = _cases_per_config(trials, weight * len(configs))
+    return [(config, i) for config in configs for i in range(per)]
+
+
 def _equal_or_both_zero(left: DoubleForm, right: DoubleForm) -> bool:
     """Equality tolerant of zero forms whose degrees were clamped."""
     if (left.p, left.q) == (right.p, right.q):
         return left == right
     return left.is_zero() and right.is_zero()
+
+
+def _clamped_sum(n: int, p: int, q: int, terms) -> DoubleForm | None:
+    """The sum in D^{p,q} of terms, or None at the first nonzero term of
+    another bidegree; zero terms of a clamped degree are skipped."""
+    total = make_zero(n, p, q)
+    for term in terms:
+        if (term.p, term.q) == (p, q):
+            total = total + term
+        elif not term.is_zero():
+            return None
+    return total
 
 
 # -- core-identities suite ---------------------------------------------------
@@ -312,19 +319,17 @@ def check_graded_commutativity(rec, rng, n, trials):
         for p, q, r, s in itertools.product(range(0, min(n, 3) + 1), repeat=4)
         if p + r <= n and q + s <= n
     ]
-    per = _cases_per_config(trials, len(configs))
-    for p, q, r, s in configs:
-        for i in range(per):
-            a = random_form(rng, n, p, q)
-            b = random_form(rng, n, r, s)
-            sign = (-1) ** (p * r + q * s)
-            rec.case(
-                f"(p,q,r,s)=({p},{q},{r},{s})#{i}",
-                a.mul(b) == sign * b.mul(a),
-                "w.t != (-1)^(pr+qs) t.w",
-                left=a,
-                right=b,
-            )
+    for (p, q, r, s), i in _config_cases(configs, trials):
+        a = random_form(rng, n, p, q)
+        b = random_form(rng, n, r, s)
+        sign = (-1) ** (p * r + q * s)
+        rec.case(
+            f"(p,q,r,s)=({p},{q},{r},{s})#{i}",
+            a.mul(b) == sign * b.mul(a),
+            "w.t != (-1)^(pr+qs) t.w",
+            left=a,
+            right=b,
+        )
 
 
 def check_associativity(rec, rng, n, trials):
@@ -334,52 +339,48 @@ def check_associativity(rec, rng, n, trials):
         ((2, 1), (1, 1), (1, 2)),
         ((2, 2), (1, 1), (1, 0)),
     ]
-    per = _cases_per_config(trials, len(configs))
-    for degrees in configs:
-        for i in range(per):
-            a = random_form(rng, n, *degrees[0])
-            b = random_form(rng, n, *degrees[1])
-            c = random_form(rng, n, *degrees[2])
-            rec.case(
-                f"degrees={degrees}#{i}",
-                a.mul(b).mul(c) == a.mul(b.mul(c)),
-                "(a.b).c != a.(b.c)",
-                a=a,
-                b=b,
-                c=c,
-            )
+    for degrees, i in _config_cases(configs, trials):
+        a = random_form(rng, n, *degrees[0])
+        b = random_form(rng, n, *degrees[1])
+        c = random_form(rng, n, *degrees[2])
+        rec.case(
+            f"degrees={degrees}#{i}",
+            a.mul(b).mul(c) == a.mul(b.mul(c)),
+            "(a.b).c != a.(b.c)",
+            a=a,
+            b=b,
+            c=c,
+        )
 
 
 def check_product_oracle(rec, rng, n, trials):
     nn = min(n, 4)  # the permutation sum is exponential in the degrees
     configs = [((1, 1), (1, 1)), ((1, 0), (0, 1)), ((1, 1), (1, 0)), ((2, 1), (1, 1))]
-    per = _cases_per_config(trials, len(configs) * 4)
     basis = [[Fraction(1 if i == j else 0) for j in range(nn)] for i in range(nn)]
-    for (pq1, pq2) in configs:
+    for (pq1, pq2), i in _config_cases(configs, trials, 4):
         p_total = pq1[0] + pq2[0]
         q_total = pq1[1] + pq2[1]
         if p_total > nn or q_total > nn:
             continue
-        for i in range(per):
-            a = random_form(rng, nn, *pq1, density=0.5)
-            b = random_form(rng, nn, *pq2, density=0.5)
-            product = a.mul(b)
-            for _ in range(4):
-                rows = sorted(rng.sample(range(nn), p_total))
-                cols = sorted(rng.sample(range(nn), q_total))
-                direct = product[tuple(rows), tuple(cols)] if p_total and q_total else (
-                    product.evaluate([basis[r] for r in rows], [basis[c] for c in cols])
-                )
-                via_oracle = eval_oracle(
-                    a, b, [basis[r] for r in rows], [basis[c] for c in cols]
-                )
-                rec.case(
-                    f"{pq1}x{pq2}#{i} on {rows}|{cols}",
-                    direct == via_oracle,
-                    "mul disagrees with the permutation-sum oracle",
-                    left=a,
-                    right=b,
-                )
+        a = random_form(rng, nn, *pq1, density=0.5)
+        b = random_form(rng, nn, *pq2, density=0.5)
+        product = a.mul(b)
+        for _ in range(4):
+            rows = sorted(rng.sample(range(nn), p_total))
+            cols = sorted(rng.sample(range(nn), q_total))
+            direct = product[tuple(rows), tuple(cols)] if p_total and q_total else (
+                product.evaluate([basis[r] for r in rows], [basis[c] for c in cols])
+            )
+            via_oracle = eval_oracle(
+                a, b, [basis[r] for r in rows], [basis[c] for c in cols]
+            )
+            rec.case(
+                f"{pq1}x{pq2}#{i} on {rows}|{cols}",
+                direct == via_oracle,
+                "mul disagrees with the permutation-sum oracle",
+                left=a,
+                right=b,
+            )
 
 
 def check_adjointness(rec, rng, n, trials):
@@ -407,35 +408,31 @@ def check_adjointness(rec, rng, n, trials):
                             )
         return
     configs = [(p, q) for p in range(n) for q in range(n)]
-    per = _cases_per_config(trials, len(configs))
-    for p, q in configs:
-        for i in range(per):
-            a = random_form(rng, n, p, q)
-            b = random_form(rng, n, p + 1, q + 1)
-            rec.case(
-                f"(p,q)=({p},{q})#{i}",
-                g.mul(a).inner(b) == a.inner(b.contract()),
-                "<gw,t> != <w,ct>",
-                left=a,
-                right=b,
-            )
+    for (p, q), i in _config_cases(configs, trials):
+        a = random_form(rng, n, p, q)
+        b = random_form(rng, n, p + 1, q + 1)
+        rec.case(
+            f"(p,q)=({p},{q})#{i}",
+            g.mul(a).inner(b) == a.inner(b.contract()),
+            "<gw,t> != <w,ct>",
+            left=a,
+            right=b,
+        )
 
 
 def check_metric_contraction_commutator(rec, rng, n, trials):
     configs = [(p, q) for p in range(n) for q in range(n) if p >= 1 and q >= 1]
-    per = _cases_per_config(trials, len(configs))
     g = make_g(n)
-    for p, q in configs:
-        for i in range(per):
-            w = random_form(rng, n, p, q)
-            lhs = g.mul(w).contract()
-            rhs = g.mul(w.contract()) + (n - p - q) * w
-            rec.case(
-                f"(p,q)=({p},{q})#{i}",
-                lhs == rhs,
-                "c(gw) != g(cw) + (n-p-q) w",
-                form=w,
-            )
+    for (p, q), i in _config_cases(configs, trials):
+        w = random_form(rng, n, p, q)
+        lhs = g.mul(w).contract()
+        rhs = g.mul(w.contract()) + (n - p - q) * w
+        rec.case(
+            f"(p,q)=({p},{q})#{i}",
+            lhs == rhs,
+            "c(gw) != g(cw) + (n-p-q) w",
+            form=w,
+        )
 
 
 def check_iterated_contraction_lemma(rec, rng, n, trials):
@@ -446,34 +443,22 @@ def check_iterated_contraction_lemma(rec, rng, n, trials):
         for l in range(1, 4)
         if p + l <= n and q + l <= n and k <= min(p, q) + l and p + q + l <= n + 2
     ]
-    per = _cases_per_config(trials, len(configs))
-    for p, q, k, l in configs:
-        for i in range(per):
-            w = random_form(rng, n, p, q)
-            lhs = w.mul_g_power(l).scale(Fraction(1, factorial(l))).contract(k)
-            rhs = make_zero(n, max(p + l - k, 0), max(q + l - k, 0))
-            for r in range(0, min(k, l) + 1):
-                cm = w.contract(k - r)
-                if r == 0:
-                    term = cm.mul_g_power(l).scale(Fraction(1, factorial(l)))
-                else:
-                    prod = 1
-                    for j in range(r):
-                        prod *= n - p - q + k - l - j
-                    term = cm.mul_g_power(l - r).scale(
-                        Fraction(comb(k, r) * prod, factorial(l - r))
-                    )
-                if (term.p, term.q) == (rhs.p, rhs.q):
-                    rhs = rhs + term
-                elif not term.is_zero():
-                    rhs = None
-                    break
-            rec.case(
-                f"(p,q,k,l)=({p},{q},{k},{l})#{i}",
-                rhs is not None and _equal_or_both_zero(lhs, rhs),
-                "c^k(g^l/l! w) closed form failed",
-                form=w,
-            )
+    for (p, q, k, l), i in _config_cases(configs, trials):
+        w = random_form(rng, n, p, q)
+        lhs = w.mul_g_power(l).scale(Fraction(1, factorial(l))).contract(k)
+        terms = (  # r = 0 is the leading term g^l c^k w / l!
+            w.contract(k - r).mul_g_power(l - r).scale(Fraction(
+                comb(k, r) * prod(n - p - q + k - l - j for j in range(r)), factorial(l - r)
+            ))
+            for r in range(min(k, l) + 1)
+        )
+        rhs = _clamped_sum(n, max(p + l - k, 0), max(q + l - k, 0), terms)
+        rec.case(
+            f"(p,q,k,l)=({p},{q},{k},{l})#{i}",
+            rhs is not None and _equal_or_both_zero(lhs, rhs),
+            "c^k(g^l/l! w) closed form failed",
+            form=w,
+        )
 
 
 def check_bianchi_leibniz(rec, rng, n, trials):
@@ -483,28 +468,20 @@ def check_bianchi_leibniz(rec, rng, n, trials):
         for rs in ((1, 1), (2, 2), (1, 0))
         if pq[0] + rs[0] <= n and pq[1] + rs[1] <= n
     ]
-    per = _cases_per_config(trials, len(configs))
-    for pq, rs in configs:
-        for i in range(per):
-            a = random_form(rng, n, *pq)
-            b = random_form(rng, n, *rs)
-            lhs = a.mul(b).bianchi_sum()
-            sign = (-1) ** (pq[0] + pq[1])
-            rhs_terms = [a.bianchi_sum().mul(b), sign * a.mul(b.bianchi_sum())]
-            rhs = make_zero(n, lhs.p, lhs.q)
-            ok = True
-            for term in rhs_terms:
-                if (term.p, term.q) == (rhs.p, rhs.q):
-                    rhs = rhs + term
-                elif not term.is_zero():
-                    ok = False
-            rec.case(
-                f"{pq}x{rs}#{i}",
-                ok and lhs == rhs,
-                "B(w.t) != Bw.t + (-1)^(p+q) w.Bt",
-                left=a,
-                right=b,
-            )
+    for (pq, rs), i in _config_cases(configs, trials):
+        a = random_form(rng, n, *pq)
+        b = random_form(rng, n, *rs)
+        lhs = a.mul(b).bianchi_sum()
+        sign = (-1) ** (pq[0] + pq[1])
+        rhs_terms = [a.bianchi_sum().mul(b), sign * a.mul(b.bianchi_sum())]
+        rhs = _clamped_sum(n, lhs.p, lhs.q, rhs_terms)
+        rec.case(
+            f"{pq}x{rs}#{i}",
+            rhs is not None and lhs == rhs,
+            "B(w.t) != Bw.t + (-1)^(p+q) w.Bt",
+            left=a,
+            right=b,
+        )
 
 
 def check_bianchi_kernel_closure(rec, rng, n, trials):
@@ -527,17 +504,15 @@ def check_bianchi_kernel_closure(rec, rng, n, trials):
 
 def check_double_star(rec, rng, n, trials):
     configs = [(p, q) for p in range(n + 1) for q in range(n + 1)]
-    per = _cases_per_config(trials, len(configs))
-    for p, q in configs:
-        for i in range(per):
-            w = random_form(rng, n, p, q)
-            sign = -1 if ((p + q) * (n - p - q)) % 2 else 1
-            rec.case(
-                f"(p,q)=({p},{q})#{i}",
-                w.hodge().hodge() == sign * w,
-                "** != (-1)^((p+q)(n-p-q)) id",
-                form=w,
-            )
+    for (p, q), i in _config_cases(configs, trials):
+        w = random_form(rng, n, p, q)
+        sign = -1 if ((p + q) * (n - p - q)) % 2 else 1
+        rec.case(
+            f"(p,q)=({p},{q})#{i}",
+            w.hodge().hodge() == sign * w,
+            "** != (-1)^((p+q)(n-p-q)) id",
+            form=w,
+        )
 
 
 def check_metric_star_contract(rec, rng, n, trials):
@@ -545,59 +520,53 @@ def check_metric_star_contract(rec, rng, n, trials):
     # on every even-total bidegree, in particular throughout the square
     # bidegrees where curvature structures live.
     configs = [(p, q) for p in range(n + 1) for q in range(n + 1)]
-    per = _cases_per_config(trials, len(configs))
     g = make_g(n)
-    for p, q in configs:
+    for (p, q), i in _config_cases(configs, trials):
         sign = -1 if (n * (p + q)) % 2 else 1
-        for i in range(per):
-            w = random_form(rng, n, p, q)
-            lhs = g.mul(w)
-            rhs = w.hodge().contract().hodge()
-            ok = _equal_or_both_zero(lhs, sign * rhs)
-            if (p + q) % 2 == 0:
-                ok = ok and _equal_or_both_zero(lhs, rhs)
-            rec.case(
-                f"(p,q)=({p},{q})#{i}",
-                ok,
-                "gw != (-1)^(n(p+q)) *c*w",
-                form=w,
-            )
+        w = random_form(rng, n, p, q)
+        lhs = g.mul(w)
+        rhs = w.hodge().contract().hodge()
+        ok = _equal_or_both_zero(lhs, sign * rhs)
+        if (p + q) % 2 == 0:
+            ok = ok and _equal_or_both_zero(lhs, rhs)
+        rec.case(
+            f"(p,q)=({p},{q})#{i}",
+            ok,
+            "gw != (-1)^(n(p+q)) *c*w",
+            form=w,
+        )
 
 
 def check_inner_via_star(rec, rng, n, trials):
     configs = [(p, q) for p in range(n + 1) for q in range(n + 1)]
-    per = _cases_per_config(trials, len(configs))
-    for p, q in configs:
+    for (p, q), i in _config_cases(configs, trials):
         # *(*w.t) picks up the graded-commutativity sign between *w and t
         swap_sign = -1 if (p * (n - p) + q * (n - q)) % 2 else 1
-        for i in range(per):
-            a = random_form(rng, n, p, q)
-            b = random_form(rng, n, p, q)
-            inner = a.inner(b)
-            ok = (
-                inner == a.mul(b.hodge()).hodge().scalar_value()
-                and inner == swap_sign * a.hodge().mul(b).hodge().scalar_value()
-            )
-            rec.case(
-                f"(p,q)=({p},{q})#{i}", ok, "<w,t> != *(w.*t)", left=a, right=b
-            )
+        a = random_form(rng, n, p, q)
+        b = random_form(rng, n, p, q)
+        inner = a.inner(b)
+        ok = (
+            inner == a.mul(b.hodge()).hodge().scalar_value()
+            and inner == swap_sign * a.hodge().mul(b).hodge().scalar_value()
+        )
+        rec.case(
+            f"(p,q)=({p},{q})#{i}", ok, "<w,t> != *(w.*t)", left=a, right=b
+        )
 
 
 def check_star_adjoint_sign(rec, rng, n, trials):
     configs = [(p, q) for p in range(n + 1) for q in range(n + 1)]
-    per = _cases_per_config(trials, len(configs))
-    for p, q in configs:
-        for i in range(per):
-            a = random_form(rng, n, p, q)
-            b = random_form(rng, n, n - p, n - q)
-            sign = -1 if ((p + q) * (n - p - q)) % 2 else 1
-            rec.case(
-                f"(p,q)=({p},{q})#{i}",
-                a.inner(b.hodge()) == sign * a.hodge().inner(b),
-                "<w,*t> != (-1)^((p+q)(n-p-q)) <*w,t>",
-                left=a,
-                right=b,
-            )
+    for (p, q), i in _config_cases(configs, trials):
+        a = random_form(rng, n, p, q)
+        b = random_form(rng, n, n - p, n - q)
+        sign = -1 if ((p + q) * (n - p - q)) % 2 else 1
+        rec.case(
+            f"(p,q)=({p},{q})#{i}",
+            a.inner(b.hodge()) == sign * a.hodge().inner(b),
+            "<w,*t> != (-1)^((p+q)(n-p-q)) <*w,t>",
+            left=a,
+            right=b,
+        )
 
 
 def check_star_metric_powers(rec, rng, n, trials):
@@ -609,6 +578,13 @@ def check_star_metric_powers(rec, rng, n, trials):
 
 
 # -- decomposition suite ---------------------------------------------------------
+
+
+def _effective_law_scale(n: int, p: int, k: int, l: int) -> Fraction:
+    """s with c^k(g^l w) = s g^(l-k) w for effective w in D^{p,p}, k <= l:
+    l!/(l-k)! prod_{j=1}^{k} (n - 2p - l + j)."""
+    falling = prod(n - 2 * p - l + j for j in range(1, k + 1))
+    return Fraction(factorial(l), factorial(l - k)) * falling
 
 
 def check_decompose_roundtrip(rec, rng, n, trials):
@@ -626,20 +602,18 @@ def check_decompose_roundtrip(rec, rng, n, trials):
 
 def check_effective_orthogonality(rec, rng, n, trials):
     degrees = [p for p in (1, 2) if 2 * p <= n]
-    per = _cases_per_config(trials, len(degrees))
     g = make_g(n)
-    for p in degrees:
-        for i in range(per):
-            w = random_form(rng, n, p, p)
-            effective_part = decompose(w).components[p]
-            other = random_form(rng, n, p - 1, p - 1)
-            rec.case(
-                f"p={p}#{i}",
-                effective_part.inner(g.mul(other)) == 0,
-                "Ker c not orthogonal to gD",
-                form=w,
-                other=other,
-            )
+    for p, i in _config_cases(degrees, trials):
+        w = random_form(rng, n, p, p)
+        effective_part = decompose(w).components[p]
+        other = random_form(rng, n, p - 1, p - 1)
+        rec.case(
+            f"p={p}#{i}",
+            effective_part.inner(g.mul(other)) == 0,
+            "Ker c not orthogonal to gD",
+            form=w,
+            other=other,
+        )
 
 
 def check_effective_pairing(rec, rng, n, trials):
@@ -648,25 +622,21 @@ def check_effective_pairing(rec, rng, n, trials):
     configs = [
         (a, r) for a in (1, 2) for r in (1, 2) if 2 * r <= n and a + r <= n
     ]
-    per = _cases_per_config(trials, len(configs))
-    for a, r in configs:
-        for i in range(per):
-            w1 = decompose(random_form(rng, n, r, r)).components[r]
-            w2 = decompose(random_form(rng, n, r, r)).components[r]
-            scale = factorial(a)
-            for j in range(a):
-                scale *= n - 2 * r - j
-            ok = w1.mul_g_power(a).inner(w2.mul_g_power(a)) == scale * w1.inner(w2)
-            if a + r + 1 <= n and r >= 2:
-                other = decompose(random_form(rng, n, r - 1, r - 1)).components[r - 1]
-                ok = ok and w1.mul_g_power(a).inner(other.mul_g_power(a + 1)) == 0
-            rec.case(
-                f"(a,r)=({a},{r})#{i}",
-                ok,
-                "effective pairing scale failed",
-                left=w1,
-                right=w2,
-            )
+    for (a, r), i in _config_cases(configs, trials):
+        w1 = decompose(random_form(rng, n, r, r)).components[r]
+        w2 = decompose(random_form(rng, n, r, r)).components[r]
+        scale = _effective_law_scale(n, r, a, a)  # <g^a w1, g^a w2> = <w1, c^a g^a w2>
+        ok = w1.mul_g_power(a).inner(w2.mul_g_power(a)) == scale * w1.inner(w2)
+        if a + r + 1 <= n and r >= 2:
+            other = decompose(random_form(rng, n, r - 1, r - 1)).components[r - 1]
+            ok = ok and w1.mul_g_power(a).inner(other.mul_g_power(a + 1)) == 0
+        rec.case(
+            f"(a,r)=({a},{r})#{i}",
+            ok,
+            "effective pairing scale failed",
+            left=w1,
+            right=w2,
+        )
 
 
 def check_effective_contraction_law(rec, rng, n, trials):
@@ -677,28 +647,23 @@ def check_effective_contraction_law(rec, rng, n, trials):
         for l in (0, 1, 2, 3)
         if 2 * p <= n and p + l <= n
     ]
-    per = _cases_per_config(trials, len(configs))
-    for p, k, l in configs:
-        for i in range(per):
-            w = decompose(random_form(rng, n, p, p)).components[p]
-            lhs = w.mul_g_power(l).contract(k)
-            if l < k:
-                rec.case(
-                    f"(p,k,l)=({p},{k},{l})#{i}",
-                    lhs.is_zero(),
-                    "c^k(g^l w) != 0 for l < k on effective w",
-                    form=w,
-                )
-            else:
-                scale = Fraction(factorial(l), factorial(l - k))
-                for j in range(1, k + 1):
-                    scale *= n - 2 * p - l + j
-                rec.case(
-                    f"(p,k,l)=({p},{k},{l})#{i}",
-                    lhs == w.mul_g_power(l - k).scale(scale),
-                    "effective contraction law failed",
-                    form=w,
-                )
+    for (p, k, l), i in _config_cases(configs, trials):
+        w = decompose(random_form(rng, n, p, p)).components[p]
+        lhs = w.mul_g_power(l).contract(k)
+        if l < k:
+            rec.case(
+                f"(p,k,l)=({p},{k},{l})#{i}",
+                lhs.is_zero(),
+                "c^k(g^l w) != 0 for l < k on effective w",
+                form=w,
+            )
+        else:
+            rec.case(
+                f"(p,k,l)=({p},{k},{l})#{i}",
+                lhs == w.mul_g_power(l - k).scale(_effective_law_scale(n, p, k, l)),
+                "effective contraction law failed",
+                form=w,
+            )
 
 
 def check_contraction_of_components(rec, rng, n, trials):
@@ -711,9 +676,7 @@ def check_contraction_of_components(rec, rng, n, trials):
                 comps = decompose(w).components
                 rhs = make_zero(n, p - k, p - k)
                 for idx in range(k, p + 1):
-                    scale = Fraction(factorial(idx), factorial(idx - k))
-                    for j in range(1, k + 1):
-                        scale *= n - 2 * p + idx + j
+                    scale = _effective_law_scale(n, p - idx, k, idx)
                     rhs = rhs + comps[p - idx].mul_g_power(idx - k).scale(scale)
                 rec.case(
                     f"(p,k)=({p},{k})#{i}",
@@ -763,36 +726,32 @@ def check_metric_kernel_contractions(rec, rng, n, trials):
 
 def check_star_closed_form(rec, rng, n, trials):
     degrees = [p for p in (1, 2) if p <= n]
-    per = _cases_per_config(trials, len(degrees) * max(n - 1, 1))
-    for p in degrees:
-        for i in range(per):
-            w = random_bianchi(rng, n, p)
-            for k in range(p, n + 1):
-                direct = (
-                    w.mul_g_power(k - p).scale(Fraction(1, factorial(k - p))).hodge()
-                )
-                rec.case(
-                    f"p={p} k={k}#{i}",
-                    star_bianchi(w, k) == direct,
-                    "closed-form star != hodge",
-                    form=w,
-                )
+    for p, i in _config_cases(degrees, trials, max(n - 1, 1)):
+        w = random_bianchi(rng, n, p)
+        for k in range(p, n + 1):
+            direct = (
+                w.mul_g_power(k - p).scale(Fraction(1, factorial(k - p))).hodge()
+            )
+            rec.case(
+                f"p={p} k={k}#{i}",
+                star_bianchi(w, k) == direct,
+                "closed-form star != hodge",
+                form=w,
+            )
 
 
 def check_star_components_form(rec, rng, n, trials):
     degrees = [p for p in (1, 2) if 2 * p <= n]
-    per = _cases_per_config(trials, len(degrees) * 3)
-    for p in degrees:
-        for i in range(per):
-            w = random_bianchi(rng, n, p)
-            d = decompose(w)
-            for l in range(0, 3):
-                rec.case(
-                    f"p={p} l={l}#{i}",
-                    star_in_components(d, l) == w.mul_g_power(l).hodge(),
-                    "component-form star != hodge",
-                    form=w,
-                )
+    for p, i in _config_cases(degrees, trials, 3):
+        w = random_bianchi(rng, n, p)
+        d = decompose(w)
+        for l in range(0, 3):
+            rec.case(
+                f"p={p} l={l}#{i}",
+                star_in_components(d, l) == w.mul_g_power(l).hodge(),
+                "component-form star != hodge",
+                form=w,
+            )
 
 
 # -- curvature suite --------------------------------------------------------------
@@ -1006,22 +965,31 @@ def check_power_scaling(rec, rng, n, trials):
                 )
 
 
+def _complementary_planes(model: CurvatureTensor, p: int):
+    """(P, s_p(P), s_(n-p)(P^perp)) over the first eight coordinate p-planes
+    P, in lexicographic order, with s_p the (p,1)-sectional curvature."""
+    n = model.n
+    upper = pq_curvature_tensor(model, p, 1)
+    lower = pq_curvature_tensor(model, n - p, 1)
+    for idx in list(itertools.combinations(range(n), p))[:8]:
+        rest = tuple(sorted(set(range(n)) - set(idx)))
+        yield (
+            idx,
+            sectional_curvature(upper, Frame.coordinate(n, idx)),
+            sectional_curvature(lower, Frame.coordinate(n, rest)),
+        )
+
+
 def check_einstein_difference(rec, rng, n, trials):
     models = [m for m in model_zoo(n, rng) if is_einstein(m[1])]
     for name, model in models:
         scalar = model.form.contract().contract().scalar_value()
         for p in range(2, n - 1):
             expected = Fraction(n - 2 * p, 2 * n) * scalar
-            upper = pq_curvature_tensor(model, p, 1)
-            lower = pq_curvature_tensor(model, n - p, 1)
-            for idx in list(itertools.combinations(range(n), p))[:8]:
-                rest = tuple(sorted(set(range(n)) - set(idx)))
-                diff = sectional_curvature(upper, Frame.coordinate(n, idx)) - sectional_curvature(
-                    lower, Frame.coordinate(n, rest)
-                )
+            for idx, upper, lower in _complementary_planes(model, p):
                 rec.case(
                     f"{name} p={p} P={idx}",
-                    diff == expected,
+                    upper - lower == expected,
                     "s_p(P) - s_(n-p)(P^perp) != (n-2p)/(2n) c^2R",
                     form=model.form,
                 )
@@ -1035,16 +1003,10 @@ def check_constant_sum(rec, rng, n, trials):
             if 2 * p == n:
                 continue
             expected = Fraction(2 * p * (p - 1) + (n - 2 * p) * (n - 1), 2 * n * (n - 1)) * scalar
-            upper = pq_curvature_tensor(model, p, 1)
-            lower = pq_curvature_tensor(model, n - p, 1)
-            for idx in list(itertools.combinations(range(n), p))[:8]:
-                rest = tuple(sorted(set(range(n)) - set(idx)))
-                total = sectional_curvature(upper, Frame.coordinate(n, idx)) + sectional_curvature(
-                    lower, Frame.coordinate(n, rest)
-                )
+            for idx, upper, lower in _complementary_planes(model, p):
                 rec.case(
                     f"lam={lam} p={p} P={idx}",
-                    total == expected,
+                    upper + lower == expected,
                     "s_p(P) + s_(n-p)(P^perp) off the constant-curvature value",
                 )
 
@@ -1097,21 +1059,19 @@ def check_constant_pq_characterization(rec, rng, n, trials):
 def check_metric_trace_formula(rec, rng, n, trials):
     # (g^p w)(P,P) = p! trace(w restricted to Lambda^r P) on coordinate frames
     configs = [(p, r) for p in (1, 2) for r in (1, 2) if p + r <= n]
-    per = _cases_per_config(trials, len(configs) * 2)
-    for p, r in configs:
-        for i in range(per):
-            w = random_symmetric(rng, n, r)
-            idx = tuple(sorted(rng.sample(range(n), p + r)))
-            value = w.mul_g_power(p)[idx, idx]
-            trace = sum(
-                w[sub, sub] for sub in itertools.combinations(idx, r)
-            )
-            rec.case(
-                f"(p,r)=({p},{r})#{i}",
-                value == factorial(p) * trace,
-                "g^p w on a frame != p! trace on sub-planes",
-                form=w,
-            )
+    for (p, r), i in _config_cases(configs, trials, 2):
+        w = random_symmetric(rng, n, r)
+        idx = tuple(sorted(rng.sample(range(n), p + r)))
+        value = w.mul_g_power(p)[idx, idx]
+        trace = sum(
+            w[sub, sub] for sub in itertools.combinations(idx, r)
+        )
+        rec.case(
+            f"(p,r)=({p},{r})#{i}",
+            value == factorial(p) * trace,
+            "g^p w on a frame != p! trace on sub-planes",
+            form=w,
+        )
 
 
 def check_constant_sectional_shape(rec, rng, n, trials):
@@ -1141,14 +1101,18 @@ def check_constant_sectional_shape(rec, rng, n, trials):
 # -- avez suite --------------------------------------------------------------------
 
 
-def check_middle_pairing(rec, rng, n, trials):
+def _middle_bianchi_pairs(rng, n, trials):
+    """max(1, trials // 2) pairs (i, a, b) of random Bianchi forms of the
+    middle degree n/2; none for odd n or a middle stratum beyond the case
+    budget."""
     if n % 2 or comb(n, n // 2) ** 2 > 2500:
-        return  # odd dimension, or middle stratum beyond the case budget
-    p = n // 2
-    per = max(1, trials // 2)
-    for i in range(per):
-        a = random_bianchi(rng, n, p)
-        b = random_bianchi(rng, n, p)
+        return
+    for i in range(max(1, trials // 2)):
+        yield i, random_bianchi(rng, n, n // 2), random_bianchi(rng, n, n // 2)
+
+
+def check_middle_pairing(rec, rng, n, trials):
+    for i, a, b in _middle_bianchi_pairs(rng, n, trials):
         direct = a.mul(b).hodge().scalar_value()
         rec.case(
             f"#{i}",
@@ -1160,13 +1124,8 @@ def check_middle_pairing(rec, rng, n, trials):
 
 
 def check_metric_power_pairing(rec, rng, n, trials):
-    if n % 2 or comb(n, n // 2) ** 2 > 2500:
-        return
     p = n // 2
-    per = max(1, trials // 2)
-    for i in range(per):
-        a = random_bianchi(rng, n, p)
-        b = random_bianchi(rng, n, p)
+    for i, a, b in _middle_bianchi_pairs(rng, n, trials):
         total = Fraction(0)
         for r in range(p + 1):
             total += Fraction((-1) ** (r + p), factorial(r) ** 2) * a.mul_g_power(
@@ -1257,15 +1216,21 @@ def check_invariant_split(rec, rng, n, trials):
         )
 
 
+def _h4_sign_holds(tensor: CurvatureTensor, classification: str) -> bool:
+    """Whether sign_report_h4 classifies the tensor as flat when its form is
+    zero and as classification otherwise, with the sign inequality holding."""
+    report = sign_report_h4(tensor)
+    expected = "flat" if tensor.form.is_zero() else classification
+    return report.classification == expected and report.inequality_holds
+
+
 def check_einstein_sign(rec, rng, n, trials):
     if n < 4:
         return
     per = max(1, trials // 4)
     models = [m for m in model_zoo(n, rng) if is_einstein(m[1])]
     for name, model in models:
-        report = sign_report_h4(model)
-        expected = "flat" if model.form.is_zero() else "einstein"
-        ok = report.classification == expected and report.inequality_holds
+        ok = _h4_sign_holds(model, "einstein")
         rec.case(name, ok, "Einstein sign theorem violated", form=model.form)
     for i in range(per):
         # generic Einstein tensor: effective Bianchi (2,2) part plus g^2 scalar
@@ -1275,11 +1240,7 @@ def check_einstein_sign(rec, rng, n, trials):
         if not is_einstein(tensor):
             rec.case(f"constructed#{i}", False, "construction should be Einstein")
             continue
-        report = sign_report_h4(tensor)
-        if form.is_zero():
-            ok = report.classification == "flat" and report.inequality_holds
-        else:
-            ok = report.classification == "einstein" and report.inequality_holds
+        ok = _h4_sign_holds(tensor, "einstein")
         rec.case(f"constructed#{i}", ok, "constructed Einstein sign failed", form=form)
 
 
@@ -1292,14 +1253,7 @@ def check_conformal_scalar_flat_sign(rec, rng, n, trials):
         values.append(-sum(values))  # traceless: zero scalar curvature
         h = _diagonal(n, values)
         tensor = make_conformally_flat(h)
-        report = sign_report_h4(tensor)
-        if tensor.form.is_zero():
-            ok = report.classification == "flat" and report.inequality_holds
-        else:
-            ok = (
-                report.classification == "conformally_flat_scalar_flat"
-                and report.inequality_holds
-            )
+        ok = _h4_sign_holds(tensor, "conformally_flat_scalar_flat")
         rec.case(f"#{i}", ok, "conformally flat scalar-flat sign failed", form=tensor.form)
 
 
@@ -1369,9 +1323,9 @@ def run_verify(suite: str, n: int, trials: int, seed: int) -> VerifyOutcome:
     """Run a named suite; deterministic given (suite, n, trials, seed)."""
     if suite not in SUITE_NAMES:
         raise UsageError(f"unknown suite {suite!r}; expected one of {SUITE_NAMES}")
-    if not isinstance(n, int) or n < 2:
+    if not _is_count(n, 2):
         raise UsageError(f"verify needs n >= 2, got {n!r}")
-    if not isinstance(trials, int) or trials < 1:
+    if not _is_count(trials, 1):
         raise UsageError(f"verify needs trials >= 1, got {trials!r}")
     started = time.perf_counter()
     names = list(SUITES) if suite == "all" else [suite]

@@ -4,12 +4,14 @@ The closed-form decompose at 2p > n is checked against the solve-based
 route (divide_g_power, then decompose of the quotient), and the
 single-pass mul_g_power against repeated products by g.  The one Bareiss
 elimination behind linalg's rank, solve and nullspace is checked against
-determinants of minors, and the blockwise rank and KernelProjector against
-the whole-matrix rank and dense Fraction projector they replaced, on every
-g_power_matrix and constraint set at n <= 5 and on interleaved block
-matrices.  The one wedge kernel, core._wedge, is checked against Fraction
-minors on rational frames, dependent ones included, and coordinate frames'
-directly set wedge coordinates against the minors of their vectors.  The
+determinants of minors, solve (the kernel vector of [A | -b]) against the
+rhs-carrying elimination it replaced, reference_solve, and the blockwise
+rank and KernelProjector against the whole-matrix rank and dense Fraction
+projector they replaced, on every g_power_matrix and constraint set at
+n <= 5 and on interleaved block matrices.  The one wedge kernel,
+core._wedge, is checked against Fraction minors on rational frames,
+dependent ones included, and coordinate frames' directly set wedge
+coordinates against the minors of their vectors.  The
 invariant report's power sequence and its h_{2q} and T_{2q} against
 repeated products and single contractions, the one-pass contract(k)
 against the chain contractions(w, k)[-1], and pq_sectional's complement
@@ -81,6 +83,7 @@ from doubleforms import linalg
 from doubleforms.core import (
     DegreeError,
     DimensionMismatchError,
+    DoubleFormError,
     _diagonal,
     _flatten,
     _subset_table,
@@ -298,6 +301,82 @@ def test_solve_consistent_and_inconsistent_systems(m, data):
         assert mat_vec(m, x) == rhs
 
 
+def reference_solve(matrix, rhs):
+    """The elimination solve replaced: Bareiss on [matrix | rhs] with pivots
+    sought in the matrix columns only, inconsistent when a row below the
+    pivots keeps a nonzero rhs, then integer back substitution against the
+    rhs column with the free variables at zero."""
+    if not matrix:
+        return [] if not any(rhs) else None
+    cols = len(matrix[0])
+    rows = [linalg._integer_row(list(row) + [b]) for row, b in zip(matrix, rhs)]
+    pivots, prev = [], 1
+    for c in range(cols):
+        top = len(pivots)
+        if top == len(rows):
+            break
+        pivot = next((i for i in range(top, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[top], rows[pivot] = rows[pivot], rows[top]
+        piv_row, piv = rows[top], rows[top][c]
+        for row in rows[top + 1:]:
+            f = row[c]
+            for k in range(c, cols + 1):
+                row[k] = (piv * row[k] - f * piv_row[k]) // prev
+        prev = piv
+        pivots.append(c)
+    if any(row[cols] for row in rows[len(pivots):]):
+        return None
+    d = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
+    num = [0] * cols
+    for r in range(len(pivots) - 1, -1, -1):
+        c, row = pivots[r], rows[r]
+        num[c] = (d * row[cols] - sum(row[k] * num[k] for k in range(c + 1, cols))) // row[c]
+    return [Fraction(v, d) for v in num]
+
+
+@st.composite
+def linear_systems(draw):
+    """(matrix, rhs) up to 4 x 5, rational or integer, square or not; the rhs
+    is matrix . y for a drawn y (consistent) or drawn freely (often not)."""
+    m = draw(small_matrices())
+    if draw(st.booleans()):  # entries have denominators 1, 2 or 3
+        m = [[int(6 * v) for v in row] for row in m]
+    if draw(st.booleans()):
+        size = min(len(m), len(m[0]))
+        m = [row[:size] for row in m[:size]]
+    if draw(st.booleans()):
+        y = draw(st.lists(_entries, min_size=len(m[0]), max_size=len(m[0])))
+        return m, mat_vec(m, y)
+    return m, draw(st.lists(_entries, min_size=len(m), max_size=len(m)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_systems())
+def test_solve_matches_the_rhs_carrying_elimination(system):
+    m, rhs = system
+    assert linalg.solve(m, rhs) == reference_solve(m, rhs)
+
+
+@pytest.mark.parametrize("matrix, rhs", [
+    ([], []), ([], [0, 0]), ([], [1]), ([[]], [0]), ([[]], [Fraction(1, 2)]),
+    ([[0, 0], [0, 0]], [0, 1]), ([[2, 4]], [Fraction(1, 3)]),
+])
+def test_solve_matches_the_rhs_carrying_elimination_on_edge_cases(matrix, rhs):
+    assert linalg.solve(matrix, rhs) == reference_solve(matrix, rhs)
+
+
+def test_linalg_refuses_floats():
+    # Fraction(0.1) is 3602879701896397/2^56, which was once used silently
+    with pytest.raises(DoubleFormError):
+        linalg._integer_row([Fraction(1, 2), 0.1])
+    with pytest.raises(DoubleFormError):
+        linalg.KernelProjector([[1, -1, 0]]).project([0.1, 0, 1])
+    with pytest.raises(DoubleFormError):
+        linalg.solve([[1, 0]], [0.5])
+
+
 
 # -- linalg: blockwise rank and projection against the whole matrix ------------
 
@@ -305,7 +384,7 @@ def test_solve_consistent_and_inconsistent_systems(m, data):
 def reference_rank(matrix):
     """The whole-matrix rank: one forward elimination over every nonzero row."""
     rows = [r for r in matrix if any(r)]
-    return len(linalg._echelon(rows, [0] * len(rows))[1])
+    return len(linalg._echelon(rows)[1])
 
 
 class ReferenceProjector:

@@ -7,11 +7,14 @@ imports are exempt.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import doubleforms
 
 PACKAGE = Path(doubleforms.__file__).resolve().parent
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -54,3 +57,24 @@ def test_exterior_exports_no_index_set_level_helpers():
 def test_index_set_has_no_complement_method():
     # the complement mask is (1 << n) - 1 ^ mask wherever it is needed
     assert not hasattr(doubleforms.exterior.IndexSet, "complement")
+
+
+def test_every_traced_name_resolves_on_the_package():
+    # bench/tracer.py wraps each SPANS target in place, so removing or
+    # renaming one breaks `bench/run.py --trace 1`; the file is read, not edited
+    spec = importlib.util.spec_from_file_location("doubleforms_bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for span, targets in tracer.SPANS.items():
+        for target in targets:
+            owner = importlib.import_module(f"doubleforms.{target[0]}")
+            if len(target) == 3:  # a method, looked up in its class's own dict
+                found = target[2] in vars(getattr(owner, target[1], object))
+            else:
+                found = callable(getattr(owner, target[1], None))
+            if not found:
+                missing.append((span, target))
+    assert tracer.SPANS
+    assert missing == []
+    assert set(tracer.SUITES) <= set(doubleforms.verify.SUITES)
