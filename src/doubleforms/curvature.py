@@ -41,7 +41,7 @@ from .core import (
     trace_of_product,
 )
 from .decomposition import _require_bianchi_symmetric, decompose
-from .exterior import _is_count, subset_masks
+from .exterior import MAX_DIMENSION, _is_count, subset_masks
 
 
 @dataclass(frozen=True)
@@ -155,24 +155,25 @@ def _embed(form: DoubleForm, n_total: int, offset: int) -> DoubleForm:
     return out
 
 
-def _power_forms(tensor: CurvatureTensor):
-    """R, R^2, R^3, ...: each power one product from the previous one."""
-    form = tensor.form
+def _powers(tensor: CurvatureTensor):
+    """R, R^2, R^3, ...: each power one product from the previous one,
+    certified once, when it is made (R when the tensor was made).  A
+    generator, so only the powers a caller holds stay alive."""
+    current = tensor
     while True:
-        yield form
-        form = form.mul(tensor.form)
+        yield current
+        current = CurvatureTensor(current.form.mul(tensor.form))
 
 
 def power(tensor: CurvatureTensor, exponent: int) -> CurvatureTensor:
     """The Gauss-Kronecker power R^q in the curvature algebra.
 
-    R^q is the q-th term of the sequence R, R^2, ... (q - 1 products); only
-    the result is certified.  build_invariant_report walks the same sequence.
+    R^q is the q-th term of the walk R, R^2, ... (q - 1 products, each
+    certified once), so power(R, 1) is R.
     """
     if not _is_count(exponent, 1):
         raise DegreeError(f"power needs a positive integer exponent, got {exponent!r}")
-    form = next(islice(_power_forms(tensor), exponent - 1, None))
-    return CurvatureTensor(form)
+    return next(islice(_powers(tensor), exponent - 1, None))
 
 
 # -- frames and sectional curvature -------------------------------------------
@@ -186,8 +187,8 @@ class FrameError(DoubleFormError):
 
 
 def _require_frame_dimension(n) -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise FrameError(f"a frame's dimension must be an integer, got {n!r}")
+    if not _is_count(n, 1, MAX_DIMENSION):
+        raise FrameError(f"a frame's dimension must be an integer in [1, {MAX_DIMENSION}], got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -397,22 +398,20 @@ def weyl_invariant(tensor: CurvatureTensor, q: int) -> Fraction:
     fewer cells to walk, meets only the cells (Q u C, P u C) of R^a, with
     P = I1 - J1, Q = J1 - I1 and C disjoint from I1 u J1, at the sign
     sign(I1, Q u C) sign(J1, P u C) of the product.  So h_{2q} costs
-    a - 1 products (R^b is met on the way to R^a) and no R^q; R^a is
-    certified, as power certifies its result.  h_2 = c^2 R / 2 is half
-    the scalar curvature; for even n, h_n is the Gauss-Bonnet integrand up
-    to the tube-formula normalization.
+    a - 1 products (R^b is met on the way to R^a) and no R^q, and each
+    power is certified once, when the walk makes it.  h_2 = c^2 R / 2 is
+    half the scalar curvature; for even n, h_n is the Gauss-Bonnet
+    integrand up to the tube-formula normalization.
     """
     _require_riemann_like(tensor, "weyl_invariant")
     _require_q(tensor.n, q)
     if q == 1:
         return tensor.form.contract(2).scalar_value() / 2
     half, larger = q // 2, (q + 1) // 2
-    for exponent, form in zip(range(1, larger + 1), _power_forms(tensor)):
+    for exponent, rq in zip(range(1, larger + 1), _powers(tensor)):
         if exponent == half:
-            lower = form
-    if larger > 1:
-        CurvatureTensor(form)
-    return trace_of_product(lower, form)
+            lower = rq
+    return trace_of_product(lower.form, rq.form)
 
 
 def einstein_tensor(tensor: CurvatureTensor, q: int) -> DoubleForm:
@@ -585,18 +584,16 @@ def build_invariant_report(
     """Invariants for q = 1..max_q; requires 2 max_q <= n.
 
     R, R^2, ..., R^max_q are built once, each from the previous one by a
-    single product (max_q - 1 in all), and each power R^q with q >= 2 is
-    certified once, as power certifies its result; R itself was certified
-    when the tensor was made.  Row q reads h_{2q} and T_{2q} off the one
-    contraction chain of R^q; the h_4 sign report reuses row 2's h_4.
+    single product (max_q - 1 in all) and certified once, when the walk
+    makes it; the loop holds one power at a time.  Row q reads h_{2q} and
+    T_{2q} off the one contraction chain of R^q; the h_4 sign report reuses
+    row 2's h_4.
     """
     n = tensor.n
     _require_q(n, max_q, "max_q")
     rows = []
-    for q, form in zip(range(1, max_q + 1), _power_forms(tensor)):
-        if q > 1:
-            CurvatureTensor(form)
-        rows.append(InvariantRow(q, *_weyl_and_einstein(form, q)))
+    for q, rq in zip(range(1, max_q + 1), _powers(tensor)):
+        rows.append(InvariantRow(q, *_weyl_and_einstein(rq.form, q)))
     h4 = rows[1].weyl if max_q >= 2 else None
     h4_sign = _sign_report_h4(tensor, h4) if n >= 4 else None
     report = InvariantReport(n, tuple(rows), samples, h4_sign)

@@ -22,9 +22,10 @@ bulk route (_read_in_bulk) checks a whole column of the entries at a time:
 the types and lengths of the entries, their index lists, indices and
 values, the index lists against a cached tuple -> mask table per (n, k),
 and the strict order of the (I, J) pairs; it reads each distinct value
-once.  It never raises: on anything it does not accept it declines, and
-the validating route (_read_entries) reads the entries one at a time
-through _read_index_set and rational_from_str.  Only that route refuses
+once through rational_from_str.  It never raises: on anything it does not
+accept, a value rational_from_str refuses included, it declines, and the
+validating route (_read_entries) reads the entries one at a time through
+_read_index_set and rational_from_str.  Only that route refuses
 input, at the first malformed entry, so which inputs are refused, and with
 which message, does not depend on the bulk route.  Either way the
 numerators are published over the lcm of the values' denominators once,
@@ -352,27 +353,11 @@ def _read_in_bulk(entries: list, n: int, p: int, q: int):
     pairs, later = zip(raw_i, raw_j), zip(islice(raw_i, 1, None), islice(raw_j, 1, None))
     if not all(map(lt, pairs, later)):
         return None
-    ratios = {}
-    for value in dict.fromkeys(values):  # each distinct value read once
-        ratio = _ratio_of(value)
-        if ratio is None:
-            return None
-        ratios[value] = ratio
+    try:  # each distinct value read once
+        ratios = {value: rational_from_str(value) for value in dict.fromkeys(values)}
+    except SchemaError:
+        return None
     return rows, cols, values, ratios
-
-
-def _ratio_of(value: str | int) -> Fraction | None:
-    """rational_from_str(value) where that returns, None where it raises."""
-    if type(value) is int:
-        return Fraction(value)
-    if not _RATIONAL_RE.fullmatch(value):
-        return None
-    num, _, den = value.partition("/")
-    try:
-        num, den = int(num), int(den or 1)
-    except ValueError:
-        return None
-    return Fraction(num, den) if den else None
 
 
 def _read_entries(entries: list, n: int, p: int, q: int, path: str):

@@ -14,7 +14,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, inf, prod
 
 from . import serialize
 from .core import (
@@ -55,6 +55,7 @@ from .decomposition import (
     g_power_matrix,
     is_effective,
     map_rank,
+    project_conformal,
     star_bianchi,
     star_in_components,
 )
@@ -119,25 +120,26 @@ def _operator_rows(n: int, p: int, q: int, operator) -> list[list[int]]:
 
 
 @lru_cache(maxsize=None)
-def bianchi_projector(n: int, p: int, effective: bool = False) -> KernelProjector:
-    """Orthogonal projector onto Ker B (optionally also Ker c) in D^{p,p}."""
-    rows = _operator_rows(n, p, p, lambda w: w.bianchi_sum())
-    if effective:
-        rows += _operator_rows(n, p, p, lambda w: w.contract())
-    return KernelProjector(rows)
+def bianchi_projector(n: int, p: int) -> KernelProjector:
+    """Orthogonal projector onto Ker B in D^{p,p}."""
+    return KernelProjector(_operator_rows(n, p, p, lambda w: w.bianchi_sum()))
 
 
 def random_bianchi(rng: random.Random, n: int, p: int, effective: bool = False) -> DoubleForm:
     """Random element of C_1^p: symmetrize, then project onto Ker B exactly.
 
     Ker B is transpose-invariant on square bidegrees, so the projection of a
-    symmetric form stays symmetric; this is asserted as a tripwire.
+    symmetric form stays symmetric; this is asserted as a tripwire.  With
+    effective, the result is further projected onto Ker c by
+    project_conformal, its top effective component: B commutes with
+    multiplication by g and the effective split is orthogonal, so the two
+    projections commute and this is the projection onto Ker B and Ker c
+    together.
     """
     form = random_symmetric(rng, n, p)
-    projector = bianchi_projector(n, p, effective)
-    projected = _unflatten(n, p, p, projector.project(_flatten(form)))
+    projected = _unflatten(n, p, p, bianchi_projector(n, p).project(_flatten(form)))
     assert projected.is_symmetric()
-    return projected
+    return project_conformal(projected) if effective else projected
 
 
 def random_vector(rng: random.Random, n: int) -> list[Fraction]:
@@ -1327,6 +1329,8 @@ def run_verify(suite: str, n: int, trials: int, seed: int) -> VerifyOutcome:
         raise UsageError(f"verify needs n >= 2, got {n!r}")
     if not _is_count(trials, 1):
         raise UsageError(f"verify needs trials >= 1, got {trials!r}")
+    if not _is_count(seed, -inf):
+        raise UsageError(f"verify needs an integer seed, got {seed!r}")
     started = time.perf_counter()
     names = list(SUITES) if suite == "all" else [suite]
     results = []

@@ -4,7 +4,8 @@ exterior._is_count is the one test ("an int, not a bool, in [low, high]");
 each call below reaches it through its own site, which raises its own
 error type.  A bool is an int in Python, so without the test True passes
 as 1 and False as 0; a float would reach comb() or range() and raise a
-bare TypeError there.
+bare TypeError there.  A dimension is also held to [1, MAX_DIMENSION],
+and a verify seed, which may be negative, must be an int too.
 """
 
 from fractions import Fraction
@@ -26,9 +27,9 @@ from doubleforms import (
     weyl_invariant,
 )
 from doubleforms.core import cell_budget
-from doubleforms.curvature import pq_curvature_tensor, pq_sectional
+from doubleforms.curvature import Frame, FrameError, pq_curvature_tensor, pq_sectional
 from doubleforms.decomposition import divide_g_power, g_power_matrix, map_rank
-from doubleforms.exterior import _is_count
+from doubleforms.exterior import MAX_DIMENSION, _is_count
 from doubleforms.verify import UsageError, run_verify
 
 R = make_constant_curvature(4, 1)
@@ -54,6 +55,15 @@ REFUSED = {
     "star_in_components float": (lambda: star_in_components(decompose(R.form), 1.5), DegreeError),
     "set_cell_budget": (lambda: set_cell_budget(True), DoubleFormError),
     "run_verify trials": (lambda: run_verify("hodge", 4, True, 0), UsageError),
+    "run_verify bool seed": (lambda: run_verify("hodge", 4, 1, True), UsageError),
+    "run_verify str seed": (lambda: run_verify("hodge", 4, 1, "0"), UsageError),
+    "g_power_matrix float n": (lambda: g_power_matrix(4.0, 1, 1, 1), DegreeError),
+    "g_power_matrix bool n": (lambda: g_power_matrix(True, 1, 1, 0), DegreeError),
+    "map_rank bool n": (lambda: map_rank(True, 1, 1, 0), DegreeError),
+    "map_rank n past MAX_DIMENSION": (lambda: map_rank(MAX_DIMENSION + 1, 0, 0, 0), DegreeError),
+    "Frame.coordinate n past MAX_DIMENSION": (
+        lambda: Frame.coordinate(MAX_DIMENSION + 1, (0,)), FrameError),
+    "Frame.coordinate n = 0": (lambda: Frame.coordinate(0, ()), FrameError),
 }
 
 
@@ -87,3 +97,6 @@ def test_the_same_calls_take_int_counts():
     assert map_rank(4, 1, 1, 1) == 16
     assert star_in_components(decompose(R.form), 1) == R.form.mul_g_power(1).hodge()
     assert run_verify("hodge", 4, 1, 0).trials == 1
+    assert run_verify("hodge", 4, 1, -3).seed == -3
+    assert g_power_matrix(MAX_DIMENSION, 0, 0, 0) == [[1]]
+    assert Frame.coordinate(MAX_DIMENSION, (0,)).n == MAX_DIMENSION

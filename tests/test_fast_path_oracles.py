@@ -20,7 +20,12 @@ pq_curvature_tensor.  trace_of_product is checked against the formed
 product and c^m, also with its partner-subset memo warm, and
 weyl_invariant, the trace of R^floor(q/2) . R^ceil(q/2), against c^(2q)
 of the whole R^q; the memo _subsets_of against itertools.combinations and
-the masks of _subset_table.  The square w . w over unordered row pairs is
+the masks of _subset_table.  The walk over R's powers is checked by
+counting its Bianchi certificates (one per power made, none for R) and the
+powers alive at each product (power(R, 1) is R, an invariant report holds
+one power at a time, weyl_invariant its two half powers).  The effective
+random_bianchi, Ker B then project_conformal, is checked against the one
+projector onto Ker B and Ker c together that it replaced.  The square w . w over unordered row pairs is
 checked against the general loop on an equal copy of w and the Fraction
 loop, and is_symmetric against w == w.transpose().  The model constructors are
 checked against the expressions they replaced: the constant model against
@@ -52,6 +57,7 @@ Fraction storage.
 
 import json
 import random
+import weakref
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial, gcd, lcm, prod
@@ -79,7 +85,7 @@ from doubleforms import (
     star_in_components,
     weyl_invariant,
 )
-from doubleforms import linalg
+from doubleforms import curvature, linalg
 from doubleforms.core import (
     DegreeError,
     DimensionMismatchError,
@@ -88,6 +94,7 @@ from doubleforms.core import (
     _flatten,
     _subset_table,
     _subsets_of,
+    _unflatten,
     _wedge,
     contractions,
     g_power_sum,
@@ -450,6 +457,21 @@ def test_blockwise_rank_and_projector_match_whole_matrix_on_constraints():
             assert_projects_like_reference(rows, vector)
         n, p, _ = label
         assert_projects_like_reference(rows, _flatten(random_symmetric(rng, n, p)))
+
+
+def test_effective_random_bianchi_matches_the_joint_kernel_projector():
+    # the oracle: one KernelProjector onto Ker B and Ker c together, applied
+    # to the same draw
+    for n in range(2, 7):
+        for p in range(1, n // 2 + 1):
+            rows = _operator_rows(n, p, p, lambda w: w.bianchi_sum())
+            rows += _operator_rows(n, p, p, lambda w: w.contract())
+            joint = linalg.KernelProjector(rows)
+            for seed in range(4):
+                form = random_symmetric(random.Random(seed), n, p)
+                expected = _unflatten(n, p, p, joint.project(_flatten(form)))
+                got = random_bianchi(random.Random(seed), n, p, effective=True)
+                assert got == expected, (n, p, seed)
 
 
 @st.composite
@@ -1845,6 +1867,83 @@ def test_weyl_invariant_forms_only_the_larger_half_power(monkeypatch):
         assert len(products) == (q + 1) // 2 - 1, q
         # no product reaches past R^ceil(q/2), a (2 ceil(q/2))-form
         assert all(left + right <= 2 * ((q + 1) // 2) for left, right in products), q
+
+
+# -- the walk over R's powers: each power made and certified once ---------------
+
+
+@pytest.fixture
+def certificates(monkeypatch):
+    """Counts the Bianchi certificates curvature makes."""
+    calls = []
+    check = curvature._require_bianchi_symmetric
+
+    def counted(form, who):
+        calls.append(form.p)
+        check(form, who)
+
+    monkeypatch.setattr(curvature, "_require_bianchi_symmetric", counted)
+    return calls
+
+
+@pytest.fixture
+def live_powers(monkeypatch):
+    """At each product, how many tensors made since the fixture started are
+    still alive: R, made in the test, and the powers the walk's caller holds."""
+    made, alive = [], []
+    post_init, mul = CurvatureTensor.__post_init__, DoubleForm.mul
+
+    def tracked(self):
+        post_init(self)
+        made.append(weakref.ref(self))
+
+    def counted(self, other):
+        alive.append(sum(ref() is not None for ref in made))
+        return mul(self, other)
+
+    monkeypatch.setattr(CurvatureTensor, "__post_init__", tracked)
+    monkeypatch.setattr(DoubleForm, "mul", counted)
+    return alive
+
+
+def test_power_certifies_each_power_it_makes_once(certificates):
+    tensor = make_constant_curvature(10, Fraction(2, 3))
+    certificates.clear()  # R's own, when it was made
+    assert power(tensor, 1) is tensor
+    assert certificates == []
+    for exponent in range(2, 6):
+        certificates.clear()
+        power(tensor, exponent)
+        assert certificates == [2 * e for e in range(2, exponent + 1)], exponent
+
+
+def test_weyl_invariant_certifies_the_powers_up_to_the_larger_half(certificates):
+    tensor = make_constant_curvature(10, Fraction(2, 3))
+    for q in range(1, 6):
+        certificates.clear()
+        weyl_invariant(tensor, q)
+        assert len(certificates) == (q + 1) // 2 - 1, q
+
+
+def test_invariant_report_certifies_each_power_once(certificates):
+    for n, max_q in ((3, 1), (4, 2), (8, 4), (10, 5)):
+        tensor = make_constant_curvature(n, Fraction(-1, 2))
+        certificates.clear()
+        build_invariant_report(tensor, max_q)
+        assert certificates == [2 * q for q in range(2, max_q + 1)], n
+
+
+def test_invariant_report_holds_one_power_at_a_time(live_powers):
+    build_invariant_report(make_constant_curvature(10, 1), 5)
+    # the product making R^(k+1) sees R and R^k alive, no earlier power
+    assert live_powers == [1, 2, 2, 2], live_powers
+
+
+def test_weyl_invariant_holds_only_its_two_half_powers(live_powers):
+    weyl_invariant(make_constant_curvature(14, 1), 7)
+    # beside R: R^2 is dropped once R^3 = R^floor(7/2) is made, and R^4 is
+    # the last power made
+    assert live_powers == [1, 2, 2], live_powers
 
 
 # -- the partner subsets of trace_of_product -------------------------------------
