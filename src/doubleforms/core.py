@@ -70,6 +70,7 @@ from .exterior import (
     complement_sign_mask,
     mask_to_indices,
     subset_masks,
+    _check_dimension,
     _is_count,
     _mask_rank_table,
     _odd_above,
@@ -201,9 +202,10 @@ class DoubleForm:
     __slots__ = ("n", "p", "q", "cells", "den")
 
     def __init__(self, n: int, p: int, q: int, coeffs=None):
-        # inline, not exterior._is_count: every form, each kernel result too, passes here
+        # inline, not exterior._is_count: every form, each kernel result too,
+        # passes here; _check_dimension raises with the one message
         if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_DIMENSION:
-            raise DegreeError(f"ambient dimension must be in [1, {MAX_DIMENSION}], got {n!r}")
+            _check_dimension(n, DegreeError)
         if (
             not (isinstance(p, int) and isinstance(q, int) and 0 <= p <= n and 0 <= q <= n)
             or isinstance(p, bool)

@@ -16,6 +16,13 @@ the double-form algebra this module provides
 * the alternating-contraction pairing that computes star(w.t) on middle
   bidegree, and the sign classification of h_4 for Einstein and conformally
   flat scalar-flat tensors.
+
+The constant, hypersurface and conformally flat constructors record the
+small matrix behind R (h for R = g.h, B for R = B.B/2) on the tensor, and
+h_{2q}, T_{2q} and the coordinate-plane s_{(p,q)} of such a tensor are
+symmetric functions of that matrix, read off linalg.characteristic with no
+power of R.  Every other tensor walks R, R^2, ... (_powers).  R itself is
+still built and certified, and the h_4 sign report reads it.
 """
 
 from __future__ import annotations
@@ -41,7 +48,8 @@ from .core import (
     trace_of_product,
 )
 from .decomposition import _require_bianchi_symmetric, decompose
-from .exterior import MAX_DIMENSION, _is_count, subset_masks
+from .exterior import _check_dimension, _is_count, subset_masks
+from .linalg import characteristic
 
 
 @dataclass(frozen=True)
@@ -49,10 +57,17 @@ class CurvatureTensor:
     """A symmetric (p,p) double form certified Bianchi.
 
     Certification is verified eagerly: construction checks B(form) == 0
-    exactly.
+    exactly.  model, set only by the model constructors, records the small
+    matrix the form was built from: ("conformal", h) for R = g.h (constant
+    curvature included, with h = (lambda/2) I) and ("hypersurface", B) for
+    R = B.B/2.  The invariants read it when it is there (_model_rows) and
+    walk R's powers otherwise, so CurvatureTensor(form) always walks.
     """
 
     form: DoubleForm
+    model: tuple[str, DoubleForm] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         _require_bianchi_symmetric(self.form, "a curvature tensor")
@@ -74,13 +89,17 @@ def make_constant_curvature(n: int, curvature) -> CurvatureTensor:
 
     g^2 = 2 sum_{|S|=2} e_S (x) e_S, so R holds lambda on every diagonal
     cell (S, S) with |S| = 2 and nothing else; it is published as such.
+    R = g.h with h = (lambda/2) I, which the tensor records as its
+    conformal matrix.
     """
     if n < 2:
         raise DegreeError(f"constant curvature models need n >= 2, got {n}")
     lam = as_scalar(curvature)
     out = make_zero(n, 2, 2)
     out._publish({mask: {mask: lam.numerator} for mask in subset_masks(n, 2)}, lam.denominator)
-    return CurvatureTensor(out)
+    h = make_zero(n, 1, 1)
+    h._publish({mask: {mask: lam.numerator} for mask in subset_masks(n, 1)}, 2 * lam.denominator)
+    return _recorded(CurvatureTensor(out), "conformal", h)
 
 
 def make_hypersurface(second_fundamental: DoubleForm) -> CurvatureTensor:
@@ -93,8 +112,9 @@ def make_hypersurface(second_fundamental: DoubleForm) -> CurvatureTensor:
     cancels that double count.  So each unordered pair of stored rows
     i < j of B is visited once: B_ik B_jl with k != l goes to the column
     {k, l}, with sign + for k < l and - for k > l (e_l ^ e_k = -e_k ^ e_l).
-    The numerators are published once, over B.den^2.  At n = 1 the result
-    is the zero (1,1) form, the clamped degree of B.B there.
+    The numerators are published once, over B.den^2, and the tensor
+    records B.  At n = 1 the result is the zero (1,1) form, the clamped
+    degree of B.B there, with no record.
     """
     b = second_fundamental
     if (b.p, b.q) != (1, 1):
@@ -119,16 +139,23 @@ def make_hypersurface(second_fundamental: DoubleForm) -> CurvatureTensor:
                         target[col] = target.get(col, 0) - x * y
     out = make_zero(b.n, 2, 2)
     out._publish(acc, b.den * b.den)
-    return CurvatureTensor(out)
+    return _recorded(CurvatureTensor(out), "hypersurface", b)
 
 
 def make_conformally_flat(h: DoubleForm) -> CurvatureTensor:
-    """R = g.h for a symmetric (1,1)-form h (vanishing Weyl part)."""
+    """R = g.h for a symmetric (1,1)-form h (vanishing Weyl part); the
+    tensor records h."""
     if (h.p, h.q) != (1, 1):
         raise DegreeError(f"the conformal factor must be a (1,1)-form, got ({h.p},{h.q})")
     if not h.is_symmetric():
         raise DoubleFormError("the conformal factor must be symmetric")
-    return CurvatureTensor(make_g(h.n).mul(h))
+    return _recorded(CurvatureTensor(make_g(h.n).mul(h)), "conformal", h)
+
+
+def _recorded(tensor: CurvatureTensor, kind: str, matrix: DoubleForm) -> CurvatureTensor:
+    """The tensor with its model record (kind, matrix) set."""
+    object.__setattr__(tensor, "model", (kind, matrix))
+    return tensor
 
 
 def make_product(first: CurvatureTensor, second: CurvatureTensor) -> CurvatureTensor:
@@ -186,11 +213,6 @@ class FrameError(DoubleFormError):
     """Degenerate or malformed tangent frame."""
 
 
-def _require_frame_dimension(n) -> None:
-    if not _is_count(n, 1, MAX_DIMENSION):
-        raise FrameError(f"a frame's dimension must be an integer in [1, {MAX_DIMENSION}], got {n!r}")
-
-
 @dataclass(frozen=True)
 class Frame:
     """A spanning set of rational vectors for a tangent p-plane.
@@ -209,7 +231,7 @@ class Frame:
     wedge_coordinates: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _require_frame_dimension(self.n)
+        _check_dimension(self.n, FrameError)
         if not self.vectors:
             raise FrameError("a frame needs at least one vector")
         for vec in self.vectors:
@@ -232,7 +254,7 @@ class Frame:
         the plane's mask: the sign of the permutation that sorts the
         indices, that is the parity of their inversions.
         """
-        _require_frame_dimension(n)
+        _check_dimension(n, FrameError)
         idx = tuple(indices)
         if any(not isinstance(i, int) or isinstance(i, bool) for i in idx):
             raise FrameError(f"coordinate plane indices must be integers, got {idx!r}")
@@ -357,8 +379,11 @@ def pq_sectional(tensor: CurvatureTensor, p: int, q: int, plane: Frame | None) -
 
     So s_{(p,q)}(P) = sum_{A in K, |A|=2q} (R|_K)^q[A, A] = h_{2q}(R|_K),
     and R|_K, the cells of R disjoint from P, is again symmetric and
-    Bianchi.  Other planes take sectional_curvature(pq_curvature_tensor),
-    which stays the oracle for this route.
+    Bianchi.  A tensor with a model record passes its matrix restricted to
+    K instead, whose h_{2q} formula over |K| = n - p indices gives the same
+    value (_model_rows); other tensors take h_{2q} of _restricted(R).
+    Other planes take sectional_curvature(pq_curvature_tensor), which stays
+    the oracle for this route.
     """
     _require_pq_range(tensor, p, q)
     if p == 0:
@@ -370,6 +395,8 @@ def pq_sectional(tensor: CurvatureTensor, p: int, q: int, plane: Frame | None) -
     _require_plane(tensor.n, p, p, plane)
     if len(plane.wedge_coordinates) == 1:
         (mask,) = plane.wedge_coordinates
+        if tensor.model is not None:
+            return _model_rows(tensor, range(q, q + 1), plane=mask)[0][0]
         return weyl_invariant(_restricted(tensor, mask), q)
     return sectional_curvature(pq_curvature_tensor(tensor, p, q), plane)
 
@@ -399,12 +426,16 @@ def weyl_invariant(tensor: CurvatureTensor, q: int) -> Fraction:
     P = I1 - J1, Q = J1 - I1 and C disjoint from I1 u J1, at the sign
     sign(I1, Q u C) sign(J1, P u C) of the product.  So h_{2q} costs
     a - 1 products (R^b is met on the way to R^a) and no R^q, and each
-    power is certified once, when the walk makes it.  h_2 = c^2 R / 2 is
-    half the scalar curvature; for even n, h_n is the Gauss-Bonnet
-    integrand up to the tube-formula normalization.
+    power is certified once, when the walk makes it.  A tensor with a
+    model record forms no power: h_{2q} is a multiple of sigma_q(h) or
+    sigma_{2q}(B) (_model_rows).  h_2 = c^2 R / 2 is half the scalar
+    curvature; for even n, h_n is the Gauss-Bonnet integrand up to the
+    tube-formula normalization.
     """
     _require_riemann_like(tensor, "weyl_invariant")
     _require_q(tensor.n, q)
+    if tensor.model is not None:
+        return _model_rows(tensor, range(q, q + 1))[0][0]
     if q == 1:
         return tensor.form.contract(2).scalar_value() / 2
     half, larger = q // 2, (q + 1) // 2
@@ -420,9 +451,12 @@ def einstein_tensor(tensor: CurvatureTensor, q: int) -> DoubleForm:
     For q=1 this is the classical Einstein tensor (c^2R/2) g - cR.  The
     contraction form is used rather than star(g^{n-2q-1} R^q)/(n-2q-1)!
     because it stays defined at 2q = n (where the trace is zero) and the two
-    agree whenever 2q < n.
+    agree whenever 2q < n.  It is read off R^q, or with a model record off
+    the Newton tensor N_q(h) or N_{2q}(B) (_model_rows).
     """
     _require_q(tensor.n, q)
+    if tensor.model is not None:
+        return _model_rows(tensor, range(q, q + 1), newton=True)[0][1]
     return _weyl_and_einstein(power(tensor, q).form, q)[1]
 
 
@@ -432,6 +466,62 @@ def _weyl_and_einstein(rq: DoubleForm, q: int) -> tuple[Fraction, DoubleForm]:
     h = rq.contract(2 * q).scalar_value() / factorial(2 * q)
     traced = rq.contract(2 * q - 1)
     return h, h * make_g(rq.n) - traced.scale(Fraction(1, factorial(2 * q - 1)))
+
+
+def _model_rows(
+    tensor: CurvatureTensor, qs: range, newton: bool = False, plane: int = 0
+) -> list[tuple[Fraction, DoubleForm | None]]:
+    """(h_{2q}, T_{2q}) for q in qs from the tensor's model matrix A,
+    restricted to the complement C of the plane's mask (T only with newton,
+    and only for the whole space).  Both are symmetric functions of A:
+
+    * conformal, R = g.h over m = |C| indices:
+      h_{2q} = (m-q)! q! / (m-2q)! sigma_q(h), and
+      T_{2q} = (n-1-q)! q! / (n-1-2q)! N_q(h), which is 0 when 2q >= n;
+    * hypersurface, R = B.B/2: h_{2q} = (2q)!/2^q sigma_{2q}(B) and
+      T_{2q} = (2q)!/2^q N_{2q}(B), where N_n(B) = 0 by Cayley-Hamilton.
+
+    sigma_k and the Newton tensors N_k come from one call of
+    linalg.characteristic.  Restricting R to C is R's model on A[C, C], so a
+    coordinate-plane s_{(p,q)}(P), h_{2q} of R restricted to P's complement
+    (see pq_sectional), is the h_{2q} formula on A[C, C] with m = n - p.
+    The tests hold every row to the walk on CurvatureTensor(tensor.form).
+    """
+    kind, matrix = tensor.model
+    n = tensor.n
+    keys, cells = subset_masks(n, 1), matrix.cells
+    if plane:
+        keys = [mask for mask in keys if not mask & plane]
+        cells = {
+            mask_i: {mask_j: v for mask_j, v in row.items() if not mask_j & plane}
+            for mask_i, row in cells.items()
+            if not mask_i & plane
+        }
+    step = 1 if kind == "conformal" else 2
+    sigmas, tensors = characteristic(cells, matrix.den, keys, step * qs[-1], newton)
+    m = len(keys)
+    rows = []
+    for q in qs:
+        # (numerator, denominator) of the weights of sigma and N in h and T
+        if kind == "conformal":
+            h_weight = (factorial(m - q) * factorial(q), factorial(m - 2 * q))
+            t_weight = (
+                factorial(n - 1 - q) * factorial(q), factorial(n - 1 - 2 * q)
+            ) if 2 * q < n else (0, 1)
+        else:
+            h_weight = t_weight = (factorial(2 * q), 2**q)
+        num, den = sigmas[step * q]
+        h = Fraction(h_weight[0] * num, h_weight[1] * den)
+        einstein = None
+        if newton:
+            nums, den = tensors[step * q]
+            einstein = make_zero(n, 1, 1)
+            einstein._publish({
+                mask_i: {mask_j: v * t_weight[0] for mask_j, v in row.items()}
+                for mask_i, row in nums.items()
+            }, den * t_weight[1])
+        rows.append((h, einstein))
+    return rows
 
 
 def p_curvature(tensor: CurvatureTensor, p: int, plane: Frame) -> Fraction:
@@ -583,17 +673,23 @@ def build_invariant_report(
 ) -> InvariantReport:
     """Invariants for q = 1..max_q; requires 2 max_q <= n.
 
-    R, R^2, ..., R^max_q are built once, each from the previous one by a
-    single product (max_q - 1 in all) and certified once, when the walk
-    makes it; the loop holds one power at a time.  Row q reads h_{2q} and
-    T_{2q} off the one contraction chain of R^q; the h_4 sign report reuses
-    row 2's h_4.
+    With a model record every row comes from one characteristic-polynomial
+    call on the model's matrix (_model_rows) and no power is formed.
+    Otherwise R, R^2, ..., R^max_q are built once, each from the previous
+    one by a single product (max_q - 1 in all) and certified once, when the
+    walk makes it; the loop holds one power at a time, and row q reads
+    h_{2q} and T_{2q} off the one contraction chain of R^q.  Either way the
+    h_4 sign report reuses row 2's h_4 and reads R itself, and the trace
+    identity is checked on every row.
     """
     n = tensor.n
     _require_q(n, max_q, "max_q")
-    rows = []
-    for q, rq in zip(range(1, max_q + 1), _powers(tensor)):
-        rows.append(InvariantRow(q, *_weyl_and_einstein(rq.form, q)))
+    if tensor.model is not None:
+        pairs = _model_rows(tensor, range(1, max_q + 1), newton=True)
+    else:
+        walk = zip(range(1, max_q + 1), _powers(tensor))
+        pairs = (_weyl_and_einstein(rq.form, q) for q, rq in walk)
+    rows = [InvariantRow(q, *pair) for q, pair in enumerate(pairs, 1)]
     h4 = rows[1].weyl if max_q >= 2 else None
     h4_sign = _sign_report_h4(tensor, h4) if n >= 4 else None
     report = InvariantReport(n, tuple(rows), samples, h4_sign)

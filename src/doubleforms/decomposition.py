@@ -45,7 +45,7 @@ from .core import (
     g_power_sum,
     make_zero,
 )
-from .exterior import MAX_DIMENSION, _is_count, _mask_rank_table, subset_masks
+from .exterior import _check_dimension, _is_count, _mask_rank_table, subset_masks
 
 
 @dataclass(frozen=True)
@@ -125,8 +125,7 @@ def g_power_matrix(n: int, p: int, q: int, power: int) -> list[list[int]]:
     flattened layout of core._flat_cells.  Entries are integers.  A matrix
     with more cells than the cell budget is refused before it is allocated.
     """
-    if not _is_count(n, 1, MAX_DIMENSION):
-        raise DegreeError(f"ambient dimension must be in [1, {MAX_DIMENSION}], got {n!r}")
+    _check_dimension(n, DegreeError)
     if not (_is_count(p, 0, n) and _is_count(q, 0, n)):
         raise DegreeError(f"bidegree ({p},{q}) out of range for n={n}")
     if not _is_count(power, 0):

@@ -35,17 +35,19 @@ def _is_count(value, low: int, high: float = inf) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and low <= value <= high
 
 
-def _check_dimension(n: int) -> None:
-    """Refuse an n that is not an int in [1, MAX_DIMENSION], a bool included.
+def _check_dimension(n: int, error: type[ValueError] = BasisError) -> None:
+    """Refuse an n that is not an int in [1, MAX_DIMENSION], a bool included,
+    with error: the one ambient-dimension check and its one message.
 
-    subset_masks and _mask_rank_table are lru_cached, and True == 1 shares
-    their cache entry, so the check they make runs only on a cache miss;
-    IndexSet, DoubleForm and curvature.Frame check n before reaching them.
+    IndexSet and subset_masks raise BasisError; DoubleForm (which calls this
+    only once its inline copy of the test has failed) and g_power_matrix
+    raise DegreeError, and curvature.Frame FrameError.  subset_masks and
+    _mask_rank_table are lru_cached, and True == 1 shares their cache entry,
+    so the check they make runs only on a cache miss; IndexSet, DoubleForm
+    and curvature.Frame check n before reaching them.
     """
     if not _is_count(n, 1, MAX_DIMENSION):
-        raise BasisError(
-            f"ambient dimension must be an integer in [1, {MAX_DIMENSION}], got {n!r}"
-        )
+        raise error(f"ambient dimension must be an integer in [1, {MAX_DIMENSION}], got {n!r}")
 
 
 def mask_to_indices(mask: int) -> tuple[int, ...]:

@@ -24,9 +24,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .core import _integer_numerators, as_scalar
+from .core import DoubleFormError, IdentityError, _integer_numerators, as_scalar
 
 _ZERO = Fraction(0)
+_NO_ROW: dict = {}  # read-only stand-in for a row with no stored entry
 
 
 def _reduce_content(vec: list[int]) -> list[int]:
@@ -166,6 +167,63 @@ def nullspace(matrix) -> list[list[Fraction]]:
     rows, pivots = _echelon(matrix)
     free = sorted(set(range(cols)) - set(pivots))
     return [_back_substitute(rows, pivots, cols, f) for f in free]
+
+
+def _next_newton(rows: dict, current: dict, c: int) -> dict:
+    """M_{k+1} = a M_k + c I for sparse integer matrices (key -> {key: int})
+    with a row per key in current, walking only the stored entries of a."""
+    out = {}
+    for i in current:
+        acc = {i: c}
+        for l, a in rows.get(i, _NO_ROW).items():
+            for j, m in current[l].items():
+                acc[j] = acc.get(j, 0) + a * m
+        out[i] = acc
+    return out
+
+
+def characteristic(rows: dict, den: int, keys, top: int, newton: bool = False):
+    """sigma_0..sigma_top of A = rows / den over the index set keys, and
+    with newton the Newton tensors N_0..N_top.
+
+    rows is a sparse integer matrix key -> {key: numerator}, its keys in
+    keys; den > 0.  sigma_k is the sum of A's principal k x k minors, the
+    coefficient of (-t)^(n-k) in det(t - A), and N_k = sum_{i<=k} (-1)^i
+    sigma_{k-i} A^i.  Faddeev-LeVerrier runs on the numerators a = den A,
+    where it stays in integers: with M_1 = I,
+
+        c = -tr(a M_k) / k,   M_{k+1} = a M_k + c I,
+
+    gives sigma_k(a) = (-1)^k c and N_k(a) = (-1)^k M_{k+1}.  The division
+    is exact (k sigma_k(a) is that trace, up to sign), so a remainder raises
+    IdentityError.  sigma_k(A) = sigma_k(a) / den^k and N_k(A) =
+    N_k(a) / den^k, scaled once at the end: each sigma_k as (integer,
+    den^k) and each N_k as (sparse integer rows, den^k), so that a caller
+    weighting them makes one Fraction.  Each step walks a's stored
+    entries: against single entries of M_k for the trace, and against the
+    rows of M_k for M_{k+1}, which the last step skips without newton.
+    """
+    known = set(keys)
+    if not known.issuperset(rows) or not all(map(known.issuperset, rows.values())):
+        raise DoubleFormError("the matrix has an entry outside its index set")
+    current = {i: {i: 1} for i in keys}  # M_1
+    sigmas, tensors = [1], [current]
+    for k in range(1, top + 1):
+        trace = sum(a * current[l].get(i, 0) for i, row in rows.items() for l, a in row.items())
+        c, remainder = divmod(-trace, k)
+        if remainder:
+            raise IdentityError(f"tr(A M_{k}) is not divisible by {k}")
+        sigmas.append(-c if k & 1 else c)
+        if k == top and not newton:
+            break  # M_{top+1} is read only as N_top
+        current = _next_newton(rows, current, c)
+        if newton:
+            tensors.append(
+                {i: {j: -v for j, v in row.items()} for i, row in current.items()}
+                if k & 1 else current
+            )
+    sigmas = [(s, den**k) for k, s in enumerate(sigmas)]
+    return sigmas, [(t, den**k) for k, t in enumerate(tensors)] if newton else None
 
 
 def _dot_int(a, b) -> int:

@@ -1852,7 +1852,7 @@ def test_weyl_invariant_refuses_other_degrees():
 
 
 def test_weyl_invariant_forms_only_the_larger_half_power(monkeypatch):
-    tensor = make_constant_curvature(10, Fraction(2, 3))
+    tensor = CurvatureTensor(make_constant_curvature(10, Fraction(2, 3)).form)
     products = []
     mul = DoubleForm.mul
 
@@ -1918,7 +1918,7 @@ def test_power_certifies_each_power_it_makes_once(certificates):
 
 
 def test_weyl_invariant_certifies_the_powers_up_to_the_larger_half(certificates):
-    tensor = make_constant_curvature(10, Fraction(2, 3))
+    tensor = CurvatureTensor(make_constant_curvature(10, Fraction(2, 3)).form)
     for q in range(1, 6):
         certificates.clear()
         weyl_invariant(tensor, q)
@@ -1927,20 +1927,20 @@ def test_weyl_invariant_certifies_the_powers_up_to_the_larger_half(certificates)
 
 def test_invariant_report_certifies_each_power_once(certificates):
     for n, max_q in ((3, 1), (4, 2), (8, 4), (10, 5)):
-        tensor = make_constant_curvature(n, Fraction(-1, 2))
+        tensor = CurvatureTensor(make_constant_curvature(n, Fraction(-1, 2)).form)
         certificates.clear()
         build_invariant_report(tensor, max_q)
         assert certificates == [2 * q for q in range(2, max_q + 1)], n
 
 
 def test_invariant_report_holds_one_power_at_a_time(live_powers):
-    build_invariant_report(make_constant_curvature(10, 1), 5)
+    build_invariant_report(CurvatureTensor(make_constant_curvature(10, 1).form), 5)
     # the product making R^(k+1) sees R and R^k alive, no earlier power
     assert live_powers == [1, 2, 2, 2], live_powers
 
 
 def test_weyl_invariant_holds_only_its_two_half_powers(live_powers):
-    weyl_invariant(make_constant_curvature(14, 1), 7)
+    weyl_invariant(CurvatureTensor(make_constant_curvature(14, 1).form), 7)
     # beside R: R^2 is dropped once R^3 = R^floor(7/2) is made, and R^4 is
     # the last power made
     assert live_powers == [1, 2, 2], live_powers

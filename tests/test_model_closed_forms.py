@@ -1,0 +1,271 @@
+"""The model record and its closed forms, against the walk over R's powers.
+
+make_constant_curvature, make_hypersurface and make_conformally_flat record
+their matrix on the CurvatureTensor, and h_{2q}, T_{2q}, the report rows and
+the coordinate-plane s_{(p,q)} are then symmetric functions of it, from
+linalg.characteristic.  CurvatureTensor(R.form) carries no record and walks
+R, R^2, ..., so it is the oracle for every one of them.  The kernel itself
+is checked against principal minors and the definition of N_k.
+"""
+
+import random
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from doubleforms import (
+    CurvatureTensor,
+    DoubleForm,
+    DoubleFormError,
+    IdentityError,
+    build_invariant_report,
+    einstein_tensor,
+    make_conformally_flat,
+    make_constant_curvature,
+    make_hypersurface,
+    make_product,
+    weyl_invariant,
+)
+from doubleforms import curvature, linalg, verify
+from doubleforms.cli import main
+from doubleforms.core import _diagonal
+from doubleforms.curvature import Frame, pq_sectional
+from doubleforms.linalg import characteristic
+from doubleforms.serialize import dumps_canonical, form_to_dict
+
+
+def symmetric_matrix(rng, n, density):
+    """A random symmetric rational (1,1)-form, off-diagonal cells included."""
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < density:
+                rows[i][j] = rows[j][i] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return DoubleForm(n, 1, 1, rows)
+
+
+@st.composite
+def recorded_models(draw):
+    """A model tensor with its record, at n <= 8: conformally flat or a
+    hypersurface on a random symmetric matrix, or constant curvature."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(("conformally_flat", "hypersurface", "constant")))
+    if kind == "constant":
+        return make_constant_curvature(n, draw(st.fractions(-4, 4, max_denominator=6)))
+    matrix = symmetric_matrix(rng, n, draw(st.sampled_from((0.3, 0.6, 1.0))))
+    if kind == "conformally_flat":
+        return make_conformally_flat(matrix)
+    return make_hypersurface(matrix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(recorded_models(), st.randoms(use_true_random=False))
+def test_model_invariants_match_the_walk(tensor, rng):
+    walked = CurvatureTensor(tensor.form)
+    assert tensor.model is not None and walked.model is None
+    assert walked == tensor
+    n = tensor.n
+    for q in range(1, n // 2 + 1):
+        h = weyl_invariant(tensor, q)
+        assert type(h) is Fraction
+        assert h == weyl_invariant(walked, q), q
+        assert einstein_tensor(tensor, q) == einstein_tensor(walked, q), q
+        for p in range(1, n - 2 * q + 1):
+            plane = Frame.coordinate(n, rng.sample(range(n), p))
+            assert pq_sectional(tensor, p, q, plane) == pq_sectional(walked, p, q, plane), (p, q)
+    max_q = n // 2
+    if max_q:
+        report = build_invariant_report(tensor, max_q)
+        expected = build_invariant_report(walked, max_q)
+        assert report.rows == expected.rows
+        assert report.h4_sign == expected.h4_sign
+
+
+def test_only_the_model_constructors_record():
+    h = _diagonal(4, [1, 2, 3, 4])
+    assert make_conformally_flat(h).model == ("conformal", h)
+    assert make_hypersurface(h).model == ("hypersurface", h)
+    assert make_constant_curvature(4, Fraction(2, 3)).model == (
+        "conformal", _diagonal(4, [Fraction(1, 3)] * 4)
+    )
+    sphere = make_constant_curvature(2, 1)
+    assert make_product(sphere, sphere).model is None
+    assert CurvatureTensor(sphere.form).model is None
+    assert make_hypersurface(_diagonal(1, [2])).model is None  # the (1,1) zero form
+
+
+def test_recorded_models_form_no_power(monkeypatch):
+    """With the record, no invariant (the h_4 sign report included) forms a
+    product."""
+    models = [
+        make_conformally_flat(symmetric_matrix(random.Random(3), 10, 0.5)),
+        make_hypersurface(symmetric_matrix(random.Random(4), 10, 0.5)),
+        make_constant_curvature(10, Fraction(-3, 2)),
+    ]
+    products = []
+    mul = curvature.DoubleForm.mul
+
+    def counted(self, other):
+        products.append((self.p, other.p))
+        return mul(self, other)
+
+    monkeypatch.setattr(curvature.DoubleForm, "mul", counted)
+    for tensor in models:
+        build_invariant_report(tensor, 5)
+        einstein_tensor(tensor, 3)
+        pq_sectional(tensor, 2, 3, Frame.coordinate(10, (4, 1)))
+    assert products == []
+
+
+# -- the characteristic-polynomial kernel -----------------------------------------
+
+
+def determinant(rows):
+    rows = [list(row) for row in rows]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        pivot = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for r in range(c + 1, len(rows)):
+            f = rows[r][c] / rows[c][c]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return det
+
+
+def matrix_product(a, b):
+    return [[sum(x * b[k][j] for k, x in enumerate(row)) for j in range(len(b[0]))] for row in a]
+
+
+@st.composite
+def square_matrices(draw):
+    """(integer numerators, den, n): square, not symmetric, often sparse."""
+    n = draw(st.integers(1, 6))
+    density = draw(st.sampled_from((0.2, 0.5, 1.0)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    nums = [[rng.randint(-5, 5) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(n)]
+    return nums, draw(st.integers(1, 7)), n
+
+
+def sparse(nums):
+    return {i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(nums) if any(row)}
+
+
+@settings(max_examples=120, deadline=None)
+@given(square_matrices())
+def test_characteristic_matches_minors_and_newton_definition(matrix):
+    nums, den, n = matrix
+    a = [[Fraction(v, den) for v in row] for row in nums]
+    minors = [
+        sum((determinant([[a[i][j] for j in s] for i in s]) for s in combinations(range(n), k)),
+            Fraction(0))
+        for k in range(n + 1)
+    ]
+    powers = [[[Fraction(int(i == j)) for j in range(n)] for i in range(n)]]
+    for _ in range(n):
+        powers.append(matrix_product(powers[-1], a))
+    sigmas, tensors = characteristic(sparse(nums), den, range(n), n, newton=True)
+    assert [scale for _, scale in sigmas] == [den**k for k in range(n + 1)]
+    assert [Fraction(*sigma) for sigma in sigmas] == minors
+    for k in range(n + 1):
+        # N_k = sum_{i<=k} (-1)^i sigma_{k-i} A^i
+        expected = [
+            [sum((-1) ** i * minors[k - i] * powers[i][r][c] for i in range(k + 1))
+             for c in range(n)]
+            for r in range(n)
+        ]
+        rows, scale = tensors[k]
+        got = [[Fraction(rows.get(r, {}).get(c, 0), scale) for c in range(n)] for r in range(n)]
+        assert got == expected, k
+    assert not any(map(any, expected))  # Cayley-Hamilton: N_n = 0
+
+
+def test_characteristic_stops_at_top_and_skips_newton():
+    nums = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
+    full, _ = characteristic(sparse(nums), 2, range(3), 3)
+    sigmas, tensors = characteristic(sparse(nums), 2, range(3), 1)
+    assert tensors is None
+    assert sigmas == full[:2] == [(1, 1), (9, 2)]
+
+
+def test_characteristic_refuses_entries_outside_its_index_set():
+    with pytest.raises(DoubleFormError, match="outside its index set"):
+        characteristic({0: {5: 1}, 5: {0: 1}}, 1, [0, 1], 2)
+
+
+def test_characteristic_refuses_an_inexact_trace(monkeypatch):
+    """An M_2 off by one in a diagonal entry leaves tr(a M_2) odd; the
+    kernel must raise, not round."""
+    next_newton = linalg._next_newton
+
+    def off_by_one(rows, current, c):
+        out = next_newton(rows, current, c)
+        out[0][0] = out[0].get(0, 0) + 1
+        return out
+
+    monkeypatch.setattr(linalg, "_next_newton", off_by_one)
+    with pytest.raises(IdentityError, match="not divisible by 2"):
+        characteristic({0: {0: 1}, 1: {1: 4}}, 1, [0, 1], 2)
+
+
+# -- verify keeps its closed-form checks on the walk -----------------------------
+
+
+@pytest.mark.parametrize("check", [
+    verify.check_hypersurface_symmetric_functions,
+    verify.check_constant_curvature_values,
+    verify.check_conformally_flat_values,
+])
+def test_closed_form_checks_walk_the_powers(check, monkeypatch):
+    """These checks compare the invariants with the closed forms, so they
+    run on tensors without the record: the record's formulas would be
+    compared with themselves.  At n = 6, h_6 needs R^2, a (2,2) x (2,2)
+    product."""
+    def refused(*args, **kwargs):
+        raise AssertionError("a closed-form check read the model record")
+
+    products = []
+    mul = curvature.DoubleForm.mul
+
+    def counted(self, other):
+        products.append((self.p, other.p))
+        return mul(self, other)
+
+    monkeypatch.setattr(curvature, "_model_rows", refused)
+    monkeypatch.setattr(curvature.DoubleForm, "mul", counted)
+    result = verify.CheckResult(check.__name__)
+    check(result, random.Random(0), 6, 8)
+    assert result.ok and result.cases
+    assert (2, 2) in products
+
+
+# -- the dense conformally flat model of the n = 14 CI pin, at small n -----------
+
+
+@pytest.mark.parametrize("n", [6, 8, 10])
+def test_dense_conformally_flat_report_matches_the_walk(n, tmp_path, capsys):
+    """h[i][j] = 1 + (ij + i + j) mod 5, the CI's n = 14 model: the closed
+    forms and the walk on the same R as an explicit spec print the same
+    bytes."""
+    h = [[1 + (i * j + i + j) % 5 for j in range(n)] for i in range(n)]
+    tensor = make_conformally_flat(DoubleForm(n, 1, 1, h))
+    specs = {
+        "model": {"model": "conformally_flat", "h_matrix": h},
+        "explicit": {"model": "explicit", "form": form_to_dict(tensor.form)},
+    }
+    out = {}
+    for name, spec in specs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(dumps_canonical(spec))
+        assert main(["invariants", "--spec", str(path), "--max-q", str(n // 2)]) == 0
+        out[name] = capsys.readouterr().out
+    assert out["model"] == out["explicit"]
