@@ -405,16 +405,6 @@ class DoubleForm:
         degree overflow past n returns the zero form of the clamped degree,
         matching Lambda^{>n} = 0.  Rows are paired first, so a pair of rows
         with overlapping I and K is skipped before any cell is looked at.
-
-        A square x . x with p >= 1 and p + q even pairs each unordered pair
-        of rows once and doubles it.  The ordered pairs (I, K) and (K, I)
-        reach the same cells (I u K, J u L) with the same products
-        x[I, J] x[K, L], and their signs differ by
-        sign(K,I) sign(L,J) / (sign(I,K) sign(J,L)) = (-1)^(p^2 + q^2)
-        = (-1)^(p + q) = +1.  A row I meets itself only when I & I is
-        empty, that is p = 0, so for p >= 1 no pair (I, I) is left out.
-        For odd p + q the two orders cancel, and the general loop already
-        publishes the zero form.
         """
         self._require_same_space(other)
         n = self.n
@@ -424,14 +414,12 @@ class DoubleForm:
         if p_out > n or q_out > n:
             return out
         right = [(mask_k, list(row.items())) for mask_k, row in other.cells.items()]
-        square = other is self and self.p and not (self.p + self.q) & 1
-        weight = 2 if square else 1
         acc = {}
-        for at, (mask_i, row_a) in enumerate(self.cells.items()):
+        for mask_i, row_a in self.cells.items():
             odd_i = _odd_above(mask_i)
             # sign(I,K) sign(J,L) = (-1)^(popcount(K & odd_I) + popcount(L & odd_J))
-            left = [(mask_j, _odd_above(mask_j), weight * a) for mask_j, a in row_a.items()]
-            for mask_k, row_b in right[at + 1:] if square else right:
+            left = [(mask_j, _odd_above(mask_j), a) for mask_j, a in row_a.items()]
+            for mask_k, row_b in right:
                 if mask_i & mask_k:
                     continue
                 row_odd = (mask_k & odd_i).bit_count() & 1

@@ -401,16 +401,21 @@ def pq_sectional(tensor: CurvatureTensor, p: int, q: int, plane: Frame | None) -
     return sectional_curvature(pq_curvature_tensor(tensor, p, q), plane)
 
 
+def _cells_outside(cells: dict, mask: int) -> dict:
+    """The cells (I, J) with I and J disjoint from mask."""
+    return {
+        mask_i: {mask_j: value for mask_j, value in row.items() if not mask_j & mask}
+        for mask_i, row in cells.items()
+        if not mask_i & mask
+    }
+
+
 def _restricted(tensor: CurvatureTensor, mask: int) -> CurvatureTensor:
     """R restricted to the complement of mask: the cells (I, J) with I and
     J disjoint from it, reduced and certified."""
     form = tensor.form
     out = make_zero(form.n, form.p, form.q)
-    out._publish({
-        mask_i: {mask_j: value for mask_j, value in row.items() if not mask_j & mask}
-        for mask_i, row in form.cells.items()
-        if not mask_i & mask
-    }, form.den)
+    out._publish(_cells_outside(form.cells, mask), form.den)
     return CurvatureTensor(out)
 
 
@@ -454,6 +459,7 @@ def einstein_tensor(tensor: CurvatureTensor, q: int) -> DoubleForm:
     agree whenever 2q < n.  It is read off R^q, or with a model record off
     the Newton tensor N_q(h) or N_{2q}(B) (_model_rows).
     """
+    _require_riemann_like(tensor, "einstein_tensor")
     _require_q(tensor.n, q)
     if tensor.model is not None:
         return _model_rows(tensor, range(q, q + 1), newton=True)[0][1]
@@ -492,11 +498,7 @@ def _model_rows(
     keys, cells = subset_masks(n, 1), matrix.cells
     if plane:
         keys = [mask for mask in keys if not mask & plane]
-        cells = {
-            mask_i: {mask_j: v for mask_j, v in row.items() if not mask_j & plane}
-            for mask_i, row in cells.items()
-            if not mask_i & plane
-        }
+        cells = _cells_outside(cells, plane)
     step = 1 if kind == "conformal" else 2
     sigmas, tensors = characteristic(cells, matrix.den, keys, step * qs[-1], newton)
     m = len(keys)
@@ -682,6 +684,7 @@ def build_invariant_report(
     h_4 sign report reuses row 2's h_4 and reads R itself, and the trace
     identity is checked on every row.
     """
+    _require_riemann_like(tensor, "build_invariant_report")
     n = tensor.n
     _require_q(n, max_q, "max_q")
     if tensor.model is not None:

@@ -76,11 +76,6 @@ def _mask_rank_table(n: int, k: int) -> dict[int, int]:
     return {mask: r for r, mask in enumerate(subset_masks(n, k))}
 
 
-def mask_rank(n: int, mask: int) -> int:
-    """Lexicographic rank of a subset mask among subsets of the same size."""
-    return _mask_rank_table(n, mask.bit_count())[mask]
-
-
 @lru_cache(maxsize=None)
 def _odd_above(a: int) -> int:
     """Bit y is set when an odd number of elements of A exceed y: the XOR

@@ -1,4 +1,5 @@
-"""JSON schemas and deterministic rendering for forms, models, and reports.
+"""JSON schemas and deterministic rendering: reads forms and model specs,
+writes forms, decompositions and invariant reports.
 
 Rationals travel as canonical lowest-term strings ("3", "-7/2"); denominators
 must be positive.
@@ -14,8 +15,9 @@ of each index list followed by what comes after it is cached per
 the form's denominator by one gcd, is built once per form, so no list of
 lists and no Fraction is built.
 form_to_dict, decomposition_to_dict and report_to_dict build plain dicts
-from the same payloads.  json.dumps itself is left to the tests, as the
-writer's oracle.
+from the same payloads through _plain, the one converter to plain JSON
+values, which verify also uses for the inputs of a failed case.  json.dumps
+itself is left to the tests, as the writer's oracle.
 
 Parsing: form_from_dict reads a form's entries by one of two routes.  The
 bulk route (_read_in_bulk) checks a whole column of the entries at a time:
@@ -57,10 +59,7 @@ from .core import (
 )
 from .curvature import (
     CurvatureTensor,
-    H4SignReport,
     InvariantReport,
-    InvariantRow,
-    SectionalSample,
     make_conformally_flat,
     make_constant_curvature,
     make_hypersurface,
@@ -245,12 +244,16 @@ def _ratio_text(num: int, den: int) -> str:
 
 
 def _plain(payload):
-    """The payload with every form leaf replaced by form_to_dict's dict."""
+    """The payload as plain JSON values: every form leaf replaced by
+    form_to_dict's dict, every Fraction by its rational string, and every
+    tuple by a list."""
     if isinstance(payload, DoubleForm):
         return form_to_dict(payload)
+    if isinstance(payload, Fraction):
+        return rational_to_str(payload)
     if isinstance(payload, dict):
         return {key: _plain(value) for key, value in payload.items()}
-    if isinstance(payload, list):
+    if isinstance(payload, (list, tuple)):
         return [_plain(value) for value in payload]
     return payload
 
@@ -412,21 +415,6 @@ def decomposition_to_dict(decomposition: EffectiveDecomposition) -> dict:
     return _plain(_decomposition_payload(decomposition))
 
 
-def decomposition_from_dict(obj, path: str = "decomposition") -> EffectiveDecomposition:
-    obj = _expect_dict(obj, path)
-    _expect_keys(obj, path, {"n", "p", "components"})
-    n = _expect_int(obj["n"], f"{path}.n")
-    p = _expect_int(obj["p"], f"{path}.p")
-    comps = _expect_list(obj["components"], f"{path}.components")
-    forms = tuple(
-        form_from_dict(c, f"{path}.components[{k}]") for k, c in enumerate(comps)
-    )
-    try:
-        return EffectiveDecomposition(n, p, forms)
-    except DoubleFormError as exc:
-        raise SchemaError(path, str(exc)) from exc
-
-
 # -- ModelSpec ------------------------------------------------------------------
 
 
@@ -524,30 +512,6 @@ def model_spec_from_dict(obj, path: str = "spec", *, depth: int = 0) -> ModelSpe
     return ModelSpec("explicit", form.n, form=form)
 
 
-def model_spec_to_dict(spec: ModelSpec) -> dict:
-    if spec.model == "constant":
-        return {"model": "constant", "n": spec.n, "lambda": rational_to_str(spec.curvature)}
-    if spec.model == "hypersurface":
-        return {
-            "model": "hypersurface",
-            "n": spec.n,
-            "eigenvalues": [rational_to_str(v) for v in spec.eigenvalues],
-        }
-    if spec.model == "conformally_flat":
-        return {
-            "model": "conformally_flat",
-            "n": spec.n,
-            "h_matrix": [[rational_to_str(v) for v in row] for row in spec.h_matrix],
-        }
-    if spec.model == "product":
-        return {
-            "model": "product",
-            "n": spec.n,
-            "factors": [model_spec_to_dict(f) for f in spec.factors],
-        }
-    return {"model": "explicit", "n": spec.n, "form": form_to_dict(spec.form)}
-
-
 def build_curvature_tensor(spec: ModelSpec) -> CurvatureTensor:
     """Instantiate the described model as a certified curvature tensor."""
     if spec.model == "constant":
@@ -608,50 +572,6 @@ def _report_payload(report: InvariantReport) -> dict:
 
 def report_to_dict(report: InvariantReport) -> dict:
     return _plain(_report_payload(report))
-
-
-def report_from_dict(obj, path: str = "report") -> InvariantReport:
-    obj = _expect_dict(obj, path)
-    _expect_keys(obj, path, {"n", "invariants", "samples", "h4_sign"})
-    n = _expect_int(obj["n"], f"{path}.n")
-    rows = []
-    for i, row in enumerate(_expect_list(obj["invariants"], f"{path}.invariants")):
-        rpath = f"{path}.invariants[{i}]"
-        row = _expect_dict(row, rpath)
-        _expect_keys(row, rpath, {"q", "h", "h_decimal", "T"})
-        rows.append(
-            InvariantRow(
-                _expect_int(row["q"], f"{rpath}.q"),
-                rational_from_str(row["h"], f"{rpath}.h"),
-                form_from_dict(row["T"], f"{rpath}.T"),
-            )
-        )
-    samples = []
-    for i, sample in enumerate(_expect_list(obj["samples"], f"{path}.samples")):
-        spath = f"{path}.samples[{i}]"
-        sample = _expect_dict(sample, spath)
-        _expect_keys(sample, spath, {"p", "q", "plane", "value", "value_decimal"})
-        samples.append(
-            SectionalSample(
-                _expect_int(sample["p"], f"{spath}.p"),
-                _expect_int(sample["q"], f"{spath}.q"),
-                tuple(_expect_int(v, f"{spath}.plane[]") for v in _expect_list(sample["plane"], f"{spath}.plane")),
-                rational_from_str(sample["value"], f"{spath}.value"),
-            )
-        )
-    h4_sign = None
-    if obj["h4_sign"] is not None:
-        hpath = f"{path}.h4_sign"
-        hobj = _expect_dict(obj["h4_sign"], hpath)
-        _expect_keys(hobj, hpath, {"h4", "h4_decimal", "classification", "inequality_holds"})
-        h4_sign = H4SignReport(
-            rational_from_str(hobj["h4"], f"{hpath}.h4"),
-            hobj["classification"],
-            hobj["inequality_holds"],
-        )
-    report = InvariantReport(n, tuple(rows), tuple(samples), h4_sign)
-    report.validate_trace()  # emitted reports must re-validate on load
-    return report
 
 
 def report_to_table(report: InvariantReport) -> str:

@@ -214,7 +214,7 @@ class CheckResult:
         self.cases += 1
         if not passed:
             self.failures.append(
-                CheckFailure(self.name, label, detail, {k: _ser(v) for k, v in inputs.items()})
+                CheckFailure(self.name, label, detail, serialize._plain(inputs))
             )
 
     @property
@@ -270,16 +270,6 @@ class VerifyOutcome:
                 {"name": c.name, "cases": c.cases, "elapsed_s": c.elapsed} for c in self.checks
             ],
         }
-
-
-def _ser(value):
-    if isinstance(value, DoubleForm):
-        return serialize.form_to_dict(value)
-    if isinstance(value, Fraction):
-        return serialize.rational_to_str(value)
-    if isinstance(value, (list, tuple)):
-        return [_ser(v) for v in value]
-    return value
 
 
 def _cases_per_config(trials: int, configs: int) -> int:
@@ -759,8 +749,10 @@ def check_star_components_form(rec, rng, n, trials):
 # -- curvature suite --------------------------------------------------------------
 
 
-def model_zoo(n: int, rng: random.Random | None = None) -> list[tuple[str, CurvatureTensor]]:
-    """Deterministic models at dimension n, plus one projected random tensor."""
+@lru_cache(maxsize=None)
+def _fixed_models(n: int) -> tuple[tuple[str, CurvatureTensor], ...]:
+    """model_zoo's deterministic models at dimension n, built and certified
+    once per n: they depend on n alone, and no check changes a model."""
     eigen = ([1, 1, 1, 0, 2, -1, 1, 3] + [0] * n)[:n]
     conf = ([1, -1, 2, 0, 1, -2, 3, 1] + [0] * n)[:n]
     models = [
@@ -777,6 +769,13 @@ def model_zoo(n: int, rng: random.Random | None = None) -> list[tuple[str, Curva
         models.append(
             ("product_with_flat", make_product(left, make_constant_curvature(n - 2, 0)))
         )
+    return tuple(models)
+
+
+def model_zoo(n: int, rng: random.Random | None = None) -> list[tuple[str, CurvatureTensor]]:
+    """Deterministic models at dimension n, plus one projected random tensor
+    drawn from rng; a new list on every call."""
+    models = list(_fixed_models(n))
     if rng is not None and n >= 3:
         models.append(
             ("random_bianchi", CurvatureTensor(random_bianchi(rng, n, 2)))

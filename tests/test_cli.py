@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import doubleforms
+from doubleforms import make_scalar
 from doubleforms.cli import main
 from doubleforms.serialize import dumps_canonical, form_to_dict
 from doubleforms.verify import random_bianchi
@@ -289,6 +290,19 @@ def test_pq_checks_the_degree_range_before_the_plane(sphere_spec, capsys):
     err = capsys.readouterr().err
     assert "need 0 <= p <= n - 2q, got p=-1" in err
     assert "plane" not in err
+
+
+@pytest.mark.parametrize("power", [0, 1, 3])
+def test_invariants_refuses_a_tensor_that_is_not_2_2(tmp_path, capsys, power):
+    # the explicit spec of g^power, a (power, power) Bianchi form at n = 6
+    form = make_scalar(6, 1).mul_g_power(power)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"model": "explicit", "form": form_to_dict(form)}))
+    for command in (["invariants", "--max-q", "1"], ["pq", "--p", "0", "--q", "1"]):
+        assert main(command + ["--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "applies to (2,2) curvature tensors, got p=%d" % power in captured.err
 
 
 def run_with_cell_budget(value, code=None, args=()):

@@ -154,6 +154,14 @@ def test_pq_tensor_structure():
         pq_sectional(model, 0, 1, Frame.coordinate(5, (0,)))
 
 
+@pytest.mark.parametrize("power", [0, 1, 3])
+def test_invariants_of_a_tensor_that_is_not_2_2_are_refused(power):
+    tensor = CurvatureTensor(make_scalar(6, 1).mul_g_power(power))
+    for invariant in (weyl_invariant, einstein_tensor, build_invariant_report):
+        with pytest.raises(DegreeError, match=r"applies to \(2,2\) curvature tensors"):
+            invariant(tensor, 1)
+
+
 def test_constant_curvature_pq_closed_form():
     rng = random.Random("pq-const")
     for n, lam in ((4, F(1)), (5, F(1, 2)), (6, F(-1))):

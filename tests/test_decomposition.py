@@ -27,7 +27,7 @@ from doubleforms import (
 )
 from doubleforms.core import _unflatten, cell_budget, set_cell_budget
 from doubleforms.decomposition import divide_g_power
-from doubleforms.exterior import mask_rank, subset_masks, wedge_sign_masks
+from doubleforms.exterior import _mask_rank_table, subset_masks, wedge_sign_masks
 from doubleforms import linalg
 from doubleforms.verify import (
     _operator_rows,
@@ -243,7 +243,10 @@ def test_g_power_matrix_entries_match_the_wedge_sign_oracle(n):
                 mask_s = sum(1 << s for s in subset)
                 if mask_s & (mask_i | mask_j):
                     continue
-                row = mask_rank(n, mask_s | mask_i) * cols + mask_rank(n, mask_s | mask_j)
+                row = (
+                    _mask_rank_table(n, p + power)[mask_s | mask_i] * cols
+                    + _mask_rank_table(n, q + power)[mask_s | mask_j]
+                )
                 expected[row][col] = (
                     factorial(power)
                     * wedge_sign_masks(mask_s, mask_i)

@@ -3,9 +3,9 @@
 The package works on masks only.  rank, unrank, wedge_sign and
 complement_sign below are the IndexSet-level functions it once exported,
 kept here as oracles of the mask tables: rank counts subsets arithmetically
-(combinatorial number system) where mask_rank reads subset_masks'
-enumeration, and the sign functions return the merged or complementary
-IndexSet next to the mask primitives' sign.
+(combinatorial number system) where the rank table _mask_rank_table
+reads subset_masks' enumeration, and the sign functions return the merged
+or complementary IndexSet next to the mask primitives' sign.
 """
 
 import itertools
@@ -16,8 +16,8 @@ import pytest
 from doubleforms.exterior import (
     BasisError,
     IndexSet,
+    _mask_rank_table,
     complement_sign_mask,
-    mask_rank,
     mask_to_indices,
     subset_masks,
     wedge_sign_masks,
@@ -96,7 +96,7 @@ def test_subset_masks_lexicographic():
     for n in (3, 5):
         for k in range(n + 1):
             for mask in subset_masks(n, k):
-                assert mask_rank(n, mask) == rank(IndexSet(n, mask))
+                assert _mask_rank_table(n, mask.bit_count())[mask] == rank(IndexSet(n, mask))
 
 
 def test_wedge_sign_examples():

@@ -25,9 +25,9 @@ counting its Bianchi certificates (one per power made, none for R) and the
 powers alive at each product (power(R, 1) is R, an invariant report holds
 one power at a time, weyl_invariant its two half powers).  The effective
 random_bianchi, Ker B then project_conformal, is checked against the one
-projector onto Ker B and Ker c together that it replaced.  The square w . w over unordered row pairs is
-checked against the general loop on an equal copy of w and the Fraction
-loop, and is_symmetric against w == w.transpose().  The model constructors are
+projector onto Ker B and Ker c together that it replaced.  The square
+w . w is checked against the product of w with an equal copy of it and
+the Fraction loop, and is_symmetric against w == w.transpose().  The model constructors are
 checked against the expressions they replaced: the constant model against
 (lambda/2) g^2 as mul_g_power, the hypersurface model's one pass over pairs
 of rows against B.B/2, and the shapes of build_curvature_tensor against
@@ -1227,10 +1227,11 @@ def test_integer_mul_cancels_to_the_zero_map(n, data):
 
 @st.composite
 def squared_forms(draw):
-    """A form w for w . w, with w . w inside n.  Half are square-path
-    forms: p >= 1 and p + q even, with several rows, several cells per row
-    and den != 1.  The rest have p = 0 or odd p + q, which take the general
-    loop."""
+    """A form w for w . w, with w . w inside n.  Half have p >= 1 and
+    p + q even, where the ordered row pairs (I, K) and (K, I) reach the same
+    cells with the same sign, with several rows, several cells per row and
+    den != 1.  The rest have p = 0, where the one row pairs with itself, or
+    odd p + q, where the two orders cancel."""
     n = draw(st.integers(2, 7))
     half = n // 2
     kind = draw(st.sampled_from(("square", "square", "p = 0", "odd")))
@@ -1257,7 +1258,8 @@ def squared_forms(draw):
 
 
 def copy_of(w):
-    """An equal form that is not w, so w.mul(copy) takes the general loop."""
+    """An equal form that is not w, so w.mul(copy) multiplies two distinct
+    objects."""
     copy = make_zero(w.n, w.p, w.q)
     copy.cells = {mask_i: dict(row) for mask_i, row in w.cells.items()}
     copy.den = w.den

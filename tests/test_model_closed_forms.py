@@ -248,6 +248,41 @@ def test_closed_form_checks_walk_the_powers(check, monkeypatch):
     assert (2, 2) in products
 
 
+def test_model_zoo_builds_its_fixed_models_once_per_n(monkeypatch):
+    calls = []
+    make = verify.make_constant_curvature
+
+    def counted(n, curvature):
+        calls.append((n, curvature))
+        return make(n, curvature)
+
+    monkeypatch.setattr(verify, "make_constant_curvature", counted)
+    verify._fixed_models.cache_clear()
+    first = verify.model_zoo(5, random.Random(0))
+    built = len(calls)
+    second = verify.model_zoo(5, random.Random(0))
+    assert built == 6 and len(calls) == built
+    assert first is not second and len(first) == len(second) == 8
+    assert [name for name, _ in first] == [name for name, _ in second]
+    assert all(a is b for (_, a), (_, b) in zip(first[:-1], second[:-1]))
+    # the random model is drawn on every call, from the rng it is given
+    assert first[-1][0] == "random_bianchi" and first[-1][1] is not second[-1][1]
+    assert first[-1][1] == second[-1][1]
+    # a caller's list is its own: popping from it leaves the cache whole
+    first.pop()
+    assert len(verify.model_zoo(5)) == 7
+
+
+def test_no_verify_check_changes_a_cached_model():
+    for n in (4, 5):
+        assert verify.run_verify("all", n, 4, 0).ok
+        cached = verify._fixed_models(n)
+        fresh = verify._fixed_models.__wrapped__(n)
+        assert [(name, model.form, model.model) for name, model in cached] == [
+            (name, model.form, model.model) for name, model in fresh
+        ]
+
+
 # -- the dense conformally flat model of the n = 14 CI pin, at small n -----------
 
 
