@@ -41,7 +41,8 @@ def _check_dimension(n: int, error: type[ValueError] = BasisError) -> None:
 
     IndexSet and subset_masks raise BasisError; DoubleForm (which calls this
     only once its inline copy of the test has failed) and g_power_matrix
-    raise DegreeError, and curvature.Frame FrameError.  subset_masks and
+    raise DegreeError, curvature.Frame FrameError, and
+    verify.check_arguments UsageError.  subset_masks and
     _mask_rank_table are lru_cached, and True == 1 shares their cache entry,
     so the check they make runs only on a cache miss; IndexSet, DoubleForm
     and curvature.Frame check n before reaching them.

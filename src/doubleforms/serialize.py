@@ -41,7 +41,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import (
+    ROUND_HALF_EVEN,
+    Context,
+    Decimal,
+    DivisionByZero,
+    InvalidOperation,
+    Overflow,
+)
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice
@@ -107,12 +114,19 @@ def rational_from_str(text, path: str = "value") -> Fraction:
     return Fraction(num, den)
 
 
+# Every field is given, so neither the caller's decimal context (rounding,
+# traps, capitals) nor a changed decimal.DefaultContext reaches the output.
+_DECIMAL6 = Context(
+    prec=6, rounding=ROUND_HALF_EVEN, Emin=-999999, Emax=999999, capitals=1, clamp=0,
+    traps=[InvalidOperation, DivisionByZero, Overflow],
+)
+
+
 def decimal6(value: Fraction) -> str:
     """Six significant digits, exact decimal division (no float round trip)."""
     value = Fraction(value)
-    with localcontext() as ctx:
-        ctx.prec = 6
-        return str(Decimal(value.numerator) / Decimal(value.denominator))
+    quotient = _DECIMAL6.divide(Decimal(value.numerator), Decimal(value.denominator))
+    return _DECIMAL6.to_sci_string(quotient)
 
 
 def dumps_canonical(obj) -> str:

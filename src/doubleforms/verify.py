@@ -59,7 +59,7 @@ from .decomposition import (
     star_bianchi,
     star_in_components,
 )
-from .exterior import _is_count, subset_masks
+from .exterior import _check_dimension, _is_count, subset_masks
 from .linalg import KernelProjector, nullspace
 
 
@@ -1327,16 +1327,24 @@ SUITES: dict[str, tuple] = {
 SUITE_NAMES = tuple(SUITES) + ("all",)
 
 
-def run_verify(suite: str, n: int, trials: int, seed: int) -> VerifyOutcome:
-    """Run a named suite; deterministic given (suite, n, trials, seed)."""
+def check_arguments(suite: str, n: int, trials: int, seed: int) -> None:
+    """Refuse run_verify's arguments with UsageError before any check runs.
+    The CLI also calls this before it opens --timings, so that a usage error
+    leaves an existing file as it was."""
     if suite not in SUITE_NAMES:
         raise UsageError(f"unknown suite {suite!r}; expected one of {SUITE_NAMES}")
     if not _is_count(n, 2):
         raise UsageError(f"verify needs n >= 2, got {n!r}")
+    _check_dimension(n, UsageError)
     if not _is_count(trials, 1):
         raise UsageError(f"verify needs trials >= 1, got {trials!r}")
     if not _is_count(seed, -inf):
         raise UsageError(f"verify needs an integer seed, got {seed!r}")
+
+
+def run_verify(suite: str, n: int, trials: int, seed: int) -> VerifyOutcome:
+    """Run a named suite; deterministic given (suite, n, trials, seed)."""
+    check_arguments(suite, n, trials, seed)
     started = time.perf_counter()
     names = list(SUITES) if suite == "all" else [suite]
     results = []

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior and exit codes."""
 
+import decimal
 import hashlib
 import json
 import random
@@ -145,6 +146,63 @@ def test_verify_timings_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys,
     assert captured.err.startswith("error: --timings: cannot write file")
     assert len(captured.err.splitlines()) == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--suite", "bogus", "--n", "4"], ["--suite", "hodge", "--n", "17"],
+     ["--suite", "hodge", "--n", "1"], ["--suite", "hodge", "--trials", "0"]],
+)
+def test_verify_usage_errors_leave_the_timings_file_as_it_was(tmp_path, capsys, flags):
+    path = tmp_path / "timings.json"
+    path.write_bytes(b'{"runs": []}\n')
+    assert main(["verify", *flags, "--timings", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert path.read_bytes() == b'{"runs": []}\n'
+
+
+def test_verify_usage_errors_keep_their_messages(capsys):
+    assert main(["verify", "--suite", "hodge", "--n", "17", "--trials", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: ambient dimension must be an integer in [1, 16], got 17\n"
+    )
+    assert main(["verify", "--suite", "bogus", "--n", "4"]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown suite 'bogus'; expected one of (")
+
+
+def test_an_unwritable_timings_file_is_refused_before_any_check_runs(
+    tmp_path, capsys, monkeypatch
+):
+    def run_verify(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(doubleforms.verify, "run_verify", run_verify)
+    target = str(tmp_path / "missing-dir" / "timings.json")
+    assert main(["verify", "--suite", "hodge", "--n", "4", "--timings", target]) == 2
+    assert capsys.readouterr().err.startswith("error: --timings: cannot write file")
+
+
+@pytest.mark.parametrize("value", ["2/3", "1/3000000000"])
+def test_decimal_column_ignores_the_callers_decimal_context(tmp_path, capsys, value):
+    spec = tmp_path / "spec.json"
+    spec.write_text(dumps_canonical({"model": "constant", "n": 4, "lambda": value}))
+    commands = [
+        ["pq", "--spec", str(spec), "--p", "1", "--q", "1", "--plane", "0"],
+        ["pq", "--spec", str(spec), "--p", "1", "--q", "1", "--plane", "0", "--format", "table"],
+        ["invariants", "--spec", str(spec), "--max-q", "2", "--format", "table"],
+    ]
+    expected = []
+    for argv in commands:
+        assert main(argv) == 0
+        expected.append(capsys.readouterr().out)
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.rounding, ctx.capitals = 2, decimal.ROUND_DOWN, 0
+        ctx.traps[decimal.Inexact] = True
+        for argv, out in zip(commands, expected):
+            assert main(argv) == 0
+            assert capsys.readouterr().out == out
+    assert any("E-" in out for out in expected) == (value == "1/3000000000")
 
 
 def test_usage_errors(tmp_path, capsys):

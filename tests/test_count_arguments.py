@@ -57,6 +57,8 @@ REFUSED = {
     "run_verify trials": (lambda: run_verify("hodge", 4, True, 0), UsageError),
     "run_verify bool seed": (lambda: run_verify("hodge", 4, 1, True), UsageError),
     "run_verify str seed": (lambda: run_verify("hodge", 4, 1, "0"), UsageError),
+    "run_verify n past MAX_DIMENSION": (
+        lambda: run_verify("hodge", MAX_DIMENSION + 1, 1, 0), UsageError),
     "g_power_matrix float n": (lambda: g_power_matrix(4.0, 1, 1, 1), DegreeError),
     "g_power_matrix bool n": (lambda: g_power_matrix(True, 1, 1, 0), DegreeError),
     "map_rank bool n": (lambda: map_rank(True, 1, 1, 0), DegreeError),
