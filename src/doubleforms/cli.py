@@ -48,7 +48,8 @@ def _load_json(path: str):
 
 
 def _read_tensor(path: str):
-    """The certified curvature tensor of the model spec in a JSON file."""
+    """The curvature tensor of the model spec in a JSON file; see
+    serialize.build_curvature_tensor for when R is made and certified."""
     return serialize.build_curvature_tensor(serialize.model_spec_from_dict(_load_json(path)))
 
 
@@ -145,9 +146,8 @@ def _cmd_verify(args) -> int:
 
 
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The full argument parser and each command's own parser by name, built
-    on first use and reused by every main call."""
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by every main call."""
     parser = argparse.ArgumentParser(
         prog="doubleforms",
         description="Exact double-form algebra: curvature invariants and identity suites.",
@@ -182,28 +182,11 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         help="write each check's wall time and case count, per n, as JSON to FILE",
     )
     p_ver.set_defaults(func=_cmd_verify)
-    return parser, {"invariants": p_inv, "pq": p_pq, "decompose": p_dec, "verify": p_ver}
-
-
-def _parse(argv=None) -> argparse.Namespace:
-    """argv (sys.argv[1:] if None) parsed once.  When argv[0] names a command,
-    that command's parser reads the rest, as the full parser would hand it
-    over; its namespace lacks only the full parser's `command`.  Every other
-    argv (none, a help flag or an unknown command first, or tokens the
-    command's parser leaves over) goes to the full parser, so each help text
-    and usage error prints the same bytes."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = _parsers()
-    command = commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, extras = command.parse_known_args(argv[1:])
-        if not extras:
-            return args
-    return parser.parse_args(argv)
+    return parser
 
 
 def main(argv=None) -> int:
-    args = _parse(argv)
+    args = _parser().parse_args(argv)
     try:
         cell_budget()  # a bad DOUBLEFORMS_CELL_BUDGET is a usage error
         return args.func(args)

@@ -21,14 +21,16 @@ The constant, hypersurface and conformally flat constructors record the
 small matrix behind R (h for R = g.h, B for R = B.B/2) on the tensor, and
 h_{2q}, T_{2q} and the coordinate-plane s_{(p,q)} of such a tensor are
 symmetric functions of that matrix, read off linalg.characteristic with no
-power of R.  Every other tensor walks R, R^2, ... (_powers).  R itself is
-still built and certified, and the h_4 sign report reads it.
+power of R.  Every other tensor walks R, R^2, ... (_powers).  Such a
+tensor makes R itself, and certifies it, only when R is read, as the h_4
+sign report does; a coordinate-plane s_{(p,q)} never reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 from math import factorial
 
@@ -56,12 +58,15 @@ from .linalg import characteristic
 class CurvatureTensor:
     """A symmetric (p,p) double form certified Bianchi.
 
-    Certification is verified eagerly: construction checks B(form) == 0
-    exactly.  model, set only by the model constructors, records the small
-    matrix the form was built from: ("conformal", h) for R = g.h (constant
-    curvature included, with h = (lambda/2) I) and ("hypersurface", B) for
+    Certification is exact: B(form) == 0 is checked when the form is made.
+    model, set only by the model constructors, records the small matrix the
+    form is built from: ("conformal", h) for R = g.h (constant curvature
+    included, with h = (lambda/2) I) and ("hypersurface", B) for
     R = B.B/2.  The invariants read it when it is there (_model_rows) and
-    walk R's powers otherwise, so CurvatureTensor(form) always walks.
+    walk R's powers otherwise, so CurvatureTensor(form) always walks.  A
+    model tensor makes R, and certifies it, on the first read of form
+    (__getattr__), so a caller that reads only the matrix, such as a
+    coordinate-plane s_{(p,q)}, never forms R.
     """
 
     form: DoubleForm
@@ -72,13 +77,28 @@ class CurvatureTensor:
     def __post_init__(self) -> None:
         _require_bianchi_symmetric(self.form, "a curvature tensor")
 
+    def __getattr__(self, name: str):
+        """Reached only when no attribute is found: for form, on a model
+        tensor whose R is not made yet (_model_tensor)."""
+        make = self.__dict__.get("_make") if name == "form" else None
+        if make is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.__dict__["form"] = make()
+        try:
+            self.__post_init__()
+        except DoubleFormError:
+            del self.__dict__["form"]  # an uncertified R is never read
+            raise
+        del self.__dict__["_make"]
+        return self.form
+
     @property
     def n(self) -> int:
-        return self.form.n
+        return self.form.n if self.model is None else self.model[1].n
 
     @property
     def p(self) -> int:
-        return self.form.p
+        return self.form.p if self.model is None else 2  # g.h and B.B/2 are (2,2)
 
 
 # -- model constructors -------------------------------------------------------
@@ -95,26 +115,22 @@ def make_constant_curvature(n: int, curvature) -> CurvatureTensor:
     if n < 2:
         raise DegreeError(f"constant curvature models need n >= 2, got {n}")
     lam = as_scalar(curvature)
-    out = make_zero(n, 2, 2)
-    out._publish({mask: {mask: lam.numerator} for mask in subset_masks(n, 2)}, lam.denominator)
     h = make_zero(n, 1, 1)
     h._publish({mask: {mask: lam.numerator} for mask in subset_masks(n, 1)}, 2 * lam.denominator)
-    return _recorded(CurvatureTensor(out), "conformal", h)
+    return _model_tensor("conformal", h, partial(_diagonal_pairs, n, lam))
+
+
+def _diagonal_pairs(n: int, lam: Fraction) -> DoubleForm:
+    """The (2,2) form holding lam on every cell (S, S) with |S| = 2."""
+    out = make_zero(n, 2, 2)
+    out._publish({mask: {mask: lam.numerator} for mask in subset_masks(n, 2)}, lam.denominator)
+    return out
 
 
 def make_hypersurface(second_fundamental: DoubleForm) -> CurvatureTensor:
-    """R = B^2/2 for a symmetric shape operator B, per the Gauss equation:
-
-        R[{i,j}, {k,l}] = B_ik B_jl - B_il B_jk    for i < j and k < l.
-
-    B.B reaches that cell from (e_i (x) e_k).(e_j (x) e_l) and from the
-    same two factors in the other order, with the same sign, and the 1/2
-    cancels that double count.  So each unordered pair of stored rows
-    i < j of B is visited once: B_ik B_jl with k != l goes to the column
-    {k, l}, with sign + for k < l and - for k > l (e_l ^ e_k = -e_k ^ e_l).
-    The numerators are published once, over B.den^2, and the tensor
-    records B.  At n = 1 the result is the zero (1,1) form, the clamped
-    degree of B.B there, with no record.
+    """R = B^2/2 for a symmetric shape operator B, per the Gauss equation
+    (_gauss_form); the tensor records B.  At n = 1 the result is the zero
+    (1,1) form, the clamped degree of B.B there, with no record.
     """
     b = second_fundamental
     if (b.p, b.q) != (1, 1):
@@ -123,6 +139,21 @@ def make_hypersurface(second_fundamental: DoubleForm) -> CurvatureTensor:
         raise DoubleFormError("the shape operator must be symmetric")
     if b.n == 1:
         return CurvatureTensor(make_zero(1, 1, 1))
+    return _model_tensor("hypersurface", b, partial(_gauss_form, b))
+
+
+def _gauss_form(b: DoubleForm) -> DoubleForm:
+    """B.B/2 for a symmetric (1,1)-form B on n >= 2 indices:
+
+        R[{i,j}, {k,l}] = B_ik B_jl - B_il B_jk    for i < j and k < l.
+
+    B.B reaches that cell from (e_i (x) e_k).(e_j (x) e_l) and from the
+    same two factors in the other order, with the same sign, and the 1/2
+    cancels that double count.  So each unordered pair of stored rows
+    i < j of B is visited once: B_ik B_jl with k != l goes to the column
+    {k, l}, with sign + for k < l and - for k > l (e_l ^ e_k = -e_k ^ e_l).
+    The numerators are published once, over B.den^2.
+    """
     rows = sorted(b.cells.items())
     acc = {}
     for at, (mask_i, row_i) in enumerate(rows):
@@ -139,22 +170,52 @@ def make_hypersurface(second_fundamental: DoubleForm) -> CurvatureTensor:
                         target[col] = target.get(col, 0) - x * y
     out = make_zero(b.n, 2, 2)
     out._publish(acc, b.den * b.den)
-    return _recorded(CurvatureTensor(out), "hypersurface", b)
+    return out
 
 
 def make_conformally_flat(h: DoubleForm) -> CurvatureTensor:
-    """R = g.h for a symmetric (1,1)-form h (vanishing Weyl part); the
-    tensor records h."""
+    """R = g.h for a symmetric (1,1)-form h (vanishing Weyl part,
+    _conformal_form); the tensor records h.  At n = 1 the result is the
+    zero (1,1) form, the clamped degree of g.h there, with no record."""
     if (h.p, h.q) != (1, 1):
         raise DegreeError(f"the conformal factor must be a (1,1)-form, got ({h.p},{h.q})")
     if not h.is_symmetric():
         raise DoubleFormError("the conformal factor must be symmetric")
-    return _recorded(CurvatureTensor(make_g(h.n).mul(h)), "conformal", h)
+    if h.n == 1:
+        return CurvatureTensor(make_zero(1, 1, 1))
+    return _model_tensor("conformal", h, partial(_conformal_form, h))
 
 
-def _recorded(tensor: CurvatureTensor, kind: str, matrix: DoubleForm) -> CurvatureTensor:
-    """The tensor with its model record (kind, matrix) set."""
+def _conformal_form(h: DoubleForm) -> DoubleForm:
+    """g.h for a (1,1)-form h on n >= 2 indices, with no product.  The
+    cell (I, J) of g.h is the sum, over the indices c in both I and J, of
+    sign(c, I - c) sign(c, J - c) h[I - c, J - c], where sign(c, {a}) is
+    e_c ^ e_a against the sorted e_I: + for c < a, - for c > a.  So each
+    stored h_ab goes to the cells ({c, a}, {c, b}), c outside {a, b}, over
+    h.den."""
+    acc = {}
+    for mask_a, row in h.cells.items():
+        for bit in subset_masks(h.n, 1):
+            if bit == mask_a:
+                continue
+            target = acc.setdefault(mask_a | bit, {})
+            lower = bit < mask_a
+            for mask_b, value in row.items():
+                if bit != mask_b:
+                    col = mask_b | bit
+                    signed = value if (bit < mask_b) == lower else -value
+                    target[col] = target.get(col, 0) + signed
+    out = make_zero(h.n, 2, 2)
+    out._publish(acc, h.den)
+    return out
+
+
+def _model_tensor(kind: str, matrix: DoubleForm, make) -> CurvatureTensor:
+    """The tensor R = make() with the model record (kind, matrix); make
+    runs, and R is certified, on the first read of form."""
+    tensor = object.__new__(CurvatureTensor)
     object.__setattr__(tensor, "model", (kind, matrix))
+    object.__setattr__(tensor, "_make", make)
     return tensor
 
 
@@ -623,14 +684,36 @@ def _sign_report_h4(tensor: CurvatureTensor, h4: Fraction | None) -> H4SignRepor
         raise DegreeError(f"h_4 needs n >= 4, got n={tensor.n}")
     if h4 is None:
         h4 = weyl_invariant(tensor, 2)
+    classification = _h4_hypothesis(tensor)
+    holds = {"flat": h4 == 0, "einstein": h4 > 0, "conformally_flat_scalar_flat": h4 < 0}
+    return H4SignReport(h4, classification, holds.get(classification))
+
+
+def _h4_hypothesis(tensor: CurvatureTensor) -> str:
+    """The sign theorem that applies to R, if any (n >= 4).
+
+    A conformal model R = g.h is classified off h, with no R: g.h = 0
+    exactly when h = 0, its Ricci contraction is (n-2) h + tr(h) g, so it
+    is Einstein exactly when h is a multiple of I, its Weyl part is zero,
+    and its scalar curvature is 2(n-1) tr(h).
+    """
+    if tensor.model is not None and tensor.model[0] == "conformal":
+        h = tensor.model[1]
+        if h.is_zero():
+            return "flat"
+        diagonal = [row[mask] for mask, row in h.cells.items() if row.keys() == {mask}]
+        if len(diagonal) == h.n and len(set(diagonal)) == 1:
+            return "einstein"
+        trace = sum(row.get(mask, 0) for mask, row in h.cells.items())
+        return "conformally_flat_scalar_flat" if trace == 0 else "hypothesis_not_met"
     if tensor.form.is_zero():
-        return H4SignReport(h4, "flat", h4 == 0)
-    scalar = tensor.form.contract().contract().scalar_value()
+        return "flat"
     if is_einstein(tensor):
-        return H4SignReport(h4, "einstein", h4 > 0)
+        return "einstein"
+    scalar = tensor.form.contract().contract().scalar_value()
     if scalar == 0 and is_conformally_flat_algebraic(tensor):
-        return H4SignReport(h4, "conformally_flat_scalar_flat", h4 < 0)
-    return H4SignReport(h4, "hypothesis_not_met", None)
+        return "conformally_flat_scalar_flat"
+    return "hypothesis_not_met"
 
 
 @dataclass(frozen=True)

@@ -527,7 +527,9 @@ def model_spec_from_dict(obj, path: str = "spec", *, depth: int = 0) -> ModelSpe
 
 
 def build_curvature_tensor(spec: ModelSpec) -> CurvatureTensor:
-    """Instantiate the described model as a certified curvature tensor."""
+    """Instantiate the described model as a certified curvature tensor (a
+    constant, hypersurface or conformally flat one makes and certifies R
+    on the first read of its form)."""
     if spec.model == "constant":
         return make_constant_curvature(spec.n, spec.curvature)
     if spec.model == "hypersurface":

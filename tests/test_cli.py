@@ -183,6 +183,15 @@ def test_an_unwritable_timings_file_is_refused_before_any_check_runs(
     assert capsys.readouterr().err.startswith("error: --timings: cannot write file")
 
 
+def test_main_without_argv_runs_the_command_in_sys_argv(monkeypatch, capsys):
+    argv = ["verify", "--suite", "hodge", "--n", "4", "--trials", "1"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr("sys.argv", ["doubleforms"] + argv)
+    assert main() == 0
+    assert capsys.readouterr().out == expected
+
+
 @pytest.mark.parametrize("value", ["2/3", "1/3000000000"])
 def test_decimal_column_ignores_the_callers_decimal_context(tmp_path, capsys, value):
     spec = tmp_path / "spec.json"

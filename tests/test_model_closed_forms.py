@@ -25,8 +25,11 @@ from doubleforms import (
     einstein_tensor,
     make_conformally_flat,
     make_constant_curvature,
+    make_g,
     make_hypersurface,
     make_product,
+    make_zero,
+    sign_report_h4,
     weyl_invariant,
 )
 from doubleforms import curvature, linalg, verify
@@ -119,6 +122,112 @@ def test_recorded_models_form_no_power(monkeypatch):
         einstein_tensor(tensor, 3)
         pq_sectional(tensor, 2, 3, Frame.coordinate(10, (4, 1)))
     assert products == []
+
+
+@pytest.fixture
+def made_forms(monkeypatch):
+    """The bidegree p of each form a CurvatureTensor certifies, in order."""
+    made = []
+    certify = curvature._require_bianchi_symmetric
+
+    def counted(form, who):
+        made.append(form.p)
+        certify(form, who)
+
+    monkeypatch.setattr(curvature, "_require_bianchi_symmetric", counted)
+    return made
+
+
+def recorded_zoo(n):
+    h = symmetric_matrix(random.Random(n), n, 0.5)
+    return [
+        make_conformally_flat(h), make_hypersurface(h), make_constant_curvature(n, Fraction(-3, 2))
+    ]
+
+
+def test_a_model_makes_and_certifies_r_on_the_first_read_of_form(made_forms):
+    for tensor in recorded_zoo(6):
+        kind, matrix = tensor.model
+        assert (tensor.n, tensor.p) == (6, 2)
+        for q in (1, 2, 3):
+            weyl_invariant(tensor, q)
+            einstein_tensor(tensor, q)
+        pq_sectional(tensor, 2, 2, Frame.coordinate(6, (0, 3)))
+        assert made_forms == [], kind
+        form = tensor.form
+        assert made_forms == [2] and tensor.form is form, kind
+        if kind == "conformal":
+            assert form == make_g(6).mul(matrix)
+        else:
+            assert form == matrix.mul(matrix).scale(Fraction(1, 2))
+        made_forms.clear()
+
+
+def test_the_conformal_r_is_g_times_h():
+    for n in range(2, 9):
+        for density in (0.3, 1.0):
+            h = symmetric_matrix(random.Random(10 * n), n, density)
+            assert make_conformally_flat(h).form == make_g(n).mul(h), (n, density)
+
+
+def test_a_model_whose_r_fails_its_certificate_never_hands_r_out(monkeypatch):
+    broken = make_zero(4, 2, 2)
+    broken._publish({0b0011: {0b1100: 1}}, 1)  # not symmetric
+    tensor = make_constant_curvature(4, 1)
+    monkeypatch.setitem(vars(tensor), "_make", lambda: broken)
+    for _ in range(2):
+        with pytest.raises(DoubleFormError, match="needs a symmetric form"):
+            tensor.form
+    with pytest.raises(AttributeError, match="'CurvatureTensor' object has no attribute 'mode'"):
+        tensor.mode
+
+
+def test_pq_on_a_model_spec_makes_no_curvature_tensor(made_forms, tmp_path, capsys):
+    specs = [
+        {"model": "constant", "n": 8, "lambda": "2/3"},
+        {"model": "hypersurface", "eigenvalues": ["1", "-2", "1/3", "4", "5", "-1/2", "7", "3"]},
+        {"model": "conformally_flat", "h_matrix": [[1, 2, 0], [2, -1, 1], [0, 1, 3]]},
+    ]
+    for spec in specs:
+        path = tmp_path / "spec.json"
+        path.write_text(dumps_canonical(spec))
+        assert main(["pq", "--spec", str(path), "--p", "1", "--q", "1", "--plane", "2"]) == 0
+        assert main(["pq", "--spec", str(path), "--p", "0", "--q", "1"]) == 0
+        assert made_forms == [], spec
+        assert main(["invariants", "--spec", str(path), "--max-q", "1"]) == 0
+        # only a hypersurface's h_4 sign report, at n >= 4, reads R
+        assert made_forms == ([2] if spec["model"] == "hypersurface" else []), spec
+        made_forms.clear()
+    capsys.readouterr()
+
+
+def test_a_conformal_model_classifies_h4_off_h(made_forms):
+    for n in (4, 5, 6):
+        rng = random.Random(n)
+        swap = [[int(j == n - 1 - i) for j in range(n)] for i in range(n)]
+        traceless = [[0] * n for _ in range(n)]
+        traceless[0][0], traceless[1][1], traceless[0][2] = 2, -2, 1
+        traceless[2][0] = 1
+        matrices = [
+            _diagonal(n, [0] * n),
+            _diagonal(n, [Fraction(-3, 2)] * n),
+            _diagonal(n, [1] * (n - 1) + [2]),
+            _diagonal(n, [1, -1] + [0] * (n - 2)),
+            DoubleForm(n, 1, 1, swap),
+            DoubleForm(n, 1, 1, traceless),
+            symmetric_matrix(rng, n, 0.5),
+        ]
+        seen = set()
+        for h in matrices:
+            tensor = make_conformally_flat(h)
+            report = sign_report_h4(tensor)
+            assert made_forms == [], (n, h)
+            assert report == sign_report_h4(CurvatureTensor(tensor.form)), (n, h)
+            seen.add(report.classification)
+            made_forms.clear()
+        assert seen == {
+            "flat", "einstein", "conformally_flat_scalar_flat", "hypothesis_not_met"
+        }, n
 
 
 # -- the characteristic-polynomial kernel -----------------------------------------
