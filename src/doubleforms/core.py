@@ -24,9 +24,12 @@ second memo, _subsets_of(mask, k).  One enumerator, _k_subsets, fills both.
 Both memos live for the whole process, like exterior's lru_caches, and
 grow only with the keys met: one entry per mask and k, holding the C(b, k)
 subsets of the mask's b bits, so over the masks of n indices each memo
-holds at most 3^n subsets, all k together.  A Fraction is made only where
-a value leaves a form: cell(), entries(), inner(), evaluate(),
-trace_of_product() and the flattened array.  One kernel, _wedge, computes
+holds at most 3^n subsets, all k together.  hodge reads the sign of
+e_A ^ e_{A^c} from a third, _complement_parity(n, k), an lru_cache like
+exterior._mask_rank_table: one C(n, k)-entry map per (n, k) met, so at most
+2^n entries per n.  A Fraction is made only where a value leaves a form:
+cell(), entries(), inner(), evaluate(), trace_of_product() and the
+flattened array.  One kernel, _wedge, computes
 the coordinates of a wedge v_1 ^ ... ^ v_k of integer vectors, one vector
 at a time, as a sparse mask -> int map; evaluate() and curvature.Frame read
 it.  The cell budget bounds the number of stored cells: it is checked where
@@ -530,15 +533,18 @@ class DoubleForm:
 
         Satisfies **w = (-1)^((p+q)(n-p-q)) w and the metric-contraction
         duality g w = (-1)^(n(p+q)) *c*w, whose sign is +1 on every
-        even-total bidegree (all square ones in particular).
+        even-total bidegree (all square ones in particular).  The sign of
+        each cell (I, J) is sign(I) sign(J), with sign(A) that of
+        e_A ^ e_{A^c}, read off the memo _complement_parity.
         """
         n = self.n
         out = DoubleForm(n, n - self.p, n - self.q)
         full = (1 << n) - 1
+        row_odd, col_odd = _complement_parity(n, self.p), _complement_parity(n, self.q)
         for mask_i, row in self.cells.items():
-            sign_i = complement_sign_mask(n, mask_i)
+            odd_i = row_odd[mask_i]
             out.cells[full ^ mask_i] = {
-                full ^ mask_j: value if sign_i == complement_sign_mask(n, mask_j) else -value
+                full ^ mask_j: value if col_odd[mask_j] == odd_i else -value
                 for mask_j, value in row.items()
             }
         out.den = self.den
@@ -786,6 +792,17 @@ def _subsets_of(mask: int, k: int) -> tuple[int, ...]:
     """The k-subsets of mask as a tuple of masks, made once per (mask, k)
     for the whole process: trace_of_product's partner subsets C."""
     return tuple(_k_subsets(mask, k))
+
+
+@lru_cache(maxsize=None)
+def _complement_parity(n: int, k: int) -> dict[int, bool]:
+    """mask -> whether e_A ^ e_{A^c} = -e_0 ^ ... ^ e_{n-1}, over the
+    k-subsets A of range(n), from exterior.complement_sign_mask: hodge's
+    signs, made once per (n, k) like exterior._mask_rank_table.  The sign
+    counts the pairs (a, b) in A x A^c with a > b; a in A exceeds a - r of
+    the b in A^c, r being the number of elements of A below it, so the
+    parity is that of sum_{a in A} a - C(|A|, 2)."""
+    return {mask: complement_sign_mask(n, mask) < 0 for mask in subset_masks(n, k)}
 
 
 def _permutation_sign(perm) -> int:

@@ -22,8 +22,9 @@ small matrix behind R (h for R = g.h, B for R = B.B/2) on the tensor, and
 h_{2q}, T_{2q} and the coordinate-plane s_{(p,q)} of such a tensor are
 symmetric functions of that matrix, read off linalg.characteristic with no
 power of R.  Every other tensor walks R, R^2, ... (_powers).  Such a
-tensor makes R itself, and certifies it, only when R is read, as the h_4
-sign report does; a coordinate-plane s_{(p,q)} never reads it.
+tensor makes R itself, and certifies it, only when R is read: the h_4 sign
+report reads it only for a scalar-flat hypersurface that is neither flat
+nor Einstein, and a coordinate-plane s_{(p,q)} never reads it.
 """
 
 from __future__ import annotations
@@ -695,25 +696,58 @@ def _h4_hypothesis(tensor: CurvatureTensor) -> str:
     A conformal model R = g.h is classified off h, with no R: g.h = 0
     exactly when h = 0, its Ricci contraction is (n-2) h + tr(h) g, so it
     is Einstein exactly when h is a multiple of I, its Weyl part is zero,
-    and its scalar curvature is 2(n-1) tr(h).
+    and its scalar curvature is 2(n-1) tr(h).  A hypersurface R = B.B/2 is
+    classified off B too, unless B is scalar-flat and neither flat nor
+    Einstein; only then is R read, for its Weyl part.  R's cells are the
+    2x2 minors of B (_gauss_form), so R = 0 exactly when rank B <= 1.  Its
+    Ricci contraction is tr(B) B - B^2 and its scalar curvature
+    2 sigma_2(B), so T_2 = sigma_2(B) g - cR is the Newton tensor N_2(B)
+    (_model_rows): R is Einstein exactly when N_2(B) is a multiple of I,
+    and scalar-flat exactly when sigma_2(B) = 0.
     """
-    if tensor.model is not None and tensor.model[0] == "conformal":
-        h = tensor.model[1]
-        if h.is_zero():
+    kind, matrix = tensor.model or (None, None)
+    if kind == "conformal":
+        if matrix.is_zero():
             return "flat"
-        diagonal = [row[mask] for mask, row in h.cells.items() if row.keys() == {mask}]
-        if len(diagonal) == h.n and len(set(diagonal)) == 1:
+        if _is_multiple_of_identity(matrix):
             return "einstein"
-        trace = sum(row.get(mask, 0) for mask, row in h.cells.items())
+        trace = sum(row.get(mask, 0) for mask, row in matrix.cells.items())
         return "conformally_flat_scalar_flat" if trace == 0 else "hypothesis_not_met"
-    if tensor.form.is_zero():
-        return "flat"
-    if is_einstein(tensor):
-        return "einstein"
-    scalar = tensor.form.contract().contract().scalar_value()
-    if scalar == 0 and is_conformally_flat_algebraic(tensor):
+    if kind == "hypersurface":
+        if _rank_at_most_one(matrix.cells):
+            return "flat"
+        ((h2, t2),) = _model_rows(tensor, range(1, 2), newton=True)
+        if _is_multiple_of_identity(t2):
+            return "einstein"
+    else:
+        if tensor.form.is_zero():
+            return "flat"
+        if is_einstein(tensor):
+            return "einstein"
+        h2 = tensor.form.contract().contract().scalar_value() / 2
+    if h2 == 0 and is_conformally_flat_algebraic(tensor):
         return "conformally_flat_scalar_flat"
     return "hypothesis_not_met"
+
+
+def _is_multiple_of_identity(matrix: DoubleForm) -> bool:
+    """Whether a (1,1)-form is c I, c = 0 included."""
+    diagonal = [row[mask] for mask, row in matrix.cells.items() if row.keys() == {mask}]
+    return not matrix.cells or (len(diagonal) == matrix.n and len(set(diagonal)) == 1)
+
+
+def _rank_at_most_one(cells: dict) -> bool:
+    """Whether a (1,1)-form's cells make a matrix of rank <= 1: with one
+    stored B_ac, every stored row i is B_ic / B_ac times row a."""
+    if not cells:
+        return True
+    row_a = next(iter(cells.values()))
+    c, pivot = next(iter(row_a.items()))
+    return all(
+        c in row and {k: x * pivot for k, x in row.items()}
+        == {k: x * row[c] for k, x in row_a.items()}
+        for row in cells.values()
+    )
 
 
 @dataclass(frozen=True)
@@ -764,8 +798,8 @@ def build_invariant_report(
     one by a single product (max_q - 1 in all) and certified once, when the
     walk makes it; the loop holds one power at a time, and row q reads
     h_{2q} and T_{2q} off the one contraction chain of R^q.  Either way the
-    h_4 sign report reuses row 2's h_4 and reads R itself, and the trace
-    identity is checked on every row.
+    h_4 sign report reuses row 2's h_4 (_h4_hypothesis says when it reads
+    R), and the trace identity is checked on every row.
     """
     _require_riemann_like(tensor, "build_invariant_report")
     n = tensor.n

@@ -72,16 +72,27 @@ class UsageError(ValueError):
 
 def random_form(rng: random.Random, n: int, p: int, q: int, density: float = 0.25) -> DoubleForm:
     """Sparse integer-coefficient form: cells hit with the given density,
-    values uniform in [-9, 9]."""
+    values uniform in [-9, 9].
+
+    Each value is drawn as CPython's rng.randint(-9, 9) draws it, without
+    its call chain (randint -> randrange -> _randbelow): r = getrandbits(5),
+    drawn again while r >= 19, gives r - 9.  So the forms, and the state rng
+    is left in, are those of the randint loop, which
+    tests/test_fast_path_oracles.py keeps as this function's oracle
+    (test_random_form_draws_the_randint_stream).
+    """
     form = make_zero(n, p, q)
     col_masks = form.col_masks
+    uniform, getrandbits = rng.random, rng.getrandbits
     for mask_i in form.row_masks:
         row = {}
         for mask_j in col_masks:
-            if rng.random() < density:
-                value = rng.randint(-9, 9)
-                if value:
-                    row[mask_j] = value
+            if uniform() < density:
+                r = getrandbits(5)
+                while r >= 19:
+                    r = getrandbits(5)
+                if r != 9:
+                    row[mask_j] = r - 9
         if row:
             form.cells[mask_i] = row
     return form

@@ -52,7 +52,12 @@ against their chained acc + X.mul_g_power(r).scale(c) versions.  The
 references read values through entries(), as Fractions.  inner, evaluate,
 bianchi_sum and sectional_curvature, which accumulate the stored integer
 numerators, are checked against the Fraction loops of the per-cell
-Fraction storage.
+Fraction storage.  hodge's sign memo, _complement_parity, is checked
+against complement_sign_mask and its closed form at n <= 8, and hodge
+against the per-cell complement_sign_mask loop it replaced and the double
+star law.  random_form, which draws its values from getrandbits, is checked
+against the rng.randint(-9, 9) loop it replaced: the same forms and the
+same generator state after every call.
 """
 
 import json
@@ -90,6 +95,7 @@ from doubleforms.core import (
     DegreeError,
     DimensionMismatchError,
     DoubleFormError,
+    _complement_parity,
     _diagonal,
     _flatten,
     _subset_table,
@@ -111,7 +117,7 @@ from doubleforms.curvature import (
     sectional_curvature,
 )
 from doubleforms.decomposition import divide_g_power, g_power_matrix
-from doubleforms.exterior import IndexSet, subset_masks
+from doubleforms.exterior import IndexSet, complement_sign_mask, mask_to_indices, subset_masks
 from doubleforms.serialize import (
     SchemaError,
     _read_in_bulk,
@@ -1975,3 +1981,82 @@ def test_trace_of_product_with_a_warm_memo():
         assert [trace_of_product(x, y) for x, y in operands] == expected, round_
     info = _subsets_of.cache_info()
     assert info.hits > 2 * info.misses > 0
+
+
+# -- the Hodge star's sign memo ---------------------------------------------------
+
+
+def reference_hodge(w):
+    """The per-cell loop hodge ran before its sign memo: two
+    complement_sign_mask calls per stored cell."""
+    n = w.n
+    out = make_zero(n, n - w.p, n - w.q)
+    full = (1 << n) - 1
+    for mask_i, row in w.cells.items():
+        sign_i = complement_sign_mask(n, mask_i)
+        out.cells[full ^ mask_i] = {
+            full ^ mask_j: value if sign_i == complement_sign_mask(n, mask_j) else -value
+            for mask_j, value in row.items()
+        }
+    out.den = w.den
+    return out
+
+
+def test_complement_parity_matches_complement_sign_mask_and_its_closed_form():
+    for n in range(1, 9):
+        for k in range(n + 1):
+            table = _complement_parity(n, k)
+            assert list(table) == list(subset_masks(n, k)), (n, k)
+            for mask, odd in table.items():
+                assert complement_sign_mask(n, mask) == (-1 if odd else 1), (n, mask)
+                # (a, b) in A x A^c with a > b: sum_{a in A} a - C(|A|, 2)
+                assert odd == bool(sum(mask_to_indices(mask)) - comb(k, 2) & 1), (n, mask)
+
+
+def test_hodge_matches_the_per_cell_loop_on_every_bidegree():
+    rng = random.Random(24)
+    for n in range(1, 7):
+        for p in range(n + 1):
+            for q in range(n + 1):
+                odd = (p + q) * (n - p - q) % 2
+                for density in (0.25, 1):
+                    w = random_form(rng, n, p, q, density).scale(Fraction(-3, 7))
+                    assert w.hodge() == reference_hodge(w), (n, p, q)
+                    assert w.hodge().hodge() == (-w if odd else w), (n, p, q)
+
+
+# -- random_form's draws against the randint loop --------------------------------
+
+
+def reference_random_form(rng, n, p, q, density=0.25):
+    """The loop random_form ran before it drew its own bits: one
+    rng.randint(-9, 9) per hit cell."""
+    form = make_zero(n, p, q)
+    for mask_i in form.row_masks:
+        row = {}
+        for mask_j in form.col_masks:
+            if rng.random() < density:
+                value = rng.randint(-9, 9)
+                if value:
+                    row[mask_j] = value
+        if row:
+            form.cells[mask_i] = row
+    return form
+
+
+def test_random_form_draws_the_randint_stream():
+    # one generator per side runs through every shape, so a draw too many
+    # or too few shifts every later form as well as the state
+    for seed in range(40):
+        rng, oracle = random.Random(seed), random.Random(seed)
+        for n in range(1, 7):
+            for p in range(n + 1):
+                for q in range(n + 1):
+                    for density in (0, 0.25, 1):
+                        form = random_form(rng, n, p, q, density)
+                        assert form == reference_random_form(oracle, n, p, q, density), (
+                            seed, n, p, q, density
+                        )
+                        assert rng.getstate() == oracle.getstate(), (seed, n, p, q, density)
+        assert random_form(rng, 5, 2, 2) == reference_random_form(oracle, 5, 2, 2), seed
+        assert rng.getstate() == oracle.getstate(), seed

@@ -5,7 +5,10 @@ their matrix on the CurvatureTensor, and h_{2q}, T_{2q}, the report rows and
 the coordinate-plane s_{(p,q)} are then symmetric functions of it, from
 linalg.characteristic.  CurvatureTensor(R.form) carries no record and walks
 R, R^2, ..., so it is the oracle for every one of them.  The kernel itself
-is checked against principal minors and the definition of N_k.
+is checked against principal minors and the definition of N_k.  The h_4
+sign report of a model is classified off its matrix, against the report of
+CurvatureTensor(R.form), and reads R only for a scalar-flat hypersurface
+that is neither flat nor Einstein.
 """
 
 import random
@@ -195,10 +198,14 @@ def test_pq_on_a_model_spec_makes_no_curvature_tensor(made_forms, tmp_path, caps
         assert main(["pq", "--spec", str(path), "--p", "0", "--q", "1"]) == 0
         assert made_forms == [], spec
         assert main(["invariants", "--spec", str(path), "--max-q", "1"]) == 0
-        # only a hypersurface's h_4 sign report, at n >= 4, reads R
-        assert made_forms == ([2] if spec["model"] == "hypersurface" else []), spec
-        made_forms.clear()
-    capsys.readouterr()
+        assert made_forms == [], spec
+    # the h_4 sign report reads R only for a scalar-flat hypersurface that
+    # is neither flat nor Einstein, here one with a vanishing Weyl part
+    path = tmp_path / "spec.json"
+    path.write_text(dumps_canonical({"model": "hypersurface", "eigenvalues": ["-1", "1", "1", "1"]}))
+    assert main(["invariants", "--spec", str(path), "--max-q", "2"]) == 0
+    assert made_forms == [2]
+    assert '"conformally_flat_scalar_flat"' in capsys.readouterr().out
 
 
 def test_a_conformal_model_classifies_h4_off_h(made_forms):
@@ -228,6 +235,60 @@ def test_a_conformal_model_classifies_h4_off_h(made_forms):
         assert seen == {
             "flat", "einstein", "conformally_flat_scalar_flat", "hypothesis_not_met"
         }, n
+
+
+def rotated(b, rng):
+    """Q B Q^T for Q a product of rational rotations (3/5, 4/5) on random
+    coordinate pairs: B's eigenvalues, so its h_4 class, off the diagonal."""
+    n = b.n
+    rows = [[b.cell(1 << i, 1 << k) for k in range(n)] for i in range(n)]
+    for _ in range(2):
+        i, j = rng.sample(range(n), 2)
+        c, s = Fraction(3, 5), Fraction(4, 5)
+        for row in rows:  # B Q^T
+            row[i], row[j] = c * row[i] - s * row[j], s * row[i] + c * row[j]
+        rows[i], rows[j] = (  # Q (B Q^T)
+            [c * x - s * y for x, y in zip(rows[i], rows[j])],
+            [s * x + c * y for x, y in zip(rows[i], rows[j])],
+        )
+    return DoubleForm(n, 1, 1, rows)
+
+
+@st.composite
+def shape_operators_of_every_h4_class(draw):
+    """A symmetric B at n = 4..7: random, or rotated from a diagonal that is
+    flat (rank 1), Einstein (lambda I, or +-1 halves at even n),
+    scalar-flat with a vanishing Weyl part (-(n-2)/2, 1, ..., 1) or
+    without one (1, 1, -1/2, 0, ...)."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(4, 7))
+    lam = draw(st.fractions(-3, 3, max_denominator=4).filter(bool))
+    kind = draw(st.sampled_from(
+        ("random", "rank1", "scalar", "halves", "weyl_free", "scalar_flat")
+    ))
+    if kind == "random":
+        return symmetric_matrix(rng, n, draw(st.sampled_from((0.2, 0.5, 1.0))))
+    diagonal = {
+        "rank1": [lam] + [0] * (n - 1),
+        "scalar": [lam] * n,
+        "halves": [lam] * (n // 2) + [-lam] * (n - n // 2),
+        "weyl_free": [Fraction(2 - n, 2) * lam] + [lam] * (n - 1),
+        "scalar_flat": [lam, lam, -lam / 2] + [0] * (n - 3),
+    }[kind]
+    return rotated(_diagonal(n, diagonal), rng)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape_operators_of_every_h4_class())
+def test_a_hypersurface_classifies_h4_off_b(b):
+    tensor = make_hypersurface(b)
+    report = sign_report_h4(tensor)
+    read_r = "_make" not in vars(tensor)
+    walked = CurvatureTensor(tensor.form)
+    assert report == sign_report_h4(walked)
+    # R is read only for a scalar-flat B that is neither flat nor Einstein
+    scalar_flat = walked.form.contract().contract().is_zero()
+    assert read_r == (scalar_flat and report.classification not in ("flat", "einstein"))
 
 
 # -- the characteristic-polynomial kernel -----------------------------------------
