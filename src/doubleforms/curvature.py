@@ -21,17 +21,18 @@ The constant, hypersurface and conformally flat constructors record the
 small matrix behind R (h for R = g.h, B for R = B.B/2) on the tensor, and
 h_{2q}, T_{2q} and the coordinate-plane s_{(p,q)} of such a tensor are
 symmetric functions of that matrix, read off linalg.characteristic with no
-power of R.  Every other tensor walks R, R^2, ... (_powers).  Such a
-tensor makes R itself, and certifies it, only when R is read: the h_4 sign
-report reads it only for a scalar-flat hypersurface that is neither flat
-nor Einstein, and a coordinate-plane s_{(p,q)} never reads it.
+power of R.  Every other tensor walks R, R^2, ... (_powers).  A tensor
+with a record makes R from it with the algebra's own kernels, g.h as
+h.mul_g_power(1) and B.B/2 as B.mul(B) halved, and certifies it, only when
+R is read: the h_4 sign report reads it only for a scalar-flat
+hypersurface that is neither flat nor Einstein, and a coordinate-plane
+s_{(p,q)} never reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from itertools import islice
 from math import factorial
 
@@ -52,7 +53,7 @@ from .core import (
 )
 from .decomposition import _require_bianchi_symmetric, decompose
 from .exterior import _check_dimension, _is_count, subset_masks
-from .linalg import characteristic
+from .linalg import characteristic, rank
 
 
 @dataclass(frozen=True)
@@ -65,9 +66,10 @@ class CurvatureTensor:
     included, with h = (lambda/2) I) and ("hypersurface", B) for
     R = B.B/2.  The invariants read it when it is there (_model_rows) and
     walk R's powers otherwise, so CurvatureTensor(form) always walks.  A
-    model tensor makes R, and certifies it, on the first read of form
-    (__getattr__), so a caller that reads only the matrix, such as a
-    coordinate-plane s_{(p,q)}, never forms R.
+    model tensor makes R from its record alone, h.mul_g_power(1) or
+    B.mul(B)/2, and certifies it, on the first read of form (__getattr__),
+    so a caller that reads only the matrix, such as a coordinate-plane
+    s_{(p,q)}, never forms R.
     """
 
     form: DoubleForm
@@ -80,18 +82,21 @@ class CurvatureTensor:
 
     def __getattr__(self, name: str):
         """Reached only when no attribute is found: for form, on a model
-        tensor whose R is not made yet (_model_tensor)."""
-        make = self.__dict__.get("_make") if name == "form" else None
-        if make is None:
+        tensor whose R is not made yet (_matrix_model)."""
+        if name != "form" or self.model is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.__dict__["form"] = make()
+        kind, matrix = self.model
+        if kind == "conformal":
+            form = matrix.mul_g_power(1)
+        else:
+            form = matrix.mul(matrix).scale(Fraction(1, 2))
+        self.__dict__["form"] = form
         try:
             self.__post_init__()
         except DoubleFormError:
             del self.__dict__["form"]  # an uncertified R is never read
             raise
-        del self.__dict__["_make"]
-        return self.form
+        return form
 
     @property
     def n(self) -> int:
@@ -106,117 +111,44 @@ class CurvatureTensor:
 
 
 def make_constant_curvature(n: int, curvature) -> CurvatureTensor:
-    """R = (lambda/2) g^2, the constant-sectional-curvature model.
-
-    g^2 = 2 sum_{|S|=2} e_S (x) e_S, so R holds lambda on every diagonal
-    cell (S, S) with |S| = 2 and nothing else; it is published as such.
-    R = g.h with h = (lambda/2) I, which the tensor records as its
-    conformal matrix.
+    """R = (lambda/2) g^2, the constant-sectional-curvature model: the
+    conformal model g.h of h = (lambda/2) I.  g^2 = 2 sum_{|S|=2} e_S (x) e_S,
+    so R holds lambda on every diagonal cell (S, S) with |S| = 2 and
+    nothing else.
     """
     if n < 2:
         raise DegreeError(f"constant curvature models need n >= 2, got {n}")
     lam = as_scalar(curvature)
     h = make_zero(n, 1, 1)
     h._publish({mask: {mask: lam.numerator} for mask in subset_masks(n, 1)}, 2 * lam.denominator)
-    return _model_tensor("conformal", h, partial(_diagonal_pairs, n, lam))
-
-
-def _diagonal_pairs(n: int, lam: Fraction) -> DoubleForm:
-    """The (2,2) form holding lam on every cell (S, S) with |S| = 2."""
-    out = make_zero(n, 2, 2)
-    out._publish({mask: {mask: lam.numerator} for mask in subset_masks(n, 2)}, lam.denominator)
-    return out
+    return make_conformally_flat(h)
 
 
 def make_hypersurface(second_fundamental: DoubleForm) -> CurvatureTensor:
-    """R = B^2/2 for a symmetric shape operator B, per the Gauss equation
-    (_gauss_form); the tensor records B.  At n = 1 the result is the zero
-    (1,1) form, the clamped degree of B.B there, with no record.
-    """
-    b = second_fundamental
-    if (b.p, b.q) != (1, 1):
-        raise DegreeError(f"the shape operator must be a (1,1)-form, got ({b.p},{b.q})")
-    if not b.is_symmetric():
-        raise DoubleFormError("the shape operator must be symmetric")
-    if b.n == 1:
-        return CurvatureTensor(make_zero(1, 1, 1))
-    return _model_tensor("hypersurface", b, partial(_gauss_form, b))
-
-
-def _gauss_form(b: DoubleForm) -> DoubleForm:
-    """B.B/2 for a symmetric (1,1)-form B on n >= 2 indices:
-
-        R[{i,j}, {k,l}] = B_ik B_jl - B_il B_jk    for i < j and k < l.
-
-    B.B reaches that cell from (e_i (x) e_k).(e_j (x) e_l) and from the
-    same two factors in the other order, with the same sign, and the 1/2
-    cancels that double count.  So each unordered pair of stored rows
-    i < j of B is visited once: B_ik B_jl with k != l goes to the column
-    {k, l}, with sign + for k < l and - for k > l (e_l ^ e_k = -e_k ^ e_l).
-    The numerators are published once, over B.den^2.
-    """
-    rows = sorted(b.cells.items())
-    acc = {}
-    for at, (mask_i, row_i) in enumerate(rows):
-        for mask_j, row_j in rows[at + 1:]:
-            target = acc[mask_i | mask_j] = {}
-            for mask_k, x in row_i.items():
-                for mask_l, y in row_j.items():
-                    if mask_k == mask_l:
-                        continue
-                    col = mask_k | mask_l
-                    if mask_k < mask_l:
-                        target[col] = target.get(col, 0) + x * y
-                    else:
-                        target[col] = target.get(col, 0) - x * y
-    out = make_zero(b.n, 2, 2)
-    out._publish(acc, b.den * b.den)
-    return out
+    """R = B.B/2 for a symmetric shape operator B, by the Gauss equation
+    R[{i,j}, {k,l}] = B_ik B_jl - B_il B_jk; the tensor records B."""
+    return _matrix_model("hypersurface", second_fundamental, "the shape operator")
 
 
 def make_conformally_flat(h: DoubleForm) -> CurvatureTensor:
-    """R = g.h for a symmetric (1,1)-form h (vanishing Weyl part,
-    _conformal_form); the tensor records h.  At n = 1 the result is the
-    zero (1,1) form, the clamped degree of g.h there, with no record."""
-    if (h.p, h.q) != (1, 1):
-        raise DegreeError(f"the conformal factor must be a (1,1)-form, got ({h.p},{h.q})")
-    if not h.is_symmetric():
-        raise DoubleFormError("the conformal factor must be symmetric")
-    if h.n == 1:
+    """R = g.h for a symmetric (1,1)-form h (vanishing Weyl part); the
+    tensor records h."""
+    return _matrix_model("conformal", h, "the conformal factor")
+
+
+def _matrix_model(kind: str, matrix: DoubleForm, name: str) -> CurvatureTensor:
+    """The tensor with the model record (kind, matrix) for a symmetric
+    (1,1)-form matrix; R is made, and certified, on the first read of form
+    (CurvatureTensor.__getattr__).  At n = 1 the result is the zero (1,1)
+    form, the clamped degree of g.h and B.B there, with no record."""
+    if (matrix.p, matrix.q) != (1, 1):
+        raise DegreeError(f"{name} must be a (1,1)-form, got ({matrix.p},{matrix.q})")
+    if not matrix.is_symmetric():
+        raise DoubleFormError(f"{name} must be symmetric")
+    if matrix.n == 1:
         return CurvatureTensor(make_zero(1, 1, 1))
-    return _model_tensor("conformal", h, partial(_conformal_form, h))
-
-
-def _conformal_form(h: DoubleForm) -> DoubleForm:
-    """g.h for a (1,1)-form h on n >= 2 indices, with no product.  The
-    cell (I, J) of g.h is the sum, over the indices c in both I and J, of
-    sign(c, I - c) sign(c, J - c) h[I - c, J - c], where sign(c, {a}) is
-    e_c ^ e_a against the sorted e_I: + for c < a, - for c > a.  So each
-    stored h_ab goes to the cells ({c, a}, {c, b}), c outside {a, b}, over
-    h.den."""
-    acc = {}
-    for mask_a, row in h.cells.items():
-        for bit in subset_masks(h.n, 1):
-            if bit == mask_a:
-                continue
-            target = acc.setdefault(mask_a | bit, {})
-            lower = bit < mask_a
-            for mask_b, value in row.items():
-                if bit != mask_b:
-                    col = mask_b | bit
-                    signed = value if (bit < mask_b) == lower else -value
-                    target[col] = target.get(col, 0) + signed
-    out = make_zero(h.n, 2, 2)
-    out._publish(acc, h.den)
-    return out
-
-
-def _model_tensor(kind: str, matrix: DoubleForm, make) -> CurvatureTensor:
-    """The tensor R = make() with the model record (kind, matrix); make
-    runs, and R is certified, on the first read of form."""
     tensor = object.__new__(CurvatureTensor)
     object.__setattr__(tensor, "model", (kind, matrix))
-    object.__setattr__(tensor, "_make", make)
     return tensor
 
 
@@ -224,14 +156,22 @@ def make_product(first: CurvatureTensor, second: CurvatureTensor) -> CurvatureTe
     """Curvature of a Riemannian product: disjoint embeddings summed.
 
     The first factor keeps indices [0, n1), the second moves to [n1, n1+n2).
+    A zero factor at n = 1, such as every model there (R clamps to the
+    zero (1,1) form), is a flat line: it adds no cells and takes the other
+    factor's degree, and two lines make the zero (2,2) form.
     """
-    if first.p != second.p:
+    degrees = {f.p for f in (first, second) if f.n > 1 or not f.form.is_zero()}
+    if len(degrees) > 1:
         raise DegreeError(
             f"product factors must share the degree, got {first.p} and {second.p}"
         )
+    (p,) = degrees or {2}
     n = first.n + second.n
-    total = _embed(first.form, n, 0) + _embed(second.form, n, first.n)
-    return CurvatureTensor(total)
+    left, right = (
+        _embed(f.form, n, offset) if f.p == p else make_zero(n, p, p)
+        for f, offset in ((first, 0), (second, first.n))
+    )
+    return CurvatureTensor(left + right)
 
 
 def _embed(form: DoubleForm, n_total: int, offset: int) -> DoubleForm:
@@ -699,7 +639,8 @@ def _h4_hypothesis(tensor: CurvatureTensor) -> str:
     and its scalar curvature is 2(n-1) tr(h).  A hypersurface R = B.B/2 is
     classified off B too, unless B is scalar-flat and neither flat nor
     Einstein; only then is R read, for its Weyl part.  R's cells are the
-    2x2 minors of B (_gauss_form), so R = 0 exactly when rank B <= 1.  Its
+    2x2 minors of B, R[{i,j}, {k,l}] = B_ik B_jl - B_il B_jk by the Gauss
+    equation, so R = 0 exactly when rank B <= 1.  Its
     Ricci contraction is tr(B) B - B^2 and its scalar curvature
     2 sigma_2(B), so T_2 = sigma_2(B) g - cR is the Newton tensor N_2(B)
     (_model_rows): R is Einstein exactly when N_2(B) is a multiple of I,
@@ -714,7 +655,8 @@ def _h4_hypothesis(tensor: CurvatureTensor) -> str:
         trace = sum(row.get(mask, 0) for mask, row in matrix.cells.items())
         return "conformally_flat_scalar_flat" if trace == 0 else "hypothesis_not_met"
     if kind == "hypersurface":
-        if _rank_at_most_one(matrix.cells):
+        rows = [[row.get(1 << k, 0) for k in range(matrix.n)] for row in matrix.cells.values()]
+        if rank(rows) <= 1:
             return "flat"
         ((h2, t2),) = _model_rows(tensor, range(1, 2), newton=True)
         if _is_multiple_of_identity(t2):
@@ -734,20 +676,6 @@ def _is_multiple_of_identity(matrix: DoubleForm) -> bool:
     """Whether a (1,1)-form is c I, c = 0 included."""
     diagonal = [row[mask] for mask, row in matrix.cells.items() if row.keys() == {mask}]
     return not matrix.cells or (len(diagonal) == matrix.n and len(set(diagonal)) == 1)
-
-
-def _rank_at_most_one(cells: dict) -> bool:
-    """Whether a (1,1)-form's cells make a matrix of rank <= 1: with one
-    stored B_ac, every stored row i is B_ic / B_ac times row a."""
-    if not cells:
-        return True
-    row_a = next(iter(cells.values()))
-    c, pivot = next(iter(row_a.items()))
-    return all(
-        c in row and {k: x * pivot for k, x in row.items()}
-        == {k: x * row[c] for k, x in row_a.items()}
-        for row in cells.values()
-    )
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,46 @@ def test_pq_command(product_spec, capsys):
     assert (intra, cross) == ("1", "0")
 
 
+_SPHERE = {"model": "constant", "n": 2, "lambda": "1"}
+_LINE = {"model": "hypersurface", "eigenvalues": ["1"]}
+
+
+@pytest.mark.parametrize(
+    "factors, n, entries",
+    [
+        # S^2 x R and R x S^2: the sphere's one cell, embedded
+        ([_SPHERE, _LINE], 3, [[[0, 1], [0, 1], "1"]]),
+        ([_LINE, _SPHERE], 3, [[[1, 2], [1, 2], "1"]]),
+        # R x R is the flat plane
+        ([_LINE, {"model": "conformally_flat", "h_matrix": [["2"]]}], 2, []),
+    ],
+)
+def test_a_line_factor_adds_no_cells_to_a_product(tmp_path, capsys, factors, n, entries):
+    product = tmp_path / "product.json"
+    product.write_text(json.dumps({"model": "product", "factors": factors}))
+    explicit = tmp_path / "explicit.json"
+    explicit.write_text(json.dumps(
+        {"model": "explicit", "form": {"n": n, "p": 2, "q": 2, "entries": entries}}
+    ))
+    for command in (["invariants", "--max-q", "1"], ["pq", "--p", "0", "--q", "1"]):
+        outputs = []
+        for path in (product, explicit):
+            assert main(command + ["--spec", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1], command
+
+
+def test_a_product_refuses_factors_of_different_degrees(tmp_path, capsys):
+    # a nonzero (1,1) form at n = 1 is a degree-1 tensor, not a flat line
+    line = {"model": "explicit", "form": {"n": 1, "p": 1, "q": 1, "entries": [[[0], [0], "5"]]}}
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps({"model": "product", "factors": [_SPHERE, line]}))
+    assert main(["invariants", "--max-q", "1", "--spec", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: product factors must share the degree, got 2 and 1\n"
+
+
 def test_pq_scalar_case(sphere_spec, capsys):
     assert main(["pq", "--spec", sphere_spec, "--p", "0", "--q", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)

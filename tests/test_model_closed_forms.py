@@ -8,7 +8,9 @@ R, R^2, ..., so it is the oracle for every one of them.  The kernel itself
 is checked against principal minors and the definition of N_k.  The h_4
 sign report of a model is classified off its matrix, against the report of
 CurvatureTensor(R.form), and reads R only for a scalar-flat hypersurface
-that is neither flat nor Einstein.
+that is neither flat nor Einstein.  R itself, made from the record by the
+product and g-power kernels, is held to the Gauss equation and to lambda on
+the diagonal pairs, cell by cell.
 """
 
 import random
@@ -162,7 +164,7 @@ def test_a_model_makes_and_certifies_r_on_the_first_read_of_form(made_forms):
         if kind == "conformal":
             assert form == make_g(6).mul(matrix)
         else:
-            assert form == matrix.mul(matrix).scale(Fraction(1, 2))
+            assert form == gauss_form(matrix)
         made_forms.clear()
 
 
@@ -173,11 +175,67 @@ def test_the_conformal_r_is_g_times_h():
             assert make_conformally_flat(h).form == make_g(n).mul(h), (n, density)
 
 
+def gauss_form(b):
+    """B.B/2 by the Gauss equation, for a symmetric (1,1)-form B at n >= 2:
+
+        R[{i,j}, {k,l}] = B_ik B_jl - B_il B_jk    for i < j and k < l.
+
+    B.B reaches that cell from (e_i (x) e_k).(e_j (x) e_l) and from the
+    same two factors in the other order, with the same sign, and the 1/2
+    cancels that double count.  So each unordered pair of stored rows
+    i < j of B is visited once: B_ik B_jl with k != l goes to the column
+    {k, l}, with sign + for k < l and - for k > l (e_l ^ e_k = -e_k ^ e_l).
+    The numerators are published once, over B.den^2.
+    """
+    rows = sorted(b.cells.items())
+    acc = {}
+    for at, (mask_i, row_i) in enumerate(rows):
+        for mask_j, row_j in rows[at + 1:]:
+            target = acc[mask_i | mask_j] = {}
+            for mask_k, x in row_i.items():
+                for mask_l, y in row_j.items():
+                    if mask_k == mask_l:
+                        continue
+                    col = mask_k | mask_l
+                    if mask_k < mask_l:
+                        target[col] = target.get(col, 0) + x * y
+                    else:
+                        target[col] = target.get(col, 0) - x * y
+    out = make_zero(b.n, 2, 2)
+    out._publish(acc, b.den * b.den)
+    return out
+
+
+@st.composite
+def shape_operators(draw):
+    """A random symmetric rational B at n = 2..8, diagonal or dense."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(2, 8))
+    if draw(st.booleans()):
+        return _diagonal(n, [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)])
+    return symmetric_matrix(rng, n, draw(st.sampled_from((0.5, 1.0))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape_operators())
+def test_the_hypersurface_r_is_the_gauss_equation(b):
+    assert make_hypersurface(b).form == gauss_form(b)
+
+
+@pytest.mark.parametrize("lam", [Fraction(1), Fraction(-3, 2), Fraction(2, 7), Fraction(0)])
+def test_the_constant_r_is_lambda_on_the_diagonal_pairs(lam):
+    for n in range(2, 9):
+        pairs = [(1 << a) | (1 << b) for a, b in combinations(range(n), 2)]
+        expected = {(mask, mask): lam for mask in pairs} if lam else {}
+        form = make_constant_curvature(n, lam).form
+        assert {(i, j): v for i, j, v in form.entries()} == expected, n
+
+
 def test_a_model_whose_r_fails_its_certificate_never_hands_r_out(monkeypatch):
     broken = make_zero(4, 2, 2)
     broken._publish({0b0011: {0b1100: 1}}, 1)  # not symmetric
     tensor = make_constant_curvature(4, 1)
-    monkeypatch.setitem(vars(tensor), "_make", lambda: broken)
+    monkeypatch.setattr(DoubleForm, "mul_g_power", lambda self, power: broken)
     for _ in range(2):
         with pytest.raises(DoubleFormError, match="needs a symmetric form"):
             tensor.form
@@ -283,7 +341,7 @@ def shape_operators_of_every_h4_class(draw):
 def test_a_hypersurface_classifies_h4_off_b(b):
     tensor = make_hypersurface(b)
     report = sign_report_h4(tensor)
-    read_r = "_make" not in vars(tensor)
+    read_r = "form" in vars(tensor)
     walked = CurvatureTensor(tensor.form)
     assert report == sign_report_h4(walked)
     # R is read only for a scalar-flat B that is neither flat nor Einstein
