@@ -13,7 +13,6 @@ on stdout is byte-identical for identical inputs; timing goes to stderr.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import re
@@ -118,22 +117,24 @@ def _cmd_verify(args) -> int:
     dims = [args.n] if args.n is not None else [4, 5]
     for n in dims:  # before opening --timings, which empties the file
         verify.check_arguments(args.suite, n, args.trials, args.seed)
-    with contextlib.ExitStack() as stack:
-        timings = None
-        if args.timings is not None:
-            # opened before the run, so that a bad path fails at once
-            try:
-                timings = stack.enter_context(open(args.timings, "w", encoding="utf-8"))
-            except OSError as exc:
-                raise SchemaError("--timings", f"cannot write file: {exc}") from exc
-        started = time.perf_counter()
-        outcomes = [verify.run_verify(args.suite, n, args.trials, args.seed) for n in dims]
+    timings = None
+    if args.timings is not None:  # opened before the run, so that a bad path fails at once
+        try:
+            timings = open(args.timings, "w", encoding="utf-8")
+        except OSError as exc:
+            raise SchemaError("--timings", f"cannot write file: {exc}") from exc
+    started = time.perf_counter()
+    outcomes = []
+    try:
+        for n in dims:
+            outcomes.append(verify.run_verify(args.suite, n, args.trials, args.seed))
         elapsed = time.perf_counter() - started
+    finally:  # a run refused midway leaves FILE with the runs that finished
         if timings is not None:
             try:
-                json.dump({"runs": [o.timings_dict() for o in outcomes]}, timings, indent=2)
-                timings.write("\n")
-                timings.close()
+                with timings:
+                    json.dump({"runs": [o.timings_dict() for o in outcomes]}, timings, indent=2)
+                    timings.write("\n")
             except OSError as exc:
                 raise SchemaError("--timings", f"cannot write file: {exc}") from exc
     if len(outcomes) == 1:

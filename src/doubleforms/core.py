@@ -17,7 +17,8 @@ g-powers) read each operand's den, accumulate plain ints over the product
 or lcm of those, and publish, which drops the cells that cancelled and
 divides by one gcd.  c^k and g^k visit the same k-subsets S with the same
 sign, (-1)^popcount((I ^ J) & odd_S): contract, g_power_sum and
-decomposition.g_power_matrix draw them from one table, _subset_table(k).
+decomposition._g_power_image, the entries of g_power_matrix and of the
+keyed g^k blocks, draw them from one table, _subset_table(k).
 trace_of_product sums the diagonal of a product into one int without
 forming the product; it reads its partner subsets C, plain masks, from a
 second memo, _subsets_of(mask, k).  One enumerator, _k_subsets, fills both.
@@ -29,14 +30,16 @@ e_A ^ e_{A^c} from a third, _complement_parity(n, k), an lru_cache like
 exterior._mask_rank_table: one C(n, k)-entry map per (n, k) met, so at most
 2^n entries per n.  A Fraction is made only where a value leaves a form:
 cell(), entries(), inner(), evaluate(), trace_of_product() and the
-flattened array.  One kernel, _wedge, computes
+flattened array; _from_cells publishes numerators given per cell.  One
+kernel, _wedge, computes
 the coordinates of a wedge v_1 ^ ... ^ v_k of integer vectors, one vector
 at a time, as a sparse mask -> int map; evaluate() and curvature.Frame read
 it.  The cell budget bounds the number of stored cells: it is checked where
 a kernel publishes its result, where dense rows or a flattened array come
-in, and on the dense integer matrices built for linear solving.  The
+in, and on the integer matrices of linear algebra: g_power_matrix whole,
+and each block of linalg.keyed_blocks.  The
 flattened layout (index sets in lexicographic order, row-major) is known
-in _flat_cells, _flatten and _unflatten here, and in
+in _flatten and _unflatten here, and in
 decomposition.g_power_matrix, which writes the row of a target cell as
 row_rank[I] * cols + col_rank[J] itself.  Exact values become integer
 numerators over one denominator through one scaler, _integer_numerators:
@@ -759,7 +762,7 @@ class _SubsetTable(dict):
     when mask has fewer than k elements; each entry is made on first use.
     The one source of the subsets S and parities odd_S that c^k and g^k
     visit: contract reads the entry of I & J, g_power_sum and
-    decomposition.g_power_matrix the entry of the full mask of range(n).
+    decomposition._g_power_image the entry of the full mask of range(n).
     A memo like exterior's lru_caches: at most one entry per mask of up to
     MAX_DIMENSION bits."""
 
@@ -889,23 +892,17 @@ def _sorted_cells(form: DoubleForm):
             yield mask_i, mask_j, row[mask_j]
 
 
-def _flat_cells(form: DoubleForm):
-    """(position in the lex-ordered, row-major flattened array, numerator)
-    per stored cell; the values are the numerators over form.den."""
+def _flatten(form: DoubleForm) -> list[Fraction]:
+    """The dense flattened coefficient array of a form: lex-ordered rows,
+    row-major."""
     row_rank = _mask_rank_table(form.n, form.p)
     col_rank = _mask_rank_table(form.n, form.q)
     cols = comb(form.n, form.q)
+    values = [_ZERO] * (comb(form.n, form.p) * cols)
     for mask_i, row in form.cells.items():
         base = row_rank[mask_i] * cols
         for mask_j, num in row.items():
-            yield base + col_rank[mask_j], num
-
-
-def _flatten(form: DoubleForm) -> list[Fraction]:
-    """The dense flattened coefficient array of a form."""
-    values = [_ZERO] * (comb(form.n, form.p) * comb(form.n, form.q))
-    for index, num in _flat_cells(form):
-        values[index] = Fraction(num, form.den)
+            values[base + col_rank[mask_j]] = Fraction(num, form.den)
     return values
 
 
@@ -913,6 +910,17 @@ def _unflatten(n: int, p: int, q: int, values) -> DoubleForm:
     """The form whose flattened coefficient array is values."""
     cols = comb(n, q)
     return DoubleForm(n, p, q, [values[at:at + cols] for at in range(0, len(values), cols)])
+
+
+def _from_cells(n: int, p: int, q: int, nums: dict, den: int) -> DoubleForm:
+    """The form with value nums[(mask_I, mask_J)] / den at e_I (x) e_J, for
+    integer numerators (zeros allowed, absent cells zero) and den > 0."""
+    acc: dict = {}
+    for (mask_i, mask_j), num in nums.items():
+        acc.setdefault(mask_i, {})[mask_j] = num
+    form = DoubleForm(n, p, q)
+    form._publish(acc, den)
+    return form
 
 
 # -- constructors -----------------------------------------------------------

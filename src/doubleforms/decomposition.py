@@ -38,6 +38,8 @@ from .core import (
     DoubleForm,
     DoubleFormError,
     _flatten,
+    _from_cells,
+    _integer_numerators,
     _require_cell_budget,
     _subset_table,
     _unflatten,
@@ -122,14 +124,12 @@ def g_power_matrix(n: int, p: int, q: int, power: int) -> list[list[int]]:
     """Matrix of w -> g^power . w from D^{p,q} to D^{p+power,q+power}.
 
     Rows are target cells, columns source basis elements, both in the
-    flattened layout of core._flat_cells.  Entries are integers.  A matrix
+    flattened layout of core._flatten.  Entries are integers.  A matrix
     with more cells than the cell budget is refused before it is allocated.
+    divide_g_power solves against it; map_rank and _g_power_kernel take
+    _g_power_blocks instead.
     """
-    _check_dimension(n, DegreeError)
-    if not (_is_count(p, 0, n) and _is_count(q, 0, n)):
-        raise DegreeError(f"bidegree ({p},{q}) out of range for n={n}")
-    if not _is_count(power, 0):
-        raise DegreeError(f"g-power must be nonnegative, got {power}")
+    image = _g_power_image(n, p, q, power)
     overflow = p + power > n or q + power > n
     source_dim = comb(n, p) * comb(n, q)
     target_dim = 1 if overflow else comb(n, p + power) * comb(n, q + power)
@@ -143,29 +143,65 @@ def g_power_matrix(n: int, p: int, q: int, power: int) -> list[list[int]]:
     row_rank = _mask_rank_table(n, p + power)
     col_rank = _mask_rank_table(n, q + power)
     cols = comb(n, q + power)
-    weight = factorial(power)
-    subsets = _subset_table(power)[(1 << n) - 1]
     col = 0
     for mask_i in subset_masks(n, p):
         for mask_j in subset_masks(n, q):
-            # g^power . (e_I (x) e_J) = power! sum_S sign(S,I) sign(S,J)
-            # e_{S u I} (x) e_{S u J}, S disjoint from I and J (g_power_sum)
-            used, differ = mask_i | mask_j, mask_i ^ mask_j
-            for mask_s, odd_s in subsets:
-                if not mask_s & used:
-                    row = matrix[row_rank[mask_s | mask_i] * cols + col_rank[mask_s | mask_j]]
-                    row[col] = -weight if (differ & odd_s).bit_count() & 1 else weight
+            for (mask_ti, mask_tj), value in image((mask_i, mask_j)):
+                matrix[row_rank[mask_ti] * cols + col_rank[mask_tj]][col] = value
             col += 1
     return matrix
 
 
+def _g_power_image(n: int, p: int, q: int, power: int):
+    """For g^power on D^{p,q}, once n, (p, q) and power are checked, the map
+    from a cell (mask_I, mask_J) to ((target I, target J), integer) pairs:
+    power! sum_S sign(S,I) sign(S,J) e_{S u I} (x) e_{S u J} over the
+    power-subsets S disjoint from I and J."""
+    _check_dimension(n, DegreeError)
+    if not (_is_count(p, 0, n) and _is_count(q, 0, n)):
+        raise DegreeError(f"bidegree ({p},{q}) out of range for n={n}")
+    if not _is_count(power, 0):
+        raise DegreeError(f"g-power must be nonnegative, got {power}")
+    weight = factorial(power)
+    subsets = _subset_table(power)[(1 << n) - 1]
+
+    def image(cell):
+        mask_i, mask_j = cell
+        used, differ = mask_i | mask_j, mask_i ^ mask_j
+        return [((mask_s | mask_i, mask_s | mask_j),
+                 -weight if (differ & odd_s).bit_count() & 1 else weight)
+                for mask_s, odd_s in subsets if not mask_s & used]
+
+    return image
+
+
+def _g_power_blocks(n: int, p: int, q: int, power: int):
+    """The keyed blocks of g^power on D^{p,q}: S is disjoint from I and J, so
+    e_{S u I} (x) e_{S u J} keeps the key (I - J, J - I) of e_I (x) e_J."""
+    image = _g_power_image(n, p, q, power)  # checks the arguments first
+    return linalg.keyed_blocks(
+        [(mask_i, mask_j) for mask_i in subset_masks(n, p) for mask_j in subset_masks(n, q)],
+        lambda cell: (cell[0] & ~cell[1], cell[1] & ~cell[0]),
+        image,
+        f"g^{power} on D^({p},{q}) at n={n}, keyed by (I - J, J - I)",
+    )
+
+
 def map_rank(n: int, p: int, q: int, power: int) -> int:
-    """Exact rank of multiplication by g^power on D^{p,q}.
+    """Exact rank of multiplication by g^power on D^{p,q}, block by block.
 
     Full source dimension exactly when p + q + power <= n (injectivity),
     full target dimension exactly when the map is onto.
     """
-    return linalg.rank(g_power_matrix(n, p, q, power))
+    return sum(linalg.rank(rows) for _, rows in _g_power_blocks(n, p, q, power))
+
+
+def _g_power_kernel(n: int, p: int, q: int, power: int):
+    """A basis of the kernel of g^power on D^{p,q} as forms, block by block."""
+    for cells, rows in _g_power_blocks(n, p, q, power):
+        for vector in linalg.nullspace(rows):
+            nums, den = _integer_numerators(vector)
+            yield _from_cells(n, p, q, dict(zip(cells, nums)), den)
 
 
 def divide_g_power(form: DoubleForm, power: int) -> DoubleForm:

@@ -40,7 +40,7 @@ def _check_dimension(n: int, error: type[ValueError] = BasisError) -> None:
     with error: the one ambient-dimension check and its one message.
 
     IndexSet and subset_masks raise BasisError; DoubleForm (which calls this
-    only once its inline copy of the test has failed) and g_power_matrix
+    only once its inline copy of the test has failed), g_power_matrix and map_rank
     raise DegreeError, curvature.Frame FrameError, and
     verify.check_arguments UsageError.  subset_masks and
     _mask_rank_table are lru_cached, and True == 1 shares their cache entry,

@@ -9,22 +9,29 @@ solve: x is the kernel vector of [A | -b] whose last entry is 1.  The
 pivots in A's columns are those of A alone, so free variables are zero,
 and there is no solution when the last column is a pivot.
 
-rank and KernelProjector work block by block.  The operator matrices built
-from double forms (the Bianchi and contraction constraints, g_power_matrix)
-preserve I delta J and so are block-diagonal up to an ordering of rows and
-columns.  _blocks finds the connected components of any matrix's nonzero
-pattern, with no knowledge of the operator: the rank is the sum of the
-block ranks, and the orthogonal projection onto the kernel is the blockwise
-projection, one precomputed integer matrix per block.  nullspace stays
-whole, because the basis it returns depends on the elimination order.
+rank and nullspace take one matrix and run one elimination on it.  The
+operator matrices built from double forms (g^k, the Bianchi sum) keep a
+key of the source cell, so they are block diagonal by that key:
+keyed_blocks builds them one block at a time, from each basis vector's
+image, and its callers hand each block to rank, nullspace and
+KernelProjector.  The rank is the sum of the block ranks, a kernel basis
+the union of the block kernels, and the orthogonal projection onto the
+kernel the blockwise projection, one precomputed integer matrix per block.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
-from .core import DoubleFormError, IdentityError, _integer_numerators, as_scalar
+from .core import (
+    DoubleFormError,
+    IdentityError,
+    _integer_numerators,
+    _require_cell_budget,
+    cell_budget,
+)
 
 _ZERO = Fraction(0)
 _NO_ROW: dict = {}  # read-only stand-in for a row with no stored entry
@@ -36,9 +43,15 @@ def _reduce_content(vec: list[int]) -> list[int]:
     return [v // content for v in vec] if content > 1 else vec
 
 
+def _numerators(values) -> tuple[list[int], int]:
+    """core._integer_numerators of exact values, ints copied as they are."""
+    values = list(values)
+    return (values, 1) if set(map(type, values)) <= {int} else _integer_numerators(values)
+
+
 def _integer_row(row) -> list[int]:
     """Clear denominators and divide out the content of a rational row."""
-    return _reduce_content(_integer_numerators(row)[0])
+    return _reduce_content(_numerators(row)[0])
 
 
 def _echelon(matrix) -> tuple[list[list[int]], list[int]]:
@@ -101,43 +114,36 @@ def _back_substitute(rows, pivots, cols: int, free: int) -> list[Fraction]:
     return [Fraction(v, d) if v else _ZERO for v in num]
 
 
-def _blocks(rows) -> list[tuple[list[int], list[int]]]:
-    """The connected components of the nonzero pattern of a matrix.
-
-    Two columns are joined when a row is nonzero in both (union-find over
-    columns).  Returns (row indices, column indices) per component that
-    holds a nonzero row, rows and columns each in their original order;
-    zero rows and columns zero in every row belong to no component.
-    """
-    parent: dict[int, int] = {}
-
-    def root(c: int) -> int:
-        while parent[c] != c:
-            parent[c] = c = parent[parent[c]]
-        return c
-
-    supports = [[c for c, v in enumerate(row) if v] for row in rows]
-    for support in supports:
-        for c in support:
-            parent.setdefault(c, c)
-            parent[root(c)] = root(support[0])
-    blocks: dict[int, tuple[list[int], list[int]]] = {}
-    for r, support in enumerate(supports):
-        if support:
-            blocks.setdefault(root(support[0]), ([], []))[0].append(r)
-    for c in sorted(parent):
-        blocks[root(c)][1].append(c)
-    return list(blocks.values())
+def keyed_blocks(columns, key, image, what: str):
+    """The blocks of a linear operator that keeps a key of its basis vectors:
+    image(label) is the image of the basis vector labelled label, as (target
+    label, integer) pairs whose targets share its key(label).  Yields (cols,
+    rows) per key, in the order the keys first appear in columns: the
+    block's labels, and one integer row per target met (one zero row if
+    none).  A block is made when it is reached and refused past the cell
+    budget before its rows are allocated, the refusal naming its key."""
+    groups: dict = {}
+    for label in columns:
+        groups.setdefault(key(label), []).append(label)
+    for block_key, cols in groups.items():
+        images = [image(label) for label in cols]
+        targets: dict = {}
+        for pairs in images:
+            for target, _ in pairs:
+                targets.setdefault(target, len(targets))
+        height, width = max(len(targets), 1), len(cols)
+        if height * width > cell_budget():
+            _require_cell_budget(height * width, f"the {height}x{width} block {block_key} of {what}")
+        rows = [[0] * width for _ in range(height)]
+        for c, pairs in enumerate(images):
+            for target, value in pairs:
+                rows[targets[target]][c] = value
+        yield cols, rows
 
 
 def rank(matrix) -> int:
-    """Exact rank: the sum over the blocks of the forward elimination's
-    pivot count on the block."""
-    total = 0
-    for block_rows, cols in _blocks(matrix):
-        rows = [[matrix[r][c] for c in cols] for r in block_rows]
-        total += len(_echelon(rows)[1])
-    return total
+    """Exact rank: the forward elimination's pivot count."""
+    return len(_echelon(matrix)[1])
 
 
 def solve(matrix, rhs) -> list[Fraction] | None:
@@ -231,23 +237,25 @@ def _dot_int(a, b) -> int:
 
 
 class KernelProjector:
-    """Orthogonal projection onto the kernel of a constraint matrix.
+    """Orthogonal projection onto the kernel of a block-diagonal constraint
+    operator, given as (cols, rows) blocks like keyed_blocks': rows over the
+    block's columns, labelled by cols, no label in two blocks.
 
-    Per block of the constraint rows, Gram-Schmidt (without normalization)
-    orthogonalizes the rows into an integer basis b of the block's row
-    space, and the block's projector I - sum b b^T / |b|^2 is stored as the
-    integer matrix scale * (I - sum b b^T / |b|^2), scale the lcm of the
-    |b|^2.  Columns outside every block pass through unchanged.  Exact,
-    deterministic, and cached by callers.
+    Per block, Gram-Schmidt (without normalization) orthogonalizes the rows
+    into an integer basis b of the block's row space, and the block's
+    projector I - sum b b^T / |b|^2 is stored as the integer matrix
+    scale * (I - sum b b^T / |b|^2), scale the lcm of the |b|^2.  Labels
+    outside every block, and blocks of zero rows, pass through unchanged.
+    Exact, deterministic, and cached by callers.
     """
 
-    def __init__(self, constraint_rows):
-        self.blocks: list[tuple[list[int], list[list[int]], int]] = []
-        for block_rows, cols in _blocks(constraint_rows):
+    def __init__(self, blocks):
+        self.blocks: list[tuple[list, list[list[int]], int]] = []
+        for cols, rows in blocks:
             basis: list[list[int]] = []
             norms: list[int] = []
-            for r in block_rows:
-                vec = _integer_row([constraint_rows[r][c] for c in cols])
+            for row in rows:
+                vec = _integer_row(row)
                 for b, nb in zip(basis, norms):
                     d = _dot_int(vec, b)
                     if d:
@@ -255,26 +263,29 @@ class KernelProjector:
                 if any(vec):
                     basis.append(vec)
                     norms.append(_dot_int(vec, vec))
-            scale = lcm(*norms)
-            weights = [scale // nb for nb in norms]
-            matrix = [
-                [scale * (i == j) - sum(w * b[i] * b[j] for b, w in zip(basis, weights))
-                 for j in range(len(cols))]
-                for i in range(len(cols))
-            ]
-            self.blocks.append((cols, matrix, scale))
+            if basis:
+                scale = lcm(*norms)
+                weights = [scale // nb for nb in norms]
+                matrix = [
+                    [scale * (i == j) - sum(w * b[i] * b[j] for b, w in zip(basis, weights))
+                     for j in range(len(cols))]
+                    for i in range(len(cols))
+                ]
+                self.blocks.append((cols, matrix, scale))
 
-    def project(self, vector) -> list[Fraction]:
-        """The projection of a rational vector: its denominators cleared
-        once, then one integer matrix-vector product per block."""
-        out = list(map(as_scalar, vector))
-        scaled, den = _integer_numerators(out)
-        for cols, matrix, scale in self.blocks:
-            nums = [scaled[c] for c in cols]
-            if not any(nums):
-                continue
-            total = scale * den
+    def project(self, values: dict) -> tuple[dict, int]:
+        """The projection of the vector with entries values[label], exact
+        rationals (absent: zero), as integer numerators over one den:
+        (numerators, den), with a numerator for each label of values and of
+        each block met, over the lcm of the met blocks' scales."""
+        nums, den = _numerators(values.values())
+        scaled = dict(zip(values, nums))
+        met = [(cols, matrix, scale, block) for cols, matrix, scale in self.blocks
+               if any(block := [scaled.get(c, 0) for c in cols])]
+        common = lcm(*(scale for _, _, scale, _ in met))
+        out = {label: num * common for label, num in scaled.items()}
+        for cols, matrix, scale, block in met:
+            factor = common // scale
             for c, row in zip(cols, matrix):
-                value = sum(m * x for m, x in zip(row, nums) if x)
-                out[c] = Fraction(value, total) if value else _ZERO
-        return out
+                out[c] = factor * sum(map(mul, row, block))
+        return out, common * den

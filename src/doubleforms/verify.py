@@ -21,10 +21,7 @@ from .core import (
     DoubleForm,
     DoubleFormError,
     _diagonal,
-    _flat_cells,
-    _flatten,
-    _require_cell_budget,
-    _unflatten,
+    _from_cells,
     contractions,
     make_g,
     make_scalar,
@@ -51,8 +48,8 @@ from .curvature import (
     weyl_invariant,
 )
 from .decomposition import (
+    _g_power_kernel,
     decompose,
-    g_power_matrix,
     is_effective,
     map_rank,
     project_conformal,
@@ -60,7 +57,7 @@ from .decomposition import (
     star_in_components,
 )
 from .exterior import _check_dimension, _is_count, subset_masks
-from .linalg import KernelProjector, nullspace
+from .linalg import KernelProjector, keyed_blocks
 
 
 class UsageError(ValueError):
@@ -103,41 +100,30 @@ def random_symmetric(rng: random.Random, n: int, p: int) -> DoubleForm:
     return (form + form.transpose()).scale(Fraction(1, 2))
 
 
-def _unit_form(n: int, p: int, q: int, mask_i: int, mask_j: int) -> DoubleForm:
-    """The basis form e_I (x) e_J of D^{p,q}, for I and J given as masks."""
-    form = make_zero(n, p, q)
-    form.cells[mask_i] = {mask_j: 1}
-    return form
-
-
-def _operator_rows(n: int, p: int, q: int, operator) -> list[list[int]]:
-    """Integer matrix of a linear operator on D^{p,q}, one row per target cell."""
-    probe = operator(make_zero(n, p, q))
-    sources = comb(n, p) * comb(n, q)
-    targets = comb(n, probe.p) * comb(n, probe.q)
-    _require_cell_budget(
-        targets * sources, f"the {targets}x{sources} matrix of an operator on D^({p},{q}) at n={n}"
+def _bianchi_blocks(n: int, p: int):
+    """The keyed blocks of the first Bianchi sum on D^{p,p}, a cell's image
+    read off bianchi_sum of its basis form: the sum moves one index of J - I
+    into I, so it keeps the key (I & J, I | J) of e_I (x) e_J."""
+    masks = subset_masks(n, p)
+    return keyed_blocks(
+        [(mask_i, mask_j) for mask_i in masks for mask_j in masks],
+        lambda cell: (cell[0] & cell[1], cell[0] | cell[1]),
+        lambda cell: [((mask_i, mask_j), num) for mask_i, row
+                      in _from_cells(n, p, p, {cell: 1}, 1).bianchi_sum().cells.items()
+                      for mask_j, num in row.items()],
+        f"the Bianchi sum on D^({p},{p}) at n={n}, keyed by (I & J, I | J)",
     )
-    rows = [[0] * sources for _ in range(targets)]
-    col = 0
-    for mask_i in subset_masks(n, p):
-        for mask_j in subset_masks(n, q):
-            image = operator(_unit_form(n, p, q, mask_i, mask_j))
-            assert image.den == 1, "an integer operator gave a fractional image"
-            for r, num in _flat_cells(image):
-                rows[r][col] = num
-            col += 1
-    return rows
 
 
 @lru_cache(maxsize=None)
 def bianchi_projector(n: int, p: int) -> KernelProjector:
-    """Orthogonal projector onto Ker B in D^{p,p}."""
-    return KernelProjector(_operator_rows(n, p, p, lambda w: w.bianchi_sum()))
+    """Orthogonal projector onto Ker B in D^{p,p}, over the cells (mask_I, mask_J)."""
+    return KernelProjector(_bianchi_blocks(n, p))
 
 
 def random_bianchi(rng: random.Random, n: int, p: int, effective: bool = False) -> DoubleForm:
-    """Random element of C_1^p: symmetrize, then project onto Ker B exactly.
+    """Random element of C_1^p: symmetrize, then project onto Ker B exactly,
+    block by block on the form's cells.
 
     Ker B is transpose-invariant on square bidegrees, so the projection of a
     symmetric form stays symmetric; this is asserted as a tripwire.  With
@@ -148,7 +134,10 @@ def random_bianchi(rng: random.Random, n: int, p: int, effective: bool = False) 
     together.
     """
     form = random_symmetric(rng, n, p)
-    projected = _unflatten(n, p, p, bianchi_projector(n, p).project(_flatten(form)))
+    nums, den = bianchi_projector(n, p).project({
+        (mask_i, mask_j): num for mask_i, row in form.cells.items() for mask_j, num in row.items()
+    })
+    projected = _from_cells(n, p, p, nums, den * form.den)
     assert projected.is_symmetric()
     return project_conformal(projected) if effective else projected
 
@@ -395,11 +384,11 @@ def check_adjointness(rec, rng, n, trials):
                 rights = []
                 for mk in subset_masks(n, p + 1):
                     for ml in subset_masks(n, q + 1):
-                        right = _unit_form(n, p + 1, q + 1, mk, ml)
+                        right = _from_cells(n, p + 1, q + 1, {(mk, ml): 1}, 1)
                         rights.append((right, right.contract()))
                 for mi in subset_masks(n, p):
                     for mj in subset_masks(n, q):
-                        left = _unit_form(n, p, q, mi, mj)
+                        left = _from_cells(n, p, q, {(mi, mj): 1}, 1)
                         g_left = g.mul(left)
                         for right, c_right in rights:
                             rec.case(
@@ -714,10 +703,9 @@ def check_metric_kernel_contractions(rec, rng, n, trials):
         if n < p + q + l <= n + 2 and p + l <= n and q + l <= n
     ]
     for p, q, l in configs:
-        kernel = nullspace(g_power_matrix(n, p, q, l))
+        kernel = _g_power_kernel(n, p, q, l)
         k_min = p + q + l - n
-        for idx, vec in enumerate(kernel[: max(1, trials // 8)]):
-            w = _unflatten(n, p, q, vec)
+        for idx, w in enumerate(itertools.islice(kernel, max(1, trials // 8))):
             ok = w.mul_g_power(l).is_zero() and w.contract(k_min).is_zero()
             rec.case(
                 f"(p,q,l)=({p},{q},{l})#{idx}",

@@ -202,6 +202,30 @@ def test_verify_usage_errors_leave_the_timings_file_as_it_was(tmp_path, capsys, 
     assert path.read_bytes() == b'{"runs": []}\n'
 
 
+@pytest.mark.parametrize("existing", [b'{"old": 1}', None])
+def test_a_refusal_midway_leaves_the_timings_of_the_runs_that_finished(tmp_path, existing):
+    # at a budget of 99 cells the decomposition suite passes at n = 4 and is
+    # refused at n = 5, by the identity block of g^0 on D^(2,2) (10 x 10)
+    path = tmp_path / "timings.json"
+    if existing is not None:
+        path.write_bytes(existing)
+    args = ["verify", "--suite", "decomposition", "--trials", "2", "--seed", "0"]
+    result = run_with_cell_budget("99", args=args + ["--timings", str(path)])
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == ""
+    assert result.stderr.startswith(
+        "error: refusing 100 cells for the 10x10 block (0, 0) of g^0 on D^(2,2) at n=5, "
+    ), result.stderr
+    timings = json.loads(path.read_text())
+    assert set(timings) == {"runs"}
+    assert [(run["suite"], run["n"]) for run in timings["runs"]] == [("decomposition", 4)]
+    assert timings["runs"][0]["cases"] > 0
+    # refused in the only run: FILE holds no run
+    result = run_with_cell_budget("99", args=args + ["--n", "5", "--timings", str(path)])
+    assert result.returncode == 2 and result.stdout == ""
+    assert json.loads(path.read_text()) == {"runs": []}
+
+
 def test_verify_usage_errors_keep_their_messages(capsys):
     assert main(["verify", "--suite", "hodge", "--n", "17", "--trials", "1"]) == 2
     assert capsys.readouterr().err == (

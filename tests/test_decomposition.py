@@ -25,17 +25,17 @@ from doubleforms import (
     project_conformal,
     reconstruct,
 )
-from doubleforms.core import _unflatten, cell_budget, set_cell_budget
-from doubleforms.decomposition import divide_g_power
+from doubleforms.core import cell_budget, set_cell_budget
+from doubleforms.decomposition import _g_power_kernel, divide_g_power
 from doubleforms.exterior import _mask_rank_table, subset_masks, wedge_sign_masks
-from doubleforms import linalg
 from doubleforms.verify import (
-    _operator_rows,
+    _bianchi_blocks,
     dim_effective,
     predicted_g_power_rank,
     random_bianchi,
     random_form,
 )
+from test_fast_path_oracles import operator_rows
 
 
 def iter_contract(form, times):
@@ -256,14 +256,33 @@ def test_g_power_matrix_entries_match_the_wedge_sign_oracle(n):
 
 
 def test_dense_matrices_are_refused_past_the_cell_budget():
+    # the dense g_power_matrix and the dense oracle operator_rows count a
+    # whole matrix; map_rank's and the Bianchi projector's keyed blocks count
+    # each block, and a refusal names the block by its key (the Bianchi
+    # blocks are built uncached, as bianchi_projector builds them)
     previous = cell_budget()
     try:
         set_cell_budget(1000)
         with pytest.raises(CellBudgetError, match="the 25x100 matrix of g\\^2 on D\\^\\(2,2\\) at n=5"):
             g_power_matrix(5, 2, 2, 2)
         with pytest.raises(CellBudgetError, match="the 50x100 matrix"):
-            _operator_rows(5, 2, 2, lambda w: w.bianchi_sum())
+            operator_rows(5, 2, 2, lambda w: w.bianchi_sum())
         assert len(g_power_matrix(4, 2, 2, 1)) == 16  # 16 x 36 = 576 cells
+        assert map_rank(5, 2, 2, 2) == 25  # no block of g^2 on D^(2,2) at n=5 passes 50 cells
+        with pytest.raises(
+            CellBudgetError,
+            match=r"refusing 4536 cells for the 126x36 block \(0, 0\) of g\^2 on D\^\(2,2\) at n=9, "
+            r"keyed by \(I - J, J - I\)",
+        ):
+            map_rank(9, 2, 2, 2)
+        set_cell_budget(100)
+        assert list(_bianchi_blocks(5, 2))  # its largest blocks have 4x6 cells
+        with pytest.raises(
+            CellBudgetError,
+            match=r"refusing 300 cells for the 15x20 block \(0, 63\) of the Bianchi sum on "
+            r"D\^\(3,3\) at n=6, keyed by \(I & J, I \| J\)",
+        ):
+            list(_bianchi_blocks(6, 3))
     finally:
         set_cell_budget(previous)
 
@@ -271,11 +290,10 @@ def test_dense_matrices_are_refused_past_the_cell_budget():
 def test_metric_power_kernel_contractions():
     # g^l w = 0 with l+p+q < n+1+k forces c^k w = 0
     for n, p, q, l in ((4, 2, 2, 1), (4, 1, 1, 3), (5, 2, 2, 2), (4, 2, 1, 2)):
-        kernel = linalg.nullspace(g_power_matrix(n, p, q, l))
+        kernel = list(_g_power_kernel(n, p, q, l))
         assert kernel, (n, p, q, l)
         k_min = l + p + q - n
-        for vec in kernel[:4]:
-            w = _unflatten(n, p, q, vec)
+        for w in kernel[:4]:
             assert w.mul_g_power(l).is_zero()
             assert iter_contract(w, k_min).is_zero()
 

@@ -5,10 +5,14 @@ route (divide_g_power, then decompose of the quotient), and the
 single-pass mul_g_power against repeated products by g.  The one Bareiss
 elimination behind linalg's rank, solve and nullspace is checked against
 determinants of minors, solve (the kernel vector of [A | -b]) against the
-rhs-carrying elimination it replaced, reference_solve, and the blockwise
-rank and KernelProjector against the whole-matrix rank and dense Fraction
-projector they replaced, on every g_power_matrix and constraint set at
-n <= 5 and on interleaved block matrices.  The one wedge kernel,
+rhs-carrying elimination it replaced, reference_solve.  The keyed blocks of
+g^k and the Bianchi sum are checked against the dense matrices they
+replaced (g_power_matrix and operator_rows, the image of every unit form):
+map_rank against the whole-matrix rank, the blockwise kernel against the
+dense nullspace's dimension and against g^l and c^k, and bianchi_projector
+and random_bianchi against the dense Fraction projector, on every
+configuration of verify's checks at n <= 6; keyed_blocks and
+KernelProjector on interleaved block matrices.  The one wedge kernel,
 core._wedge, is checked against Fraction minors on rational frames,
 dependent ones included, and coordinate frames' directly set wedge
 coordinates against the minors of their vectors.  The
@@ -64,7 +68,7 @@ import json
 import random
 import weakref
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb, factorial, gcd, lcm, prod
 
 import pytest
@@ -98,6 +102,7 @@ from doubleforms.core import (
     _complement_parity,
     _diagonal,
     _flatten,
+    _require_cell_budget,
     _subset_table,
     _subsets_of,
     _unflatten,
@@ -116,7 +121,7 @@ from doubleforms.curvature import (
     pq_sectional,
     sectional_curvature,
 )
-from doubleforms.decomposition import divide_g_power, g_power_matrix
+from doubleforms.decomposition import _g_power_kernel, divide_g_power, g_power_matrix, map_rank
 from doubleforms.exterior import IndexSet, complement_sign_mask, mask_to_indices, subset_masks
 from doubleforms.serialize import (
     SchemaError,
@@ -132,7 +137,8 @@ from doubleforms.serialize import (
 )
 from doubleforms.verify import (
     SUITES,
-    _operator_rows,
+    _bianchi_blocks,
+    bianchi_projector,
     model_zoo,
     random_bianchi,
     random_form,
@@ -385,13 +391,51 @@ def test_linalg_refuses_floats():
     with pytest.raises(DoubleFormError):
         linalg._integer_row([Fraction(1, 2), 0.1])
     with pytest.raises(DoubleFormError):
-        linalg.KernelProjector([[1, -1, 0]]).project([0.1, 0, 1])
+        linalg.KernelProjector([(range(3), [[1, -1, 0]])]).project({0: 0.1, 1: 0, 2: 1})
     with pytest.raises(DoubleFormError):
         linalg.solve([[1, 0]], [0.5])
 
 
 
-# -- linalg: blockwise rank and projection against the whole matrix ------------
+# -- linalg: keyed blocks against the dense operator matrices ------------------
+
+
+def operator_rows(n, p, q, operator):
+    """The dense integer matrix of a linear operator on D^{p,q}, one row per
+    target cell and one column per source cell, both in the flattened
+    layout: the image of each unit form, refused past the cell budget."""
+    probe = operator(make_zero(n, p, q))
+    sources = comb(n, p) * comb(n, q)
+    targets = comb(n, probe.p) * comb(n, probe.q)
+    _require_cell_budget(
+        targets * sources, f"the {targets}x{sources} matrix of an operator on D^({p},{q}) at n={n}"
+    )
+    rows = [[0] * sources for _ in range(targets)]
+    col = 0
+    for mask_i in subset_masks(n, p):
+        for mask_j in subset_masks(n, q):
+            unit = make_zero(n, p, q)
+            unit.set_cell(mask_i, mask_j, 1)
+            image = operator(unit)
+            assert image.den == 1, "an integer operator gave a fractional image"
+            for r, value in enumerate(_flatten(image)):
+                rows[r][col] = int(value)
+            col += 1
+    return rows
+
+
+def bianchi_rows(n, p):
+    return operator_rows(n, p, p, lambda w: w.bianchi_sum())
+
+
+def dense_map_rank(n, p, q, power):
+    """The rank of g^power on D^{p,q} from its whole dense matrix."""
+    return linalg.rank(g_power_matrix(n, p, q, power))
+
+
+def flat_cells(n, p, q):
+    """The cells (mask_I, mask_J) of D^{p,q} in the flattened layout."""
+    return [(mask_i, mask_j) for mask_i in subset_masks(n, p) for mask_j in subset_masks(n, q)]
 
 
 def reference_rank(matrix):
@@ -428,8 +472,21 @@ class ReferenceProjector:
         return out
 
 
-def assert_projects_like_reference(rows, vector):
-    fast = linalg.KernelProjector(rows).project(vector)
+def project_list(projector, vector, labels=None):
+    """projector.project on a vector whose entries carry labels (default
+    their positions), as the list of projected Fractions."""
+    labels = range(len(vector)) if labels is None else labels
+    nums, den = projector.project(dict(zip(labels, vector)))
+    assert all(type(v) is int for v in nums.values()) and den > 0
+    return [Fraction(nums[label], den) for label in labels]
+
+
+def assert_projects_like_reference(rows, vector, projector=None, labels=None):
+    """projector (default: the whole matrix as one block) against the dense
+    Fraction projector of rows."""
+    if projector is None:
+        projector = linalg.KernelProjector([(range(len(vector)), rows)])
+    fast = project_list(projector, vector, labels)
     assert fast == ReferenceProjector(rows).project(vector)
     assert all(type(v) is Fraction for v in fast)
     assert mat_vec(rows, fast) == [0] * len(rows)
@@ -439,9 +496,9 @@ def constraint_sets(max_n):
     """(label, rows) of every Bianchi and effective constraint set at n <= max_n."""
     for n in range(1, max_n + 1):
         for p in range(n + 1):
-            bianchi = _operator_rows(n, p, p, lambda w: w.bianchi_sum())
+            bianchi = bianchi_rows(n, p)
             yield (n, p, "bianchi"), bianchi
-            yield (n, p, "effective"), bianchi + _operator_rows(n, p, p, lambda w: w.contract())
+            yield (n, p, "effective"), bianchi + operator_rows(n, p, p, lambda w: w.contract())
 
 
 def test_blockwise_rank_matches_whole_matrix_on_g_power_matrices():
@@ -450,32 +507,107 @@ def test_blockwise_rank_matches_whole_matrix_on_g_power_matrices():
             for q in range(n + 1):
                 for power in range(n + 1):
                     m = g_power_matrix(n, p, q, power)
-                    assert linalg.rank(m) == reference_rank(m), (n, p, q, power)
+                    assert map_rank(n, p, q, power) == reference_rank(m), (n, p, q, power)
 
 
 def test_blockwise_rank_and_projector_match_whole_matrix_on_constraints():
+    # Bianchi sets through their keyed blocks and bianchi_projector, the
+    # effective sets (Bianchi and contraction rows together) as one block
     rng = random.Random("blockwise-constraints")
     for label, rows in constraint_sets(5):
-        assert linalg.rank(rows) == reference_rank(rows), label
+        n, p, kind = label
+        if kind == "bianchi":
+            blocks = list(_bianchi_blocks(n, p))
+            assert sum(linalg.rank(block) for _, block in blocks) == reference_rank(rows), label
+            labels = flat_cells(n, p, p)
+            assert sorted(c for cols, _ in blocks for c in cols) == sorted(labels), label
+            projector = bianchi_projector(n, p)
+        else:
+            assert linalg.rank(rows) == reference_rank(rows), label
+            projector, labels = None, None
         width = len(rows[0])
         for _ in range(2):
             vector = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(width)]
-            assert_projects_like_reference(rows, vector)
-        n, p, _ = label
-        assert_projects_like_reference(rows, _flatten(random_symmetric(rng, n, p)))
+            assert_projects_like_reference(rows, vector, projector, labels)
+        assert_projects_like_reference(
+            rows, _flatten(random_symmetric(rng, n, p)), projector, labels
+        )
+
+
+def power_rank_configs(n):
+    """check_metric_power_rank's (p, q, l) at n."""
+    return product(range(min(n, 2) + 1), range(min(n, 2) + 1), range(3))
+
+
+def kernel_configs(n):
+    """check_metric_kernel_contractions's (p, q, l) at n."""
+    return [
+        (p, q, l)
+        for p in (1, 2) for q in (1, 2) for l in (1, 2, 3)
+        if n < p + q + l <= n + 2 and p + l <= n and q + l <= n
+    ]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_keyed_g_power_rank_matches_the_dense_matrix_on_the_rank_check(n):
+    for p, q, l in power_rank_configs(n):
+        assert map_rank(n, p, q, l) == dense_map_rank(n, p, q, l), (n, p, q, l)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_keyed_g_power_kernel_matches_the_dense_nullspace(n):
+    # the dense kernel's dimension, and g^l annihilates every vector; on the
+    # kernel check's configurations, where p + q + l > n, so does
+    # c^(p + q + l - n)
+    contracted = set(kernel_configs(n))
+    for p, q, l in sorted(contracted | set(power_rank_configs(n))):
+        kernel = list(_g_power_kernel(n, p, q, l))
+        assert len(kernel) == len(linalg.nullspace(g_power_matrix(n, p, q, l))), (n, p, q, l)
+        for w in kernel:
+            assert (w.n, w.p, w.q) == (n, p, q) and not w.is_zero()
+            assert w.mul_g_power(l).is_zero(), (n, p, q, l)
+            if (p, q, l) in contracted:
+                assert w.contract(p + q + l - n).is_zero(), (n, p, q, l)
+        if (p, q, l) in contracted:
+            assert kernel, (n, p, q, l)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_bianchi_projector_matches_the_dense_projector(n):
+    rng = random.Random(f"bianchi-projector-{n}")
+    for p in range(1, n + 1):
+        rows = bianchi_rows(n, p)
+        cells = flat_cells(n, p, p)
+        blocks = list(_bianchi_blocks(n, p))
+        assert sum(linalg.rank(block) for _, block in blocks) == reference_rank(rows), (n, p)
+        for form in (random_symmetric(rng, n, p), random_form(rng, n, p, p)):
+            assert_projects_like_reference(rows, _flatten(form), bianchi_projector(n, p), cells)
+        # random_bianchi against the dense projector on the same draw
+        state = rng.getstate()
+        got = random_bianchi(rng, n, p)
+        rng.setstate(state)
+        dense = ReferenceProjector(rows).project(_flatten(random_symmetric(rng, n, p)))
+        assert got == _unflatten(n, p, p, dense), (n, p)
 
 
 def test_effective_random_bianchi_matches_the_joint_kernel_projector():
     # the oracle: one KernelProjector onto Ker B and Ker c together, applied
-    # to the same draw
+    # to the same draw.  B and c both keep I ^ J of a cell e_I (x) e_J, so the
+    # dense rows split into blocks by that key
     for n in range(2, 7):
         for p in range(1, n // 2 + 1):
-            rows = _operator_rows(n, p, p, lambda w: w.bianchi_sum())
-            rows += _operator_rows(n, p, p, lambda w: w.contract())
-            joint = linalg.KernelProjector(rows)
+            rows = bianchi_rows(n, p)
+            rows += operator_rows(n, p, p, lambda w: w.contract())
+            cells = flat_cells(n, p, p)
+            joint = linalg.KernelProjector(linalg.keyed_blocks(
+                range(len(cells)),
+                lambda c: cells[c][0] ^ cells[c][1],
+                lambda c: [(r, row[c]) for r, row in enumerate(rows) if row[c]],
+                "B and c",
+            ))
             for seed in range(4):
                 form = random_symmetric(random.Random(seed), n, p)
-                expected = _unflatten(n, p, p, joint.project(_flatten(form)))
+                expected = _unflatten(n, p, p, project_list(joint, _flatten(form)))
                 got = random_bianchi(random.Random(seed), n, p, effective=True)
                 assert got == expected, (n, p, seed)
 
@@ -483,7 +615,8 @@ def test_effective_random_bianchi_matches_the_joint_kernel_projector():
 @st.composite
 def interleaved_block_matrices(draw):
     """Integer block-diagonal matrices with zero rows and columns, their rows
-    and columns permuted so that the blocks interleave."""
+    and columns permuted so that the blocks interleave; with each column's
+    block number (a zero column gets a block of its own)."""
     blocks = draw(st.lists(
         st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
             lambda shape: st.lists(st.lists(st.integers(-3, 3), min_size=shape[1],
@@ -496,22 +629,39 @@ def interleaved_block_matrices(draw):
     rows = sum(len(b) for b in blocks) + zero_rows
     cols = sum(len(b[0]) for b in blocks) + zero_cols
     dense = [[0] * cols for _ in range(rows)]
+    keys = []
     r0 = c0 = 0
-    for b in blocks:
+    for number, b in enumerate(blocks):
         for i, row in enumerate(b):
             dense[r0 + i][c0:c0 + len(row)] = row
+        keys += [number] * len(b[0])
         r0, c0 = r0 + len(b), c0 + len(b[0])
+    keys += [-1 - c for c in range(zero_cols)]
     row_order = draw(st.permutations(range(rows)))
     col_order = draw(st.permutations(range(cols)))
-    return [[dense[r][c] for c in col_order] for r in row_order]
+    return [[dense[r][c] for c in col_order] for r in row_order], [keys[c] for c in col_order]
 
 
 @settings(max_examples=150, deadline=None)
 @given(interleaved_block_matrices(), st.data())
-def test_blockwise_rank_and_projector_on_interleaved_blocks(m, data):
+def test_blockwise_rank_and_projector_on_interleaved_blocks(m_keys, data):
+    # a plain matrix is one block; keyed_blocks, keyed by the block numbers,
+    # builds the blocks from the columns' images
+    m, keys = m_keys
     assert linalg.rank(m) == reference_rank(m)
     vector = data.draw(st.lists(_entries, min_size=len(m[0]), max_size=len(m[0])))
     assert_projects_like_reference(m, vector)
+    blocks = list(linalg.keyed_blocks(
+        range(len(m[0])),
+        keys.__getitem__,
+        lambda c: [(r, row[c]) for r, row in enumerate(m) if row[c]],
+        "an interleaved matrix",
+    ))
+    assert [cols for cols, _ in blocks] == [
+        [c for c in range(len(keys)) if keys[c] == key] for key in dict.fromkeys(keys)
+    ]
+    assert sum(linalg.rank(rows) for _, rows in blocks) == reference_rank(m)
+    assert_projects_like_reference(m, vector, linalg.KernelProjector(blocks))
 
 
 def test_coordinate_frames_match_minors():
