@@ -21,12 +21,15 @@ The constant, hypersurface and conformally flat constructors record the
 small matrix behind R (h for R = g.h, B for R = B.B/2) on the tensor, and
 h_{2q}, T_{2q} and the coordinate-plane s_{(p,q)} of such a tensor are
 symmetric functions of that matrix, read off linalg.characteristic with no
-power of R.  Every other tensor walks R, R^2, ... (_powers).  A tensor
-with a record makes R from it with the algebra's own kernels, g.h as
-h.mul_g_power(1) and B.B/2 as B.mul(B) halved, and certifies it, only when
-R is read: the h_4 sign report reads it only for a scalar-flat
-hypersurface that is neither flat nor Einstein, and a coordinate-plane
-s_{(p,q)} never reads it.
+power of R.  make_product records its two factors, and the same invariants
+of a product are sums over its factors' rows, each factor's taken by its
+own route (Weyl's product formula, _product_rows).  Every other tensor
+walks R, R^2, ... (_powers).  A tensor with a record makes R from it,
+g.h as h.mul_g_power(1), B.B/2 as B.mul(B) halved and a product as its
+embedded factors summed, and certifies it, only when R is read: the h_4
+sign report reads it for a product, and for a scalar-flat hypersurface
+that is neither flat nor Einstein, and a coordinate-plane s_{(p,q)} never
+reads it.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from math import factorial
+from math import comb, factorial
 
 from .core import (
     BianchiRequiredError,
@@ -46,6 +49,7 @@ from .core import (
     _wedge,
     as_scalar,
     contractions,
+    g_power_sum,
     make_g,
     make_scalar,
     make_zero,
@@ -61,19 +65,21 @@ class CurvatureTensor:
     """A symmetric (p,p) double form certified Bianchi.
 
     Certification is exact: B(form) == 0 is checked when the form is made.
-    model, set only by the model constructors, records the small matrix the
-    form is built from: ("conformal", h) for R = g.h (constant curvature
-    included, with h = (lambda/2) I) and ("hypersurface", B) for
-    R = B.B/2.  The invariants read it when it is there (_model_rows) and
-    walk R's powers otherwise, so CurvatureTensor(form) always walks.  A
-    model tensor makes R from its record alone, h.mul_g_power(1) or
-    B.mul(B)/2, and certifies it, on the first read of form (__getattr__),
-    so a caller that reads only the matrix, such as a coordinate-plane
-    s_{(p,q)}, never forms R.
+    model, set only by the model constructors, records what the form is
+    built from: ("conformal", h) for R = g.h (constant curvature included,
+    with h = (lambda/2) I), ("hypersurface", B) for R = B.B/2, and
+    ("product", (first, second)) for a Riemannian product, whose n and p
+    come from its factors.  The invariants read the record when it is there
+    (_model_rows) and walk R's powers otherwise, so CurvatureTensor(form)
+    always walks.  A tensor with a record makes R from it alone,
+    h.mul_g_power(1), B.mul(B)/2 or the embedded factors summed, and
+    certifies it, on the first read of form (__getattr__), so a caller
+    that reads only the record, such as a coordinate-plane s_{(p,q)},
+    never forms R.
     """
 
     form: DoubleForm
-    model: tuple[str, DoubleForm] | None = field(
+    model: tuple[str, DoubleForm | tuple[CurvatureTensor, CurvatureTensor]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -81,15 +87,17 @@ class CurvatureTensor:
         _require_bianchi_symmetric(self.form, "a curvature tensor")
 
     def __getattr__(self, name: str):
-        """Reached only when no attribute is found: for form, on a model
-        tensor whose R is not made yet (_matrix_model)."""
+        """Reached only when no attribute is found: for form, on a tensor
+        with a record whose R is not made yet (_recorded)."""
         if name != "form" or self.model is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        kind, matrix = self.model
+        kind, record = self.model
         if kind == "conformal":
-            form = matrix.mul_g_power(1)
+            form = record.mul_g_power(1)
+        elif kind == "hypersurface":
+            form = record.mul(record).scale(Fraction(1, 2))
         else:
-            form = matrix.mul(matrix).scale(Fraction(1, 2))
+            form = _product_form(*record)
         self.__dict__["form"] = form
         try:
             self.__post_init__()
@@ -100,11 +108,17 @@ class CurvatureTensor:
 
     @property
     def n(self) -> int:
-        return self.form.n if self.model is None else self.model[1].n
+        if self.model is None:
+            return self.form.n
+        kind, record = self.model
+        return record[0].n + record[1].n if kind == "product" else record.n
 
     @property
     def p(self) -> int:
-        return self.form.p if self.model is None else 2  # g.h and B.B/2 are (2,2)
+        if self.model is None:
+            return self.form.p
+        kind, record = self.model
+        return _product_degree(*record) if kind == "product" else 2  # g.h and B.B/2 are (2,2)
 
 
 # -- model constructors -------------------------------------------------------
@@ -147,8 +161,14 @@ def _matrix_model(kind: str, matrix: DoubleForm, name: str) -> CurvatureTensor:
         raise DoubleFormError(f"{name} must be symmetric")
     if matrix.n == 1:
         return CurvatureTensor(make_zero(1, 1, 1))
+    return _recorded((kind, matrix))
+
+
+def _recorded(model: tuple) -> CurvatureTensor:
+    """A tensor holding only its model record; R is made, and certified,
+    on the first read of form (CurvatureTensor.__getattr__)."""
     tensor = object.__new__(CurvatureTensor)
-    object.__setattr__(tensor, "model", (kind, matrix))
+    object.__setattr__(tensor, "model", model)
     return tensor
 
 
@@ -158,20 +178,38 @@ def make_product(first: CurvatureTensor, second: CurvatureTensor) -> CurvatureTe
     The first factor keeps indices [0, n1), the second moves to [n1, n1+n2).
     A zero factor at n = 1, such as every model there (R clamps to the
     zero (1,1) form), is a flat line: it adds no cells and takes the other
-    factor's degree, and two lines make the zero (2,2) form.
+    factor's degree, and two lines make the zero (2,2) form.  The tensor
+    records its two factors, ("product", (first, second)): its invariants
+    are read off theirs (_product_rows), and R is made, and certified, only
+    when form is read (_product_form).
     """
+    _product_degree(first, second)
+    return _recorded(("product", (first, second)))
+
+
+def _product_degree(first: CurvatureTensor, second: CurvatureTensor) -> int:
+    """The degree p of the product's (p,p) form: the factors' shared
+    degree, flat lines left out, or 2 for two lines.  Only a factor at
+    n = 1, which never has a record, is read for flatness."""
     degrees = {f.p for f in (first, second) if f.n > 1 or not f.form.is_zero()}
     if len(degrees) > 1:
         raise DegreeError(
             f"product factors must share the degree, got {first.p} and {second.p}"
         )
     (p,) = degrees or {2}
+    return p
+
+
+def _product_form(first: CurvatureTensor, second: CurvatureTensor) -> DoubleForm:
+    """R of the product: each factor's form embedded at its offset, a flat
+    line as the zero form, and the two summed."""
+    p = _product_degree(first, second)
     n = first.n + second.n
     left, right = (
         _embed(f.form, n, offset) if f.p == p else make_zero(n, p, p)
         for f, offset in ((first, 0), (second, first.n))
     )
-    return CurvatureTensor(left + right)
+    return left + right
 
 
 def _embed(form: DoubleForm, n_total: int, offset: int) -> DoubleForm:
@@ -383,7 +421,8 @@ def pq_sectional(tensor: CurvatureTensor, p: int, q: int, plane: Frame | None) -
     and R|_K, the cells of R disjoint from P, is again symmetric and
     Bianchi.  A tensor with a model record passes its matrix restricted to
     K instead, whose h_{2q} formula over |K| = n - p indices gives the same
-    value (_model_rows); other tensors take h_{2q} of _restricted(R).
+    value, and a product splits the plane's mask between its factors
+    (_model_rows); other tensors take h_{2q} of _restricted(R).
     Other planes take sectional_curvature(pq_curvature_tensor), which stays
     the oracle for this route.
     """
@@ -397,6 +436,7 @@ def pq_sectional(tensor: CurvatureTensor, p: int, q: int, plane: Frame | None) -
     _require_plane(tensor.n, p, p, plane)
     if len(plane.wedge_coordinates) == 1:
         (mask,) = plane.wedge_coordinates
+        _require_riemann_like(tensor, "weyl_invariant")  # before a record is read
         if tensor.model is not None:
             return _model_rows(tensor, range(q, q + 1), plane=mask)[0][0]
         return weyl_invariant(_restricted(tensor, mask), q)
@@ -479,9 +519,11 @@ def _weyl_and_einstein(rq: DoubleForm, q: int) -> tuple[Fraction, DoubleForm]:
 def _model_rows(
     tensor: CurvatureTensor, qs: range, newton: bool = False, plane: int = 0
 ) -> list[tuple[Fraction, DoubleForm | None]]:
-    """(h_{2q}, T_{2q}) for q in qs from the tensor's model matrix A,
+    """(h_{2q}, T_{2q}) for q in qs from the tensor's model record,
     restricted to the complement C of the plane's mask (T only with newton,
-    and only for the whole space).  Both are symmetric functions of A:
+    and only for the whole space).  A product's rows come from its
+    factors' (_product_rows); a matrix model's are symmetric functions of
+    its matrix A:
 
     * conformal, R = g.h over m = |C| indices:
       h_{2q} = (m-q)! q! / (m-2q)! sigma_q(h), and
@@ -495,14 +537,16 @@ def _model_rows(
     (see pq_sectional), is the h_{2q} formula on A[C, C] with m = n - p.
     The tests hold every row to the walk on CurvatureTensor(tensor.form).
     """
-    kind, matrix = tensor.model
+    kind, record = tensor.model
+    if kind == "product":
+        return _product_rows(*record, qs, newton, plane)
     n = tensor.n
-    keys, cells = subset_masks(n, 1), matrix.cells
+    keys, cells = subset_masks(n, 1), record.cells
     if plane:
         keys = [mask for mask in keys if not mask & plane]
         cells = _cells_outside(cells, plane)
     step = 1 if kind == "conformal" else 2
-    sigmas, tensors = characteristic(cells, matrix.den, keys, step * qs[-1], newton)
+    sigmas, tensors = characteristic(cells, record.den, keys, step * qs[-1], newton)
     m = len(keys)
     rows = []
     for q in qs:
@@ -525,6 +569,71 @@ def _model_rows(
                 for mask_i, row in nums.items()
             }, den * t_weight[1])
         rows.append((h, einstein))
+    return rows
+
+
+def _product_rows(
+    first: CurvatureTensor, second: CurvatureTensor, qs: range, newton: bool, plane: int
+) -> list[tuple[Fraction, DoubleForm | None]]:
+    """_model_rows of the product R = R1 + R2 of two factors over disjoint
+    indices, from each factor's rows (_factor_rows).  R1 and R2 commute, so
+    R^q = sum_{a+b=q} C(q,a) R1^a R2^b, and a cell (A, A) of R1^a R2^b is
+    a cell (A1, A1) of R1^a times one (A2, A2) of R2^b.  Hence Weyl's
+    product formula
+
+        h_{2q}(R) = sum_{a+b=q} C(q,a) h_{2a}(R1) h_{2b}(R2),
+
+    with h_0 = 1.  c^{2q-1} R^q meets no pair (i, j) across the factors,
+    so T_{2q} is block diagonal, and the same split of its (i, j) entry
+    gives the R1 block sum_{a+b=q} C(q,a) h_{2b}(R2) T_{2a}(R1), with
+    T_0 = g, and the R2 block with the roles swapped.  A coordinate plane's
+    mask splits between the factors: R restricted to the complement is the
+    product of the two factors restricted to their parts of it.
+    """
+    n1 = first.n
+    n = n1 + second.n
+    rows1 = _factor_rows(first, qs[-1], newton, plane & ((1 << n1) - 1))
+    rows2 = _factor_rows(second, qs[-1], newton, plane >> n1)
+    if newton:  # each factor's T rows, embedded once at its offset
+        rows1 = [(h, _embed(t, n, 0)) for h, t in rows1]
+        rows2 = [(h, _embed(t, n, n1)) for h, t in rows2]
+    out = []
+    for q in qs:
+        terms = [
+            (comb(q, a), rows1[a], rows2[q - a])
+            for a in range(q + 1)
+            if a < len(rows1) and q - a < len(rows2)
+        ]
+        h = sum((c * h1 * h2 for c, (h1, _), (h2, _) in terms), _ZERO)
+        einstein = None
+        if newton:
+            blocks = [(c * h2, 0, t1) for c, (_, t1), (h2, _) in terms]
+            blocks += [(c * h1, 0, t2) for c, (h1, _), (_, t2) in terms]
+            einstein = g_power_sum(n, 1, 1, blocks)
+        out.append((h, einstein))
+    return out
+
+
+def _factor_rows(
+    tensor: CurvatureTensor, top: int, newton: bool, plane: int
+) -> list[tuple[Fraction, DoubleForm | None]]:
+    """(h_{2a}, T_{2a}) of one product factor restricted to the complement
+    C of plane, for a = 0, 1, ... up to top and 2a <= |C|: every later row
+    is zero, since R^a restricted to C is.  Row 0 is h_0 = 1 and T_0 = g.
+    A factor with a record reads it (_model_rows); any other walks its
+    powers at its own n, so a flat line (n = 1) has row 0 alone."""
+    last = min(top, (tensor.n - plane.bit_count()) // 2)
+    rows = [(_ONE, make_g(tensor.n) if newton else None)]
+    if not last:
+        return rows
+    if tensor.model is not None:
+        return rows + _model_rows(tensor, range(1, last + 1), newton, plane)
+    walked = _restricted(tensor, plane) if plane else tensor
+    for a, ra in zip(range(1, last + 1), _powers(walked)):
+        rows.append(
+            _weyl_and_einstein(ra.form, a) if newton
+            else (ra.form.contract(2 * a).scalar_value() / factorial(2 * a), None)
+        )
     return rows
 
 

@@ -528,8 +528,9 @@ def model_spec_from_dict(obj, path: str = "spec", *, depth: int = 0) -> ModelSpe
 
 def build_curvature_tensor(spec: ModelSpec) -> CurvatureTensor:
     """Instantiate the described model as a certified curvature tensor (a
-    constant, hypersurface or conformally flat one makes and certifies R
-    on the first read of its form)."""
+    constant, hypersurface, conformally flat or product one makes and
+    certifies R on the first read of its form; a product of more than two
+    factors nests them from the left)."""
     if spec.model == "constant":
         return make_constant_curvature(spec.n, spec.curvature)
     if spec.model == "hypersurface":

@@ -106,6 +106,26 @@ def test_a_product_refuses_factors_of_different_degrees(tmp_path, capsys):
     assert captured.err == "error: product factors must share the degree, got 2 and 1\n"
 
 
+@pytest.mark.parametrize(
+    "command, who",
+    [
+        (["invariants", "--max-q", "1"], "build_invariant_report"),
+        (["pq", "--p", "0", "--q", "1"], "weyl_invariant"),
+        (["pq", "--p", "1", "--q", "1", "--plane", "2"], "weyl_invariant"),
+        (["pq", "--p", "2", "--q", "1", "--plane", "0,3"], "weyl_invariant"),
+    ],
+)
+def test_a_product_of_non_riemann_factors_is_refused(tmp_path, capsys, command, who):
+    # two (0,0) factors make a degree-0 product, which has no h_{2q}
+    scalar = {"model": "explicit", "form": {"n": 2, "p": 0, "q": 0, "entries": [[[], [], "3"]]}}
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps({"model": "product", "factors": [scalar, scalar]}))
+    assert main(command + ["--spec", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {who} applies to (2,2) curvature tensors, got p=0\n"
+
+
 def test_pq_scalar_case(sphere_spec, capsys):
     assert main(["pq", "--spec", sphere_spec, "--p", "0", "--q", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)

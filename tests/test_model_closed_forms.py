@@ -10,7 +10,10 @@ sign report of a model is classified off its matrix, against the report of
 CurvatureTensor(R.form), and reads R only for a scalar-flat hypersurface
 that is neither flat nor Einstein.  R itself, made from the record by the
 product and g-power kernels, is held to the Gauss equation and to lambda on
-the diagonal pairs, cell by cell.
+the diagonal pairs, cell by cell.  make_product records its two factors,
+and a product's rows, h_4 report and coordinate-plane s_{(p,q)} come from
+the factors' rows by Weyl's product formula; they are held to the same
+walk.
 """
 
 import random
@@ -23,6 +26,7 @@ from hypothesis import strategies as st
 
 from doubleforms import (
     CurvatureTensor,
+    DegreeError,
     DoubleForm,
     DoubleFormError,
     IdentityError,
@@ -101,9 +105,13 @@ def test_only_the_model_constructors_record():
         "conformal", _diagonal(4, [Fraction(1, 3)] * 4)
     )
     sphere = make_constant_curvature(2, 1)
-    assert make_product(sphere, sphere).model is None
+    line = make_hypersurface(_diagonal(1, [2]))
+    assert line.model is None  # the (1,1) zero form
+    product = make_product(sphere, line)
+    assert product.model == ("product", (sphere, line))
+    assert (product.n, product.p) == (3, 2)
+    assert CurvatureTensor(product.form).model is None
     assert CurvatureTensor(sphere.form).model is None
-    assert make_hypersurface(_diagonal(1, [2])).model is None  # the (1,1) zero form
 
 
 def test_recorded_models_form_no_power(monkeypatch):
@@ -127,6 +135,154 @@ def test_recorded_models_form_no_power(monkeypatch):
         einstein_tensor(tensor, 3)
         pq_sectional(tensor, 2, 3, Frame.coordinate(10, (4, 1)))
     assert products == []
+
+
+# -- products: Weyl's product formula against the walk ---------------------------
+
+
+def product_factor(draw, rng, n, depth):
+    """A factor over n indices: a flat line at n = 1; otherwise a constant,
+    hypersurface or conformally flat model, an explicit tensor (no record),
+    or, above depth 0, a nested product."""
+    if n == 1:
+        value = [[Fraction(rng.randint(-3, 3))]]
+        return draw(st.sampled_from((make_hypersurface, make_conformally_flat)))(
+            DoubleForm(1, 1, 1, value)
+        )
+    kinds = ["constant", "hypersurface", "conformally_flat", "explicit"]
+    kind = draw(st.sampled_from(kinds + ["product"] * bool(depth)))
+    if kind == "product":
+        first = draw(st.integers(1, n - 1))
+        return make_product(
+            product_factor(draw, rng, first, depth - 1),
+            product_factor(draw, rng, n - first, depth - 1),
+        )
+    if kind == "constant":
+        return make_constant_curvature(n, draw(st.fractions(-3, 3, max_denominator=4)))
+    matrix = symmetric_matrix(rng, n, draw(st.sampled_from((0.4, 1.0))))
+    if kind == "hypersurface":
+        return make_hypersurface(matrix)
+    if kind == "conformally_flat":
+        return make_conformally_flat(matrix)
+    return CurvatureTensor(verify.random_bianchi(rng, n, 2) if n >= 3 else make_g(n).mul(matrix))
+
+
+@st.composite
+def products(draw):
+    """A product at n <= 8 of two random factors, nested ones included."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(2, 8))
+    first = draw(st.integers(1, n - 1))
+    return make_product(
+        product_factor(draw, rng, first, 1), product_factor(draw, rng, n - first, 1)
+    )
+
+
+def coordinate_planes(rng, n, first, p):
+    """p-subsets of range(n): one at random, one inside each factor of
+    sizes first and n - first that has room, and one across both."""
+    planes = [rng.sample(range(n), p)]
+    for block in (range(first), range(first, n)):
+        if p <= len(block):
+            planes.append(rng.sample(block, p))
+    if p >= 2:
+        across = [rng.randrange(first), rng.randrange(first, n)]
+        planes.append(across + rng.sample([i for i in range(n) if i not in across], p - 2))
+    return planes
+
+
+@settings(max_examples=80, deadline=None)
+@given(products(), st.randoms(use_true_random=False))
+def test_product_invariants_match_the_walk(tensor, rng):
+    """Every row, the h_4 report and the coordinate-plane s_{(p,q)} of a
+    recorded product equal the walk on CurvatureTensor(R.form)."""
+    kind, (first, _) = tensor.model
+    walked = CurvatureTensor(tensor.form)
+    assert kind == "product" and walked.model is None
+    n = tensor.n
+    assert (n, tensor.p) == (walked.n, walked.p)
+    for q in range(1, n // 2 + 1):
+        h = weyl_invariant(tensor, q)
+        assert type(h) is Fraction
+        assert h == weyl_invariant(walked, q), q
+        assert einstein_tensor(tensor, q) == einstein_tensor(walked, q), q
+        for p in range(1, n - 2 * q + 1):
+            for plane in coordinate_planes(rng, n, first.n, p):
+                frame = Frame.coordinate(n, plane)
+                assert pq_sectional(tensor, p, q, frame) == pq_sectional(walked, p, q, frame), (
+                    p, q, plane
+                )
+    report = build_invariant_report(tensor, n // 2)
+    expected = build_invariant_report(walked, n // 2)
+    assert report.rows == expected.rows
+    assert report.h4_sign == expected.h4_sign
+
+
+def test_a_product_of_non_riemann_factors_is_refused():
+    s4_squared = curvature.power(make_constant_curvature(4, 1), 2)  # a (4,4) tensor
+    tensor = make_product(s4_squared, s4_squared)
+    assert (tensor.n, tensor.p) == (8, 4)
+    refusals = [
+        lambda: build_invariant_report(tensor, 2),
+        lambda: weyl_invariant(tensor, 1),
+        lambda: einstein_tensor(tensor, 1),
+        lambda: pq_sectional(tensor, 0, 1, None),
+        lambda: pq_sectional(tensor, 2, 1, Frame.coordinate(8, (0, 5))),
+    ]
+    for refused in refusals:
+        with pytest.raises(DegreeError, match=r"applies to \(2,2\) curvature tensors, got p=4"):
+            refused()
+    with pytest.raises(DegreeError, match="product factors must share the degree, got 2 and 4"):
+        make_product(make_constant_curvature(3, 1), s4_squared)
+
+
+def test_products_of_models_form_no_power(monkeypatch):
+    """A product of model factors, nested ones included, forms no power of
+    R: its rows are read off the factors' matrices, and the h_4 sign report
+    reads R itself, one embedding and one sum."""
+    rng = random.Random(5)
+    conformal = make_conformally_flat(symmetric_matrix(rng, 4, 1.0))
+    hypersurface = make_hypersurface(symmetric_matrix(rng, 3, 1.0))
+    tensors = [
+        make_product(conformal, hypersurface),
+        make_product(make_product(hypersurface, make_constant_curvature(2, 3)), conformal),
+    ]
+    products = []
+    mul = curvature.DoubleForm.mul
+
+    def counted(self, other):
+        if self.p >= 2 and other.p >= 2:
+            products.append((self.p, other.p))
+        return mul(self, other)
+
+    monkeypatch.setattr(curvature.DoubleForm, "mul", counted)
+    for tensor in tensors:
+        n = tensor.n
+        build_invariant_report(tensor, n // 2)
+        einstein_tensor(tensor, n // 2)
+        pq_sectional(tensor, 2, 2, Frame.coordinate(n, (1, n - 1)))
+    assert products == []
+
+
+def test_a_product_makes_and_certifies_r_on_the_first_read_of_form(made_forms):
+    sphere = make_constant_curvature(2, 1)
+    explicit = CurvatureTensor(make_constant_curvature(4, 2).form)
+    made_forms.clear()
+    tensor = make_product(sphere, make_product(explicit, sphere))
+    assert (tensor.n, tensor.p) == (8, 2)
+    for q in (1, 2, 3):
+        weyl_invariant(tensor, q)
+        einstein_tensor(tensor, q)
+        pq_sectional(tensor, 1, q, Frame.coordinate(8, (0,)))
+    assert made_forms and set(made_forms) == {4}  # only the explicit factor's R^2
+    made_forms.clear()
+    form = tensor.form
+    # the sphere's R (one tensor, read twice), the inner sum, the outer sum
+    assert made_forms == [2, 2, 2] and tensor.form is form
+    assert form == sum(
+        (curvature._embed(f.form, 8, at) for f, at in ((sphere, 0), (explicit, 2), (sphere, 6))),
+        make_zero(8, 2, 2),
+    )
 
 
 @pytest.fixture
