@@ -34,10 +34,13 @@ reads it.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from math import comb, factorial
+from types import MappingProxyType
 
 from .core import (
     BianchiRequiredError,
@@ -56,7 +59,7 @@ from .core import (
     trace_of_product,
 )
 from .decomposition import _require_bianchi_symmetric, decompose
-from .exterior import _check_dimension, _is_count, subset_masks
+from .exterior import MAX_DIMENSION, _check_dimension, _is_count, subset_masks
 from .linalg import characteristic, rank
 
 
@@ -91,14 +94,7 @@ class CurvatureTensor:
         with a record whose R is not made yet (_recorded)."""
         if name != "form" or self.model is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        kind, record = self.model
-        if kind == "conformal":
-            form = record.mul_g_power(1)
-        elif kind == "hypersurface":
-            form = record.mul(record).scale(Fraction(1, 2))
-        else:
-            form = _product_form(*record)
-        self.__dict__["form"] = form
+        form = self.__dict__["form"] = _model_form(self.model)
         try:
             self.__post_init__()
         except DoubleFormError:
@@ -119,6 +115,18 @@ class CurvatureTensor:
             return self.form.p
         kind, record = self.model
         return _product_degree(*record) if kind == "product" else 2  # g.h and B.B/2 are (2,2)
+
+
+def _model_form(model: tuple) -> DoubleForm:
+    """R made from a model record alone, not yet certified: g.h as
+    h.mul_g_power(1), B.B/2 as B.mul(B) halved, and a product as its
+    factors' forms embedded and summed (_product_form)."""
+    kind, record = model
+    if kind == "conformal":
+        return record.mul_g_power(1)
+    if kind == "hypersurface":
+        return record.mul(record).scale(Fraction(1, 2))
+    return _product_form(*record)
 
 
 # -- model constructors -------------------------------------------------------
@@ -261,14 +269,15 @@ class Frame:
     equals the squared norm of the wedge of the vectors; sectional values
     divide by it, so any basis of the plane gives the orthonormal value.
     wedge_coordinates holds a positive multiple of v_1 ^ ... ^ v_p (each
-    vector scaled to integers) as a sparse map mask_I -> nonzero int, made
-    once at construction by core._wedge; the vectors are dependent exactly
-    when that map is empty.
+    vector scaled to integers) as a read-only sparse map mask_I -> nonzero
+    int, made once at construction by core._wedge; the vectors are
+    dependent exactly when that map is empty.  Frame.coordinate shares its
+    frames between callers, so no frame's map can be written.
     """
 
     n: int
     vectors: tuple[tuple[Fraction, ...], ...]
-    wedge_coordinates: dict[int, int] = field(init=False, repr=False, compare=False)
+    wedge_coordinates: Mapping[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_dimension(self.n, FrameError)
@@ -280,7 +289,7 @@ class Frame:
         coords = _wedge(_integer_vectors(self.n, self.vectors)[0])
         if not coords:
             raise FrameError("frame vectors are linearly dependent")
-        object.__setattr__(self, "wedge_coordinates", coords)
+        object.__setattr__(self, "wedge_coordinates", MappingProxyType(coords))
 
     @classmethod
     def from_vectors(cls, n: int, vectors) -> "Frame":
@@ -290,32 +299,70 @@ class Frame:
     def coordinate(cls, n: int, indices) -> "Frame":
         """The plane spanned by the listed standard basis vectors.
 
+        The indices are checked in whole-tuple passes, in this order:
+        integers (a bool refused), distinct, in range(n), at least one.  A
+        frame is immutable, so the frame of each checked (n, indices) is
+        built once and then shared (_coordinate_frame); only checked int
+        tuples reach that memo, since 1.0 and True hash and compare like 1.
+
         The wedge e_{i_1} ^ ... ^ e_{i_k} has one nonzero coordinate, at
         the plane's mask: the sign of the permutation that sorts the
-        indices, that is the parity of their inversions.
+        indices, (-1)^inv with inv the number of inversions, the pairs
+        s < t with i_s > i_t.  Count them by their second place t: the
+        inversions ending at t are the earlier indices above i_t.  With mask
+        the bits of i_1, ..., i_{t-1}, they are the set bits of mask above
+        bit i_t, and bit i_t itself is clear, the indices being distinct, so
+        their number is (mask >> i_t).bit_count().  One pass over the
+        indices thus adds up inv and builds the mask.
         """
         _check_dimension(n, FrameError)
         idx = tuple(indices)
-        if any(not isinstance(i, int) or isinstance(i, bool) for i in idx):
+        if not set(map(type, idx)) <= _INT_TYPE and any(
+            not isinstance(i, int) or isinstance(i, bool) for i in idx
+        ):
             raise FrameError(f"coordinate plane indices must be integers, got {idx!r}")
-        if len(set(idx)) != len(idx):
+        distinct = set(idx)
+        if len(distinct) != len(idx):
             raise FrameError(f"coordinate plane indices must be distinct, got {idx}")
-        if any(not 0 <= i < n for i in idx):
+        if not distinct <= _INDEX_RANGES[n]:
             raise FrameError(f"coordinate index out of range [0, {n}): {idx}")
         if not idx:
             raise FrameError("a frame needs at least one vector")
-        vectors = tuple(tuple(_ONE if j == i else _ZERO for j in range(n)) for i in idx)
-        inversions = sum(a > b for k, a in enumerate(idx) for b in idx[k + 1:])
-        coords = {sum(1 << i for i in idx): -1 if inversions & 1 else 1}
-        frame = object.__new__(cls)  # skips __post_init__ and its wedge
-        object.__setattr__(frame, "n", n)
-        object.__setattr__(frame, "vectors", vectors)
-        object.__setattr__(frame, "wedge_coordinates", coords)
-        return frame
+        return _coordinate_frame(cls, n, idx)
 
     @property
     def size(self) -> int:
         return len(self.vectors)
+
+
+_INT_TYPE = frozenset({int})
+_INDEX_RANGES = tuple(frozenset(range(n)) for n in range(MAX_DIMENSION + 1))
+
+
+@lru_cache(maxsize=4096)
+def _coordinate_frame(cls: type[Frame], n: int, idx: tuple[int, ...]) -> Frame:
+    """Frame.coordinate's frame of checked indices, shared by the callers
+    of the 4096 (cls, n, idx) asked for last: its vectors come from
+    _unit_vectors(n), and its mask and inversion count from one pass (see
+    Frame.coordinate)."""
+    units = _unit_vectors(n)
+    mask = inversions = 0
+    for i in idx:
+        inversions += (mask >> i).bit_count()
+        mask |= 1 << i
+    frame = object.__new__(cls)  # skips __post_init__ and its wedge
+    object.__setattr__(frame, "n", n)
+    object.__setattr__(frame, "vectors", tuple(units[i] for i in idx))
+    object.__setattr__(
+        frame, "wedge_coordinates", MappingProxyType({mask: -1 if inversions & 1 else 1})
+    )
+    return frame
+
+
+@lru_cache(maxsize=None)
+def _unit_vectors(n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """e_0, ..., e_{n-1} as Fraction tuples, made once per n."""
+    return tuple(tuple(_ONE if j == i else _ZERO for j in range(n)) for i in range(n))
 
 
 def orthogonal_complement(frame: Frame) -> Frame:
@@ -391,12 +438,19 @@ def _require_pq_range(tensor: CurvatureTensor, p: int, q: int) -> None:
 
 
 def pq_curvature_tensor(tensor: CurvatureTensor, p: int, q: int) -> DoubleForm:
-    """star(g^{n-2q-p} R^q) / (n-2q-p)!, a symmetric Bianchi (p,p)-form."""
+    """star(g^{n-2q-p} R^q) / (n-2q-p)!, a symmetric Bianchi (p,p)-form.
+
+    The star is linear, so the 1/m! (m = n-2q-p) goes on g^m R^q, as the
+    coefficient of its one g_power_sum term, and the star follows; at
+    m = 0 the star is taken of R^q itself.
+    """
     _require_pq_range(tensor, p, q)
     n = tensor.n
     margin = n - 2 * q - p
-    lifted = power(tensor, q).form.mul_g_power(margin)
-    return lifted.hodge().scale(Fraction(1, factorial(margin)))
+    rq = power(tensor, q).form
+    if margin:
+        rq = g_power_sum(n, n - p, n - p, [(Fraction(1, factorial(margin)), margin, rq)])
+    return rq.hodge()
 
 
 def pq_sectional(tensor: CurvatureTensor, p: int, q: int, plane: Frame | None) -> Fraction:

@@ -13,7 +13,7 @@ import random
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from math import comb, factorial, inf, prod
 
 from . import serialize
@@ -32,6 +32,7 @@ from .core import (
 from .curvature import (
     CurvatureTensor,
     Frame,
+    _model_form,
     avez_pairing,
     einstein_tensor,
     has_constant_sectional,
@@ -803,14 +804,10 @@ def check_sectional_sum_recursion(rec, rng, n, trials):
         for q in (1, 2):
             if 2 * q > n:
                 continue
+            lower_tensor = None  # the previous p's (p,q)-tensor, made once
             for p in range(1, min(n - 2 * q, 3) + 1):
                 tensor = pq_curvature_tensor(model, p, q)
-                lower = (
-                    weyl_invariant(model, q)
-                    if p == 1
-                    else None
-                )
-                lower_tensor = None if p == 1 else pq_curvature_tensor(model, p - 1, q)
+                lower = weyl_invariant(model, q) if p == 1 else None
                 bases = list(itertools.combinations(range(n), p - 1))
                 rng_bases = bases if len(bases) <= 6 else [
                     bases[rng.randrange(len(bases))] for _ in range(6)
@@ -830,6 +827,7 @@ def check_sectional_sum_recursion(rec, rng, n, trials):
                         "sum_k s_(p,q)(P,e_k) != (n-2q-p+1) s_(p-1,q)(P)",
                         form=model.form,
                     )
+                lower_tensor = tensor
 
 
 def check_product_invariants(rec, rng, n, trials):
@@ -861,8 +859,12 @@ def check_product_invariants(rec, rng, n, trials):
 def _walked(model: CurvatureTensor) -> CurvatureTensor:
     """The model's tensor without its model record, so that its invariants
     walk R's powers: the checks hold that walk to the closed forms, and to
-    the product formula, that the record would compute itself."""
-    return CurvatureTensor(model.form)
+    the product formula, that the record would compute itself.  R is made
+    from the record by the maker that reading model.form would use, and
+    certified once, here; the model itself never makes it."""
+    if model.model is None:
+        return model
+    return CurvatureTensor(_model_form(model.model))
 
 
 def check_hypersurface_symmetric_functions(rec, rng, n, trials):
@@ -974,12 +976,17 @@ def check_power_scaling(rec, rng, n, trials):
                 )
 
 
-def _complementary_planes(model: CurvatureTensor, p: int):
+def _p_tensors(model: CurvatureTensor):
+    """k -> the (k,1)-curvature tensor of model, each made once: a check
+    over p asks for s_p and s_(n-p), so every tensor twice."""
+    return cache(partial(pq_curvature_tensor, model, q=1))
+
+
+def _complementary_planes(p_tensor, n: int, p: int):
     """(P, s_p(P), s_(n-p)(P^perp)) over the first eight coordinate p-planes
-    P, in lexicographic order, with s_p the (p,1)-sectional curvature."""
-    n = model.n
-    upper = pq_curvature_tensor(model, p, 1)
-    lower = pq_curvature_tensor(model, n - p, 1)
+    P, in lexicographic order, with s_k read off p_tensor(k), the
+    (k,1)-curvature tensor (_p_tensors)."""
+    upper, lower = p_tensor(p), p_tensor(n - p)
     for idx in list(itertools.combinations(range(n), p))[:8]:
         rest = tuple(sorted(set(range(n)) - set(idx)))
         yield (
@@ -993,9 +1000,10 @@ def check_einstein_difference(rec, rng, n, trials):
     models = [m for m in model_zoo(n, rng) if is_einstein(m[1])]
     for name, model in models:
         scalar = model.form.contract().contract().scalar_value()
+        p_tensor = _p_tensors(model)
         for p in range(2, n - 1):
             expected = Fraction(n - 2 * p, 2 * n) * scalar
-            for idx, upper, lower in _complementary_planes(model, p):
+            for idx, upper, lower in _complementary_planes(p_tensor, n, p):
                 rec.case(
                     f"{name} p={p} P={idx}",
                     upper - lower == expected,
@@ -1008,11 +1016,12 @@ def check_constant_sum(rec, rng, n, trials):
     for lam in (Fraction(1), Fraction(-1)):
         model = make_constant_curvature(n, lam)
         scalar = model.form.contract().contract().scalar_value()
+        p_tensor = _p_tensors(model)
         for p in range(2, n - 1):
             if 2 * p == n:
                 continue
             expected = Fraction(2 * p * (p - 1) + (n - 2 * p) * (n - 1), 2 * n * (n - 1)) * scalar
-            for idx, upper, lower in _complementary_planes(model, p):
+            for idx, upper, lower in _complementary_planes(p_tensor, n, p):
                 rec.case(
                     f"lam={lam} p={p} P={idx}",
                     upper + lower == expected,

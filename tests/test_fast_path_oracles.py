@@ -15,7 +15,11 @@ configuration of verify's checks at n <= 6; keyed_blocks and
 KernelProjector on interleaved block matrices.  The one wedge kernel,
 core._wedge, is checked against Fraction minors on rational frames,
 dependent ones included, and coordinate frames' directly set wedge
-coordinates against the minors of their vectors.  The
+coordinates against the minors of their vectors and against
+Frame.from_vectors of the same unit vectors; their refusals keep their
+messages once the same plane is shared.  pq_curvature_tensor, one
+g_power_sum term and the star, is checked against mul_g_power, the star
+and a separate scale.  The
 invariant report's power sequence and its h_{2q} and T_{2q} against
 repeated products and single contractions, the one-pass contract(k)
 against the chain contractions(w, k)[-1], and pq_sectional's complement
@@ -138,6 +142,7 @@ from doubleforms.serialize import (
 from doubleforms.verify import (
     SUITES,
     _bianchi_blocks,
+    _fixed_models,
     bianchi_projector,
     model_zoo,
     random_bianchi,
@@ -678,6 +683,51 @@ def test_coordinate_frames_match_minors():
                 general = Frame.from_vectors(n, frame.vectors)
                 assert frame == general
                 assert general.wedge_coordinates == coords
+
+def unit_frame(n, idx):
+    """Frame.from_vectors of the unit vectors e_i, i in idx, written out."""
+    return Frame.from_vectors(n, [[1 if j == i else 0 for j in range(n)] for i in idx])
+
+
+def test_coordinate_frames_match_frames_of_unit_vectors():
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            for idx in permutations(range(n), k):
+                frame, general = Frame.coordinate(n, idx), unit_frame(n, idx)
+                assert frame.vectors == general.vectors, (n, idx)
+                assert dict(frame.wedge_coordinates) == dict(general.wedge_coordinates), (n, idx)
+                assert Frame.coordinate(n, list(idx)) is frame  # built once, shared
+    with pytest.raises(TypeError):
+        frame.wedge_coordinates[1] = -1
+    assert dict(frame.wedge_coordinates) == dict(general.wedge_coordinates)
+
+
+@pytest.mark.parametrize("n, built, refused, message", [
+    (4, (1,), (1.0,), "must be integers"),
+    (4, (1,), (True,), "must be integers"),
+    (4, (0,), (False,), "must be integers"),
+    (4, (0, 2), (0, Fraction(2)), "must be integers"),
+    (4, (1,), ("1",), "must be integers"),
+    (4, (1, 2), (1, 2.0), "must be integers"),
+    (4, (1, 2), (1, 2, 1), "must be distinct"),
+    (4, (3,), (4,), "out of range"),
+    (4, (0,), (-1,), "out of range"),
+    (4, (0, 3), (0, 3, 4), "out of range"),
+    (4, (0,), (), "at least one vector"),
+])
+def test_coordinate_frames_refuse_after_the_plane_was_built(n, built, refused, message):
+    """Each refusal keeps its message, also once the same plane has been
+    built from ints."""
+    Frame.coordinate(n, built)
+    with pytest.raises(FrameError, match=message):
+        Frame.coordinate(n, refused)
+
+
+def test_coordinate_frames_refuse_a_bool_n_after_n_1_was_built():
+    Frame.coordinate(1, (0,))
+    with pytest.raises(FrameError, match="dimension must be an integer"):
+        Frame.coordinate(True, (0,))
+
 
 # -- curvature: one power sequence and one contraction chain ------------------
 
@@ -1907,6 +1957,29 @@ def test_restriction_route_matches_the_pq_tensor():
                         assert type(fast) is Fraction
     # unsorted coordinate frames give -1 and +1; scaled ones, either sign
     assert signs == {(True, True), (False, True), (True, False), (False, False)}
+
+
+def three_pass_pq_tensor(tensor, p, q):
+    """star(g^m R^q) / m!, m = n-2q-p, by the route pq_curvature_tensor
+    folded: g^m by mul_g_power, then the star, then a separate scale."""
+    m = tensor.n - 2 * q - p
+    return power(tensor, q).form.mul_g_power(m).hodge().scale(Fraction(1, factorial(m)))
+
+
+def test_pq_curvature_tensor_matches_the_three_pass_route():
+    rng = random.Random(28)
+    for n in range(2, 8):
+        models = list(_fixed_models(n))
+        if n >= 3:
+            models += [
+                ("random_bianchi", CurvatureTensor(random_bianchi(rng, n, 2))) for _ in range(2)
+            ]
+        for name, model in models:
+            for q in range(1, n // 2 + 1):
+                for p in range(0, n - 2 * q + 1):
+                    folded = pq_curvature_tensor(model, p, q)
+                    assert folded == three_pass_pq_tensor(model, p, q), (n, name, p, q)
+                    assert (folded.n, folded.p, folded.q) == (n, p, p)
 
 
 # -- h_{2q} as the trace of one product ------------------------------------------

@@ -324,6 +324,28 @@ def test_a_model_makes_and_certifies_r_on_the_first_read_of_form(made_forms):
         made_forms.clear()
 
 
+def test_walked_certifies_each_form_once(made_forms):
+    """verify's _walked makes R from the record with the maker that
+    reading form uses, and certifies it once: for a product, each factor's R
+    and the sum, three certificates where reading the product's form and
+    then CurvatureTensor(form) made four.  The model makes no R itself, and
+    a tensor without a record is already walked."""
+    product = make_product(make_constant_curvature(2, 1), make_constant_curvature(3, 1))
+    explicit = CurvatureTensor(make_g(3).mul(make_g(3)))
+    made_forms.clear()
+    walked = verify._walked(product)
+    assert made_forms == [2, 2, 2]
+    assert walked.model is None and "form" not in vars(product)
+    assert walked == CurvatureTensor(product.form)
+    assert verify._walked(explicit) is explicit
+    for tensor in recorded_zoo(5):
+        made_forms.clear()
+        walked = verify._walked(tensor)
+        assert made_forms == [2] and walked.model is None, tensor.model[0]
+        assert walked == CurvatureTensor(tensor.form)
+        assert weyl_invariant(walked, 2) == weyl_invariant(tensor, 2)
+
+
 def test_the_conformal_r_is_g_times_h():
     for n in range(2, 9):
         for density in (0.3, 1.0):
