@@ -12,11 +12,14 @@ No zero numerator and no empty row is ever stored, gcd(den, every
 numerator) == 1, and den == 1 for the zero form, so two forms are equal
 exactly when their maps and denominators are.  Every operation walks the
 stored numerators: the kernels (mul, contract for every c^k in one pass,
-bianchi_sum, and g_power_sum for every linear combination: +, -, scale,
-g-powers) read each operand's den, accumulate plain ints over the product
-or lcm of those, and publish, which drops the cells that cancelled and
-divides by one gcd.  c^k and g^k visit the same k-subsets S with the same
-sign, (-1)^popcount((I ^ J) & odd_S): contract, g_power_sum and
+bianchi_sum, and g_power_sum for every sum and g-power: +, -, mul_g_power
+and the closed forms) read each operand's den, accumulate plain ints over
+the product or lcm of those, and publish, which drops the cells that
+cancelled and divides by one gcd.  scale (and -, * and / by a scalar) is
+one pass that multiplies each numerator by the scalar's and publishes over
+den times the scalar's denominator; scale(1) is the form itself.  c^k and
+g^k visit the same k-subsets S with the same sign,
+(-1)^popcount((I ^ J) & odd_S): contract, g_power_sum and
 decomposition._g_power_image, the entries of g_power_matrix and of the
 keyed g^k blocks, draw them from one table, _subset_table(k).
 trace_of_product sums the diagonal of a product into one int without
@@ -208,16 +211,26 @@ class DoubleForm:
     __slots__ = ("n", "p", "q", "cells", "den")
 
     def __init__(self, n: int, p: int, q: int, coeffs=None):
-        # inline, not exterior._is_count: every form, each kernel result too,
-        # passes here; _check_dimension raises with the one message
-        if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_DIMENSION:
-            _check_dimension(n, DegreeError)
-        if (
-            not (isinstance(p, int) and isinstance(q, int) and 0 <= p <= n and 0 <= q <= n)
-            or isinstance(p, bool)
-            or isinstance(q, bool)
+        """Check n and (p, q), then publish coeffs, if given.
+
+        Every form, each kernel result too, is made here, so plain ints in
+        range pass one test first.  Anything else (an int subclass, a bool,
+        another type, a value out of range) takes the full checks, which
+        accept an int subclass and refuse the rest, each with its one
+        message; _check_dimension holds the message for n.
+        """
+        if not (
+            type(n) is type(p) is type(q) is int
+            and 1 <= n <= MAX_DIMENSION and 0 <= p <= n and 0 <= q <= n
         ):
-            raise DegreeError(f"bidegree ({p!r}, {q!r}) out of range for n={n}")
+            if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_DIMENSION:
+                _check_dimension(n, DegreeError)
+            if (
+                not (isinstance(p, int) and isinstance(q, int) and 0 <= p <= n and 0 <= q <= n)
+                or isinstance(p, bool)
+                or isinstance(q, bool)
+            ):
+                raise DegreeError(f"bidegree ({p!r}, {q!r}) out of range for n={n}")
         self.n = n
         self.p = p
         self.q = q
@@ -386,10 +399,24 @@ class DoubleForm:
         return g_power_sum(self.n, self.p, self.q, [(1, 0, self), (-1, 0, other)])
 
     def __neg__(self) -> "DoubleForm":
-        return self.scale(Fraction(-1))
+        return self.scale(-1)
 
     def scale(self, value) -> "DoubleForm":
-        return g_power_sum(self.n, self.p, self.q, [(as_scalar(value), 0, self)])
+        """value * w for an exact int or Fraction value; w itself for 1, like
+        mul_g_power(0) and contract(0), since forms are not changed once
+        built.  Otherwise one pass multiplies each stored numerator by
+        value's numerator, and _publish stores the rows over den times
+        value's denominator: it drops them all for 0 and divides by the gcd.
+        -w, value * w, w * value and w / value are this call."""
+        num, den = _ratio(value)
+        if num == 1 and den == 1:
+            return self
+        out = DoubleForm(self.n, self.p, self.q)
+        out._publish({
+            mask_i: {mask_j: num * v for mask_j, v in row.items()}
+            for mask_i, row in self.cells.items()
+        }, self.den * den)
+        return out
 
     def __rmul__(self, value) -> "DoubleForm":
         return self.scale(value)

@@ -54,7 +54,6 @@ from .core import (
     contractions,
     g_power_sum,
     make_g,
-    make_scalar,
     make_zero,
     trace_of_product,
 )
@@ -750,13 +749,26 @@ def is_conformally_flat_algebraic(tensor: CurvatureTensor) -> bool:
 
 
 def has_constant_sectional(form: DoubleForm, p: int) -> Fraction | None:
-    """The constant c with w = c g^p/p!, or None if w is not of that shape."""
+    """The constant c with w = c g^p/p!, or None if w is not of that shape.
+
+    g^p/p! is 1 on each of the C(n,p) diagonal cells (S, S) and 0 elsewhere,
+    so w has the shape exactly when it is zero (c = 0) or stores exactly
+    those cells, one per row, all with one numerator (c = that over den).
+    """
     if (form.p, form.q) != (p, p):
         raise DegreeError(f"expected a ({p},{p})-form, got ({form.p},{form.q})")
-    model = make_scalar(form.n, 1).mul_g_power(p).scale(Fraction(1, factorial(p)))
-    first = (1 << p) - 1  # model has value 1 on every diagonal cell
-    candidate = form.cell(first, first)
-    return candidate if form == candidate * model else None
+    cells = form.cells
+    if not cells:
+        return Fraction(0)
+    if len(cells) != comb(form.n, p):
+        return None
+    first = (1 << p) - 1
+    num = cells[first].get(first)  # all C(n,p) rows are stored
+    if num is None or any(
+        len(row) != 1 or row.get(mask_i) != num for mask_i, row in cells.items()
+    ):
+        return None
+    return Fraction(num, form.den)
 
 
 # -- reports -------------------------------------------------------------------

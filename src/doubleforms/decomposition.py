@@ -96,17 +96,23 @@ def decompose(form: DoubleForm) -> EffectiveDecomposition:
                               (g^r / r!) c^{p-k+r} w ],
 
     and w_k = 0 for n-p < k <= p (only when 2p > n).
+
+    The closed forms read c^j w only for skip <= j <= p, skip = max(2p-n, 0).
+    So the chain starts at c^skip w, made in one pass by contract(skip):
+    at 2p > n it does not walk c w, c^2 w, ... through the dense middle
+    degrees that no component reads.
     """
     if form.p != form.q:
         raise DegreeError(f"decompose needs p == q, got ({form.p},{form.q})")
     n, p = form.n, form.p
-    chain = contractions(form, p)
+    skip = max(2 * p - n, 0)
+    chain = contractions(form.contract(skip), p - skip)  # chain[j - skip] = c^j w
     components = []
     for k in range(min(p, n - p) + 1):
         lead = Fraction(factorial(n - p - k), factorial(p - k) * factorial(n - 2 * k))
-        terms = [(lead, 0, chain[p - k])]
+        terms = [(lead, 0, chain[p - k - skip])]
         for r in range(1, k + 1):  # c_r = -c_{r-1} / (r (n-2k+1+r))
-            terms.append((terms[-1][0] / -(r * (n - 2 * k + 1 + r)), r, chain[p - k + r]))
+            terms.append((terms[-1][0] / -(r * (n - 2 * k + 1 + r)), r, chain[p - k + r - skip]))
         components.append(g_power_sum(n, k, k, terms))
     components += [make_zero(n, k, k) for k in range(n - p + 1, p + 1)]
     return EffectiveDecomposition(n, p, tuple(components))

@@ -92,6 +92,38 @@ def test_bool_bidegrees_are_refused():
     assert make_zero(4, 1, 0).p == 1
 
 
+class Count(int):
+    """An int subclass that is not bool: the constructor accepts it."""
+
+
+def test_constructor_checks_past_the_plain_int_test():
+    # plain ints in range pass one test; everything else takes the full
+    # checks, which accept an int subclass and refuse the rest as before
+    form = DoubleForm(Count(4), Count(2), Count(1), [[1] * 4 for _ in range(6)])
+    assert (form.n, form.p, form.q) == (4, 2, 1)
+    assert form == DoubleForm(4, 2, 1, [[1] * 4 for _ in range(6)])
+    assert DoubleForm(4, Count(0), 3) == make_zero(4, 0, 3)
+    refusals = [
+        ((True, 1, 1), "ambient dimension must be an integer in [1, 16], got True"),
+        ((0, 0, 0), "ambient dimension must be an integer in [1, 16], got 0"),
+        ((17, 1, 1), "ambient dimension must be an integer in [1, 16], got 17"),
+        ((4.0, 1, 1), "ambient dimension must be an integer in [1, 16], got 4.0"),
+        (("4", 1, 1), "ambient dimension must be an integer in [1, 16], got '4'"),
+        ((Count(17), 1, 1), "ambient dimension must be an integer in [1, 16], got 17"),
+        ((4, True, 1), "bidegree (True, 1) out of range for n=4"),
+        ((4, 1, False), "bidegree (1, False) out of range for n=4"),
+        ((4, 5, 0), "bidegree (5, 0) out of range for n=4"),
+        ((4, 0, -1), "bidegree (0, -1) out of range for n=4"),
+        ((4, 1.0, 1), "bidegree (1.0, 1) out of range for n=4"),
+        ((4, None, 1), "bidegree (None, 1) out of range for n=4"),
+        ((4, Count(5), 1), "bidegree (5, 1) out of range for n=4"),
+    ]
+    for (n, p, q), message in refusals:
+        with pytest.raises(DegreeError) as caught:
+            DoubleForm(n, p, q)
+        assert str(caught.value) == message, (n, p, q)
+
+
 def test_contract_count():
     w = random_form(random.Random(5), 5, 3, 2, density=0.6)
     assert w.contract(0) is w

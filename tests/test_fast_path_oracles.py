@@ -1,7 +1,9 @@
 """Fast paths against independent exact oracles.
 
 The closed-form decompose at 2p > n is checked against the solve-based
-route (divide_g_power, then decompose of the quotient), and the
+route (divide_g_power, then decompose of the quotient), up to (14, 13);
+its chain, which starts at c^(2p-n) w, stays within a cell budget of w's
+size at (12, 11).  The
 single-pass mul_g_power against repeated products by g.  The one Bareiss
 elimination behind linalg's rank, solve and nullspace is checked against
 determinants of minors, solve (the kernel vector of [A | -b]) against the
@@ -24,7 +26,10 @@ invariant report's power sequence and its h_{2q} and T_{2q} against
 repeated products and single contractions, the one-pass contract(k)
 against the chain contractions(w, k)[-1], and pq_sectional's complement
 restriction on coordinate planes against the sectional curvature of
-pq_curvature_tensor.  trace_of_product is checked against the formed
+pq_curvature_tensor.  has_constant_sectional's test of the stored cells
+is checked against building g^p/p! and comparing whole forms, on c g^p/p!
+with a cell missing, added or changed, at p = 0 and p = n and over den != 1.
+trace_of_product is checked against the formed
 product and c^m, also with its partner-subset memo warm, and
 weyl_invariant, the trace of R^floor(q/2) . R^ceil(q/2), against c^(2q)
 of the whole R^q; the memo _subsets_of against itertools.combinations and
@@ -85,6 +90,7 @@ from doubleforms import (
     build_invariant_report,
     decompose,
     einstein_tensor,
+    has_constant_sectional,
     make_constant_curvature,
     make_conformally_flat,
     make_g,
@@ -111,8 +117,10 @@ from doubleforms.core import (
     _subsets_of,
     _unflatten,
     _wedge,
+    cell_budget,
     contractions,
     g_power_sum,
+    set_cell_budget,
     trace_of_product,
 )
 from doubleforms.curvature import (
@@ -177,24 +185,40 @@ def assert_closed_form_matches_solve_route(w):
 
 
 def forced_division_degrees():
-    """Every (n, p) with 2p > n and C(n,p)^2 <= 500, up to n = 10.
+    """Every (n, p) with 2p > n and C(n,p)^2 <= 500, up to n = 10, and
+    (12, 11) and (14, 13), where p is close to n.
 
-    Past n = 10 only p >= n-1 qualifies, and the closed form's contraction
-    chain runs through the dense middle degree: about 9 s at n = 12, and
-    over the default cell budget from n = 14.
+    The closed form's chain starts at c^(2p-n) w, made in one pass, so it
+    never reaches the dense middle degree; the solve route's matrix of
+    g^(2p-n) on D^(n-p,n-p) is 144 x 144 and 196 x 196 at the last two.
     """
     return [
         (n, p)
         for n in range(1, 11)
         for p in range(n // 2 + 1, n + 1)
         if comb(n, p) ** 2 <= 500
-    ]
+    ] + [(12, 11), (14, 13)]
 
 
 def test_closed_form_decompose_matches_solve_route():
     rng = random.Random("closed-form-vs-solve")
     for n, p in forced_division_degrees():
         assert_closed_form_matches_solve_route(dense_rational_form(rng, n, p, p))
+
+
+def test_closed_form_decompose_skips_the_middle_degrees():
+    # at 2p > n the chain starts at c^(2p-n) w, so at (12, 11) no form that
+    # decompose makes stores more cells than w's 144; starting one step
+    # earlier would make c^9 w in D^(2,2), with up to 66^2 cells
+    w = dense_rational_form(random.Random("middle-degrees"), 12, 11, 11)
+    expected = decompose(w).components
+    previous = cell_budget()
+    set_cell_budget(comb(12, 11) ** 2)
+    try:
+        assert decompose(w).components == expected
+    finally:
+        set_cell_budget(previous)
+    assert_closed_form_matches_solve_route(w)
 
 
 def test_mul_g_power_matches_repeated_products():
@@ -1527,10 +1551,11 @@ def test_integer_kernels_cancel_on_effective_forms(n, data):
 
 # -- one linear-combination kernel against the chained Fraction loops --------
 #
-# g_power_sum evaluates sum_i c_i g^(k_i) w_i in one integer pass; +, -, scale
-# and mul_g_power are calls of it with one or two terms, and so are the
-# closed forms of decomposition.  The references below are the Fraction loops
-# they replaced: the _combined loop behind + and -, the loop of scale, and
+# g_power_sum evaluates sum_i c_i g^(k_i) w_i in one integer pass; +, - and
+# mul_g_power are calls of it with one or two terms, and so are the closed
+# forms of decomposition; scale is its own one numerator pass.  The
+# references below are the Fraction loops they replaced: the _combined loop
+# behind + and -, the loop of scale, and
 # the chained acc + X.mul_g_power(r).scale(c) closed forms, built on
 # reference_mul_g_power.
 
@@ -1980,6 +2005,72 @@ def test_pq_curvature_tensor_matches_the_three_pass_route():
                     folded = pq_curvature_tensor(model, p, q)
                     assert folded == three_pass_pq_tensor(model, p, q), (n, name, p, q)
                     assert (folded.n, folded.p, folded.q) == (n, p, p)
+
+
+# -- has_constant_sectional reads the cells ------------------------------------
+
+
+def three_pass_constant_sectional(form, p):
+    """The constant c with w = c g^p/p!, or None, by building g^p/p! (a
+    scalar, mul_g_power, scale) and comparing whole forms: the route
+    has_constant_sectional's cell test replaced."""
+    model = make_scalar(form.n, 1).mul_g_power(p).scale(Fraction(1, factorial(p)))
+    first = (1 << p) - 1
+    candidate = form.cell(first, first)
+    return candidate if form == candidate * model else None
+
+
+@st.composite
+def near_constant_sectional_forms(draw):
+    """c g^p/p! at n <= 5, 0 <= p <= n, c zero or a random fraction (so den
+    is often not 1), then one of: unchanged, a diagonal cell missing, an
+    off-diagonal cell added, one diagonal value changed, or every cell
+    redrawn."""
+    n = draw(st.integers(1, 5))
+    p = draw(st.integers(0, n))
+    size = comb(n, p)
+    value = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    c = draw(st.one_of(st.just(Fraction(0)), value))
+    rows = [[c if i == j else Fraction(0) for j in range(size)] for i in range(size)]
+    i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+    change = draw(st.sampled_from(["none", "missing", "extra", "unequal", "redrawn"]))
+    if change == "missing":
+        rows[i][i] = Fraction(0)
+    elif change == "extra" and i != j:
+        rows[i][j] = draw(value.filter(bool))
+    elif change == "unequal":
+        rows[i][i] = c + draw(value.filter(bool))
+    elif change == "redrawn":
+        rows = [[draw(st.one_of(st.just(Fraction(0)), value)) for _ in row] for row in rows]
+    return DoubleForm(n, p, p, rows), p
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_constant_sectional_forms())
+def test_constant_sectional_cell_test_matches_the_three_pass_route(case):
+    form, p = case
+    got = has_constant_sectional(form, p)
+    expected = three_pass_constant_sectional(form, p)
+    assert got == expected and (got is None) == (expected is None), (form.n, p, form.cells)
+
+
+def test_constant_sectional_cell_test_edge_cases():
+    # the zero form, p = 0 and p = n (one diagonal cell), den != 1, and a
+    # row whose one cell is off the diagonal
+    for n in (1, 3, 4):
+        for p in (0, n):
+            for c in (0, 3, Fraction(-5, 6)):
+                form = make_scalar(n, c).mul_g_power(p).scale(Fraction(1, factorial(p)))
+                assert has_constant_sectional(form, p) == c
+                assert three_pass_constant_sectional(form, p) == c
+    model = make_scalar(4, Fraction(2, 3)).mul_g_power(2).scale(Fraction(1, 2))
+    assert model.den == 3 and has_constant_sectional(model, 2) == Fraction(2, 3)
+    shifted = DoubleForm(3, 1, 1, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    assert has_constant_sectional(shifted, 1) is None
+    assert three_pass_constant_sectional(shifted, 1) is None
+    swapped = DoubleForm(3, 1, 1, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+    assert has_constant_sectional(swapped, 1) is None
+    assert three_pass_constant_sectional(swapped, 1) is None
 
 
 # -- h_{2q} as the trace of one product ------------------------------------------

@@ -13,10 +13,11 @@ exact cancellation in the kernels, symmetry and output order.
 from fractions import Fraction
 from math import comb, gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doubleforms import DoubleForm, make_basis, make_g, make_zero
+from doubleforms import DoubleForm, DoubleFormError, make_basis, make_g, make_zero
 from doubleforms.core import _flatten, _unflatten, g_power_sum
 from doubleforms.curvature import _embed
 from doubleforms.exterior import _mask_rank_table, subset_masks
@@ -206,6 +207,46 @@ def test_writing_zero_removes_the_cell(w, data):
     assert _flatten(w) == dense
     rows = [dense[at:at + cols] for at in range(0, len(dense), cols)]
     assert w == DoubleForm(w.n, w.p, w.q, rows)
+
+
+scalars = st.one_of(
+    st.sampled_from([0, 1, -1, Fraction(0), Fraction(1), Fraction(-1)]),
+    st.fractions(min_value=-6, max_value=6, max_denominator=6),
+)
+
+
+def _stored(w):
+    return w.n, w.p, w.q, w.den, w.cells
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_forms(), scalars)
+def test_scale_is_the_one_term_linear_combination(w, c):
+    # scale's one numerator pass against the general kernel it left
+    fast = w.scale(c)
+    assert _stored(fast) == _stored(g_power_sum(w.n, w.p, w.q, [(c, 0, w)]))
+    assert_normalized(fast)
+    assert _stored(c * w) == _stored(w * c) == _stored(fast)
+    if c:
+        assert _stored(w / (1 / Fraction(c))) == _stored(fast)
+
+
+def test_scale_by_one_is_the_form_and_the_operators_are_scale():
+    w = DoubleForm(3, 1, 2, [[Fraction(1, 6), 0, Fraction(-2, 3)], [0, Fraction(5, 4), 1],
+                             [Fraction(3, 2), 0, 0]])
+    assert w.den == 12
+    assert w.scale(1) is w and w.scale(Fraction(1)) is w and 1 * w is w
+    assert _stored(-w) == _stored(w.scale(-1)) == _stored(g_power_sum(3, 1, 2, [(-1, 0, w)]))
+    # 4/5 shares a factor with den: the gcd reduction still runs
+    for c in (Fraction(4, 5), Fraction(-3, 7), 6, 0):
+        expected = g_power_sum(3, 1, 2, [(Fraction(c), 0, w)])
+        assert _stored(w.scale(c)) == _stored(c * w) == _stored(expected), c
+    assert _stored(w / Fraction(5, 4)) == _stored(w.scale(Fraction(4, 5)))
+    assert w.scale(Fraction(4, 5)).den == 15
+    assert _stored(w.scale(0)) == _stored(make_zero(3, 1, 2))
+    for bad in (0.5, "1", None):
+        with pytest.raises(DoubleFormError, match="expected an exact rational scalar"):
+            w.scale(bad)
 
 
 def test_entries_follow_lexicographic_order_not_insertion_order():
