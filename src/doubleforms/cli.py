@@ -6,8 +6,10 @@ Commands:
   decompose  --input FORM.json
   verify     --suite NAME [--n N] [--trials T] [--seed S] [--timings FILE]
 
-Exit codes: 0 success, 1 identity failure, 2 usage or schema error.  Output
-on stdout is byte-identical for identical inputs; timing goes to stderr.
+Exit codes: 0 success, 1 identity failure, 2 usage or schema error, or
+stdout refusing the output.  Output on stdout is byte-identical for
+identical inputs; JSON goes out in chunks as it is made (see
+serialize.dumps_canonical); timing goes to stderr.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 import time
@@ -52,12 +55,26 @@ def _read_tensor(path: str):
     return serialize.build_curvature_tensor(serialize.model_spec_from_dict(_load_json(path)))
 
 
+class OutputError(Exception):
+    """stdout refused the output: a full disk, a closed pipe."""
+
+
+def _write_output(obj) -> None:
+    """Write a table's text, or obj as canonical JSON in chunks, to stdout
+    and flush it, so that a write stdout refuses fails here."""
+    try:
+        if isinstance(obj, str):
+            sys.stdout.write(obj)
+        else:
+            serialize.dumps_canonical(obj, sys.stdout)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise OutputError(f"cannot write output: {exc}") from exc
+
+
 def _write_report(report: InvariantReport, fmt: str) -> int:
     """Write a report to stdout as a table or as canonical JSON."""
-    if fmt == "table":
-        sys.stdout.write(serialize.report_to_table(report))
-    else:
-        sys.stdout.write(serialize.dumps_canonical(report))
+    _write_output(serialize.report_to_table(report) if fmt == "table" else report)
     return 0
 
 
@@ -109,7 +126,7 @@ def _cmd_decompose(args) -> int:
     result = decompose(form)
     if result.reconstruct() != form:
         raise IdentityError("decomposition failed to reconstruct its input")
-    sys.stdout.write(serialize.dumps_canonical(result))
+    _write_output(result)
     return 0
 
 
@@ -141,7 +158,7 @@ def _cmd_verify(args) -> int:
         payload = outcomes[0].to_dict()
     else:
         payload = {"runs": [o.to_dict() for o in outcomes]}
-    sys.stdout.write(serialize.dumps_canonical(payload))
+    _write_output(payload)
     print(f"verify: {sum(o.cases for o in outcomes)} cases in {elapsed:.2f}s", file=sys.stderr)
     return 0 if all(o.ok for o in outcomes) else 1
 
@@ -194,10 +211,25 @@ def main(argv=None) -> int:
     except IdentityError as exc:
         print(f"identity failure: {exc}", file=sys.stderr)
         return 1
-    except (SchemaError, verify.UsageError, DoubleFormError) as exc:
+    except (SchemaError, verify.UsageError, DoubleFormError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
+def run() -> None:
+    """The process's entry point (python -m doubleforms.cli, and the
+    doubleforms script): main on sys.argv, then exit with its code.  Text
+    that stdout refused may still be buffered, and the interpreter's flush
+    at exit would report it again, so that flush goes to the null device.
+    Only the process does this: main leaves an in-process caller's stdout
+    where it is."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -14,6 +14,13 @@ of each index list followed by what comes after it is cached per
 (n, k, depth), and each distinct numerator's value text, reduced against
 the form's denominator by one gcd, is built once per form, so no list of
 lists and no Fraction is built.
+The writer makes its text in two passes.  The first makes the text of
+every number (so a number too long to write fails before any output) and
+every piece of text but the forms' rows, which it defers.  The second makes
+each form's rows as they are needed: dumps_canonical joins the text, and
+dumps_canonical(obj, stream), which the CLI uses, writes it to the stream
+in chunks of CHUNK_SIZE characters or more, so a large output is never
+held whole.
 form_to_dict, decomposition_to_dict and report_to_dict build plain dicts
 from the same payloads through _plain, the one converter to plain JSON
 values, which verify also uses for the inputs of a failed case.  json.dumps
@@ -129,14 +136,57 @@ def decimal6(value: Fraction) -> str:
     return _DECIMAL6.to_sci_string(quotient)
 
 
-def dumps_canonical(obj) -> str:
+# A streamed text goes to stream.write in chunks of at least this many
+# characters, the last excepted, so a shorter text is one write.
+CHUNK_SIZE = 1 << 16
+
+
+def dumps_canonical(obj, stream=None) -> str | None:
     """Canonical JSON text of obj: strings, ints, bools, None, lists and
     str-keyed dicts, with forms, decompositions and invariant reports
-    allowed as leaves."""
-    out: list[str] = []
-    _write(obj, 0, out)
-    out.append("\n")
-    return "".join(out)
+    allowed as leaves.  Given a stream, the text goes to stream.write in
+    chunks instead (see _chunks), and None is returned.  The text of every
+    number is made before any chunk is, so a number whose text cannot be
+    made (DoubleFormError) leaves the stream untouched."""
+    pieces: list = []
+    _write(obj, 0, pieces)
+    pieces.append("\n")
+    try:  # one string, unless some form's rows are still to be made
+        chunks = ("".join(pieces),)
+    except TypeError:
+        chunks = _chunks(pieces)
+    if stream is None:
+        return "".join(chunks)
+    for chunk in chunks:
+        stream.write(chunk)
+    return None
+
+
+def _chunks(pieces: list):
+    """The text of _write's pieces in strings of CHUNK_SIZE characters or
+    more, the last excepted: each run of strings is taken whole, and each
+    form's entries a row at a time, as its rows are made."""
+    chunk, size = [], 0
+    for text in _texts(pieces):
+        chunk.append(text)
+        size += len(text)
+        if size >= CHUNK_SIZE:
+            yield "".join(chunk)
+            chunk, size = [], 0
+    if chunk:
+        yield "".join(chunk)
+
+
+def _texts(pieces: list):
+    """Each run of strings in pieces joined, then the rows of the form
+    deferred after it."""
+    start = 0
+    for end, piece in enumerate(pieces):
+        if type(piece) is not str:
+            yield "".join(pieces[start:end])
+            yield from piece
+            start = end + 1
+    yield "".join(pieces[start:])
 
 
 @lru_cache(maxsize=None)
@@ -145,7 +195,9 @@ def _newline(depth: int) -> str:
 
 
 def _write(obj, depth: int, out: list) -> None:
-    """Append obj's canonical text at the given nesting depth; bool before int."""
+    """Append obj's canonical text at the given nesting depth, as strings
+    and, for the entries of a nonempty form, an iterator of its rows' text;
+    bool before int."""
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif obj is None:
@@ -211,15 +263,11 @@ def _column_texts(n: int, k: int, depth: int) -> dict[int, str]:
 
 def _write_form(form: DoubleForm, depth: int, out: list) -> None:
     """form_to_dict(form)'s canonical text, written from the stored cells:
-    each row's text up to its column once, each numerator's text once."""
+    each numerator's text is made once, here, and the entries are deferred
+    to _form_rows."""
     inner = _newline(depth + 1)
     out.append("{" + inner + '"entries": ')
-    entry_depth = depth + 2
-    left = _index_texts(form.n, form.p, entry_depth + 1)
-    right = _column_texts(form.n, form.q, entry_depth + 1)
-    head = "[" + _newline(entry_depth + 1)
-    between = "," + _newline(entry_depth + 1)
-    tail = '"' + _newline(entry_depth) + "]"
+    tail = '"' + _newline(depth + 2) + "]"
     den = form.den
     numerators = set(chain.from_iterable(map(dict.values, form.cells.values())))
     try:  # rational_to_str's text: "num", or "num/den" in lowest terms
@@ -228,25 +276,31 @@ def _write_form(form: DoubleForm, depth: int, out: list) -> None:
         }
     except ValueError as exc:  # str() refuses ints past the interpreter's digit limit
         raise DoubleFormError(f"output number too long: {exc}") from exc
-    row_rank = _mask_rank_table(form.n, form.p)
-    col_rank = _mask_rank_table(form.n, form.q).__getitem__
-    sep = "," + _newline(entry_depth)
-    rows = []
-    for mask_i in sorted(form.cells, key=row_rank.__getitem__):
-        row = form.cells[mask_i]
-        prefix = head + left[mask_i] + between  # opens each of the row's entries
-        rows.append(prefix + (sep + prefix).join(
-            [right[mask_j] + texts[row[mask_j]] for mask_j in sorted(row, key=col_rank)]
-        ))
-    if rows:
-        out.append("[" + _newline(entry_depth))
-        out.append(sep.join(rows))
-        out.append(inner + "]")
-    else:
-        out.append("[]")
+    out.append(_form_rows(form, depth + 2, texts) if texts else "[]")
     out.append(
         f',{inner}"n": {form.n},{inner}"p": {form.p},{inner}"q": {form.q}{_newline(depth)}}}'
     )
+
+
+def _form_rows(form: DoubleForm, entry_depth: int, texts: dict[int, str]):
+    """The text of a nonempty form's entries list, one row at a time: each
+    row's text up to its column once, then its entries' columns and values."""
+    left = _index_texts(form.n, form.p, entry_depth + 1)
+    right = _column_texts(form.n, form.q, entry_depth + 1)
+    head = "[" + _newline(entry_depth + 1)
+    between = "," + _newline(entry_depth + 1)
+    sep = "," + _newline(entry_depth)
+    row_rank = _mask_rank_table(form.n, form.p)
+    col_rank = _mask_rank_table(form.n, form.q).__getitem__
+    opening = "[" + _newline(entry_depth)
+    for mask_i in sorted(form.cells, key=row_rank.__getitem__):
+        row = form.cells[mask_i]
+        prefix = head + left[mask_i] + between  # opens each of the row's entries
+        yield opening + prefix + (sep + prefix).join(
+            [right[mask_j] + texts[row[mask_j]] for mask_j in sorted(row, key=col_rank)]
+        )
+        opening = sep
+    yield _newline(entry_depth - 1) + "]"
 
 
 def _ratio_text(num: int, den: int) -> str:

@@ -1,11 +1,14 @@
 """End-to-end command-line behavior and exit codes."""
 
 import decimal
+import errno
 import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -13,7 +16,7 @@ import pytest
 import doubleforms
 from doubleforms import make_scalar
 from doubleforms.cli import main
-from doubleforms.serialize import dumps_canonical, form_to_dict
+from doubleforms.serialize import CHUNK_SIZE, dumps_canonical, form_to_dict
 from doubleforms.verify import random_bianchi
 
 
@@ -611,3 +614,121 @@ def test_integer_flags_keep_a_leading_minus(sphere_spec, capsys):
     assert exit_code(["verify", "--suite", "hodge", "--n", "4", "--trials", "1", "--seed", "-3"]) == 0
     assert exit_code(["pq", "--spec", sphere_spec, "--p", "1", "--q", "1", "--plane", "-1"]) == 2
     assert "coordinate index out of range" in capsys.readouterr().err
+
+
+# -- a stdout that refuses the output ------------------------------------------
+
+
+def dense_form_dict(n, p):
+    """The dense (p,p) form at n that CI's n14-zoo job writes for decompose
+    (its dense107.json formula)."""
+    subsets = list(combinations(range(n), p))
+    return {"n": n, "p": p, "q": p, "entries": [
+        [list(I), list(J), "%d/%d" % ((a * 7 + b * 3) % 11 - 5 or 1, 1 + (a + 2 * b) % 4)]
+        for a, I in enumerate(subsets) for b, J in enumerate(subsets)
+    ]}
+
+
+@pytest.fixture
+def dense_form_path(tmp_path):
+    # its decompose prints about 280 KB: several chunks, more than a pipe holds
+    path = tmp_path / "dense73.json"
+    path.write_text(json.dumps(dense_form_dict(7, 3)))
+    return str(path)
+
+
+def refused_commands(sphere_spec, product_spec, form_path):
+    return {
+        "invariants": ["invariants", "--spec", sphere_spec, "--max-q", "2"],
+        "invariants_table": ["invariants", "--spec", sphere_spec, "--max-q", "2", "--format", "table"],
+        "pq": ["pq", "--spec", product_spec, "--p", "2", "--q", "1", "--plane", "0,2"],
+        "decompose": ["decompose", "--input", form_path],
+        "verify": ["verify", "--suite", "hodge", "--n", "4", "--trials", "1"],
+    }
+
+
+class RefusingStdout:
+    """A stdout whose write (after `accepted` writes) or flush raises error."""
+
+    def __init__(self, method, error, accepted=0):
+        self.method, self.error, self.accepted = method, error, accepted
+        self.written = []
+
+    def write(self, text):
+        if self.method == "write" and len(self.written) == self.accepted:
+            raise self.error
+        self.written.append(text)
+        return len(text)
+
+    def flush(self):
+        if self.method == "flush":
+            raise self.error
+
+
+REFUSALS = [
+    OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+    BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)),
+]
+
+
+@pytest.mark.parametrize("method", ["write", "flush"])
+@pytest.mark.parametrize("error", REFUSALS, ids=["ENOSPC", "EPIPE"])
+@pytest.mark.parametrize("command", ["invariants", "invariants_table", "pq", "decompose", "verify"])
+def test_a_refused_stdout_is_a_usage_error(
+    sphere_spec, product_spec, dense_form_path, monkeypatch, capsys, method, error, command
+):
+    argv = refused_commands(sphere_spec, product_spec, dense_form_path)[command]
+    monkeypatch.setattr(sys, "stdout", RefusingStdout(method, error))
+    assert main(argv) == 2
+    # one line, before verify's summary of cases
+    assert capsys.readouterr().err == f"error: cannot write output: {error}\n"
+
+
+def test_a_write_refused_midway_is_a_usage_error(dense_form_path, monkeypatch, capsys):
+    assert main(["decompose", "--input", dense_form_path]) == 0
+    full = capsys.readouterr().out
+    stdout = RefusingStdout("write", REFUSALS[1], accepted=2)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["decompose", "--input", dense_form_path]) == 2
+    assert capsys.readouterr().err == f"error: cannot write output: {REFUSALS[1]}\n"
+    written = "".join(stdout.written)
+    assert len(stdout.written) == 2 and len(written) >= 2 * CHUNK_SIZE
+    assert full.startswith(written) and len(full) > len(written)
+
+
+def run_cli(args, stdout, unbuffered):
+    """python -m doubleforms.cli args in a fresh interpreter, stdout given,
+    stderr captured, with or without PYTHONUNBUFFERED; it writes no
+    bytecode into the package."""
+    package_root = Path(doubleforms.__file__).resolve().parent.parent
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(package_root), "PYTHONDONTWRITEBYTECODE": "1"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen(
+        [sys.executable, "-m", "doubleforms.cli", *args],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["invariants", "decompose", "verify"])
+def test_stdout_on_dev_full_exits_2_with_one_line(
+    sphere_spec, product_spec, dense_form_path, command, unbuffered
+):
+    argv = refused_commands(sphere_spec, product_spec, dense_form_path)[command]
+    with open("/dev/full", "w") as full:
+        proc = run_cli(argv, full, unbuffered)
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2, err
+    assert err == f"error: cannot write output: {REFUSALS[0]}\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_pipe_closed_midway_exits_2_with_one_line(dense_form_path, unbuffered):
+    proc = run_cli(["decompose", "--input", dense_form_path], subprocess.PIPE, unbuffered)
+    assert proc.stdout.read(10) == '{\n  "compo'
+    proc.stdout.close()  # like `| head -c 10`
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 2, err
+    assert err == f"error: cannot write output: {REFUSALS[1]}\n"

@@ -47,7 +47,9 @@ of rows against B.B/2, and the shapes of build_curvature_tensor against
 shapes built by set_cell.  The
 canonical JSON writer is checked against json.dumps with sorted keys and a
 two-space indent on forms, decompositions, invariant reports and verify
-payloads, on forms whose numerators repeat too.  The JSON reader's bulk
+payloads, on forms whose numerators repeat too; its streamed text against
+its returned text and json.dumps, in chunks of CHUNK_SIZE or more, and a
+number too long to write in a later form against an empty stream.  The JSON reader's bulk
 route is checked against a per-entry reader on sparse, dense and
 integer-valued forms, and its refusals against the messages the
 per-entry reader gave before it, pinned for faults made in a dense form;
@@ -75,6 +77,7 @@ same generator state after every call.
 
 import json
 import random
+import sys
 import weakref
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -136,6 +139,7 @@ from doubleforms.curvature import (
 from doubleforms.decomposition import _g_power_kernel, divide_g_power, g_power_matrix, map_rank
 from doubleforms.exterior import IndexSet, complement_sign_mask, mask_to_indices, subset_masks
 from doubleforms.serialize import (
+    CHUNK_SIZE,
     SchemaError,
     _read_in_bulk,
     build_curvature_tensor,
@@ -974,6 +978,86 @@ _json_values = st.recursive(
 def test_writer_matches_json_dumps_on_json_values(value):
     # failure records carry free-form labels and inputs: escapes, nesting, empties
     assert dumps_canonical(value) == json_oracle(value)
+
+
+# -- serialize: the streamed text is dumps_canonical's ---------------------------
+#
+# dumps_canonical(obj, stream) writes the text that dumps_canonical(obj)
+# returns, in chunks: every write but the last of at least CHUNK_SIZE
+# characters, and a shorter text in one write.
+
+
+class RecordingStream:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def assert_streams_as_dumped(obj, plain) -> list[str]:
+    """The writes of dumps_canonical(obj, stream), checked against the
+    returned text and json.dumps of plain."""
+    stream = RecordingStream()
+    assert dumps_canonical(obj, stream) is None
+    writes = stream.writes
+    assert "".join(writes) == dumps_canonical(obj) == json_oracle(plain)
+    assert all(len(text) >= CHUNK_SIZE for text in writes[:-1])
+    assert len(writes) == 1 or len(writes[0]) >= CHUNK_SIZE
+    return writes
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(sparse_forms(pooled=True) | sparse_forms(), max_size=3))
+def test_streamed_text_matches_on_forms(forms):
+    # several forms' rows deferred, with strings between and around them
+    assert_streams_as_dumped(forms, [form_to_dict(form) for form in forms])
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_forms(max_n=6, square=True))
+def test_streamed_text_matches_on_decompositions(w):
+    d = decompose(w)
+    assert_streams_as_dumped({"d": d, "w": w}, {"d": decomposition_to_dict(d), "w": form_to_dict(w)})
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 6), st.data())
+def test_streamed_text_matches_on_invariant_reports(n, data):
+    name, tensor = data.draw(st.sampled_from(model_zoo(n, random.Random(n))))
+    report = build_invariant_report(tensor, data.draw(st.integers(1, n // 2)))
+    assert len(assert_streams_as_dumped(report, report_to_dict(report))) == 1, name
+
+
+@settings(max_examples=50, deadline=None)
+@given(_json_values)
+def test_streamed_text_matches_on_json_values(value):
+    assert_streams_as_dumped(value, value)
+
+
+def test_streamed_dense_decomposition_spans_several_chunks():
+    w = dense_rational_form(random.Random("stream-dense"), 7, 3, 3)
+    d = decompose(w)
+    writes = assert_streams_as_dumped(d, decomposition_to_dict(d))
+    assert len(writes) >= 3
+    # the rows go out as they are made: no write holds much more than a chunk
+    assert max(map(len, writes)) < 2 * CHUNK_SIZE
+
+
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="no int() digit limit")
+def test_a_number_too_long_in_a_later_form_leaves_the_stream_empty():
+    first = dense_rational_form(random.Random("stream-first"), 7, 3, 3)
+    assert len(dumps_canonical(first)) > CHUNK_SIZE
+    last = make_zero(3, 1, 1)
+    last.set_cell(1, 2, Fraction(10 ** _DIGIT_LIMIT, 7))  # one digit past the limit
+    for payload in ([first, last], {"a": first, "b": [make_g(3), {"c": last}]}):
+        stream = RecordingStream()
+        with pytest.raises(DoubleFormError, match="output number too long"):
+            dumps_canonical(payload, stream)
+        assert stream.writes == []
 
 
 # -- serialize: the bulk reader against a per-entry reference -----------------
