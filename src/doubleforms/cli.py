@@ -15,7 +15,9 @@ serialize.dumps_canonical); timing goes to stderr.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
+import io
 import json
 import os
 import re
@@ -63,13 +65,41 @@ def _write_output(obj) -> None:
     """Write a table's text, or obj as canonical JSON in chunks, to stdout
     and flush it, so that a write stdout refuses fails here."""
     try:
+        stream = _stdout_writer()
         if isinstance(obj, str):
-            sys.stdout.write(obj)
+            stream.write(obj)
         else:
-            serialize.dumps_canonical(obj, sys.stdout)
+            serialize.dumps_canonical(obj, stream)
         sys.stdout.flush()
     except OSError as exc:
         raise OutputError(f"cannot write output: {exc}") from exc
+
+
+def _stdout_writer():
+    """sys.stdout, or, where its binary layer is a raw stream (python -u,
+    PYTHONUNBUFFERED), a _RawWriter over that stream: the text layer hands a
+    raw stream each text once and drops what a short write leaves."""
+    raw = getattr(sys.stdout, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):
+        return sys.stdout
+    sys.stdout.flush()  # text written before goes first
+    return _RawWriter(raw, sys.stdout.encoding, sys.stdout.errors)
+
+
+class _RawWriter:
+    """Writes each text's encoded bytes to a raw binary stream until the
+    stream has taken every byte; a write that takes none raises OSError."""
+
+    def __init__(self, raw, encoding: str, errors: str):
+        self.raw, self.encoding, self.errors = raw, encoding, errors
+
+    def write(self, text: str) -> None:
+        view = memoryview(text.encode(self.encoding, self.errors))
+        while view:
+            taken = self.raw.write(view)
+            if not taken:  # None: a non-blocking stream would block
+                raise OSError(errno.EAGAIN, "stdout took none of the output")
+            view = view[taken:]
 
 
 def _write_report(report: InvariantReport, fmt: str) -> int:

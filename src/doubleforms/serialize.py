@@ -151,42 +151,34 @@ def dumps_canonical(obj, stream=None) -> str | None:
     pieces: list = []
     _write(obj, 0, pieces)
     pieces.append("\n")
-    try:  # one string, unless some form's rows are still to be made
-        chunks = ("".join(pieces),)
-    except TypeError:
-        chunks = _chunks(pieces)
     if stream is None:
-        return "".join(chunks)
-    for chunk in chunks:
+        return "".join(_chunks(pieces))
+    for chunk in _chunks(pieces):
         stream.write(chunk)
     return None
 
 
 def _chunks(pieces: list):
     """The text of _write's pieces in strings of CHUNK_SIZE characters or
-    more, the last excepted: each run of strings is taken whole, and each
-    form's entries a row at a time, as its rows are made."""
+    more, the last excepted: each string piece as it is, and each form's
+    entries a row at a time, as its rows are made."""
     chunk, size = [], 0
-    for text in _texts(pieces):
-        chunk.append(text)
-        size += len(text)
+    for piece in pieces:
+        if type(piece) is not str:  # a form's rows
+            for row in piece:
+                chunk.append(row)
+                size += len(row)
+                if size >= CHUNK_SIZE:
+                    yield "".join(chunk)
+                    chunk, size = [], 0
+            continue
+        chunk.append(piece)
+        size += len(piece)
         if size >= CHUNK_SIZE:
             yield "".join(chunk)
             chunk, size = [], 0
     if chunk:
         yield "".join(chunk)
-
-
-def _texts(pieces: list):
-    """Each run of strings in pieces joined, then the rows of the form
-    deferred after it."""
-    start = 0
-    for end, piece in enumerate(pieces):
-        if type(piece) is not str:
-            yield "".join(pieces[start:end])
-            yield from piece
-            start = end + 1
-    yield "".join(pieces[start:])
 
 
 @lru_cache(maxsize=None)

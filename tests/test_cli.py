@@ -3,6 +3,7 @@
 import decimal
 import errno
 import hashlib
+import io
 import json
 import os
 import random
@@ -694,6 +695,58 @@ def test_a_write_refused_midway_is_a_usage_error(dense_form_path, monkeypatch, c
     written = "".join(stdout.written)
     assert len(stdout.written) == 2 and len(written) >= 2 * CHUNK_SIZE
     assert full.startswith(written) and len(full) > len(written)
+
+
+class ShortRaw(io.RawIOBase):
+    """A raw binary stdout, as under python -u, that takes at most `most`
+    bytes a write and, once it holds `limit` bytes, refuses like a pipe
+    whose reader has gone."""
+
+    def __init__(self, most, limit=None):
+        self.most, self.limit, self.data = most, limit, bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        room = self.most if self.limit is None else min(self.most, self.limit - len(self.data))
+        if room <= 0:
+            raise REFUSALS[1]
+        taken = bytes(data[:room])
+        self.data += taken
+        return len(taken)
+
+
+def raw_stdout(raw):
+    """A text stdout over a raw binary stream, as python -u makes it."""
+    return io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
+
+
+@pytest.mark.parametrize("command", ["invariants", "decompose", "verify"])
+def test_short_raw_writes_are_completed(
+    sphere_spec, product_spec, dense_form_path, monkeypatch, capsys, command
+):
+    argv = refused_commands(sphere_spec, product_spec, dense_form_path)[command]
+    assert main(argv) == 0
+    full = capsys.readouterr().out
+    raw = ShortRaw(most=100)
+    monkeypatch.setattr(sys, "stdout", raw_stdout(raw))
+    assert main(argv) == 0
+    assert raw.data.decode() == full
+
+
+@pytest.mark.parametrize("command", ["invariants", "decompose", "verify"])
+def test_a_raw_stdout_closed_in_the_last_chunk_exits_2(
+    sphere_spec, product_spec, dense_form_path, monkeypatch, capsys, command
+):
+    argv = refused_commands(sphere_spec, product_spec, dense_form_path)[command]
+    assert main(argv) == 0
+    full = capsys.readouterr().out
+    raw = ShortRaw(most=100, limit=len(full) - 5)
+    monkeypatch.setattr(sys, "stdout", raw_stdout(raw))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: cannot write output: {REFUSALS[1]}\n"
+    assert raw.data.decode() == full[:-5]
 
 
 def run_cli(args, stdout, unbuffered):
