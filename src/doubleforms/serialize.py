@@ -137,8 +137,14 @@ def decimal6(value: Fraction) -> str:
 
 
 # A streamed text goes to stream.write in chunks of at least this many
-# characters, the last excepted, so a shorter text is one write.
-CHUNK_SIZE = 1 << 16
+# characters, the last excepted, so a shorter text is one write.  A chunk's
+# rows and its joined text are held together, about 2 MB here, beside the
+# 50 MB of a dense (10,5) decompose.  Of the sizes measured (64 KiB to
+# 2 MiB), only this one kept the peak of bench/run.py's decompose_dense
+# (which keeps each output in a StringIO) low in every environment tried:
+# the others' peaks depended on where glibc's heap put the buffers
+# (BENCH_30.json).
+CHUNK_SIZE = 1 << 20
 
 
 def dumps_canonical(obj, stream=None) -> str | None:

@@ -17,7 +17,8 @@ import pytest
 import doubleforms
 from doubleforms import make_scalar
 from doubleforms.cli import main
-from doubleforms.serialize import CHUNK_SIZE, dumps_canonical, form_to_dict
+from doubleforms import serialize
+from doubleforms.serialize import dumps_canonical, form_to_dict
 from doubleforms.verify import random_bianchi
 
 
@@ -632,7 +633,7 @@ def dense_form_dict(n, p):
 
 @pytest.fixture
 def dense_form_path(tmp_path):
-    # its decompose prints about 280 KB: several chunks, more than a pipe holds
+    # its decompose prints about 280 KB, more than a pipe holds
     path = tmp_path / "dense73.json"
     path.write_text(json.dumps(dense_form_dict(7, 3)))
     return str(path)
@@ -686,6 +687,8 @@ def test_a_refused_stdout_is_a_usage_error(
 
 
 def test_a_write_refused_midway_is_a_usage_error(dense_form_path, monkeypatch, capsys):
+    chunk = 1 << 16  # a 280 KB output spans several chunks of this size
+    monkeypatch.setattr(serialize, "CHUNK_SIZE", chunk)
     assert main(["decompose", "--input", dense_form_path]) == 0
     full = capsys.readouterr().out
     stdout = RefusingStdout("write", REFUSALS[1], accepted=2)
@@ -693,7 +696,7 @@ def test_a_write_refused_midway_is_a_usage_error(dense_form_path, monkeypatch, c
     assert main(["decompose", "--input", dense_form_path]) == 2
     assert capsys.readouterr().err == f"error: cannot write output: {REFUSALS[1]}\n"
     written = "".join(stdout.written)
-    assert len(stdout.written) == 2 and len(written) >= 2 * CHUNK_SIZE
+    assert len(stdout.written) == 2 and len(written) >= 2 * chunk
     assert full.startswith(written) and len(full) > len(written)
 
 

@@ -107,7 +107,7 @@ from doubleforms import (
     star_in_components,
     weyl_invariant,
 )
-from doubleforms import curvature, linalg
+from doubleforms import curvature, linalg, serialize
 from doubleforms.core import (
     DegreeError,
     DimensionMismatchError,
@@ -139,7 +139,6 @@ from doubleforms.curvature import (
 from doubleforms.decomposition import _g_power_kernel, divide_g_power, g_power_matrix, map_rank
 from doubleforms.exterior import IndexSet, complement_sign_mask, mask_to_indices, subset_masks
 from doubleforms.serialize import (
-    CHUNK_SIZE,
     SchemaError,
     _read_in_bulk,
     build_curvature_tensor,
@@ -984,7 +983,10 @@ def test_writer_matches_json_dumps_on_json_values(value):
 #
 # dumps_canonical(obj, stream) writes the text that dumps_canonical(obj)
 # returns, in chunks: every write but the last of at least CHUNK_SIZE
-# characters, and a shorter text in one write.
+# characters, and a shorter text in one write.  The tests of several chunks
+# shrink CHUNK_SIZE to SMALL_CHUNK, so that a dense (7,3) form spans some.
+
+SMALL_CHUNK = 1 << 16
 
 
 class RecordingStream:
@@ -1002,8 +1004,8 @@ def assert_streams_as_dumped(obj, plain) -> list[str]:
     assert dumps_canonical(obj, stream) is None
     writes = stream.writes
     assert "".join(writes) == dumps_canonical(obj) == json_oracle(plain)
-    assert all(len(text) >= CHUNK_SIZE for text in writes[:-1])
-    assert len(writes) == 1 or len(writes[0]) >= CHUNK_SIZE
+    assert all(len(text) >= serialize.CHUNK_SIZE for text in writes[:-1])
+    assert len(writes) == 1 or len(writes[0]) >= serialize.CHUNK_SIZE
     return writes
 
 
@@ -1035,22 +1037,24 @@ def test_streamed_text_matches_on_json_values(value):
     assert_streams_as_dumped(value, value)
 
 
-def test_streamed_dense_decomposition_spans_several_chunks():
+def test_streamed_dense_decomposition_spans_several_chunks(monkeypatch):
+    monkeypatch.setattr(serialize, "CHUNK_SIZE", SMALL_CHUNK)
     w = dense_rational_form(random.Random("stream-dense"), 7, 3, 3)
     d = decompose(w)
     writes = assert_streams_as_dumped(d, decomposition_to_dict(d))
     assert len(writes) >= 3
     # the rows go out as they are made: no write holds much more than a chunk
-    assert max(map(len, writes)) < 2 * CHUNK_SIZE
+    assert max(map(len, writes)) < 2 * SMALL_CHUNK
 
 
 _DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 @pytest.mark.skipif(not _DIGIT_LIMIT, reason="no int() digit limit")
-def test_a_number_too_long_in_a_later_form_leaves_the_stream_empty():
+def test_a_number_too_long_in_a_later_form_leaves_the_stream_empty(monkeypatch):
+    monkeypatch.setattr(serialize, "CHUNK_SIZE", SMALL_CHUNK)
     first = dense_rational_form(random.Random("stream-first"), 7, 3, 3)
-    assert len(dumps_canonical(first)) > CHUNK_SIZE
+    assert len(dumps_canonical(first)) > SMALL_CHUNK
     last = make_zero(3, 1, 1)
     last.set_cell(1, 2, Fraction(10 ** _DIGIT_LIMIT, 7))  # one digit past the limit
     for payload in ([first, last], {"a": first, "b": [make_g(3), {"c": last}]}):
