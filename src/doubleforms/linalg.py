@@ -142,7 +142,12 @@ def keyed_blocks(columns, key, image, what: str):
 
 
 def rank(matrix) -> int:
-    """Exact rank: the forward elimination's pivot count."""
+    """Exact rank: the forward elimination's pivot count.  A matrix with one
+    row or one column needs no elimination: its rank is 1 if an entry is
+    nonzero and 0 otherwise."""
+    if len(matrix) == 1 or (matrix and len(matrix[0]) == 1):
+        line = matrix[0] if len(matrix) == 1 else [row[0] for row in matrix]
+        return int(any(_numerators(line)[0]))
     return len(_echelon(matrix)[1])
 
 

@@ -166,6 +166,8 @@ def test_verify_default_runs_both_parities(capsys):
 # SHA-256 of the stdout of `verify --suite all --trials 10 --seed 0 --n N`,
 # pinned so that a change to any check's cases or inputs shows up
 VERIFY_DIGESTS = {
+    2: "d434a98cd61da4dd8a671744b9bb45bb9b8513e51a73679cd4b097f15f477c0d",
+    3: "ffe7462a9d8156b1c93fcf5e5ca1948fd588716acd95fff93f57137704c4e882",
     4: "590805e32d2be7cd7667bb6303c46fc61dfb39e41e98432c0695cf4e8da99e83",
     5: "81bd9f2584c4a9f418d71f3de0cee3161a4924fa591caceecf6fe97d4d369c73",
     6: "ba713c1bdb254b2b82228b09060d052dc212477a7d0a3a4ab140ef0a52c0292f",
@@ -467,6 +469,7 @@ def run_with_cell_budget(value, code=None, args=()):
 
     The child imports the same `doubleforms` as this test, from `src/` or from
     an installed tree, and nothing else of the outer environment leaks in.
+    It writes no bytecode, so a run leaves no `__pycache__` in that tree.
     """
     package_root = Path(doubleforms.__file__).resolve().parent.parent
     return subprocess.run(
@@ -476,6 +479,7 @@ def run_with_cell_budget(value, code=None, args=()):
         env={
             "PATH": "/usr/bin:/bin",
             "PYTHONPATH": str(package_root),
+            "PYTHONDONTWRITEBYTECODE": "1",
             "DOUBLEFORMS_CELL_BUDGET": value,
         },
         timeout=120,

@@ -72,7 +72,13 @@ against complement_sign_mask and its closed form at n <= 8, and hodge
 against the per-cell complement_sign_mask loop it replaced and the double
 star law.  random_form, which draws its values from getrandbits, is checked
 against the rng.randint(-9, 9) loop it replaced: the same forms and the
-same generator state after every call.
+same generator state after every call.  rank's shortcut for one row or
+one column is checked against the elimination's pivot count.  verify's
+exhaustive adjointness check, which compares the coefficient maps of
+g e_L and c e_R, is checked against the two inner products per pair of
+basis forms that it replaced, on the working kernels and on a contract
+or mul mutated to break the identity: the same cases and the same
+failures in the same order.
 """
 
 import json
@@ -115,6 +121,7 @@ from doubleforms.core import (
     _complement_parity,
     _diagonal,
     _flatten,
+    _from_cells,
     _require_cell_budget,
     _subset_table,
     _subsets_of,
@@ -152,9 +159,11 @@ from doubleforms.serialize import (
 )
 from doubleforms.verify import (
     SUITES,
+    CheckResult,
     _bianchi_blocks,
     _fixed_models,
     bianchi_projector,
+    check_adjointness,
     model_zoo,
     random_bianchi,
     random_form,
@@ -320,6 +329,32 @@ def test_rank_is_largest_nonzero_minor(m):
     assert linalg.rank(m) == minor_rank(m)
 
 
+@st.composite
+def one_row_or_column(draw):
+    """A matrix with one row or one column, of ints or Fractions; a third
+    of them all zero."""
+    size = draw(st.integers(1, 6))
+    values = st.integers(-3, 3) if draw(st.booleans()) else _entries
+    line = [0] * size if draw(st.integers(0, 2)) == 0 else draw(
+        st.lists(values, min_size=size, max_size=size)
+    )
+    return [line] if draw(st.booleans()) else [[value] for value in line]
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_row_or_column())
+def test_rank_of_one_row_or_column_is_the_pivot_count(m):
+    assert linalg.rank(m) == len(linalg._echelon(m)[1])
+
+
+@pytest.mark.parametrize("m", [
+    [], [[]], [[0]], [[5]], [[0, 0, 0]], [[0], [0]], [[Fraction(1, 3)]],
+    [[0, Fraction(-2, 5), 0]], [[0], [Fraction(7, 2)], [0]],
+])
+def test_rank_of_one_row_or_column_on_edge_cases(m):
+    assert linalg.rank(m) == len(linalg._echelon(m)[1])
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_matrices())
 def test_nullspace_vectors_follow_free_columns(m):
@@ -426,6 +461,9 @@ def test_linalg_refuses_floats():
         linalg.KernelProjector([(range(3), [[1, -1, 0]])]).project({0: 0.1, 1: 0, 2: 1})
     with pytest.raises(DoubleFormError):
         linalg.solve([[1, 0]], [0.5])
+    for matrix in ([[0.5]], [[0, 0.5]], [[0], [0.5]]):
+        with pytest.raises(DoubleFormError):
+            linalg.rank(matrix)
 
 
 
@@ -2462,3 +2500,91 @@ def test_random_form_draws_the_randint_stream():
                         assert rng.getstate() == oracle.getstate(), (seed, n, p, q, density)
         assert random_form(rng, 5, 2, 2) == reference_random_form(oracle, 5, 2, 2), seed
         assert rng.getstate() == oracle.getstate(), seed
+
+
+# -- verify's adjointness maps against the all-pairs inner products ------------
+
+
+def all_pairs_adjointness(rec, n):
+    """The exhaustive branch check_adjointness ran before it compared
+    coefficient maps: <g e_L, e_R> against <e_L, c e_R> through inner, for
+    every pair of basis forms."""
+    g = make_g(n)
+    for p in range(n):
+        for q in range(n):
+            rights = []
+            for mk in subset_masks(n, p + 1):
+                for ml in subset_masks(n, q + 1):
+                    right = _from_cells(n, p + 1, q + 1, {(mk, ml): 1}, 1)
+                    rights.append((right, right.contract()))
+            for mi in subset_masks(n, p):
+                for mj in subset_masks(n, q):
+                    left = _from_cells(n, p, q, {(mi, mj): 1}, 1)
+                    g_left = g.mul(left)
+                    for right, c_right in rights:
+                        rec.case(
+                            f"basis p={p} q={q}",
+                            g_left.inner(right) == left.inner(c_right),
+                            "<gw,t> != <w,ct>",
+                            left=left,
+                            right=right,
+                        )
+
+
+def adjointness_results(n):
+    """The check's result and the all-pairs oracle's, as dicts."""
+    maps, oracle = CheckResult("adjointness"), CheckResult("adjointness")
+    check_adjointness(maps, random.Random(0), n, 10)
+    all_pairs_adjointness(oracle, n)
+    return maps.to_dict(), oracle.to_dict()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_adjointness_maps_match_the_all_pairs_inner_products(n):
+    maps, oracle = adjointness_results(n)
+    assert maps == oracle
+    assert maps["failures"] == []
+
+
+def _negated_contract(original):
+    """contract, negated on every basis form e_I (x) e_I: c e_R of such an R
+    has a cell for each index of I, so several pairs of a bidegree fail, at
+    several L for one R and several R for one L."""
+    def contract(self, k=1):
+        out = original(self, k)
+        if self.den == 1 and len(self.cells) == 1:
+            (mask_i, row), = self.cells.items()
+            if row == {mask_i: 1}:
+                return -out
+        return out
+    return contract
+
+
+def _extra_cell_mul(original, basis, extra):
+    """mul, with one more cell, extra, in the product of any form by the
+    basis form whose one cell is basis."""
+    def mul(self, other):
+        out = original(self, other)
+        if other.den == 1 and other.cells == {basis[0]: {basis[1]: 1}}:
+            nums = {(mi, mj): v for mi, row in out.cells.items() for mj, v in row.items()}
+            nums[extra] = nums.get(extra, 0) + 1
+            out = _from_cells(out.n, out.p, out.q, nums, out.den)
+        return out
+    return mul
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("mutation", ["contract", "mul"])
+def test_adjointness_maps_report_a_broken_kernel_as_the_inner_products_do(
+    monkeypatch, n, mutation
+):
+    # c e_R is negated for every R = (I, I); g e_L for L = ({1}, {0}) gains
+    # e_{0,1} (x) e_{0,2}, a cell with no counterpart in c e_{0,1} (x) e_{0,2}
+    if mutation == "contract":
+        broken = _negated_contract(DoubleForm.contract)
+    else:
+        broken = _extra_cell_mul(DoubleForm.mul, (0b010, 0b001), (0b011, 0b101))
+    monkeypatch.setattr(DoubleForm, mutation, broken)
+    maps, oracle = adjointness_results(n)
+    assert maps["failures"], mutation
+    assert maps == oracle
