@@ -37,17 +37,27 @@ from .decomposition import decompose
 from .serialize import SchemaError
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict; a key given twice is refused, not overwritten."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load_json(path: str):
     try:
         with open(path, "rb") as handle:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise SchemaError(path, f"cannot read file: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise SchemaError(path, f"malformed JSON: not UTF-8 text: {exc}") from exc
     except RecursionError as exc:
         raise SchemaError(path, "malformed JSON: nested too deeply") from exc
-    except ValueError as exc:  # JSONDecodeError, or an integer with more digits than int() converts
+    except ValueError as exc:  # JSONDecodeError, a duplicate key, or an integer past int()'s digits
         raise SchemaError(path, f"malformed JSON: {exc}") from exc
 
 

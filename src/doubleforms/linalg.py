@@ -10,13 +10,17 @@ pivots in A's columns are those of A alone, so free variables are zero,
 and there is no solution when the last column is a pivot.
 
 rank and nullspace take one matrix and run one elimination on it.  The
-operator matrices built from double forms (g^k, the Bianchi sum) keep a
-key of the source cell, so they are block diagonal by that key:
-keyed_blocks builds them one block at a time, from each basis vector's
-image, and its callers hand each block to rank, nullspace and
-KernelProjector.  The rank is the sum of the block ranks, a kernel basis
-the union of the block kernels, and the orthogonal projection onto the
-kernel the blockwise projection, one precomputed integer matrix per block.
+matrix of g^k on double forms keeps a key of the source cell, so it is
+block diagonal by that key: keyed_blocks builds it one block at a time,
+from each basis vector's image, and its callers hand each block to rank
+and nullspace.  The rank is the sum of the block ranks, and a kernel basis
+the union of the block kernels.
+
+KernelProjector, the orthogonal projection onto the kernel of such a
+block-diagonal operator (one precomputed integer matrix per block), has
+no caller in the package: verify projects onto the kernel of the Bianchi
+sum in closed form.  It is kept for the tests, which check it against a
+dense projector, and for the benchmark tracer's linalg.projector span.
 """
 
 from __future__ import annotations
@@ -251,7 +255,7 @@ class KernelProjector:
     projector I - sum b b^T / |b|^2 is stored as the integer matrix
     scale * (I - sum b b^T / |b|^2), scale the lcm of the |b|^2.  Labels
     outside every block, and blocks of zero rows, pass through unchanged.
-    Exact, deterministic, and cached by callers.
+    Exact and deterministic.
     """
 
     def __init__(self, blocks):

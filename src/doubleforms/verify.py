@@ -28,6 +28,7 @@ from .core import (
     make_zero,
     make_basis,
     eval_oracle,
+    g_power_sum,
 )
 from .curvature import (
     CurvatureTensor,
@@ -58,7 +59,6 @@ from .decomposition import (
     star_in_components,
 )
 from .exterior import _check_dimension, _is_count, subset_masks
-from .linalg import KernelProjector, keyed_blocks
 
 
 class UsageError(ValueError):
@@ -101,46 +101,41 @@ def random_symmetric(rng: random.Random, n: int, p: int) -> DoubleForm:
     return (form + form.transpose()).scale(Fraction(1, 2))
 
 
-def _bianchi_blocks(n: int, p: int):
-    """The keyed blocks of the first Bianchi sum on D^{p,p}, a cell's image
-    read off bianchi_sum of its basis form: the sum moves one index of J - I
-    into I, so it keeps the key (I & J, I | J) of e_I (x) e_J."""
-    masks = subset_masks(n, p)
-    return keyed_blocks(
-        [(mask_i, mask_j) for mask_i in masks for mask_j in masks],
-        lambda cell: (cell[0] & cell[1], cell[0] | cell[1]),
-        lambda cell: [((mask_i, mask_j), num) for mask_i, row
-                      in _from_cells(n, p, p, {cell: 1}, 1).bianchi_sum().cells.items()
-                      for mask_j, num in row.items()],
-        f"the Bianchi sum on D^({p},{p}) at n={n}, keyed by (I & J, I | J)",
-    )
-
-
-@lru_cache(maxsize=None)
-def bianchi_projector(n: int, p: int) -> KernelProjector:
-    """Orthogonal projector onto Ker B in D^{p,p}, over the cells (mask_I, mask_J)."""
-    return KernelProjector(_bianchi_blocks(n, p))
-
-
 def random_bianchi(rng: random.Random, n: int, p: int, effective: bool = False) -> DoubleForm:
-    """Random element of C_1^p: symmetrize, then project onto Ker B exactly,
-    block by block on the form's cells.
+    """Random element of C_1^p: symmetrize, then project onto Ker b exactly,
+    in closed form.
 
-    Ker B is transpose-invariant on square bidegrees, so the projection of a
-    symmetric form stays symmetric; this is asserted as a tripwire.  With
-    effective, the result is further projected onto Ker c by
-    project_conformal, its top effective component: B commutes with
+    With b the first Bianchi sum and T the transpose, b* = T b T is b's
+    adjoint (D^{p+1,q-1} -> D^{p,q}), and b* b - b b* = (q - p) Id on
+    D^{p,q}.  So b, b* and their commutator span an sl(2), and D^{p,p} is
+    spanned by the middle vectors of its strings: the string
+    v_k = (b*)^k v_0 from a v_0 in Ker b on D^{p+j,p-j} has
+    b v_k = k (2j - k + 1) v_{k-1}, so b* b v_j = j (j + 1) v_j, for
+    0 <= j <= min(p, n - p).  These eigenspaces of the self-adjoint b* b
+    are orthogonal, and Ker b on D^{p,p} is the one of j = 0,
+    and the projection onto it is the product of (1 - b* b / (j (j + 1)))
+    over 1 <= j <= min(p, n - p): a closed form, with no solve.
+
+    T commutes with b* b on D^{p,p}, since it sends b* b to b b*, equal
+    there.  It acts as (-1)^j on the j-th eigenspace: up to one sign per
+    bidegree it is the Weyl reflection of the sl(2), which acts so on the
+    middle vector of a string, and the sign on D^{p,p} is + because the
+    symmetric g^p lies in Ker b.  So a symmetric form has no part of odd j,
+    only the even factors are applied, and the result stays symmetric;
+    this is asserted as a tripwire.
+
+    With effective, the result is further projected onto Ker c by
+    project_conformal, its top effective component: b commutes with
     multiplication by g and the effective split is orthogonal, so the two
-    projections commute and this is the projection onto Ker B and Ker c
+    projections commute and this is the projection onto Ker b and Ker c
     together.
     """
     form = random_symmetric(rng, n, p)
-    nums, den = bianchi_projector(n, p).project({
-        (mask_i, mask_j): num for mask_i, row in form.cells.items() for mask_j, num in row.items()
-    })
-    projected = _from_cells(n, p, p, nums, den * form.den)
-    assert projected.is_symmetric()
-    return project_conformal(projected) if effective else projected
+    for j in range(2, min(p, n - p) + 1, 2):
+        adjoint_image = form.bianchi_sum().transpose().bianchi_sum().transpose()
+        form = g_power_sum(n, p, p, [(1, 0, form), (Fraction(-1, j * (j + 1)), 0, adjoint_image)])
+    assert form.is_symmetric()
+    return project_conformal(form) if effective else form
 
 
 def random_vector(rng: random.Random, n: int) -> list[Fraction]:

@@ -171,6 +171,8 @@ VERIFY_DIGESTS = {
     4: "590805e32d2be7cd7667bb6303c46fc61dfb39e41e98432c0695cf4e8da99e83",
     5: "81bd9f2584c4a9f418d71f3de0cee3161a4924fa591caceecf6fe97d4d369c73",
     6: "ba713c1bdb254b2b82228b09060d052dc212477a7d0a3a4ab140ef0a52c0292f",
+    7: "bcac33a1b791ec848236c225fff9636454a2a1d7ea8c8a44efe06a6ba7f4565d",
+    8: "b5ad3a5b9a12775725abed740ab887678fe0622356fb0867142ff9e64167b1e0",
 }
 
 
@@ -347,6 +349,30 @@ def test_unreadable_json_is_a_usage_error(tmp_path, capsys, command, content):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {path}: malformed JSON: ")
+
+
+@pytest.mark.parametrize(
+    "command, text, key",
+    [
+        (["invariants", "--max-q", "1", "--spec"],
+         '{"model": "constant", "n": 4, "lambda": "1", "lambda": "2"}', "lambda"),
+        (["pq", "--p", "1", "--q", "1", "--plane", "0", "--spec"],
+         '{"model": "product", "factors": [{"model": "constant", "n": 2, "lambda": "1"}, '
+         '{"model": "constant", "n": 2, "n": 3, "lambda": "1"}]}', "n"),
+        (["decompose", "--input"],
+         '{"n": 2, "p": 1, "q": 1, "entries": [[[0], [0], "1"]], "entries": [[[1], [1], "1"]]}',
+         "entries"),
+    ],
+    ids=["spec", "product_factor", "form"],
+)
+def test_a_repeated_json_key_is_a_usage_error(tmp_path, capsys, command, text, key):
+    # json.load keeps the last of two equal keys; the CLI refuses the file
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert main(command + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: malformed JSON: duplicate key '{key}'\n"
 
 
 def test_products_nested_as_deep_as_json_allows_are_usage_errors(tmp_path, capsys):

@@ -29,7 +29,6 @@ from doubleforms.core import cell_budget, set_cell_budget
 from doubleforms.decomposition import _g_power_kernel, divide_g_power
 from doubleforms.exterior import _mask_rank_table, subset_masks, wedge_sign_masks
 from doubleforms.verify import (
-    _bianchi_blocks,
     dim_effective,
     predicted_g_power_rank,
     random_bianchi,
@@ -257,9 +256,8 @@ def test_g_power_matrix_entries_match_the_wedge_sign_oracle(n):
 
 def test_dense_matrices_are_refused_past_the_cell_budget():
     # the dense g_power_matrix and the dense oracle operator_rows count a
-    # whole matrix; map_rank's and the Bianchi projector's keyed blocks count
-    # each block, and a refusal names the block by its key (the Bianchi
-    # blocks are built uncached, as bianchi_projector builds them)
+    # whole matrix; map_rank's keyed blocks count each block, and a refusal
+    # names the block by its key
     previous = cell_budget()
     try:
         set_cell_budget(1000)
@@ -275,14 +273,6 @@ def test_dense_matrices_are_refused_past_the_cell_budget():
             r"keyed by \(I - J, J - I\)",
         ):
             map_rank(9, 2, 2, 2)
-        set_cell_budget(100)
-        assert list(_bianchi_blocks(5, 2))  # its largest blocks have 4x6 cells
-        with pytest.raises(
-            CellBudgetError,
-            match=r"refusing 300 cells for the 15x20 block \(0, 63\) of the Bianchi sum on "
-            r"D\^\(3,3\) at n=6, keyed by \(I & J, I \| J\)",
-        ):
-            list(_bianchi_blocks(6, 3))
     finally:
         set_cell_budget(previous)
 

@@ -8,13 +8,17 @@ single-pass mul_g_power against repeated products by g.  The one Bareiss
 elimination behind linalg's rank, solve and nullspace is checked against
 determinants of minors, solve (the kernel vector of [A | -b]) against the
 rhs-carrying elimination it replaced, reference_solve.  The keyed blocks of
-g^k and the Bianchi sum are checked against the dense matrices they
-replaced (g_power_matrix and operator_rows, the image of every unit form):
-map_rank against the whole-matrix rank, the blockwise kernel against the
-dense nullspace's dimension and against g^l and c^k, and bianchi_projector
-and random_bianchi against the dense Fraction projector, on every
-configuration of verify's checks at n <= 6; keyed_blocks and
-KernelProjector on interleaved block matrices.  The one wedge kernel,
+g^k are checked against the dense matrices they replaced (g_power_matrix
+and operator_rows, the image of every unit form): map_rank against the
+whole-matrix rank, the blockwise kernel against the dense nullspace's
+dimension and against g^l and c^k, on every configuration of verify's
+checks at n <= 6; keyed_blocks and KernelProjector on interleaved block
+matrices and on the Bianchi and effective constraint rows.  The algebra
+behind random_bianchi's closed-form projection onto Ker b is checked on
+every basis form at n <= 5 and on random forms at n <= 6: b* = T b T is
+b's adjoint, and b* b - b b* = (q - p) Id on D^{p,q}; random_bianchi
+against the dense Fraction projector onto Ker b at every (n, p) with
+n <= 7.  The one wedge kernel,
 core._wedge, is checked against Fraction minors on rational frames,
 dependent ones included, and coordinate frames' directly set wedge
 coordinates against the minors of their vectors and against
@@ -160,9 +164,8 @@ from doubleforms.serialize import (
 from doubleforms.verify import (
     SUITES,
     CheckResult,
-    _bianchi_blocks,
     _fixed_models,
-    bianchi_projector,
+    _stored_values,
     check_adjointness,
     model_zoo,
     random_bianchi,
@@ -516,29 +519,30 @@ def reference_rank(matrix):
 
 class ReferenceProjector:
     """The dense projector: Gram-Schmidt over every constraint row at once,
-    then one Fraction update of the whole vector per basis vector."""
+    then one Fraction update of the whole vector per basis vector.  Each
+    basis vector keeps its support, so a dot product with it reads only its
+    nonzero entries."""
 
     def __init__(self, constraint_rows):
-        self.basis, self.norms = [], []
+        self.basis = []  # (integer vector, its support, its squared norm)
         for row in constraint_rows:
             vec = linalg._integer_row(row)
-            if not any(vec):
-                continue
-            for b, nb in zip(self.basis, self.norms):
-                d = linalg._dot_int(vec, b)
+            for b, support, nb in self.basis:
+                d = sum(vec[i] * b[i] for i in support)
                 if d:
                     vec = linalg._reduce_content([nb * x - d * y for x, y in zip(vec, b)])
-            if any(vec):
-                self.basis.append(vec)
-                self.norms.append(linalg._dot_int(vec, vec))
+            support = [i for i, x in enumerate(vec) if x]
+            if support:
+                self.basis.append((vec, support, sum(vec[i] ** 2 for i in support)))
 
     def project(self, vector):
         out = [Fraction(v) for v in vector]
-        for b, nb in zip(self.basis, self.norms):
-            d = sum(x * y for x, y in zip(out, b) if y and x)
+        for b, support, nb in self.basis:
+            d = sum(out[i] * b[i] for i in support)
             if d:
                 f = Fraction(d, nb)
-                out = [x - f * y if y else x for x, y in zip(out, b)]
+                for i in support:
+                    out[i] -= f * b[i]
         return out
 
 
@@ -581,27 +585,17 @@ def test_blockwise_rank_matches_whole_matrix_on_g_power_matrices():
 
 
 def test_blockwise_rank_and_projector_match_whole_matrix_on_constraints():
-    # Bianchi sets through their keyed blocks and bianchi_projector, the
-    # effective sets (Bianchi and contraction rows together) as one block
+    # each constraint set, Bianchi rows alone or with contraction rows, as
+    # one block: its rank and KernelProjector against the whole matrix
     rng = random.Random("blockwise-constraints")
     for label, rows in constraint_sets(5):
-        n, p, kind = label
-        if kind == "bianchi":
-            blocks = list(_bianchi_blocks(n, p))
-            assert sum(linalg.rank(block) for _, block in blocks) == reference_rank(rows), label
-            labels = flat_cells(n, p, p)
-            assert sorted(c for cols, _ in blocks for c in cols) == sorted(labels), label
-            projector = bianchi_projector(n, p)
-        else:
-            assert linalg.rank(rows) == reference_rank(rows), label
-            projector, labels = None, None
+        n, p, _ = label
+        assert linalg.rank(rows) == reference_rank(rows), label
         width = len(rows[0])
         for _ in range(2):
             vector = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(width)]
-            assert_projects_like_reference(rows, vector, projector, labels)
-        assert_projects_like_reference(
-            rows, _flatten(random_symmetric(rng, n, p)), projector, labels
-        )
+            assert_projects_like_reference(rows, vector)
+        assert_projects_like_reference(rows, _flatten(random_symmetric(rng, n, p)))
 
 
 def power_rank_configs(n):
@@ -642,22 +636,72 @@ def test_keyed_g_power_kernel_matches_the_dense_nullspace(n):
             assert kernel, (n, p, q, l)
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+def adjoint_bianchi(y):
+    """b* = T b T, the adjoint of the Bianchi sum b, D^{p+1,q-1} -> D^{p,q}."""
+    return y.transpose().bianchi_sum().transpose()
+
+
+def bianchi_laplacians(x):
+    """(b* b x, b b* x) for x in D^{p,q}; either is the zero form of D^{p,q}
+    where b or b* has no target."""
+    n, p, q = x.n, x.p, x.q
+    down = adjoint_bianchi(x.bianchi_sum()) if q and p < n else make_zero(n, p, q)
+    up = adjoint_bianchi(x).bianchi_sum() if p and q < n else make_zero(n, p, q)
+    return down, up
+
+
+def unit_form(n, p, q, cell):
+    return _from_cells(n, p, q, {cell: 1}, 1)
+
+
+def test_bianchi_adjoint_and_commutator_on_basis_forms():
+    # every basis form of D^{p,q} at n <= 5: b* b - b b* = (q - p) Id, and
+    # <b e_L, e_R> = <e_L, b* e_R>, which in the orthonormal basis is the
+    # coefficient of e_R in b e_L against that of e_L in b* e_R
+    for n in range(1, 6):
+        for p, q in product(range(n + 1), repeat=2):
+            for cell in flat_cells(n, p, q):
+                x = unit_form(n, p, q, cell)
+                down, up = bianchi_laplacians(x)
+                assert down - up == x.scale(q - p), (n, p, q, cell)
+            if not q or p == n:
+                continue
+            forward = {
+                (cell, image): value for cell in flat_cells(n, p, q)
+                for image, value in _stored_values(unit_form(n, p, q, cell).bianchi_sum())
+            }
+            backward = {
+                (image, cell): value for cell in flat_cells(n, p + 1, q - 1)
+                for image, value in _stored_values(adjoint_bianchi(unit_form(n, p + 1, q - 1, cell)))
+            }
+            assert forward == backward, (n, p, q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_bianchi_adjoint_and_commutator_on_random_forms(n, data):
+    x = data.draw(prime_denominator_forms(n))
+    p, q = x.p, x.q
+    down, up = bianchi_laplacians(x)
+    assert down - up == x.scale(q - p)
+    if q and p < n:
+        y = data.draw(prime_denominator_forms(n, p + 1, q - 1))
+        assert x.bianchi_sum().inner(y) == x.inner(adjoint_bianchi(y))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
 def test_bianchi_projector_matches_the_dense_projector(n):
+    # random_bianchi's closed form against the dense projector onto Ker b,
+    # on the same symmetrized draw
     rng = random.Random(f"bianchi-projector-{n}")
     for p in range(1, n + 1):
-        rows = bianchi_rows(n, p)
-        cells = flat_cells(n, p, p)
-        blocks = list(_bianchi_blocks(n, p))
-        assert sum(linalg.rank(block) for _, block in blocks) == reference_rank(rows), (n, p)
-        for form in (random_symmetric(rng, n, p), random_form(rng, n, p, p)):
-            assert_projects_like_reference(rows, _flatten(form), bianchi_projector(n, p), cells)
-        # random_bianchi against the dense projector on the same draw
-        state = rng.getstate()
-        got = random_bianchi(rng, n, p)
-        rng.setstate(state)
-        dense = ReferenceProjector(rows).project(_flatten(random_symmetric(rng, n, p)))
-        assert got == _unflatten(n, p, p, dense), (n, p)
+        projector = ReferenceProjector(bianchi_rows(n, p))
+        for _ in range(2):
+            state = rng.getstate()
+            got = random_bianchi(rng, n, p)
+            rng.setstate(state)
+            dense = projector.project(_flatten(random_symmetric(rng, n, p)))
+            assert got == _unflatten(n, p, p, dense), (n, p)
 
 
 def test_effective_random_bianchi_matches_the_joint_kernel_projector():
