@@ -19,17 +19,17 @@ the double-form algebra this module provides
 
 The constant, hypersurface and conformally flat constructors record the
 small matrix behind R (h for R = g.h, B for R = B.B/2) on the tensor, and
-h_{2q}, T_{2q} and the coordinate-plane s_{(p,q)} of such a tensor are
-symmetric functions of that matrix, read off linalg.characteristic with no
-power of R.  make_product records its two factors, and the same invariants
-of a product are sums over its factors' rows, each factor's taken by its
-own route (Weyl's product formula, _product_rows).  Every other tensor
-walks R, R^2, ... (_powers).  A tensor with a record makes R from it,
-g.h as h.mul_g_power(1), B.B/2 as B.mul(B) halved and a product as its
-embedded factors summed, and certifies it, only when R is read: the h_4
-sign report reads it for a product, and for a scalar-flat hypersurface
-that is neither flat nor Einstein, and a coordinate-plane s_{(p,q)} never
-reads it.
+make_product records its two factors.  One function, _rows, picks between
+a record and the walk for h_{2q}, T_{2q} and the coordinate-plane
+s_{(p,q)}: a matrix model's are symmetric functions of its matrix, read off
+linalg.characteristic with no power of R; a product's are sums over its
+factors' rows (Weyl's product formula), each factor's by _rows again; and
+every other tensor walks R, R^2, ... (_powers).  A tensor with a record
+makes R from it, g.h as h.mul_g_power(1), B.B/2 as B.mul(B) halved and a
+product as its embedded factors summed, and certifies it, only when R is
+read.  Of the reports only the h_4 sign report reads it: for a tensor that
+is scalar-flat and neither flat nor Einstein, and not conformal, for its
+Weyl part.
 """
 
 from __future__ import annotations
@@ -72,12 +72,13 @@ class CurvatureTensor:
     with h = (lambda/2) I), ("hypersurface", B) for R = B.B/2, and
     ("product", (first, second)) for a Riemannian product, whose n and p
     come from its factors.  The invariants read the record when it is there
-    (_model_rows) and walk R's powers otherwise, so CurvatureTensor(form)
-    always walks.  A tensor with a record makes R from it alone,
+    and walk R's powers otherwise (_rows), so CurvatureTensor(form) always
+    walks.  A tensor with a record makes R from it alone,
     h.mul_g_power(1), B.mul(B)/2 or the embedded factors summed, and
-    certifies it, on the first read of form (__getattr__), so a caller
-    that reads only the record, such as a coordinate-plane s_{(p,q)},
-    never forms R.
+    certifies it, on the first read of form (__getattr__).  The rows, the
+    coordinate-plane s_{(p,q)} and the h_4 report's flat and Einstein tests
+    read only the record; only the h_4 report's Weyl test of a scalar-flat
+    tensor that is neither flat, Einstein nor conformal reads R.
     """
 
     form: DoubleForm
@@ -187,8 +188,8 @@ def make_product(first: CurvatureTensor, second: CurvatureTensor) -> CurvatureTe
     zero (1,1) form), is a flat line: it adds no cells and takes the other
     factor's degree, and two lines make the zero (2,2) form.  The tensor
     records its two factors, ("product", (first, second)): its invariants
-    are read off theirs (_product_rows), and R is made, and certified, only
-    when form is read (_product_form).
+    are read off theirs (_rows), and R is made, and certified, only when
+    form is read (_product_form).
     """
     _product_degree(first, second)
     return _recorded(("product", (first, second)))
@@ -376,8 +377,7 @@ def orthogonal_complement(frame: Frame) -> Frame:
     for vec in frame.vectors:
         ortho.append(_residual(list(vec), ortho))
     complement = []
-    for i in range(n):
-        unit = [Fraction(1) if j == i else Fraction(0) for j in range(n)]
+    for unit in _unit_vectors(n):
         residual = _residual(unit, ortho + complement)
         if any(residual):
             complement.append(residual)
@@ -472,10 +472,10 @@ def pq_sectional(tensor: CurvatureTensor, p: int, q: int, plane: Frame | None) -
 
     So s_{(p,q)}(P) = sum_{A in K, |A|=2q} (R|_K)^q[A, A] = h_{2q}(R|_K),
     and R|_K, the cells of R disjoint from P, is again symmetric and
-    Bianchi.  A tensor with a model record passes its matrix restricted to
-    K instead, whose h_{2q} formula over |K| = n - p indices gives the same
-    value, and a product splits the plane's mask between its factors
-    (_model_rows); other tensors take h_{2q} of _restricted(R).
+    Bianchi.  _rows reads it: a tensor with a model record passes its
+    matrix restricted to K, whose h_{2q} formula over |K| = n - p indices
+    gives the same value, a product splits the plane's mask between its
+    factors, and other tensors take h_{2q} of _restricted(R).
     Other planes take sectional_curvature(pq_curvature_tensor), which stays
     the oracle for this route.
     """
@@ -490,9 +490,7 @@ def pq_sectional(tensor: CurvatureTensor, p: int, q: int, plane: Frame | None) -
     if len(plane.wedge_coordinates) == 1:
         (mask,) = plane.wedge_coordinates
         _require_riemann_like(tensor, "weyl_invariant")  # before a record is read
-        if tensor.model is not None:
-            return _model_rows(tensor, range(q, q + 1), plane=mask)[0][0]
-        return weyl_invariant(_restricted(tensor, mask), q)
+        return _rows(tensor, (q,), plane=mask)[0][0]
     return sectional_curvature(pq_curvature_tensor(tensor, p, q), plane)
 
 
@@ -518,31 +516,14 @@ def weyl_invariant(tensor: CurvatureTensor, q: int) -> Fraction:
     """h_{2q} = c^{2q} R^q / (2q)!, the 2q-th scalar curvature invariant.
 
     c^{2q} of the (2q,2q)-form R^q is one cell, (2q)! sum_{|A|=2q}
-    R^q[A, A], so h_{2q} is the trace sum_A R^q[A, A].  Even-degree forms
-    commute, so R^q = R^b . R^a with b = floor(q/2), a = ceil(q/2), and
-    core.trace_of_product reads the trace of that product off the cells of
-    R^b and R^a: a cell (I1, J1) of R^b, the lower power and the one with
-    fewer cells to walk, meets only the cells (Q u C, P u C) of R^a, with
-    P = I1 - J1, Q = J1 - I1 and C disjoint from I1 u J1, at the sign
-    sign(I1, Q u C) sign(J1, P u C) of the product.  So h_{2q} costs
-    a - 1 products (R^b is met on the way to R^a) and no R^q, and each
-    power is certified once, when the walk makes it.  A tensor with a
-    model record forms no power: h_{2q} is a multiple of sigma_q(h) or
-    sigma_{2q}(B) (_model_rows).  h_2 = c^2 R / 2 is half the scalar
-    curvature; for even n, h_n is the Gauss-Bonnet integrand up to the
-    tube-formula normalization.
+    R^q[A, A], so h_{2q} is the trace sum_A R^q[A, A], read off the
+    tensor's record or its walk (_rows).  h_2 = c^2 R / 2 is half the
+    scalar curvature; for even n, h_n is the Gauss-Bonnet integrand up to
+    the tube-formula normalization.
     """
     _require_riemann_like(tensor, "weyl_invariant")
     _require_q(tensor.n, q)
-    if tensor.model is not None:
-        return _model_rows(tensor, range(q, q + 1))[0][0]
-    if q == 1:
-        return tensor.form.contract(2).scalar_value() / 2
-    half, larger = q // 2, (q + 1) // 2
-    for exponent, rq in zip(range(1, larger + 1), _powers(tensor)):
-        if exponent == half:
-            lower = rq
-    return trace_of_product(lower.form, rq.form)
+    return _rows(tensor, (q,))[0][0]
 
 
 def einstein_tensor(tensor: CurvatureTensor, q: int) -> DoubleForm:
@@ -551,32 +532,23 @@ def einstein_tensor(tensor: CurvatureTensor, q: int) -> DoubleForm:
     For q=1 this is the classical Einstein tensor (c^2R/2) g - cR.  The
     contraction form is used rather than star(g^{n-2q-1} R^q)/(n-2q-1)!
     because it stays defined at 2q = n (where the trace is zero) and the two
-    agree whenever 2q < n.  It is read off R^q, or with a model record off
-    the Newton tensor N_q(h) or N_{2q}(B) (_model_rows).
+    agree whenever 2q < n.  It is read off R^q, or with a record off the
+    Newton tensor N_q(h) or N_{2q}(B) or the factors' rows (_rows).
     """
     _require_riemann_like(tensor, "einstein_tensor")
     _require_q(tensor.n, q)
-    if tensor.model is not None:
-        return _model_rows(tensor, range(q, q + 1), newton=True)[0][1]
-    return _weyl_and_einstein(power(tensor, q).form, q)[1]
+    return _rows(tensor, (q,), newton=True)[0][1]
 
 
-def _weyl_and_einstein(rq: DoubleForm, q: int) -> tuple[Fraction, DoubleForm]:
-    """(h_{2q}, T_{2q}) from two contraction passes over R^q, c^{2q} and
-    c^{2q-1}."""
-    h = rq.contract(2 * q).scalar_value() / factorial(2 * q)
-    traced = rq.contract(2 * q - 1)
-    return h, h * make_g(rq.n) - traced.scale(Fraction(1, factorial(2 * q - 1)))
-
-
-def _model_rows(
-    tensor: CurvatureTensor, qs: range, newton: bool = False, plane: int = 0
+def _rows(
+    tensor: CurvatureTensor, qs, newton: bool = False, plane: int = 0
 ) -> list[tuple[Fraction, DoubleForm | None]]:
-    """(h_{2q}, T_{2q}) for q in qs from the tensor's model record,
-    restricted to the complement C of the plane's mask (T only with newton,
-    and only for the whole space).  A product's rows come from its
-    factors' (_product_rows); a matrix model's are symmetric functions of
-    its matrix A:
+    """(h_{2q}, T_{2q}) for exactly the q in qs (ascending, 2q <= |C|), of R
+    restricted to the complement C of the plane's mask; T only with newton,
+    and only for the whole space.  q = 0 is h_0 = 1 and T_0 = g.  This is
+    the one place that picks between a model record and the walk.
+
+    A matrix model's rows are symmetric functions of its matrix A:
 
     * conformal, R = g.h over m = |C| indices:
       h_{2q} = (m-q)! q! / (m-2q)! sigma_q(h), and
@@ -585,109 +557,124 @@ def _model_rows(
       T_{2q} = (2q)!/2^q N_{2q}(B), where N_n(B) = 0 by Cayley-Hamilton.
 
     sigma_k and the Newton tensors N_k come from one call of
-    linalg.characteristic.  Restricting R to C is R's model on A[C, C], so a
-    coordinate-plane s_{(p,q)}(P), h_{2q} of R restricted to P's complement
-    (see pq_sectional), is the h_{2q} formula on A[C, C] with m = n - p.
-    The tests hold every row to the walk on CurvatureTensor(tensor.form).
-    """
-    kind, record = tensor.model
-    if kind == "product":
-        return _product_rows(*record, qs, newton, plane)
-    n = tensor.n
-    keys, cells = subset_masks(n, 1), record.cells
-    if plane:
-        keys = [mask for mask in keys if not mask & plane]
-        cells = _cells_outside(cells, plane)
-    step = 1 if kind == "conformal" else 2
-    sigmas, tensors = characteristic(cells, record.den, keys, step * qs[-1], newton)
-    m = len(keys)
-    rows = []
-    for q in qs:
-        # (numerator, denominator) of the weights of sigma and N in h and T
-        if kind == "conformal":
-            h_weight = (factorial(m - q) * factorial(q), factorial(m - 2 * q))
-            t_weight = (
-                factorial(n - 1 - q) * factorial(q), factorial(n - 1 - 2 * q)
-            ) if 2 * q < n else (0, 1)
-        else:
-            h_weight = t_weight = (factorial(2 * q), 2**q)
-        num, den = sigmas[step * q]
-        h = Fraction(h_weight[0] * num, h_weight[1] * den)
-        einstein = None
-        if newton:
-            nums, den = tensors[step * q]
-            einstein = make_zero(n, 1, 1)
-            einstein._publish({
-                mask_i: {mask_j: v * t_weight[0] for mask_j, v in row.items()}
-                for mask_i, row in nums.items()
-            }, den * t_weight[1])
-        rows.append((h, einstein))
-    return rows
+    linalg.characteristic.  Restricting R to C is R's model on A[C, C], so
+    a coordinate-plane s_{(p,q)}(P), h_{2q} of R restricted to P's
+    complement (see pq_sectional), is the h_{2q} formula on A[C, C] with
+    m = n - p.
 
-
-def _product_rows(
-    first: CurvatureTensor, second: CurvatureTensor, qs: range, newton: bool, plane: int
-) -> list[tuple[Fraction, DoubleForm | None]]:
-    """_model_rows of the product R = R1 + R2 of two factors over disjoint
-    indices, from each factor's rows (_factor_rows).  R1 and R2 commute, so
+    A product R = R1 + R2 over disjoint indices reads its factors' rows,
+    each by this same function, for a = 0, 1, ... while 2a fits the
+    factor's part of C: every later row is zero.  R1 and R2 commute, so
     R^q = sum_{a+b=q} C(q,a) R1^a R2^b, and a cell (A, A) of R1^a R2^b is
     a cell (A1, A1) of R1^a times one (A2, A2) of R2^b.  Hence Weyl's
     product formula
 
-        h_{2q}(R) = sum_{a+b=q} C(q,a) h_{2a}(R1) h_{2b}(R2),
+        h_{2q}(R) = sum_{a+b=q} C(q,a) h_{2a}(R1) h_{2b}(R2).
 
-    with h_0 = 1.  c^{2q-1} R^q meets no pair (i, j) across the factors,
-    so T_{2q} is block diagonal, and the same split of its (i, j) entry
-    gives the R1 block sum_{a+b=q} C(q,a) h_{2b}(R2) T_{2a}(R1), with
-    T_0 = g, and the R2 block with the roles swapped.  A coordinate plane's
-    mask splits between the factors: R restricted to the complement is the
-    product of the two factors restricted to their parts of it.
+    c^{2q-1} R^q meets no pair (i, j) across the factors, so T_{2q} is
+    block diagonal, and the same split of its (i, j) entry gives the R1
+    block sum_{a+b=q} C(q,a) h_{2b}(R2) T_{2a}(R1) and the R2 block with
+    the roles swapped.  The plane's mask splits between the factors: R
+    restricted to C is the product of the factors restricted to their
+    parts of it.
+
+    Any other tensor walks R, R^2, ... (_powers), each row read off the
+    contraction chain of its power.  A single h_{2q} with q >= 2 forms no
+    R^q: even-degree forms commute, so R^q = R^b . R^a with b = floor(q/2),
+    a = ceil(q/2), and core.trace_of_product reads the trace of that
+    product off the cells of R^b and R^a: a cell (I1, J1) of R^b, the lower
+    power and the one with fewer cells to walk, meets only the cells
+    (Q u C, P u C) of R^a, with P = I1 - J1, Q = J1 - I1 and C disjoint
+    from I1 u J1, at the sign sign(I1, Q u C) sign(J1, P u C) of the
+    product.  So h_{2q} costs a - 1 products (R^b is met on the way to
+    R^a).  The tests hold every record's rows to the walk on
+    CurvatureTensor(tensor.form).
     """
-    n1 = first.n
-    n = n1 + second.n
-    rows1 = _factor_rows(first, qs[-1], newton, plane & ((1 << n1) - 1))
-    rows2 = _factor_rows(second, qs[-1], newton, plane >> n1)
-    if newton:  # each factor's T rows, embedded once at its offset
-        rows1 = [(h, _embed(t, n, 0)) for h, t in rows1]
-        rows2 = [(h, _embed(t, n, n1)) for h, t in rows2]
+    n = tensor.n
+    if qs[0] == 0:
+        rest = _rows(tensor, qs[1:], newton, plane) if len(qs) > 1 else []
+        return [(_ONE, make_g(n) if newton else None), *rest]
+    kind, record = tensor.model or (None, None)
+    top = qs[-1]
+    if kind == "product":
+        first, second = record
+        n1 = first.n
+        rows1, rows2 = (
+            _rows(f, range(min(top, (f.n - part.bit_count()) // 2) + 1), newton, part)
+            for f, part in ((first, plane & ((1 << n1) - 1)), (second, plane >> n1))
+        )
+        if newton:  # each factor's T rows, embedded once at its offset
+            rows1 = [(h, _embed(t, n, 0)) for h, t in rows1]
+            rows2 = [(h, _embed(t, n, n1)) for h, t in rows2]
+        out = []
+        for q in qs:
+            terms = [
+                (comb(q, a), rows1[a], rows2[q - a])
+                for a in range(q + 1)
+                if a < len(rows1) and q - a < len(rows2)
+            ]
+            h = sum((c * h1 * h2 for c, (h1, _), (h2, _) in terms), _ZERO)
+            einstein = None
+            if newton:
+                blocks = [(c * h2, 0, t1) for c, (_, t1), (h2, _) in terms]
+                blocks += [(c * h1, 0, t2) for c, (h1, _), (_, t2) in terms]
+                einstein = g_power_sum(n, 1, 1, blocks)
+            out.append((h, einstein))
+        return out
+    if kind is not None:
+        keys, cells = subset_masks(n, 1), record.cells
+        if plane:
+            keys = [mask for mask in keys if not mask & plane]
+            cells = _cells_outside(cells, plane)
+        step = 1 if kind == "conformal" else 2
+        sigmas, tensors = characteristic(cells, record.den, keys, step * top, newton)
+        m = len(keys)
+        out = []
+        for q in qs:
+            # (numerator, denominator) of the weights of sigma and N in h and T
+            if kind == "conformal":
+                h_weight = (factorial(m - q) * factorial(q), factorial(m - 2 * q))
+                t_weight = (
+                    factorial(n - 1 - q) * factorial(q), factorial(n - 1 - 2 * q)
+                ) if 2 * q < n else (0, 1)
+            else:
+                h_weight = t_weight = (factorial(2 * q), 2**q)
+            num, den = sigmas[step * q]
+            h = Fraction(h_weight[0] * num, h_weight[1] * den)
+            einstein = None
+            if newton:
+                nums, den = tensors[step * q]
+                einstein = make_zero(n, 1, 1)
+                einstein._publish({
+                    mask_i: {mask_j: v * t_weight[0] for mask_j, v in row.items()}
+                    for mask_i, row in nums.items()
+                }, den * t_weight[1])
+            out.append((h, einstein))
+        return out
+    if plane:
+        tensor = _restricted(tensor, plane)
+    if len(qs) == 1 and top >= 2 and not newton:
+        half = top // 2
+        for exponent, rq in zip(range(1, (top + 1) // 2 + 1), _powers(tensor)):
+            if exponent == half:
+                lower = rq
+        return [(trace_of_product(lower.form, rq.form), None)]
     out = []
-    for q in qs:
-        terms = [
-            (comb(q, a), rows1[a], rows2[q - a])
-            for a in range(q + 1)
-            if a < len(rows1) and q - a < len(rows2)
-        ]
-        h = sum((c * h1 * h2 for c, (h1, _), (h2, _) in terms), _ZERO)
-        einstein = None
-        if newton:
-            blocks = [(c * h2, 0, t1) for c, (_, t1), (h2, _) in terms]
-            blocks += [(c * h1, 0, t2) for c, (h1, _), (_, t2) in terms]
-            einstein = g_power_sum(n, 1, 1, blocks)
-        out.append((h, einstein))
+    for q, rq in zip(range(1, top + 1), _powers(tensor)):
+        if q in qs:
+            out.append(
+                _weyl_and_einstein(rq.form, q) if newton
+                else (rq.form.contract(2 * q).scalar_value() / factorial(2 * q), None)
+            )
     return out
 
 
-def _factor_rows(
-    tensor: CurvatureTensor, top: int, newton: bool, plane: int
-) -> list[tuple[Fraction, DoubleForm | None]]:
-    """(h_{2a}, T_{2a}) of one product factor restricted to the complement
-    C of plane, for a = 0, 1, ... up to top and 2a <= |C|: every later row
-    is zero, since R^a restricted to C is.  Row 0 is h_0 = 1 and T_0 = g.
-    A factor with a record reads it (_model_rows); any other walks its
-    powers at its own n, so a flat line (n = 1) has row 0 alone."""
-    last = min(top, (tensor.n - plane.bit_count()) // 2)
-    rows = [(_ONE, make_g(tensor.n) if newton else None)]
-    if not last:
-        return rows
-    if tensor.model is not None:
-        return rows + _model_rows(tensor, range(1, last + 1), newton, plane)
-    walked = _restricted(tensor, plane) if plane else tensor
-    for a, ra in zip(range(1, last + 1), _powers(walked)):
-        rows.append(
-            _weyl_and_einstein(ra.form, a) if newton
-            else (ra.form.contract(2 * a).scalar_value() / factorial(2 * a), None)
-        )
-    return rows
+def _weyl_and_einstein(rq: DoubleForm, q: int) -> tuple[Fraction, DoubleForm]:
+    """(h_{2q}, T_{2q}) from two contraction passes over R^q, c^{2q} and
+    c^{2q-1}."""
+    h = rq.contract(2 * q).scalar_value() / factorial(2 * q)
+    traced = rq.contract(2 * q - 1)
+    return h, h * make_g(rq.n) - traced.scale(Fraction(1, factorial(2 * q - 1)))
 
 
 def p_curvature(tensor: CurvatureTensor, p: int, plane: Frame) -> Fraction:
@@ -790,61 +777,58 @@ def sign_report_h4(tensor: CurvatureTensor) -> H4SignReport:
     flat tensors with zero scalar curvature have h_4 <= 0 with equality only
     when flat.  When neither hypothesis applies no sign claim is made.
     """
-    return _sign_report_h4(tensor, None)
+    return _sign_report_h4(tensor, ())
 
 
-def _sign_report_h4(tensor: CurvatureTensor, h4: Fraction | None) -> H4SignReport:
-    """sign_report_h4, reusing h_4 when the caller already has it."""
+def _sign_report_h4(tensor: CurvatureTensor, rows) -> H4SignReport:
+    """sign_report_h4, reusing the rows (h_2, T_2), (h_4, T_4), ... that
+    the caller already has."""
     _require_riemann_like(tensor, "sign_report_h4")
     if tensor.n < 4:
         raise DegreeError(f"h_4 needs n >= 4, got n={tensor.n}")
-    if h4 is None:
-        h4 = weyl_invariant(tensor, 2)
-    classification = _h4_hypothesis(tensor)
+    h4 = rows[1][0] if len(rows) > 1 else weyl_invariant(tensor, 2)
+    classification = _h4_hypothesis(tensor, rows)
     holds = {"flat": h4 == 0, "einstein": h4 > 0, "conformally_flat_scalar_flat": h4 < 0}
     return H4SignReport(h4, classification, holds.get(classification))
 
 
-def _h4_hypothesis(tensor: CurvatureTensor) -> str:
-    """The sign theorem that applies to R, if any (n >= 4).
+def _h4_hypothesis(tensor: CurvatureTensor, rows) -> str:
+    """The sign theorem that applies to R, if any (n >= 4), by one rule for
+    every tensor, with the row (h_2, T_2) taken from rows or made when R is
+    not flat:
 
-    A conformal model R = g.h is classified off h, with no R: g.h = 0
-    exactly when h = 0, its Ricci contraction is (n-2) h + tr(h) g, so it
-    is Einstein exactly when h is a multiple of I, its Weyl part is zero,
-    and its scalar curvature is 2(n-1) tr(h).  A hypersurface R = B.B/2 is
-    classified off B too, unless B is scalar-flat and neither flat nor
-    Einstein; only then is R read, for its Weyl part.  R's cells are the
-    2x2 minors of B, R[{i,j}, {k,l}] = B_ik B_jl - B_il B_jk by the Gauss
-    equation, so R = 0 exactly when rank B <= 1.  Its
-    Ricci contraction is tr(B) B - B^2 and its scalar curvature
-    2 sigma_2(B), so T_2 = sigma_2(B) g - cR is the Newton tensor N_2(B)
-    (_model_rows): R is Einstein exactly when N_2(B) is a multiple of I,
-    and scalar-flat exactly when sigma_2(B) = 0.
+    * flat when R = 0 (_is_flat);
+    * otherwise Einstein exactly when T_2 = h_2 g - cR is a multiple of g;
+    * otherwise conformally_flat_scalar_flat when h_2 = 0 and the Weyl part
+      of R is zero.  A conformal record R = g.h has a zero Weyl part by
+      construction; any other tensor reads R for this test, and only here.
     """
-    kind, matrix = tensor.model or (None, None)
-    if kind == "conformal":
-        if matrix.is_zero():
-            return "flat"
-        if _is_multiple_of_identity(matrix):
-            return "einstein"
-        trace = sum(row.get(mask, 0) for mask, row in matrix.cells.items())
-        return "conformally_flat_scalar_flat" if trace == 0 else "hypothesis_not_met"
-    if kind == "hypersurface":
-        rows = [[row.get(1 << k, 0) for k in range(matrix.n)] for row in matrix.cells.values()]
-        if rank(rows) <= 1:
-            return "flat"
-        ((h2, t2),) = _model_rows(tensor, range(1, 2), newton=True)
-        if _is_multiple_of_identity(t2):
-            return "einstein"
-    else:
-        if tensor.form.is_zero():
-            return "flat"
-        if is_einstein(tensor):
-            return "einstein"
-        h2 = tensor.form.contract().contract().scalar_value() / 2
-    if h2 == 0 and is_conformally_flat_algebraic(tensor):
+    if _is_flat(tensor):
+        return "flat"
+    h2, t2 = rows[0] if rows else _rows(tensor, (1,), newton=True)[0]
+    if _is_multiple_of_identity(t2):
+        return "einstein"
+    conformal = tensor.model is not None and tensor.model[0] == "conformal"
+    if h2 == 0 and (conformal or is_conformally_flat_algebraic(tensor)):
         return "conformally_flat_scalar_flat"
     return "hypothesis_not_met"
+
+
+def _is_flat(tensor: CurvatureTensor) -> bool:
+    """Whether R = 0, read off the record when there is one: g.h = 0
+    exactly when h = 0; the cells of B.B/2 are the 2x2 minors of B,
+    R[{i,j}, {k,l}] = B_ik B_jl - B_il B_jk by the Gauss equation, so it is
+    0 exactly when rank B <= 1; a product is flat exactly when both its
+    factors are.  A tensor without a record reads its form."""
+    kind, record = tensor.model or (None, None)
+    if kind == "conformal":
+        return record.is_zero()
+    if kind == "hypersurface":
+        rows = [[row.get(1 << k, 0) for k in range(record.n)] for row in record.cells.values()]
+        return rank(rows) <= 1
+    if kind == "product":
+        return all(map(_is_flat, record))
+    return tensor.form.is_zero()
 
 
 def _is_multiple_of_identity(matrix: DoubleForm) -> bool:
@@ -895,26 +879,20 @@ def build_invariant_report(
 ) -> InvariantReport:
     """Invariants for q = 1..max_q; requires 2 max_q <= n.
 
-    With a model record every row comes from one characteristic-polynomial
-    call on the model's matrix (_model_rows) and no power is formed.
-    Otherwise R, R^2, ..., R^max_q are built once, each from the previous
-    one by a single product (max_q - 1 in all) and certified once, when the
-    walk makes it; the loop holds one power at a time, and row q reads
-    h_{2q} and T_{2q} off the one contraction chain of R^q.  Either way the
-    h_4 sign report reuses row 2's h_4 (_h4_hypothesis says when it reads
-    R), and the trace identity is checked on every row.
+    The rows come from one _rows call: with a record off its matrix or its
+    factors' rows, with no power formed, and otherwise off R, R^2, ...,
+    R^max_q, each made from the previous one by a single product and
+    certified once; the walk holds one power at a time, and row q reads
+    h_{2q} and T_{2q} off the one contraction chain of R^q.  The h_4 sign
+    report reuses rows 1 and 2 (_h4_hypothesis says when it reads R), and
+    the trace identity is checked on every row.
     """
     _require_riemann_like(tensor, "build_invariant_report")
     n = tensor.n
     _require_q(n, max_q, "max_q")
-    if tensor.model is not None:
-        pairs = _model_rows(tensor, range(1, max_q + 1), newton=True)
-    else:
-        walk = zip(range(1, max_q + 1), _powers(tensor))
-        pairs = (_weyl_and_einstein(rq.form, q) for q, rq in walk)
+    pairs = _rows(tensor, range(1, max_q + 1), newton=True)
     rows = [InvariantRow(q, *pair) for q, pair in enumerate(pairs, 1)]
-    h4 = rows[1].weyl if max_q >= 2 else None
-    h4_sign = _sign_report_h4(tensor, h4) if n >= 4 else None
+    h4_sign = _sign_report_h4(tensor, pairs) if n >= 4 else None
     report = InvariantReport(n, tuple(rows), samples, h4_sign)
     report.validate_trace()
     return report

@@ -6,14 +6,15 @@ the coordinate-plane s_{(p,q)} are then symmetric functions of it, from
 linalg.characteristic.  CurvatureTensor(R.form) carries no record and walks
 R, R^2, ..., so it is the oracle for every one of them.  The kernel itself
 is checked against principal minors and the definition of N_k.  The h_4
-sign report of a model is classified off its matrix, against the report of
-CurvatureTensor(R.form), and reads R only for a scalar-flat hypersurface
-that is neither flat nor Einstein.  R itself, made from the record by the
-product and g-power kernels, is held to the Gauss equation and to lambda on
-the diagonal pairs, cell by cell.  make_product records its two factors,
-and a product's rows, h_4 report and coordinate-plane s_{(p,q)} come from
-the factors' rows by Weyl's product formula; they are held to the same
-walk.
+sign report is classified by one rule, off the record's rows, against the
+report of CurvatureTensor(R.form), and reads R only for a scalar-flat
+hypersurface or product that is neither flat nor Einstein; its Einstein
+test, T_2 a multiple of g, is held to is_einstein on every kind.  R itself,
+made from the record by the product and g-power kernels, is held to the
+Gauss equation and to lambda on the diagonal pairs, cell by cell.
+make_product records its two factors, and a product's rows, h_4 report and
+coordinate-plane s_{(p,q)} come from the factors' rows by Weyl's product
+formula; they are held to the same walk.
 """
 
 import random
@@ -32,6 +33,7 @@ from doubleforms import (
     IdentityError,
     build_invariant_report,
     einstein_tensor,
+    is_einstein,
     make_conformally_flat,
     make_constant_curvature,
     make_g,
@@ -149,8 +151,10 @@ def product_factor(draw, rng, n, depth):
         return draw(st.sampled_from((make_hypersurface, make_conformally_flat)))(
             DoubleForm(1, 1, 1, value)
         )
-    kinds = ["constant", "hypersurface", "conformally_flat", "explicit"]
+    kinds = ["constant", "hypersurface", "conformally_flat", "explicit", "flat"]
     kind = draw(st.sampled_from(kinds + ["product"] * bool(depth)))
+    if kind == "flat":
+        return draw(st.sampled_from((make_hypersurface, make_conformally_flat)))(make_zero(n, 1, 1))
     if kind == "product":
         first = draw(st.integers(1, n - 1))
         return make_product(
@@ -167,15 +171,30 @@ def product_factor(draw, rng, n, depth):
     return CurvatureTensor(verify.random_bianchi(rng, n, 2) if n >= 3 else make_g(n).mul(matrix))
 
 
+def einstein_factor(n, mu):
+    """An Einstein factor over n indices with Ric = mu g: constant curvature
+    mu / (n - 1), or at n = 1 a flat line (Ric = 0 whatever mu is)."""
+    if n == 1:
+        return make_hypersurface(DoubleForm(1, 1, 1, [[1]]))
+    return make_constant_curvature(n, mu / (n - 1))
+
+
 @st.composite
-def products(draw):
-    """A product at n <= 8 of two random factors, nested ones included."""
+def products(draw, min_n=2):
+    """A product at min_n <= n <= 8: of two random factors, nested and flat
+    ones included, or of two Einstein factors whose constants are equal,
+    unequal with a zero scalar curvature (mu_1 n_1 + mu_2 n_2 = 0), or
+    drawn apart."""
     rng = random.Random(draw(st.integers(0, 2**32)))
-    n = draw(st.integers(2, 8))
+    n = draw(st.integers(min_n, 8))
     first = draw(st.integers(1, n - 1))
-    return make_product(
-        product_factor(draw, rng, first, 1), product_factor(draw, rng, n - first, 1)
-    )
+    if draw(st.booleans()):
+        return make_product(
+            product_factor(draw, rng, first, 1), product_factor(draw, rng, n - first, 1)
+        )
+    mu, other = (draw(st.fractions(-3, 3, max_denominator=4)) for _ in range(2))
+    mus = draw(st.sampled_from(((mu, mu), (mu * (n - first), -mu * first), (mu, other))))
+    return make_product(*(einstein_factor(size, m) for size, m in zip((first, n - first), mus)))
 
 
 def coordinate_planes(rng, n, first, p):
@@ -191,15 +210,19 @@ def coordinate_planes(rng, n, first, p):
     return planes
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(products(), st.randoms(use_true_random=False))
 def test_product_invariants_match_the_walk(tensor, rng):
     """Every row, the h_4 report and the coordinate-plane s_{(p,q)} of a
-    recorded product equal the walk on CurvatureTensor(R.form)."""
+    recorded product equal the walk on CurvatureTensor(R.form), and the
+    report reads R only for a scalar-flat product that is neither flat nor
+    Einstein."""
     kind, (first, _) = tensor.model
+    n = tensor.n
+    report = build_invariant_report(tensor, n // 2)
+    read_r = "form" in vars(tensor)
     walked = CurvatureTensor(tensor.form)
     assert kind == "product" and walked.model is None
-    n = tensor.n
     assert (n, tensor.p) == (walked.n, walked.p)
     for q in range(1, n // 2 + 1):
         h = weyl_invariant(tensor, q)
@@ -212,10 +235,13 @@ def test_product_invariants_match_the_walk(tensor, rng):
                 assert pq_sectional(tensor, p, q, frame) == pq_sectional(walked, p, q, frame), (
                     p, q, plane
                 )
-    report = build_invariant_report(tensor, n // 2)
     expected = build_invariant_report(walked, n // 2)
     assert report.rows == expected.rows
     assert report.h4_sign == expected.h4_sign
+    scalar_flat = walked.form.contract().contract().is_zero()
+    assert read_r == (
+        n >= 4 and scalar_flat and report.h4_sign.classification not in ("flat", "einstein")
+    )
 
 
 def test_a_product_of_non_riemann_factors_is_refused():
@@ -238,8 +264,9 @@ def test_a_product_of_non_riemann_factors_is_refused():
 
 def test_products_of_models_form_no_power(monkeypatch):
     """A product of model factors, nested ones included, forms no power of
-    R: its rows are read off the factors' matrices, and the h_4 sign report
-    reads R itself, one embedding and one sum."""
+    R: its rows are read off the factors' matrices, and so is the h_4 sign
+    report unless the product is scalar-flat and neither flat nor
+    Einstein."""
     rng = random.Random(5)
     conformal = make_conformally_flat(symmetric_matrix(rng, 4, 1.0))
     hypersurface = make_hypersurface(symmetric_matrix(rng, 3, 1.0))
@@ -426,6 +453,10 @@ def test_pq_on_a_model_spec_makes_no_curvature_tensor(made_forms, tmp_path, caps
         {"model": "constant", "n": 8, "lambda": "2/3"},
         {"model": "hypersurface", "eigenvalues": ["1", "-2", "1/3", "4", "5", "-1/2", "7", "3"]},
         {"model": "conformally_flat", "h_matrix": [[1, 2, 0], [2, -1, 1], [0, 1, 3]]},
+        {"model": "product", "factors": [
+            {"model": "constant", "n": 3, "lambda": "1"},
+            {"model": "hypersurface", "eigenvalues": ["1", "2", "-3"]},
+        ]},
     ]
     for spec in specs:
         path = tmp_path / "spec.json"
@@ -435,6 +466,9 @@ def test_pq_on_a_model_spec_makes_no_curvature_tensor(made_forms, tmp_path, caps
         assert made_forms == [], spec
         assert main(["invariants", "--spec", str(path), "--max-q", "1"]) == 0
         assert made_forms == [], spec
+    # a product's h_4 sign report reads its factors' rows
+    assert main(["invariants", "--spec", str(path), "--max-q", "2"]) == 0
+    assert made_forms == []
     # the h_4 sign report reads R only for a scalar-flat hypersurface that
     # is neither flat nor Einstein, here one with a vanishing Weyl part
     path = tmp_path / "spec.json"
@@ -525,6 +559,63 @@ def test_a_hypersurface_classifies_h4_off_b(b):
     # R is read only for a scalar-flat B that is neither flat nor Einstein
     scalar_flat = walked.form.contract().contract().is_zero()
     assert read_r == (scalar_flat and report.classification not in ("flat", "einstein"))
+
+
+@st.composite
+def einstein_candidates(draw):
+    """A (2,2) tensor at n = 4..8, Einstein or not: a random Bianchi form,
+    a constant model, a hypersurface of every h_4 class, a conformally flat
+    model with h = c I plus random off-diagonal cells (so T_2 can have a
+    constant diagonal without being a multiple of g), or a product; a model
+    is walked as CurvatureTensor(R.form) half of the time."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(4, 8))
+    kind = draw(st.sampled_from(
+        ("random_bianchi", "constant", "hypersurface", "conformally_flat", "product")
+    ))
+    if kind == "random_bianchi":
+        return CurvatureTensor(verify.random_bianchi(rng, n, 2))
+    c = draw(st.fractions(-3, 3, max_denominator=4))
+    if kind == "constant":
+        tensor = make_constant_curvature(n, c)
+    elif kind == "hypersurface":
+        tensor = make_hypersurface(draw(shape_operators_of_every_h4_class()))
+    elif kind == "conformally_flat":
+        off = symmetric_matrix(rng, n, draw(st.sampled_from((0.0, 0.2, 0.6))))
+        rows = [[c if i == j else off.cell(1 << i, 1 << j) for j in range(n)] for i in range(n)]
+        tensor = make_conformally_flat(DoubleForm(n, 1, 1, rows))
+    else:
+        tensor = draw(products(min_n=4))
+    return CurvatureTensor(tensor.form) if draw(st.booleans()) else tensor
+
+
+@settings(max_examples=150, deadline=None)
+@given(einstein_candidates())
+def test_the_einstein_rule_reads_t2(tensor):
+    """The h_4 report's Einstein test, T_2 = h_2 g - cR a multiple of g,
+    agrees with is_einstein, which reads R's Ricci contraction."""
+    einstein = curvature._is_multiple_of_identity(einstein_tensor(tensor, 1))
+    assert einstein == is_einstein(tensor)
+
+
+def test_invariants_up_to_h2_walk_no_square(monkeypatch, tmp_path):
+    """invariants --max-q 1 on an explicit spec forms no R^2: its h_4 sign
+    report takes h_4 as the trace of R . R (core.trace_of_product)."""
+    products = []
+    mul = curvature.DoubleForm.mul
+
+    def counted(self, other):
+        if self.p >= 2 and other.p >= 2:
+            products.append((self.p, other.p))
+        return mul(self, other)
+
+    monkeypatch.setattr(curvature.DoubleForm, "mul", counted)
+    path = tmp_path / "explicit.json"
+    for n in (4, 6):
+        form = verify.random_bianchi(random.Random(n), n, 2)
+        path.write_text(dumps_canonical({"model": "explicit", "form": form_to_dict(form)}))
+        assert main(["invariants", "--spec", str(path), "--max-q", "1"]) == 0
+        assert products == [], n
 
 
 # -- the characteristic-polynomial kernel -----------------------------------------
@@ -646,7 +737,7 @@ def test_closed_form_checks_walk_the_powers(check, monkeypatch):
         products.append((self.p, other.p))
         return mul(self, other)
 
-    monkeypatch.setattr(curvature, "_model_rows", refused)
+    monkeypatch.setattr(curvature, "characteristic", refused)  # the record route's kernel
     monkeypatch.setattr(curvature.DoubleForm, "mul", counted)
     result = verify.CheckResult(check.__name__)
     check(result, random.Random(0), 6, 8)
