@@ -24,12 +24,15 @@ a record and the walk for h_{2q}, T_{2q} and the coordinate-plane
 s_{(p,q)}: a matrix model's are symmetric functions of its matrix, read off
 linalg.characteristic with no power of R; a product's are sums over its
 factors' rows (Weyl's product formula), each factor's by _rows again; and
-every other tensor walks R, R^2, ... (_powers).  A tensor with a record
-makes R from it, g.h as h.mul_g_power(1), B.B/2 as B.mul(B) halved and a
-product as its embedded factors summed, and certifies it, only when R is
-read.  Of the reports only the h_4 sign report reads it: for a tensor that
-is scalar-flat and neither flat nor Einstein, and not conformal, for its
-Weyl part.
+every other tensor walks R, R^2, ... (_powers), reading each row off one
+contraction of its power.  A tensor's n and p are set once, when it is
+made.  A tensor with a record makes R from it, g.h as h.mul_g_power(1),
+B.B/2 as B.mul(B) halved and a product as its embedded factors summed, and
+certifies it, only when R is read.  Of the reports only the h_4 sign
+report reads it: for a tensor that is scalar-flat and neither flat nor
+Einstein, and not conformal, for its Weyl part.  That report is the
+invariant report's own: sign_report_h4(R) is build_invariant_report(R,
+1).h4_sign.
 """
 
 from __future__ import annotations
@@ -70,31 +73,39 @@ class CurvatureTensor:
     model, set only by the model constructors, records what the form is
     built from: ("conformal", h) for R = g.h (constant curvature included,
     with h = (lambda/2) I), ("hypersurface", B) for R = B.B/2, and
-    ("product", (first, second)) for a Riemannian product, whose n and p
-    come from its factors.  The invariants read the record when it is there
-    and walk R's powers otherwise (_rows), so CurvatureTensor(form) always
-    walks.  A tensor with a record makes R from it alone,
-    h.mul_g_power(1), B.mul(B)/2 or the embedded factors summed, and
-    certifies it, on the first read of form (__getattr__).  The rows, the
-    coordinate-plane s_{(p,q)} and the h_4 report's flat and Einstein tests
-    read only the record; only the h_4 report's Weyl test of a scalar-flat
-    tensor that is neither flat, Einstein nor conformal reads R.
+    ("product", (first, second)) for a Riemannian product.  n and p, R's
+    dimension and degree, are fields set once: from the form by
+    __post_init__, and for a record by _recorded, (n, 2) for g.h and B.B/2
+    and for a product the factors' summed n and shared degree
+    (_product_degree), so reading them never makes R.  The invariants read
+    the record when it is there and walk R's powers otherwise (_rows), so
+    CurvatureTensor(form) always walks.  A tensor with a record makes R
+    from it alone (_model_form), h.mul_g_power(1), B.mul(B)/2 or the
+    embedded factors summed, and certifies it, on the first read of form
+    (__getattr__).  The rows, the coordinate-plane s_{(p,q)} and the h_4
+    report's flat and Einstein tests read only the record; only the h_4
+    report's Weyl test of a scalar-flat tensor that is neither flat,
+    Einstein nor conformal reads R.
     """
 
     form: DoubleForm
     model: tuple[str, DoubleForm | tuple[CurvatureTensor, CurvatureTensor]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    n: int = field(init=False, repr=False, compare=False)
+    p: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _require_bianchi_symmetric(self.form, "a curvature tensor")
+        object.__setattr__(self, "n", self.form.n)
+        object.__setattr__(self, "p", self.form.p)
 
     def __getattr__(self, name: str):
         """Reached only when no attribute is found: for form, on a tensor
         with a record whose R is not made yet (_recorded)."""
         if name != "form" or self.model is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        form = self.__dict__["form"] = _model_form(self.model)
+        form = self.__dict__["form"] = _model_form(self)
         try:
             self.__post_init__()
         except DoubleFormError:
@@ -102,31 +113,24 @@ class CurvatureTensor:
             raise
         return form
 
-    @property
-    def n(self) -> int:
-        if self.model is None:
-            return self.form.n
-        kind, record = self.model
-        return record[0].n + record[1].n if kind == "product" else record.n
 
-    @property
-    def p(self) -> int:
-        if self.model is None:
-            return self.form.p
-        kind, record = self.model
-        return _product_degree(*record) if kind == "product" else 2  # g.h and B.B/2 are (2,2)
-
-
-def _model_form(model: tuple) -> DoubleForm:
-    """R made from a model record alone, not yet certified: g.h as
-    h.mul_g_power(1), B.B/2 as B.mul(B) halved, and a product as its
-    factors' forms embedded and summed (_product_form)."""
-    kind, record = model
+def _model_form(tensor: CurvatureTensor) -> DoubleForm:
+    """R made from the tensor's model record alone, not yet certified: g.h
+    as h.mul_g_power(1), B.B/2 as B.mul(B) halved, and a product as its
+    factors' forms embedded at their offsets, a flat line as the zero form,
+    and summed."""
+    kind, record = tensor.model
     if kind == "conformal":
         return record.mul_g_power(1)
     if kind == "hypersurface":
         return record.mul(record).scale(Fraction(1, 2))
-    return _product_form(*record)
+    first, second = record
+    n, p = tensor.n, tensor.p
+    left, right = (
+        _embed(f.form, n, offset) if f.p == p else make_zero(n, p, p)
+        for f, offset in ((first, 0), (second, first.n))
+    )
+    return left + right
 
 
 # -- model constructors -------------------------------------------------------
@@ -169,14 +173,16 @@ def _matrix_model(kind: str, matrix: DoubleForm, name: str) -> CurvatureTensor:
         raise DoubleFormError(f"{name} must be symmetric")
     if matrix.n == 1:
         return CurvatureTensor(make_zero(1, 1, 1))
-    return _recorded((kind, matrix))
+    return _recorded((kind, matrix), matrix.n, 2)  # g.h and B.B/2 are (2,2)
 
 
-def _recorded(model: tuple) -> CurvatureTensor:
-    """A tensor holding only its model record; R is made, and certified,
-    on the first read of form (CurvatureTensor.__getattr__)."""
+def _recorded(model: tuple, n: int, p: int) -> CurvatureTensor:
+    """A tensor holding only its model record and its shape, R a (p,p) form
+    over n; R is made, and certified, on the first read of form
+    (CurvatureTensor.__getattr__)."""
     tensor = object.__new__(CurvatureTensor)
-    object.__setattr__(tensor, "model", model)
+    for name, value in (("model", model), ("n", n), ("p", p)):
+        object.__setattr__(tensor, name, value)
     return tensor
 
 
@@ -189,10 +195,10 @@ def make_product(first: CurvatureTensor, second: CurvatureTensor) -> CurvatureTe
     factor's degree, and two lines make the zero (2,2) form.  The tensor
     records its two factors, ("product", (first, second)): its invariants
     are read off theirs (_rows), and R is made, and certified, only when
-    form is read (_product_form).
+    form is read (_model_form).
     """
-    _product_degree(first, second)
-    return _recorded(("product", (first, second)))
+    p = _product_degree(first, second)
+    return _recorded(("product", (first, second)), first.n + second.n, p)
 
 
 def _product_degree(first: CurvatureTensor, second: CurvatureTensor) -> int:
@@ -206,18 +212,6 @@ def _product_degree(first: CurvatureTensor, second: CurvatureTensor) -> int:
         )
     (p,) = degrees or {2}
     return p
-
-
-def _product_form(first: CurvatureTensor, second: CurvatureTensor) -> DoubleForm:
-    """R of the product: each factor's form embedded at its offset, a flat
-    line as the zero form, and the two summed."""
-    p = _product_degree(first, second)
-    n = first.n + second.n
-    left, right = (
-        _embed(f.form, n, offset) if f.p == p else make_zero(n, p, p)
-        for f, offset in ((first, 0), (second, first.n))
-    )
-    return left + right
 
 
 def _embed(form: DoubleForm, n_total: int, offset: int) -> DoubleForm:
@@ -578,9 +572,11 @@ def _rows(
     restricted to C is the product of the factors restricted to their
     parts of it.
 
-    Any other tensor walks R, R^2, ... (_powers), each row read off the
-    contraction chain of its power.  A single h_{2q} with q >= 2 forms no
-    R^q: even-degree forms commute, so R^q = R^b . R^a with b = floor(q/2),
+    Any other tensor walks R, R^2, ... (_powers), each row read off one
+    contraction of its power: h_{2q} alone off c^{2q} R^q, and with newton
+    both values off traced = c^{2q-1} R^q, as h_{2q} = c(traced)/(2q)! and
+    T_{2q} = h_{2q} g - traced/(2q-1)!.  A single h_{2q} with q >= 2 forms
+    no R^q: even-degree forms commute, so R^q = R^b . R^a with b = floor(q/2),
     a = ceil(q/2), and core.trace_of_product reads the trace of that
     product off the cells of R^b and R^a: a cell (I1, J1) of R^b, the lower
     power and the one with fewer cells to walk, meets only the cells
@@ -661,20 +657,13 @@ def _rows(
         return [(trace_of_product(lower.form, rq.form), None)]
     out = []
     for q, rq in zip(range(1, top + 1), _powers(tensor)):
-        if q in qs:
-            out.append(
-                _weyl_and_einstein(rq.form, q) if newton
-                else (rq.form.contract(2 * q).scalar_value() / factorial(2 * q), None)
-            )
+        if q in qs and not newton:
+            out.append((rq.form.contract(2 * q).scalar_value() / factorial(2 * q), None))
+        elif q in qs:
+            traced = rq.form.contract(2 * q - 1)
+            h = traced.contract().scalar_value() / factorial(2 * q)
+            out.append((h, h * make_g(n) - traced.scale(Fraction(1, factorial(2 * q - 1)))))
     return out
-
-
-def _weyl_and_einstein(rq: DoubleForm, q: int) -> tuple[Fraction, DoubleForm]:
-    """(h_{2q}, T_{2q}) from two contraction passes over R^q, c^{2q} and
-    c^{2q-1}."""
-    h = rq.contract(2 * q).scalar_value() / factorial(2 * q)
-    traced = rq.contract(2 * q - 1)
-    return h, h * make_g(rq.n) - traced.scale(Fraction(1, factorial(2 * q - 1)))
 
 
 def p_curvature(tensor: CurvatureTensor, p: int, plane: Frame) -> Fraction:
@@ -775,27 +764,19 @@ def sign_report_h4(tensor: CurvatureTensor) -> H4SignReport:
 
     Einstein tensors have h_4 >= 0 with equality only when flat; conformally
     flat tensors with zero scalar curvature have h_4 <= 0 with equality only
-    when flat.  When neither hypothesis applies no sign claim is made.
+    when flat.  When neither hypothesis applies no sign claim is made.  The
+    report is the invariant report's own, build_invariant_report(tensor,
+    1).h4_sign.
     """
-    return _sign_report_h4(tensor, ())
-
-
-def _sign_report_h4(tensor: CurvatureTensor, rows) -> H4SignReport:
-    """sign_report_h4, reusing the rows (h_2, T_2), (h_4, T_4), ... that
-    the caller already has."""
     _require_riemann_like(tensor, "sign_report_h4")
     if tensor.n < 4:
         raise DegreeError(f"h_4 needs n >= 4, got n={tensor.n}")
-    h4 = rows[1][0] if len(rows) > 1 else weyl_invariant(tensor, 2)
-    classification = _h4_hypothesis(tensor, rows)
-    holds = {"flat": h4 == 0, "einstein": h4 > 0, "conformally_flat_scalar_flat": h4 < 0}
-    return H4SignReport(h4, classification, holds.get(classification))
+    return build_invariant_report(tensor, 1).h4_sign
 
 
-def _h4_hypothesis(tensor: CurvatureTensor, rows) -> str:
+def _h4_hypothesis(tensor: CurvatureTensor, h2: Fraction, t2: DoubleForm) -> str:
     """The sign theorem that applies to R, if any (n >= 4), by one rule for
-    every tensor, with the row (h_2, T_2) taken from rows or made when R is
-    not flat:
+    every tensor, given its row (h_2, T_2):
 
     * flat when R = 0 (_is_flat);
     * otherwise Einstein exactly when T_2 = h_2 g - cR is a multiple of g;
@@ -805,7 +786,6 @@ def _h4_hypothesis(tensor: CurvatureTensor, rows) -> str:
     """
     if _is_flat(tensor):
         return "flat"
-    h2, t2 = rows[0] if rows else _rows(tensor, (1,), newton=True)[0]
     if _is_multiple_of_identity(t2):
         return "einstein"
     conformal = tensor.model is not None and tensor.model[0] == "conformal"
@@ -872,27 +852,29 @@ class InvariantReport:
                 )
 
 
-def build_invariant_report(
-    tensor: CurvatureTensor,
-    max_q: int,
-    samples: tuple[SectionalSample, ...] = (),
-) -> InvariantReport:
+def build_invariant_report(tensor: CurvatureTensor, max_q: int) -> InvariantReport:
     """Invariants for q = 1..max_q; requires 2 max_q <= n.
 
     The rows come from one _rows call: with a record off its matrix or its
     factors' rows, with no power formed, and otherwise off R, R^2, ...,
     R^max_q, each made from the previous one by a single product and
     certified once; the walk holds one power at a time, and row q reads
-    h_{2q} and T_{2q} off the one contraction chain of R^q.  The h_4 sign
-    report reuses rows 1 and 2 (_h4_hypothesis says when it reads R), and
-    the trace identity is checked on every row.
+    h_{2q} and T_{2q} off one contraction of R^q.  At n >= 4 the h_4 sign
+    report classifies R from row 1 (_h4_hypothesis says when it reads R)
+    and takes h_4 from row 2, or at max_q = 1 from weyl_invariant, which
+    forms no R^2.  The trace identity is checked on every row.
     """
     _require_riemann_like(tensor, "build_invariant_report")
     n = tensor.n
     _require_q(n, max_q, "max_q")
     pairs = _rows(tensor, range(1, max_q + 1), newton=True)
-    rows = [InvariantRow(q, *pair) for q, pair in enumerate(pairs, 1)]
-    h4_sign = _sign_report_h4(tensor, pairs) if n >= 4 else None
-    report = InvariantReport(n, tuple(rows), samples, h4_sign)
+    rows = tuple(InvariantRow(q, *pair) for q, pair in enumerate(pairs, 1))
+    h4_sign = None
+    if n >= 4:
+        h4 = pairs[1][0] if max_q > 1 else weyl_invariant(tensor, 2)
+        classification = _h4_hypothesis(tensor, *pairs[0])
+        holds = {"flat": h4 == 0, "einstein": h4 > 0, "conformally_flat_scalar_flat": h4 < 0}
+        h4_sign = H4SignReport(h4, classification, holds.get(classification))
+    report = InvariantReport(n, rows, h4_sign=h4_sign)
     report.validate_trace()
     return report

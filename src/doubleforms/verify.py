@@ -898,7 +898,7 @@ def _walked(model: CurvatureTensor) -> CurvatureTensor:
     certified once, here; the model itself never makes it."""
     if model.model is None:
         return model
-    return CurvatureTensor(_model_form(model.model))
+    return CurvatureTensor(_model_form(model))
 
 
 def check_hypersurface_symmetric_functions(rec, rng, n, trials):

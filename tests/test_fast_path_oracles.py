@@ -27,7 +27,9 @@ messages once the same plane is shared.  pq_curvature_tensor, one
 g_power_sum term and the star, is checked against mul_g_power, the star
 and a separate scale.  The
 invariant report's power sequence and its h_{2q} and T_{2q} against
-repeated products and single contractions, the one-pass contract(k)
+repeated products and single contractions, the walked rows, which read
+h_{2q} and T_{2q} off one contraction c^{2q-1} R^q, against two passes
+(c^{2q} and c^{2q-1}) on random Bianchi R at n <= 7, the one-pass contract(k)
 against the chain contractions(w, k)[-1], and pq_sectional's complement
 restriction on coordinate planes against the sectional curvature of
 pq_curvature_tensor.  has_constant_sectional's test of the stored cells
@@ -866,6 +868,28 @@ def test_invariant_report_matches_per_q_invariants():
                 h = c.contract().scalar_value() / factorial(2 * q)
                 assert row.weyl == h, (n, name, q)
                 assert row.einstein == h * g - c.scale(Fraction(1, factorial(2 * q - 1)))
+
+
+def two_pass_row(rq, q):
+    """(h_{2q}, T_{2q}) from two contraction passes over R^q, c^{2q} and
+    c^{2q-1}: the walked row's formula before it read both values off
+    c^{2q-1} R^q."""
+    h = rq.contract(2 * q).scalar_value() / factorial(2 * q)
+    traced = rq.contract(2 * q - 1)
+    return h, h * make_g(rq.n) - traced.scale(Fraction(1, factorial(2 * q - 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 7), st.integers(0, 2**32))
+def test_walked_rows_match_two_contraction_passes(n, seed):
+    tensor = CurvatureTensor(random_bianchi(random.Random(seed), n, 2))
+    rows = curvature._rows(tensor, range(1, n // 2 + 1), newton=True)
+    assert len(rows) == n // 2
+    rq = tensor.form
+    for q, row in enumerate(rows, start=1):
+        if q > 1:
+            rq = rq.mul(tensor.form)
+        assert row == two_pass_row(rq, q), (n, q)
 
 
 # -- curvature: model constructors against the expressions they replaced ----

@@ -14,7 +14,12 @@ made from the record by the product and g-power kernels, is held to the
 Gauss equation and to lambda on the diagonal pairs, cell by cell.
 make_product records its two factors, and a product's rows, h_4 report and
 coordinate-plane s_{(p,q)} come from the factors' rows by Weyl's product
-formula; they are held to the same walk.
+formula; they are held to the same walk.  A tensor's n and p, set when it
+is made, are held to its form's on every kind, and reading them makes no
+R.  sign_report_h4 is held to a rule built only from public predicates
+(is_zero, is_einstein, weyl_invariant, is_conformally_flat_algebraic) on
+models, products, walked random Bianchi tensors and walked Einstein
+tensors, and to the h_4 report of every invariant report.
 """
 
 import random
@@ -33,6 +38,7 @@ from doubleforms import (
     IdentityError,
     build_invariant_report,
     einstein_tensor,
+    is_conformally_flat_algebraic,
     is_einstein,
     make_conformally_flat,
     make_constant_curvature,
@@ -116,6 +122,27 @@ def test_only_the_model_constructors_record():
     assert CurvatureTensor(sphere.form).model is None
 
 
+def test_a_tensors_shape_is_set_when_it_is_made():
+    """n and p are fields: a record's equal its form's, and reading them
+    makes no R, for every kind and for nested products with a flat n = 1
+    line, a (4,4) factor included."""
+    line = make_hypersurface(DoubleForm(1, 1, 1, [[2]]))
+    sphere = make_constant_curvature(3, 1)
+    h = symmetric_matrix(random.Random(7), 4, 1.0)
+    s4_squared = curvature.power(make_constant_curvature(4, 1), 2)
+    tensors = [
+        sphere, make_conformally_flat(h), make_hypersurface(h), line, s4_squared,
+        CurvatureTensor(verify.random_bianchi(random.Random(8), 5, 2)),
+        make_product(line, sphere), make_product(sphere, line), make_product(line, line),
+        make_product(make_product(line, sphere), make_product(make_hypersurface(h), line)),
+        make_product(line, s4_squared), make_product(make_product(line, line), line),
+    ]
+    for tensor in tensors:
+        shape = (tensor.n, tensor.p)
+        assert tensor.model is None or "form" not in vars(tensor), tensor.model
+        assert shape == (tensor.form.n, tensor.form.p), tensor.model
+
+
 def test_recorded_models_form_no_power(monkeypatch):
     """With the record, no invariant (the h_4 sign report included) forms a
     product."""
@@ -180,13 +207,13 @@ def einstein_factor(n, mu):
 
 
 @st.composite
-def products(draw, min_n=2):
-    """A product at min_n <= n <= 8: of two random factors, nested and flat
-    ones included, or of two Einstein factors whose constants are equal,
-    unequal with a zero scalar curvature (mu_1 n_1 + mu_2 n_2 = 0), or
-    drawn apart."""
+def products(draw, min_n=2, max_n=8):
+    """A product at min_n <= n <= max_n: of two random factors, nested and
+    flat ones included, or of two Einstein factors whose constants are
+    equal, unequal with a zero scalar curvature (mu_1 n_1 + mu_2 n_2 = 0),
+    or drawn apart."""
     rng = random.Random(draw(st.integers(0, 2**32)))
-    n = draw(st.integers(min_n, 8))
+    n = draw(st.integers(min_n, max_n))
     first = draw(st.integers(1, n - 1))
     if draw(st.booleans()):
         return make_product(
@@ -242,6 +269,77 @@ def test_product_invariants_match_the_walk(tensor, rng):
     assert read_r == (
         n >= 4 and scalar_flat and report.h4_sign.classification not in ("flat", "einstein")
     )
+
+
+# -- the h_4 sign report against public predicates -------------------------------
+
+
+def h4_matrix(draw, rng, n):
+    """A symmetric (1,1)-form over n for a model: zero, rank one (v v^T),
+    trace-free, umbilic but for one eigenvalue and with sigma_2 = 0
+    (diag(-(n-2) b/2, b, ..., b)), or random."""
+    shape = draw(st.sampled_from(("zero", "rank_one", "trace_free", "quasi_umbilic", "random")))
+    if shape == "zero":
+        return make_zero(n, 1, 1)
+    if shape == "rank_one":
+        v = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+        return DoubleForm(n, 1, 1, [[x * y for y in v] for x in v])
+    if shape == "quasi_umbilic":
+        b = Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3))
+        return _diagonal(n, [-(n - 2) * b / 2] + [b] * (n - 1))
+    matrix = symmetric_matrix(rng, n, draw(st.sampled_from((0.4, 1.0))))
+    if shape == "trace_free":
+        matrix = matrix - _diagonal(n, [0] * (n - 1) + [matrix.contract().scalar_value()])
+    return matrix
+
+
+@st.composite
+def h4_tensors(draw):
+    """A (2,2) tensor at 4 <= n <= 7 of every kind the h_4 report reads: a
+    conformally flat, hypersurface or constant curvature model, a product
+    (products()), a walked random Bianchi tensor, or a walked Einstein
+    tensor, an effective Bianchi part plus a multiple of g^2 (either may
+    be zero)."""
+    kinds = ("conformal", "hypersurface", "constant", "product", "walked", "einstein")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "product":
+        return draw(products(min_n=4, max_n=7))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(4, 7))
+    if kind == "constant":
+        return make_constant_curvature(n, draw(st.fractions(-3, 3, max_denominator=4)))
+    if kind == "conformal":
+        return make_conformally_flat(h4_matrix(draw, rng, n))
+    if kind == "hypersurface":
+        return make_hypersurface(h4_matrix(draw, rng, n))
+    if kind == "walked":
+        return CurvatureTensor(verify.random_bianchi(rng, n, 2))
+    weyl = verify.random_bianchi(rng, n, 2, effective=True) if draw(st.booleans()) else None
+    g_squared = make_g(n).mul_g_power(1).scale(draw(st.fractions(-3, 3, max_denominator=4)))
+    return CurvatureTensor(g_squared if weyl is None else weyl + g_squared)
+
+
+@settings(max_examples=120, deadline=None)
+@given(h4_tensors())
+def test_the_h4_report_follows_the_public_predicates(tensor):
+    """sign_report_h4 names the theorem that a rule built only from public
+    predicates names, with flatness tested first; its h_4 is weyl_invariant's,
+    each named theorem's inequality holds, and every invariant report
+    carries the same h_4 report."""
+    report = sign_report_h4(tensor)
+    if tensor.form.is_zero():
+        expected = "flat"
+    elif is_einstein(tensor):
+        expected = "einstein"
+    elif weyl_invariant(tensor, 1) == 0 and is_conformally_flat_algebraic(tensor):
+        expected = "conformally_flat_scalar_flat"
+    else:
+        expected = "hypothesis_not_met"
+    assert report.classification == expected
+    assert report.h4 == weyl_invariant(tensor, 2)
+    assert report.inequality_holds is (None if expected == "hypothesis_not_met" else True)
+    for q in range(1, tensor.n // 2 + 1):
+        assert build_invariant_report(tensor, q).h4_sign == report, q
 
 
 def test_a_product_of_non_riemann_factors_is_refused():
